@@ -1,10 +1,16 @@
 """Upper-bound evaluators for numerical radii of off-diagonal and full
-2x2 operator matrices.
+2x2 operator matrices, and the table of bound ids built on them.
 
 Each evaluator returns a :class:`BoundOutcome` holding the right-hand-side
 value, the exponent e of its contract (radius**e <= value), the named
 intermediate norms, and the parameters used. The evaluators never compare
 against a radius themselves; validity checking lives in the harness.
+
+`BOUNDS` maps every bound id to its :class:`BoundSpec`: the campaign grid
+axes, how inputs are drawn (and so how many matrix files the CLI reads),
+the evaluator call and the contract-side measure. The harness and the CLI
+dispatch on this table only, so adding a bound over existing grid axes
+means writing its evaluator and adding one entry.
 
 The two-exponent (Holder) bound carries a documented constant discrepancy:
 its printed prefactor 4**(r-2) is falsified by the scalar case X = Y = [1]
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,37 +36,30 @@ from .errors import (
     NotContractionError,
     NotNormalError,
     OutOfRangeError,
+    UnknownBoundError,
 )
-from .funcpair import FunctionPair, HolderPair, pow_of_pair, validate_pair
+from .funcpair import (
+    FunctionPair,
+    HolderPair,
+    conjugate_exponent,
+    pow_of_pair,
+    power_pair,
+    validate_pair,
+)
 from .linalg import (
     Block2x2,
     OffDiagPair,
     adjoint,
     as_matrix,
+    embed_block,
+    embed_offdiag,
     fn_of_abs,
     fn_of_psd,
+    fn_of_spectrum,
     gram_eigen,
-    recompose,
     spectral_norm,
 )
-from .radius import omega
-
-BOUND_IDS = (
-    "main1.v1",
-    "main1.v2",
-    "product_xy",
-    "sum_norm",
-    "sum_norm.normal",
-    "main11.v1",
-    "main11.v2",
-    "main11.young.v1",
-    "main11.young.v2",
-    "main3.v1",
-    "main3.v2",
-    "main4.v1",
-    "main4.v2",
-    "th1",
-)
+from .radius import omega, omega_p
 
 # Normality check: ||M*M - MM*|| <= NORMALITY_TOL * ||M||^2.
 NORMALITY_TOL = 1e-9
@@ -127,33 +127,27 @@ def _check_pair_on_spectra(pair: FunctionPair, spectra: Sequence[np.ndarray]) ->
         )
 
 
-def _offdiag_groups(pair: FunctionPair, r: float, variant: int,
-                    x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two PSD sums feeding every off-diagonal bound.
+def _pair_terms(pair: FunctionPair, r: float, variant: int,
+                x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+    """The four PSD terms feeding every off-diagonal bound.
 
+    They are f**(2r) or g**(2r) applied to |X|, |Y*|, |Y| and |X*|; the
+    first two make up the first group and the last two the second.
     Variant 1 mixes f and g inside each group; variant 2 keeps f with the
     first group and g with the second.
     """
-    sx, vx = gram_eigen(x)           # |X|
-    sys_, vys = gram_eigen(adjoint(y))  # |Y*|
-    sy, vy = gram_eigen(y)           # |Y|
-    sxs, vxs = gram_eigen(adjoint(x))   # |X*|
-    _check_pair_on_spectra(pair, [sx, sys_, sy, sxs])
+    eigs = [gram_eigen(x), gram_eigen(adjoint(y)), gram_eigen(y), gram_eigen(adjoint(x))]
+    _check_pair_on_spectra(pair, [s for s, _ in eigs])
     fe, ge = pow_of_pair(pair, 2.0 * r)
+    fns = (fe, ge, fe, ge) if variant == 1 else (fe, fe, ge, ge)
+    return [fn_of_spectrum(fn, s, v) for fn, (s, v) in zip(fns, eigs)]
 
-    def apply(fn, s, v):
-        out = np.asarray(fn(s), dtype=np.float64)
-        if not np.isfinite(out).all() or (out < 0).any():
-            raise InvalidFunctionError("pair functions must stay finite and >= 0")
-        return recompose(out, v)
 
-    if variant == 1:
-        first = apply(fe, sx, vx) + apply(ge, sys_, vys)
-        second = apply(fe, sy, vy) + apply(ge, sxs, vxs)
-    else:
-        first = apply(fe, sx, vx) + apply(fe, sys_, vys)
-        second = apply(ge, sy, vy) + apply(ge, sxs, vxs)
-    return first, second
+def _offdiag_groups(pair: FunctionPair, r: float, variant: int,
+                    x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two group sums of :func:`_pair_terms`."""
+    t1, t2, t3, t4 = _pair_terms(pair, r, variant, x, y)
+    return t1 + t2, t3 + t4
 
 
 def refined_young(a: float, b: float, m: int) -> tuple[float, float]:
@@ -205,8 +199,6 @@ def bound_product_xy(x, y, alpha: float, r: float, variant: int = 1) -> BoundOut
     The right-hand side equals bound_main1 on the pair (X, Y) with
     f(t) = t**alpha; only the contract exponent changes to r/2.
     """
-    from .funcpair import power_pair
-
     x = as_matrix(x)
     y = as_matrix(y)
     if x.shape[0] != x.shape[1] or x.shape != y.shape:
@@ -478,8 +470,6 @@ def _as_contraction_item(item) -> tuple[np.ndarray, ...]:
 def main4_operands(items) -> list[np.ndarray]:
     """The compressed off-diagonal products [[0, A*XD], [B*YC, 0]] whose
     generalized radius the contraction bound controls."""
-    from .linalg import embed_offdiag
-
     out = []
     for item in items:
         a, b, c, d, x, y = _as_contraction_item(item)
@@ -499,27 +489,12 @@ def bound_main4(items, pair: FunctionPair, p: float, variant: int = 1) -> BoundO
     norm_items = [_as_contraction_item(item) for item in items]
     if not norm_items:
         raise OutOfRangeError("at least one item is required")
-    fe, ge = pow_of_pair(pair, 2.0 * p)
-
-    def apply(fn, mat):
-        s, v = gram_eigen(mat)
-        out = np.asarray(fn(s), dtype=np.float64)
-        if not np.isfinite(out).all() or (out < 0).any():
-            raise InvalidFunctionError("pair functions must stay finite and >= 0")
-        return recompose(out, v)
-
     total = 0.0
     per_item = []
     for a, b, c, d, x, y in norm_items:
-        spectra = [gram_eigen(x)[0], gram_eigen(adjoint(y))[0],
-                   gram_eigen(y)[0], gram_eigen(adjoint(x))[0]]
-        _check_pair_on_spectra(pair, spectra)
-        if variant == 1:
-            g1 = adjoint(d) @ apply(fe, x) @ d + adjoint(b) @ apply(ge, adjoint(y)) @ b
-            g2 = adjoint(c) @ apply(fe, y) @ c + adjoint(a) @ apply(ge, adjoint(x)) @ a
-        else:
-            g1 = adjoint(d) @ apply(fe, x) @ d + adjoint(b) @ apply(fe, adjoint(y)) @ b
-            g2 = adjoint(c) @ apply(ge, y) @ c + adjoint(a) @ apply(ge, adjoint(x)) @ a
+        t1, t2, t3, t4 = _pair_terms(pair, p, variant, x, y)
+        g1 = adjoint(d) @ t1 @ d + adjoint(b) @ t2 @ b
+        g2 = adjoint(c) @ t3 @ c + adjoint(a) @ t4 @ a
         term = math.sqrt(spectral_norm(g1)) * math.sqrt(spectral_norm(g2))
         per_item.append(term)
         total += term
@@ -564,3 +539,207 @@ def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
         terms={f"item_{i}": t for i, t in enumerate(per_item)},
         params={"p": p, "n_operators": len(per_item), "omega_tol": omega_tol},
     )
+
+
+# -- the bound table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Sampler:
+    """How one bound's input matrices are drawn, packed and read from files.
+
+    Each slot is (name, ensemble role, shape), shape "mn" meaning m-by-n,
+    and slot k draws from derive(stream, k + 1). A grouped sampler draws
+    one tuple of slots per operator, group i under derive(stream, 10 + i),
+    and keeps the list of tuples under the key `group`; otherwise the slot
+    names are the keys.
+    """
+
+    slots: tuple
+    group: str | None = None
+
+    def pack(self, groups: list) -> dict:
+        """The input dict from one sequence of matrices per group."""
+        if self.group is not None:
+            return {self.group: [tuple(g) for g in groups]}
+        return dict(zip([name for name, _, _ in self.slots], groups[0]))
+
+    def unpack(self, mats: dict) -> list:
+        """Every input matrix, group by group in slot order."""
+        if self.group is not None:
+            return [m for g in mats[self.group] for m in g]
+        return [mats[name] for name, _, _ in self.slots]
+
+
+@dataclass(frozen=True)
+class EvalSettings:
+    """Settings of one bound evaluation that do not vary by trial input."""
+
+    omega_tol: float
+    constant_mode: str
+    omega_p_restarts: int
+    omega_p_max_iter: int
+    zeta_restarts: int
+    stream: RngStream
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """One bound id: how to sample, evaluate and check it.
+
+    `axes` names the campaign grid axes, outermost first. `evaluate(mats,
+    params, settings)` returns (outcome, extras). The contract side takes
+    `measure` ("omega", "norm" or "omega_p") of `operand(mats, params)`.
+    `extras` names the campaign settings each trial adds to its params.
+    """
+
+    bound_id: str
+    axes: tuple
+    sampler: Sampler
+    evaluate: Callable
+    measure: str
+    operand: Callable
+    extras: tuple = ()
+
+    @property
+    def arity(self) -> int:
+        """Matrix files one CLI evaluation reads."""
+        return len(self.sampler.slots)
+
+    def contract_side(self, mats: dict, params: dict,
+                      settings: EvalSettings) -> tuple[float, float | None, dict]:
+        """(lhs, upper end or None, extras): the certified lower radius
+        endpoint, the exact norm, or the generalized-radius lower estimate."""
+        target = self.operand(mats, params)
+        if self.measure == "norm":
+            lhs = spectral_norm(target)
+            return lhs, lhs, {}
+        if self.measure == "omega":
+            cert = omega(target, settings.omega_tol * max(1.0, spectral_norm(target)))
+            return cert.lo, cert.hi, {}
+        est = omega_p(target, float(params.get("p", 1.0)),
+                      restarts=settings.omega_p_restarts,
+                      stream=derive(settings.stream, 102),
+                      max_iter=settings.omega_p_max_iter)
+        return est.value, None, {"estimate_converged": est.converged}
+
+
+def _pair_arg(params: dict) -> FunctionPair:
+    return params.get("pair") or power_pair(params.get("alpha", 0.5))
+
+
+def _offdiag(m: dict, params: dict) -> tuple:
+    """(blocks, function pair, r): the leading off-diagonal evaluator arguments."""
+    return (m["x"], m["y"]), _pair_arg(params), float(params.get("r", 1.0))
+
+
+def _holder(params: dict) -> HolderPair:
+    p = float(params.get("p", 2.0))
+    if params.get("q") is not None:
+        return HolderPair(p, float(params["q"]))
+    return conjugate_exponent(p)
+
+
+# Evaluators, bound to a variant with functools.partial in the table. Each
+# looks its bound_* up by name when called, never when the table is built,
+# so a function patched onto this module is the one that runs.
+
+def _main1(variant, m, prm, s):
+    return bound_main1(*_offdiag(m, prm), variant), {}
+
+
+def _main11(variant, m, prm, s):
+    mode = prm.get("constant_mode", s.constant_mode)
+    return bound_main11(*_offdiag(m, prm), _holder(prm), variant, constant_mode=mode), {}
+
+
+def _main11_young(variant, m, prm, s):
+    return bound_main11_young(*_offdiag(m, prm), _holder(prm), variant), {}
+
+
+def _main3(variant, m, prm, s):
+    guaranteed, refined, zeta = bound_main3(
+        *_offdiag(m, prm), variant, stream=derive(s.stream, 101),
+        zeta_restarts=int(prm.get("zeta_restarts", s.zeta_restarts)))
+    return guaranteed, {"refined_value": refined.value, "zeta_estimate": zeta.value}
+
+
+def _main4(variant, m, prm, s):
+    return bound_main4(m["items"], _pair_arg(prm), float(prm.get("p", 1.0)), variant), {}
+
+
+def _product_xy(m, prm, s):
+    return bound_product_xy(m["x"], m["y"], float(prm.get("alpha", 0.5)),
+                            float(prm.get("r", 1.0)), int(prm.get("variant", 1))), {}
+
+
+def _sum_norm(normal_mode, m, prm, s):
+    return bound_sum_norm(m["x"], m["y"], float(prm.get("r", 1.0)),
+                          sign=prm.get("sign", "+"), normal_mode=normal_mode), {}
+
+
+def _th1(m, prm, s):
+    p = float(prm.get("p", 1.0))
+    scale = max([1.0] + [spectral_norm(embed_block(*blk)) for blk in m["blocks"]])
+    return bound_th1(m["blocks"], p, s.omega_tol * scale), {}
+
+
+def _sign(params: dict) -> float:
+    return 1.0 if params.get("sign", "+") == "+" else -1.0
+
+
+def _embedding(m, prm):
+    return embed_offdiag(m["x"], m["y"])
+
+
+_PAIR = Sampler((("x", "x", "mn"), ("y", "y", "nm")))
+_NORMAL_PAIR = Sampler((("x", "normal", "mn"), ("y", "normal", "nm")))
+_ITEMS = Sampler((("a", "contraction", "mm"), ("b", "contraction", "nn"),
+                  ("c", "contraction", "mm"), ("d", "contraction", "nn"),
+                  ("x", "x", "mn"), ("y", "y", "nm")), group="items")
+_BLOCKS = Sampler((("a", "block", "mm"), ("b", "block", "mn"),
+                   ("c", "block", "nm"), ("d", "block", "nn")), group="blocks")
+
+_GRID = ("dims", "r_values", "alpha_values")
+_HOLDER_GRID = _GRID + ("holder_p_values",)
+_SQUARE_GRID = ("square_dims", "r_values", "alpha_values")
+_OMEGA_P_GRID = ("dims", "omega_p_p_values", "n_operators_values")
+_MAIN4_GRID = _OMEGA_P_GRID + ("alpha_values",)
+
+BOUNDS = {spec.bound_id: spec for spec in (
+    BoundSpec("main1.v1", _GRID, _PAIR, partial(_main1, 1), "omega", _embedding),
+    BoundSpec("main1.v2", _GRID, _PAIR, partial(_main1, 2), "omega", _embedding),
+    BoundSpec("product_xy", _SQUARE_GRID, _PAIR, _product_xy, "omega",
+              lambda m, prm: m["x"] @ m["y"]),
+    BoundSpec("sum_norm", ("dims", "r_values", "signs"), _PAIR,
+              partial(_sum_norm, False), "norm",
+              lambda m, prm: m["x"] + _sign(prm) * adjoint(m["y"])),
+    BoundSpec("sum_norm.normal", ("square_dims", "r_values", "signs"), _NORMAL_PAIR,
+              partial(_sum_norm, True), "norm", lambda m, prm: m["x"] + _sign(prm) * m["y"]),
+    BoundSpec("main11.v1", _HOLDER_GRID, _PAIR, partial(_main11, 1), "omega", _embedding,
+              extras=("constant_mode",)),
+    BoundSpec("main11.v2", _HOLDER_GRID, _PAIR, partial(_main11, 2), "omega", _embedding,
+              extras=("constant_mode",)),
+    BoundSpec("main11.young.v1", _HOLDER_GRID, _PAIR, partial(_main11_young, 1),
+              "omega", _embedding),
+    BoundSpec("main11.young.v2", _HOLDER_GRID, _PAIR, partial(_main11_young, 2),
+              "omega", _embedding),
+    BoundSpec("main3.v1", _GRID, _PAIR, partial(_main3, 1), "omega", _embedding),
+    BoundSpec("main3.v2", _GRID, _PAIR, partial(_main3, 2), "omega", _embedding),
+    BoundSpec("main4.v1", _MAIN4_GRID, _ITEMS, partial(_main4, 1), "omega_p",
+              lambda m, prm: main4_operands(m["items"])),
+    BoundSpec("main4.v2", _MAIN4_GRID, _ITEMS, partial(_main4, 2), "omega_p",
+              lambda m, prm: main4_operands(m["items"])),
+    BoundSpec("th1", _OMEGA_P_GRID, _BLOCKS, _th1, "omega_p",
+              lambda m, prm: [embed_block(*blk) for blk in m["blocks"]]),
+)}
+
+BOUND_IDS = tuple(BOUNDS)
+
+
+def bound_spec(bound_id: str) -> BoundSpec:
+    """The table entry of `bound_id`; raises UnknownBoundError."""
+    try:
+        return BOUNDS[bound_id]
+    except (KeyError, TypeError):
+        raise UnknownBoundError(f"unknown bound id {bound_id!r}") from None

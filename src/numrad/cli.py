@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import BOUND_IDS
+from .bounds import bound_spec
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -107,26 +107,14 @@ def cmd_omega_p(args) -> int:
     return 0
 
 
-_PATH_ARITY = {"main4.v1": 6, "main4.v2": 6, "th1": 4}
-
-
 def cmd_bound(args) -> int:
-    bound_id = args.id
-    if bound_id not in BOUND_IDS:
-        raise UnknownBoundError(f"unknown bound id {bound_id!r}")
-    arity = _PATH_ARITY.get(bound_id, 2)
-    if len(args.paths) != arity:
+    spec = bound_spec(args.id)
+    if len(args.paths) != spec.arity:
         raise OutOfRangeError(
-            f"bound {bound_id} needs exactly {arity} matrix files, "
+            f"bound {spec.bound_id} needs exactly {spec.arity} matrix files, "
             f"got {len(args.paths)}"
         )
-    mats_list = [read_matrix(p) for p in args.paths]
-    if arity == 6:
-        mats = {"items": [tuple(mats_list)]}
-    elif arity == 4:
-        mats = {"blocks": [tuple(mats_list)]}
-    else:
-        mats = {"x": mats_list[0], "y": mats_list[1]}
+    mats = spec.sampler.pack([[read_matrix(p) for p in args.paths]])
     params = {
         "r": args.r,
         "alpha": args.alpha,
@@ -138,14 +126,14 @@ def cmd_bound(args) -> int:
     from .ensembles import RngStream
 
     outcome, lhs, _, extras = evaluate_bound(
-        bound_id, mats, params, omega_tol=args.tol,
+        spec.bound_id, mats, params, omega_tol=args.tol,
         constant_mode=args.constant_mode,
         stream=RngStream(master_seed=args.seed))
     lhs_pow = lhs ** outcome.exponent
     ok = outcome.value >= lhs_pow - 1e-8 * max(1.0, outcome.value)
-    _print_kv("bound", id=bound_id, value=outcome.value,
+    _print_kv("bound", id=spec.bound_id, value=outcome.value,
               exponent=outcome.exponent, omega_lo=lhs, ok=ok)
-    if bound_id.startswith("main3."):
+    if "zeta_estimate" in extras:
         _print_kv("zeta", value=extras["zeta_estimate"],
                   refined=extras["refined_value"], guaranteed=outcome.value)
     return 0
@@ -184,8 +172,7 @@ def _load_config(args) -> CampaignConfig:
     except TypeError as exc:
         raise MatrixFileError(f"bad config fields: {exc}") from exc
     for bound_id in config.bound_ids:
-        if bound_id not in BOUND_IDS:
-            raise UnknownBoundError(f"unknown bound id {bound_id!r}")
+        bound_spec(bound_id)
     return config
 
 
@@ -218,7 +205,7 @@ def cmd_verify(args) -> int:
     expected = {}
     for rec in report.violations:
         mode = rec.params.get("constant_mode", config.constant_mode)
-        if rec.bound_id.startswith("main11.v") and mode == "as_stated":
+        if mode == "as_stated" and "constant_mode" in bound_spec(rec.bound_id).extras:
             expected[rec.bound_id] = expected.get(rec.bound_id, 0) + 1
         else:
             unexpected += 1

@@ -2,10 +2,12 @@
 
 A campaign draws random inputs per bound, evaluates the bound, computes the
 certified radius (or the generalized-radius estimate) on the contract side,
-and records tightness ratios and violations. Everything is deterministic in
-the master seed: each trial derives its own stream, records are emitted in
-trial-index order, and serialized reports are byte-identical across runs
-and across any number of worker threads.
+and records tightness ratios and violations. Which grid, inputs, evaluator
+and contract side a bound id has comes from its entry in the bound table
+(`numrad.bounds.BOUNDS`); nothing here tests an id. Everything is
+deterministic in the master seed: each trial derives its own stream,
+records are emitted in trial-index order, and serialized reports are
+byte-identical across runs and across any number of worker threads.
 """
 
 from __future__ import annotations
@@ -19,32 +21,15 @@ from time import perf_counter
 
 import numpy as np
 
-from .bounds import (
-    BOUND_IDS,
-    bound_main1,
-    bound_main3,
-    bound_main4,
-    bound_main11,
-    bound_main11_young,
-    bound_product_xy,
-    bound_sum_norm,
-    bound_th1,
-    main4_operands,
-)
+from .bounds import BOUND_IDS, BoundSpec, EvalSettings, bound_spec
 from .ensembles import RngStream, derive, sample
-from .errors import NumradError, UnknownBoundError
-from .funcpair import HolderPair, power_pair
-from .linalg import adjoint, as_matrix, embed_block, embed_offdiag, fn_of_abs, spectral_norm
-from .radius import omega, omega_p
+from .errors import NumradError
+from .linalg import as_matrix, fn_of_abs, spectral_norm
 
 FORMAT_VERSION = "numrad-report/1"
 
 _CSV_COLUMNS = ("trial", "bound_id", "m", "n", "r", "alpha", "p", "q",
                 "value", "omega_lo", "omega_hi", "ratio", "violation", "seed_path")
-
-_OFFDIAG_IDS = ("main1.v1", "main1.v2", "main11.v1", "main11.v2",
-                "main11.young.v1", "main11.young.v2", "main3.v1", "main3.v2")
-_OMEGA_P_IDS = ("main4.v1", "main4.v2", "th1")
 
 DEFAULT_ROLES = {
     "x": "ginibre",
@@ -124,56 +109,30 @@ def _digest(mat: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
-def _combos(bound_id: str, config: CampaignConfig) -> list[dict]:
-    out = []
-    if bound_id in ("main1.v1", "main1.v2", "main3.v1", "main3.v2"):
-        for (m, n) in config.dims:
-            for r in config.r_values:
-                for alpha in config.alpha_values:
-                    out.append({"m": m, "n": n, "r": r, "alpha": alpha})
-    elif bound_id in ("main11.v1", "main11.v2", "main11.young.v1", "main11.young.v2"):
-        for (m, n) in config.dims:
-            for r in config.r_values:
-                for alpha in config.alpha_values:
-                    for p in config.holder_p_values:
-                        out.append({"m": m, "n": n, "r": r, "alpha": alpha,
-                                    "p": p, "q": p / (p - 1.0)})
-    elif bound_id == "product_xy":
-        for (m, _n) in config.dims:
-            for r in config.r_values:
-                for alpha in config.alpha_values:
-                    out.append({"m": m, "n": m, "r": r, "alpha": alpha})
-    elif bound_id == "sum_norm":
-        for (m, n) in config.dims:
-            for r in config.r_values:
-                for sign in ("+", "-"):
-                    out.append({"m": m, "n": n, "r": r, "sign": sign})
-    elif bound_id == "sum_norm.normal":
-        for (m, _n) in config.dims:
-            for r in config.r_values:
-                for sign in ("+", "-"):
-                    out.append({"m": m, "n": m, "r": r, "sign": sign})
-    elif bound_id in ("main4.v1", "main4.v2"):
-        for (m, n) in config.dims:
-            for p in config.omega_p_p_values:
-                for k in config.n_operators_values:
-                    for alpha in config.alpha_values:
-                        out.append({"m": m, "n": n, "p": p, "n_operators": k,
-                                    "alpha": alpha})
-    elif bound_id == "th1":
-        for (m, n) in config.dims:
-            for p in config.omega_p_p_values:
-                for k in config.n_operators_values:
-                    out.append({"m": m, "n": n, "p": p, "n_operators": k})
-    else:
-        raise UnknownBoundError(f"unknown bound id {bound_id!r}")
-    return out
+# The parameter points of each grid axis a bound table entry can name.
+_AXES = {
+    "dims": lambda c: [{"m": m, "n": n} for m, n in c.dims],
+    "square_dims": lambda c: [{"m": m, "n": m} for m, _ in c.dims],
+    "r_values": lambda c: [{"r": r} for r in c.r_values],
+    "alpha_values": lambda c: [{"alpha": a} for a in c.alpha_values],
+    "holder_p_values": lambda c: [{"p": p, "q": p / (p - 1.0)} for p in c.holder_p_values],
+    "signs": lambda c: [{"sign": sign} for sign in ("+", "-")],
+    "omega_p_p_values": lambda c: [{"p": p} for p in c.omega_p_p_values],
+    "n_operators_values": lambda c: [{"n_operators": k} for k in c.n_operators_values],
+}
+
+
+def _combos(spec: BoundSpec, config: CampaignConfig) -> list[dict]:
+    combos: list[dict] = [{}]
+    for axis in spec.axes:
+        combos = [dict(combo, **point) for combo in combos for point in _AXES[axis](config)]
+    return combos
 
 
 def _build_plan(config: CampaignConfig) -> list[tuple[str, dict, dict | None]]:
     plan: list[tuple[str, dict, dict | None]] = []
     for bound_id in config.bound_ids:
-        combos = _combos(bound_id, config)
+        combos = _combos(bound_spec(bound_id), config)
         per = config.trials if config.trials is not None else \
             max(1, math.ceil(config.min_trials_per_bound / max(1, len(combos))))
         for combo in combos:
@@ -184,57 +143,20 @@ def _build_plan(config: CampaignConfig) -> list[tuple[str, dict, dict | None]]:
     return plan
 
 
-def _sample_mats(bound_id: str, params: dict, config: CampaignConfig,
+def _sample_mats(spec: BoundSpec, params: dict, config: CampaignConfig,
                  stream: RngStream) -> dict:
-    roles = config.ensembles
-    m, n = params["m"], params["n"]
-    if bound_id in _OFFDIAG_IDS:
-        return {"x": sample(roles["x"], m, n, derive(stream, 1)),
-                "y": sample(roles["y"], n, m, derive(stream, 2))}
-    if bound_id == "product_xy":
-        return {"x": sample(roles["x"], m, m, derive(stream, 1)),
-                "y": sample(roles["y"], m, m, derive(stream, 2))}
-    if bound_id == "sum_norm":
-        return {"x": sample(roles["x"], m, n, derive(stream, 1)),
-                "y": sample(roles["y"], n, m, derive(stream, 2))}
-    if bound_id == "sum_norm.normal":
-        return {"x": sample(roles["normal"], m, m, derive(stream, 1)),
-                "y": sample(roles["normal"], m, m, derive(stream, 2))}
-    if bound_id in ("main4.v1", "main4.v2"):
-        items = []
-        for i in range(params["n_operators"]):
-            sub = derive(stream, 10 + i)
-            items.append((
-                sample(roles["contraction"], m, m, derive(sub, 1)),
-                sample(roles["contraction"], n, n, derive(sub, 2)),
-                sample(roles["contraction"], m, m, derive(sub, 3)),
-                sample(roles["contraction"], n, n, derive(sub, 4)),
-                sample(roles["x"], m, n, derive(sub, 5)),
-                sample(roles["y"], n, m, derive(sub, 6)),
-            ))
-        return {"items": items}
-    if bound_id == "th1":
-        blocks = []
-        for i in range(params["n_operators"]):
-            sub = derive(stream, 10 + i)
-            blocks.append((
-                sample(roles["block"], m, m, derive(sub, 1)),
-                sample(roles["block"], m, n, derive(sub, 2)),
-                sample(roles["block"], n, m, derive(sub, 3)),
-                sample(roles["block"], n, n, derive(sub, 4)),
-            ))
-        return {"blocks": blocks}
-    raise UnknownBoundError(f"unknown bound id {bound_id!r}")
+    sampler = spec.sampler
+    dims = {"m": params["m"], "n": params["n"]}
+    streams = [stream] if sampler.group is None else \
+        [derive(stream, 10 + i) for i in range(params["n_operators"])]
+    return sampler.pack([
+        [sample(config.ensembles[role], dims[shape[0]], dims[shape[1]], derive(sub, k + 1))
+         for k, (_, role, shape) in enumerate(sampler.slots)]
+        for sub in streams])
 
 
-def _mats_digests(bound_id: str, mats: dict) -> tuple:
-    if "items" in mats:
-        flat = [m for item in mats["items"] for m in item]
-    elif "blocks" in mats:
-        flat = [m for blk in mats["blocks"] for m in blk]
-    else:
-        flat = [mats["x"], mats["y"]]
-    return tuple(_digest(m) for m in flat)
+def _mats_digests(spec: BoundSpec, mats: dict) -> tuple:
+    return tuple(_digest(m) for m in spec.sampler.unpack(mats))
 
 
 def evaluate_bound(bound_id: str, mats: dict, params: dict,
@@ -248,87 +170,13 @@ def evaluate_bound(bound_id: str, mats: dict, params: dict,
     estimate, depending on the bound family; `outcome.value` must dominate
     lhs ** outcome.exponent whenever the bound is valid.
     """
-    if bound_id not in BOUND_IDS:
-        raise UnknownBoundError(f"unknown bound id {bound_id!r}")
-    if stream is None:
-        stream = RngStream(master_seed=0)
-    variant = 2 if bound_id.endswith(".v2") else 1
-    extras: dict = {}
-
-    if bound_id in _OFFDIAG_IDS:
-        x, y = as_matrix(mats["x"]), as_matrix(mats["y"])
-        pair = params.get("pair") or power_pair(params.get("alpha", 0.5))
-        r = float(params.get("r", 1.0))
-        if bound_id.startswith("main1."):
-            outcome = bound_main1((x, y), pair, r, variant)
-        elif bound_id.startswith("main11.young"):
-            hp = _holder(params)
-            outcome = bound_main11_young((x, y), pair, r, hp, variant)
-        elif bound_id.startswith("main11."):
-            hp = _holder(params)
-            outcome = bound_main11((x, y), pair, r, hp, variant,
-                                   constant_mode=params.get("constant_mode",
-                                                            constant_mode))
-        else:
-            guaranteed, refined, zeta = bound_main3(
-                (x, y), pair, r, variant,
-                zeta_restarts=int(params.get("zeta_restarts", zeta_restarts)),
-                stream=derive(stream, 101))
-            outcome = guaranteed
-            extras["refined_value"] = refined.value
-            extras["zeta_estimate"] = zeta.value
-        t = embed_offdiag(x, y)
-        cert = omega(t, omega_tol * max(1.0, spectral_norm(t)))
-        return outcome, cert.lo, cert.hi, extras
-
-    if bound_id == "product_xy":
-        x, y = as_matrix(mats["x"]), as_matrix(mats["y"])
-        outcome = bound_product_xy(x, y, float(params.get("alpha", 0.5)),
-                                   float(params.get("r", 1.0)),
-                                   int(params.get("variant", 1)))
-        prod = x @ y
-        cert = omega(prod, omega_tol * max(1.0, spectral_norm(prod)))
-        return outcome, cert.lo, cert.hi, extras
-
-    if bound_id in ("sum_norm", "sum_norm.normal"):
-        x, y = as_matrix(mats["x"]), as_matrix(mats["y"])
-        sign = params.get("sign", "+")
-        s = 1.0 if sign == "+" else -1.0
-        normal_mode = bound_id.endswith(".normal")
-        outcome = bound_sum_norm(x, y, float(params.get("r", 1.0)),
-                                 sign=sign, normal_mode=normal_mode)
-        lhs = spectral_norm(x + s * (y if normal_mode else adjoint(y)))
-        return outcome, lhs, lhs, extras
-
-    if bound_id in ("main4.v1", "main4.v2"):
-        items = mats["items"]
-        pair = params.get("pair") or power_pair(params.get("alpha", 0.5))
-        p = float(params.get("p", 1.0))
-        outcome = bound_main4(items, pair, p, variant)
-        est = omega_p(main4_operands(items), p, restarts=omega_p_restarts,
-                      stream=derive(stream, 102), max_iter=omega_p_max_iter)
-        extras["estimate_converged"] = est.converged
-        return outcome, est.value, None, extras
-
-    if bound_id == "th1":
-        blocks = mats["blocks"]
-        p = float(params.get("p", 1.0))
-        scale = max([1.0] + [spectral_norm(embed_block(*blk)) for blk in blocks])
-        outcome = bound_th1(blocks, p, omega_tol * scale)
-        ops = [embed_block(*blk) for blk in blocks]
-        est = omega_p(ops, p, restarts=omega_p_restarts,
-                      stream=derive(stream, 102), max_iter=omega_p_max_iter)
-        extras["estimate_converged"] = est.converged
-        return outcome, est.value, None, extras
-
-    raise UnknownBoundError(f"unknown bound id {bound_id!r}")  # pragma: no cover
-
-
-def _holder(params: dict) -> HolderPair:
-    p = float(params.get("p", 2.0))
-    if "q" in params and params["q"] is not None:
-        return HolderPair(p, float(params["q"]))
-    return HolderPair(p, p / (p - 1.0)) if p > 1.0 else HolderPair(p, math.inf)
+    spec = bound_spec(bound_id)
+    settings = EvalSettings(omega_tol, constant_mode, omega_p_restarts, omega_p_max_iter,
+                            zeta_restarts, RngStream(master_seed=0) if stream is None else stream)
+    mats = _coerce_mats(mats)
+    outcome, extras = spec.evaluate(mats, params, settings)
+    lhs, omega_hi, measured = spec.contract_side(mats, params, settings)
+    return outcome, lhs, omega_hi, dict(extras, **measured)
 
 
 def _ratio(lhs_pow: float, value: float) -> float:
@@ -342,37 +190,26 @@ def _run_single(config: CampaignConfig, index: int, bound_id: str,
     t0 = perf_counter()
     stream = derive(RngStream(config.master_seed), index)
     seed_path = f"{config.master_seed}/{index}"
-    if bound_id in ("main11.v1", "main11.v2"):
-        params = dict(params,
-                      constant_mode=params.get("constant_mode", config.constant_mode))
     try:
-        if mats is None:
-            mats = _sample_mats(bound_id, params, config, stream)
-        else:
-            mats = _coerce_mats(mats)
-        digests = _mats_digests(bound_id, mats)
-        outcome, lhs, omega_hi, extras = evaluate_bound(
-            bound_id, mats, params,
-            omega_tol=config.omega_tol,
-            constant_mode=params.get("constant_mode", config.constant_mode),
-            omega_p_restarts=config.omega_p_restarts,
-            omega_p_max_iter=config.omega_p_max_iter,
-            zeta_restarts=config.zeta_restarts,
-            stream=stream,
-        )
+        spec = bound_spec(bound_id)
+        params = dict(params, **{key: params.get(key, getattr(config, key))
+                                 for key in spec.extras})
+        mats = _sample_mats(spec, params, config, stream) if mats is None \
+            else _coerce_mats(mats)
+        digests = _mats_digests(spec, mats)
+        settings = dict(omega_tol=config.omega_tol,
+                        constant_mode=params.get("constant_mode", config.constant_mode),
+                        omega_p_restarts=config.omega_p_restarts,
+                        omega_p_max_iter=config.omega_p_max_iter,
+                        zeta_restarts=config.zeta_restarts,
+                        stream=stream)
+        outcome, lhs, omega_hi, extras = evaluate_bound(bound_id, mats, params, **settings)
         lhs_pow = lhs ** outcome.exponent
         violation = outcome.value < lhs_pow - config.slack * max(1.0, outcome.value)
-        if violation and bound_id in _OMEGA_P_IDS:
+        if violation and spec.measure == "omega_p":
             # estimates are lower bounds already; re-check with 4x restarts
-            _, lhs2, _, _ = evaluate_bound(
-                bound_id, mats, params,
-                omega_tol=config.omega_tol,
-                constant_mode=params.get("constant_mode", config.constant_mode),
-                omega_p_restarts=4 * config.omega_p_restarts,
-                omega_p_max_iter=config.omega_p_max_iter,
-                zeta_restarts=config.zeta_restarts,
-                stream=stream,
-            )
+            settings["omega_p_restarts"] *= 4
+            lhs2, _, _ = spec.contract_side(mats, params, EvalSettings(**settings))
             lhs = max(lhs, lhs2)
             lhs_pow = lhs ** outcome.exponent
             violation = outcome.value < lhs_pow - config.slack * max(1.0, outcome.value)
@@ -604,8 +441,7 @@ def tightness_sweep(bound_id: str, mats: dict, sweep: dict,
     empty sweep gives an empty table. Ratios report tightness only and are
     never asserted monotone.
     """
-    if bound_id not in BOUND_IDS:
-        raise UnknownBoundError(f"unknown bound id {bound_id!r}")
+    bound_spec(bound_id)
     if not sweep:
         return []
     mats = _coerce_mats(mats)

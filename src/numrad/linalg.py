@@ -9,7 +9,7 @@ All matrices are dense ``numpy`` arrays of ``complex128`` at desk scale
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -147,13 +147,17 @@ def _apply_scalar_fn(phi: Callable, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def fn_of_spectrum(phi: Callable, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """V diag(phi(values)) V*; phi must be finite and >= 0 on the values."""
+    out = _apply_scalar_fn(phi, values)
+    if not np.isfinite(out).all() or (out < 0).any():
+        raise InvalidFunctionError("function must be finite and >= 0 on the spectrum")
+    return recompose(out, vectors)
+
+
 def fn_of_abs(m, phi: Callable) -> np.ndarray:
     """phi(|M|) computed through a single Gram eigendecomposition."""
-    s, v = gram_eigen(m)
-    fs = _apply_scalar_fn(phi, s)
-    if not np.isfinite(fs).all() or (fs < 0).any():
-        raise InvalidFunctionError("function must be finite and >= 0 on the spectrum")
-    return recompose(fs, v)
+    return fn_of_spectrum(phi, *gram_eigen(m))
 
 
 def fn_of_psd(h, phi: Callable) -> np.ndarray:
@@ -169,11 +173,7 @@ def fn_of_psd(h, phi: Callable) -> np.ndarray:
         raise NegativeSpectrumError(
             f"eigenvalue {float(w[0]):.3e} below PSD clamping floor"
         )
-    w = np.clip(w, 0.0, None)
-    fw = _apply_scalar_fn(phi, w)
-    if not np.isfinite(fw).all() or (fw < 0).any():
-        raise InvalidFunctionError("function must be finite and >= 0 on the spectrum")
-    return recompose(fw, eig.vectors)
+    return fn_of_spectrum(phi, np.clip(w, 0.0, None), eig.vectors)
 
 
 def real_part(m) -> np.ndarray:
@@ -251,9 +251,3 @@ def embed_block(a, b, c, d) -> np.ndarray:
     blk = Block2x2(a, b, c, d)
     return np.block([[blk.a, blk.b], [blk.c, blk.d]])
 
-
-def eigvals_psd(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenated eigenvalues of PSD matrices, clipped at zero."""
-    vals = [np.clip(np.linalg.eigvalsh(hermitian_part(as_matrix(h))), 0.0, None)
-            for h in matrices]
-    return np.concatenate(vals) if vals else np.zeros(0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from numrad.bounds import BOUND_IDS, bound_spec
 from numrad.cli import main
 from numrad.matrixio import read_matrix, write_matrix
 
@@ -144,6 +145,17 @@ class TestBoundCommand:
     def test_wrong_arity_exit_3(self, tmp_path):
         path = write_mat(tmp_path, "one.json", [[1.0]])
         assert main(["bound", "--id", "th1", path, path]) == 3
+
+    @pytest.mark.parametrize("bound_id", BOUND_IDS)
+    @pytest.mark.parametrize("offset", (-1, 1))
+    def test_wrong_arity_every_id_exit_3(self, tmp_path, bound_id, offset):
+        path = write_mat(tmp_path, "one.json", [[1.0]])
+        count = bound_spec(bound_id).arity + offset
+        assert main(["bound", "--id", bound_id] + [path] * count) == 3
+
+    def test_holder_p_without_conjugate_exit_3(self, tmp_path):
+        path = write_mat(tmp_path, "one.json", [[1.0]])
+        assert main(["bound", "--id", "main11.v1", "--p", "1", path, path]) == 3
 
 
 class TestVerifyCommand:

@@ -1,11 +1,23 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
+import numrad.bounds
+import numrad.harness
+import numrad.radius
+from numrad.bounds import BOUND_IDS, BoundOutcome, bound_spec
+from numrad.ensembles import RngStream
 from numrad.errors import UnknownBoundError
 from numrad.harness import (
     CampaignConfig,
+    _build_plan,
+    _run_single,
+    _sample_mats,
     counterexample_suite,
+    default_config,
+    evaluate_bound,
     replay_trial,
     report_to_csv,
     report_to_json,
@@ -181,3 +193,88 @@ class TestTightnessSweep:
     def test_unknown_bound(self):
         with pytest.raises(UnknownBoundError):
             tightness_sweep("main99", {"x": [[1.0]], "y": [[1.0]]}, {"r": [1.0]})
+
+
+# sha256 of the default campaign's (bound id, params) plan, computed before
+# the bound table replaced the per-id branches; it pins grid order and keys.
+DEFAULT_PLAN_SHA256 = "cc2963d8ff79d8c859b3926fc16232349115315357e06b4ba3e5d6b7651d6cf1"
+
+# The bound_* evaluator each id must reach through evaluate_bound.
+EVALUATOR = {
+    "main1.v1": "bound_main1", "main1.v2": "bound_main1",
+    "product_xy": "bound_product_xy",
+    "sum_norm": "bound_sum_norm", "sum_norm.normal": "bound_sum_norm",
+    "main11.v1": "bound_main11", "main11.v2": "bound_main11",
+    "main11.young.v1": "bound_main11_young", "main11.young.v2": "bound_main11_young",
+    "main3.v1": "bound_main3", "main3.v2": "bound_main3",
+    "main4.v1": "bound_main4", "main4.v2": "bound_main4",
+    "th1": "bound_th1",
+}
+
+TINY = dict(dims=((2, 2),), trials=1, r_values=(2.0,), alpha_values=(0.5,),
+            holder_p_values=(2.0,), omega_p_p_values=(2.0,), n_operators_values=(1,),
+            omega_p_restarts=2, omega_p_max_iter=20, zeta_restarts=2)
+
+
+def first_trial(bound_id):
+    cfg = CampaignConfig(bound_ids=(bound_id,), **TINY)
+    _, params, _ = _build_plan(cfg)[0]
+    return cfg, params, _sample_mats(bound_spec(bound_id), params, cfg, RngStream(0))
+
+
+def patch_everywhere(monkeypatch, orig, calls, key):
+    """Count calls of `orig` under every numrad module name bound to it, the
+    way the benchmark tracer and its omega_p capture patch the package."""
+    def wrapper(*args, **kwargs):
+        calls.append(key)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "numrad" or name.startswith("numrad.")):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+class TestBoundTable:
+    def test_default_plan_order_pinned(self):
+        plan = _build_plan(default_config(0))
+        text = json.dumps([(bid, params) for bid, params, _ in plan], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_PLAN_SHA256
+
+    @pytest.mark.parametrize("bound_id", BOUND_IDS)
+    def test_patched_module_functions_are_called(self, monkeypatch, bound_id):
+        calls = []
+        for fname in sorted(set(EVALUATOR.values())):
+            patch_everywhere(monkeypatch, getattr(numrad.bounds, fname), calls, fname)
+        for fname in ("omega", "omega_p"):
+            patch_everywhere(monkeypatch, getattr(numrad.radius, fname), calls, fname)
+        _, params, mats = first_trial(bound_id)
+        outcome, _, _, _ = evaluate_bound(bound_id, mats, params)
+        assert outcome.bound_id == bound_id
+        assert EVALUATOR[bound_id] in calls
+        measure = bound_spec(bound_id).measure
+        if measure != "norm":
+            assert measure in calls
+
+    def test_omega_p_recheck_reuses_the_bound_outcome(self, monkeypatch):
+        zero = BoundOutcome(bound_id="th1", value=0.0, exponent=2.0)
+        monkeypatch.setattr(numrad.bounds, "bound_th1", lambda *a, **k: zero)
+        evals, restarts = [], []
+        real_eval, real_omega_p = evaluate_bound, numrad.radius.omega_p
+
+        def counting_eval(*args, **kwargs):
+            evals.append(args[0])
+            return real_eval(*args, **kwargs)
+
+        def recording_omega_p(*args, **kwargs):
+            restarts.append(kwargs["restarts"])
+            return real_omega_p(*args, **kwargs)
+
+        monkeypatch.setattr(numrad.harness, "evaluate_bound", counting_eval)
+        monkeypatch.setattr(numrad.bounds, "omega_p", recording_omega_p)
+        cfg, params, _ = first_trial("th1")
+        record = _run_single(cfg, 0, "th1", params, None)
+        assert record.violation
+        assert evals == ["th1"]
+        assert restarts == [cfg.omega_p_restarts, 4 * cfg.omega_p_restarts]

@@ -18,6 +18,8 @@ from numrad.linalg import (
     embed_offdiag,
     fn_of_abs,
     fn_of_psd,
+    fn_of_spectrum,
+    gram_eigen,
     herm_eig,
     imag_part,
     real_part,
@@ -173,6 +175,21 @@ class TestFnOfPsd:
         fused = fn_of_abs(m, lambda t: t ** 1.5)
         stepwise = fn_of_psd(abs_op(m), lambda t: t ** 1.5)
         assert spectral_norm(fused - stepwise) <= 1e-9 * max(1.0, spectral_norm(fused))
+
+
+class TestFnOfSpectrum:
+    def test_fn_of_abs_is_fn_of_gram_spectrum(self):
+        g = np.random.default_rng(11)
+        m = rand_complex(g, 4, 3)
+        phi = lambda t: t ** 0.75
+        assert np.array_equal(fn_of_abs(m, phi), fn_of_spectrum(phi, *gram_eigen(m)))
+
+    def test_rejects_negative_or_nonfinite_output(self):
+        vectors = np.eye(2, dtype=complex)
+        with pytest.raises(InvalidFunctionError):
+            fn_of_spectrum(lambda t: t - 1.5, np.array([1.0, 2.0]), vectors)
+        with pytest.raises(InvalidFunctionError):
+            fn_of_spectrum(lambda t: np.full_like(t, np.inf), np.array([1.0, 2.0]), vectors)
 
 
 class TestSpectralNorm:
