@@ -59,7 +59,7 @@ from .linalg import (
     gram_eigen,
     spectral_norm,
 )
-from .radius import omega, omega_p
+from .radius import omega, omega_p, sphere_maximize
 
 # Normality check: ||M*M - MM*|| <= NORMALITY_TOL * ||M||^2.
 NORMALITY_TOL = 1e-9
@@ -336,80 +336,39 @@ def zeta_value(a_mat, b_mat, x1, x2) -> float:
     return (math.sqrt(a) - math.sqrt(b)) ** 2
 
 
+def _zeta_gradient(a_mat: np.ndarray, b_mat: np.ndarray,
+                   x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of zeta_value at (x1, x2) in the real pairing; the
+    part of a side whose quadratic form vanishes is set to zero."""
+    a, b = _zeta_parts(a_mat, b_mat, x1, x2)
+    s = math.sqrt(a) - math.sqrt(b)
+    g1 = (-2.0 * s / math.sqrt(b)) * (b_mat @ x1) if b > 1e-300 else np.zeros_like(x1)
+    g2 = (2.0 * s / math.sqrt(a)) * (a_mat @ x2) if a > 1e-300 else np.zeros_like(x2)
+    return np.concatenate([g1, g2])
+
+
 def _estimate_zeta(a_mat: np.ndarray, b_mat: np.ndarray, restarts: int,
                    stream: RngStream, max_iter: int = 150) -> ZetaEstimate:
-    """Multi-start projected descent of the gap functional on the joint sphere.
+    """Multi-start descent of the gap functional on the joint sphere.
 
-    The backtracking line search refines its accepted step by parabolic
-    interpolation; descent can still park at a stationary split (for
-    instance when one component collapses to zero), which is why the
-    estimate only upper-bounds the infimum.
+    Runs the shared sphere optimizer `radius.sphere_maximize` on the
+    negated gap, stopping a restart once the gap is already zero. Descent
+    can still park at a stationary split (for instance when one component
+    collapses to zero), which is why the estimate only upper-bounds the
+    infimum.
     """
     m = b_mat.shape[0]
-    n = a_mat.shape[0]
 
-    def value_at(w):
-        return zeta_value(a_mat, b_mat, w[:m], w[m:])
+    def value(w):
+        return -zeta_value(a_mat, b_mat, w[:m], w[m:])
 
-    best_val = math.inf
-    best_w = None
-    for k in range(restarts):
-        g = derive(stream, k).generator()
-        w = g.standard_normal(m + n) + 1j * g.standard_normal(m + n)
-        w /= np.linalg.norm(w)
-        val = value_at(w)
-        step = 0.5
-        for _ in range(max_iter):
-            x1, x2 = w[:m], w[m:]
-            a, b = _zeta_parts(a_mat, b_mat, x1, x2)
-            s = math.sqrt(a) - math.sqrt(b)
-            if s * s <= 1e-28:
-                break
-            g1 = (-2.0 * s / math.sqrt(b)) * (b_mat @ x1) if b > 1e-300 else \
-                np.zeros(m, dtype=np.complex128)
-            g2 = (2.0 * s / math.sqrt(a)) * (a_mat @ x2) if a > 1e-300 else \
-                np.zeros(n, dtype=np.complex128)
-            grad = np.concatenate([g1, g2])
-            gt = grad - np.real(np.vdot(w, grad)) * w
-            gn = float(np.linalg.norm(gt))
-            if gn <= 1e-15:
-                break
-            trail = []
-            accepted = None
-            sigma = step
-            while sigma >= 1e-18:
-                cand = w - sigma * gt
-                cand /= np.linalg.norm(cand)
-                cv = value_at(cand)
-                trail.append((sigma, cv))
-                if cv <= val - 1e-4 * sigma * gn * gn:
-                    accepted = (sigma, cand, cv)
-                    break
-                sigma *= 0.5
-            if accepted is None:
-                break
-            sigma, cand, cv = accepted
-            if len(trail) > 1:
-                v_reject = trail[-2][1]
-                denom = v_reject - 2.0 * cv + val
-                if denom > 0.0:
-                    vertex = sigma * 0.5 * (v_reject - 4.0 * cv + 3.0 * val) / denom
-                    if 0.0 < vertex < 2.0 * sigma:
-                        cand3 = w - vertex * gt
-                        cand3 /= np.linalg.norm(cand3)
-                        cv3 = value_at(cand3)
-                        if cv3 < cv:
-                            sigma, cand, cv = vertex, cand3, cv3
-            w, val = cand, cv
-            step = min(max(sigma * 2.0, 1e-12), 1e3)
-        if val < best_val:
-            best_val, best_w = val, w
-    x1, x2 = best_w[:m], best_w[m:]
-    return ZetaEstimate(
-        value=zeta_value(a_mat, b_mat, x1, x2),
-        witness=(x1, x2),
-        guaranteed_lower=0.0,
-    )
+    def gradient(w):
+        return -_zeta_gradient(a_mat, b_mat, w[:m], w[m:])
+
+    w, _ = sphere_maximize(value, gradient, m + a_mat.shape[0], restarts, stream,
+                           max_iter, grad_tol=1e-15, ceiling=-1e-28)
+    x1, x2 = w[:m], w[m:]
+    return ZetaEstimate(value=zeta_value(a_mat, b_mat, x1, x2), witness=(x1, x2))
 
 
 def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
@@ -565,10 +524,23 @@ class Sampler:
         return dict(zip([name for name, _, _ in self.slots], groups[0]))
 
     def unpack(self, mats: dict) -> list:
-        """Every input matrix, group by group in slot order."""
-        if self.group is not None:
-            return [m for g in mats[self.group] for m in g]
-        return [mats[name] for name, _, _ in self.slots]
+        """Every input matrix, group by group in slot order.
+
+        Raises DimensionMismatchError when a key is missing or a group does
+        not hold one matrix per slot.
+        """
+        names = [name for name, _, _ in self.slots]
+        keys = names if self.group is None else [self.group]
+        if not set(keys) <= set(mats):
+            raise DimensionMismatchError(
+                f"expected matrices {sorted(keys)}, got {sorted(mats)}")
+        if self.group is None:
+            return [mats[name] for name in names]
+        for g in mats[self.group]:
+            if len(g) != len(names):
+                raise DimensionMismatchError(
+                    f"each {self.group!r} group needs matrices {names}, got {len(g)}")
+        return [m for g in mats[self.group] for m in g]
 
 
 @dataclass(frozen=True)

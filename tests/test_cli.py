@@ -102,6 +102,11 @@ class TestOmegaPCommand:
         p2 = write_mat(tmp_path, "b.json", np.eye(3))
         assert main(["omega-p", p1, p2]) == 3
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_nonpositive_restarts_exit_3(self, tmp_path, restarts):
+        path = write_mat(tmp_path, "i.json", np.eye(2))
+        assert main(["omega-p", path, "--restarts", restarts]) == 3
+
 
 class TestBoundCommand:
     def test_main1_scalar(self, tmp_path, capsys):
@@ -198,6 +203,24 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert code == 0
         assert "expected_discrepancy bound=main11.v1" in text
+
+    @pytest.mark.parametrize("bound_id,params,mats", [
+        ("th1", {"m": 1, "n": 1, "p": 2.0}, {"x": [[1.0]], "y": [[1.0]]}),
+        ("main1.v1", {"m": 1, "n": 1, "r": 1.0, "alpha": 0.5}, {"x": [[1.0]]}),
+    ])
+    def test_extra_trial_missing_keys_is_error_record(self, tmp_path, capsys,
+                                                      bound_id, params, mats):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"bound_ids": [], "extra_trials": [[bound_id, params, mats]]}))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert f"bound_summary id={bound_id} count=1 violations=0 errors=1" in captured.out
+        assert code == 0
+        errors = json.loads((tmp_path / "report.json").read_text())["errors"]
+        assert errors[0]["error"].startswith("DimensionMismatchError: expected matrices")
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import numrad.bounds
@@ -9,7 +10,7 @@ import numrad.harness
 import numrad.radius
 from numrad.bounds import BOUND_IDS, BoundOutcome, bound_spec
 from numrad.ensembles import RngStream
-from numrad.errors import UnknownBoundError
+from numrad.errors import DimensionMismatchError, UnknownBoundError
 from numrad.harness import (
     CampaignConfig,
     _build_plan,
@@ -278,3 +279,19 @@ class TestBoundTable:
         assert record.violation
         assert evals == ["th1"]
         assert restarts == [cfg.omega_p_restarts, 4 * cfg.omega_p_restarts]
+
+    def test_inner_counters_stay_live(self, monkeypatch):
+        calls = []
+        for fname in ("omega_p_objective", "omega_p_gradient"):
+            patch_everywhere(monkeypatch, getattr(numrad.radius, fname), calls, fname)
+        patch_everywhere(monkeypatch, numrad.bounds.zeta_value, calls, "zeta_value")
+        for bound_id in ("th1", "main3.v1"):
+            _, params, mats = first_trial(bound_id)
+            evaluate_bound(bound_id, mats, params)
+        for key in ("omega_p_objective", "omega_p_gradient", "zeta_value"):
+            assert calls.count(key) > 0, key
+
+    def test_unpack_rejects_short_group(self):
+        one = np.eye(1)
+        with pytest.raises(DimensionMismatchError, match="'blocks' group"):
+            bound_spec("th1").sampler.unpack({"blocks": [(one, one, one)]})

@@ -30,6 +30,17 @@ class TestOmegaP:
             cert = omega(m, tol=1e-10)
             est = omega_p([m], p=1.0 + k % 3)
             assert abs(est.value - cert.lo) <= 1e-6
+        # disk-shaped fields of values, centred (a continuum of maximizers) and off-centre
+        for n in range(2, 9):
+            shift = np.eye(n, k=1)
+            half = n // 2
+            corner = np.zeros((n, n), dtype=complex)
+            corner[:half, n - half:] = rand_complex(g, half)
+            for m in (shift, corner, 0.3j * np.eye(n) + shift):
+                cert = omega(m, tol=1e-8)
+                for p in (1.0, 2.0, 3.0):
+                    est = omega_p([m], p=p)
+                    assert abs(est.value - cert.lo) <= 1e-6
 
     def test_identity_copies(self):
         for n_ops, p in ((4, 2.0), (3, 1.0), (5, 3.0)):
