@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BOUND_IDS, BoundSpec, EvalSettings, bound_spec
 from .ensembles import RngStream, derive, sample
-from .errors import NumradError
+from .errors import DimensionMismatchError, NumradError
 from .linalg import as_matrix, fn_of_abs, spectral_norm
 
 FORMAT_VERSION = "numrad-report/1"
@@ -253,7 +253,12 @@ def _coerce_mats(mats: dict) -> dict:
     out = {}
     for key, val in mats.items():
         if key in ("items", "blocks"):
-            out[key] = [tuple(as_matrix(m) for m in group) for group in val]
+            try:
+                groups = [tuple(group) for group in val]
+            except TypeError:
+                raise DimensionMismatchError(
+                    f"{key!r} must be a list of matrix groups, got {val!r}") from None
+            out[key] = [tuple(as_matrix(m) for m in group) for group in groups]
         else:
             out[key] = as_matrix(val)
     return out

@@ -17,13 +17,16 @@ The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants give the upper
 endpoint.
 
-`sphere_maximize` is the one sphere optimizer of the package: seeded
-restarts of a projected-gradient line-search ascent on the unit sphere,
-taking the objective and its gradient as callables. The generalized radius
-omega_p is estimated from below with it, over the operators stacked into
-one (k, n, n) array; the gap term of `bounds.bound_main3` uses it on the
-negated gap. A brute-force quasi-uniform sphere scan serves as an oracle
-for omega_p at tiny sizes.
+`sphere_maximize` is the one sphere optimizer of the package. It maximizes
+phi(z) over unit vectors x, where z_j = <Q_j x, x> are the values of a
+(k, d, d) stack of quadratic forms, by projected-gradient ascent with all
+seeded restarts advancing together as one batch. Along the great circle
+x cos t + u sin t every form value is alpha + beta cos 2t + gamma sin 2t,
+so the line search evaluates phi in closed form over a fixed ladder of
+angles. The generalized radius omega_p is estimated from below with it
+(Q_j = T_j, phi = sum |z_j|^p); the gap term of `bounds.bound_main3` uses
+it on the negated gap. A brute-force quasi-uniform sphere scan serves as an
+oracle for omega_p at tiny sizes.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ _INITIAL_CELLS = 64
 _MAX_SPLITS_PER_ROUND = 8192
 # |z|^(p-2) z is treated as 0 below this relative magnitude (p < 2 kink guard).
 _PHASE_ZERO_TOL = 1e-14
+# Angles tried by the great-circle line search of `_sphere_ascent`: a
+# geometric ladder pi/2 * 2^-j down to about 1e-15 for short steps and a
+# uniform grid over the half circle (x and -x give the same form values)
+# for long ones, with cos 2t and sin 2t precomputed.
+_LADDER = np.union1d(0.5 * np.pi * 0.5 ** np.arange(50), np.pi * np.arange(1, 16) / 16)
+_LADDER_COS, _LADDER_SIN = np.cos(2.0 * _LADDER), np.sin(2.0 * _LADDER)
 
 
 @dataclass(frozen=True)
@@ -197,11 +206,37 @@ def _prepare_ops(ops) -> np.ndarray:
     return np.stack(mats)
 
 
-def omega_p_objective(ops, p: float, x: np.ndarray) -> float:
-    """F(x) = sum_i |<T_i x, x>|^p (not yet raised to 1/p)."""
-    x = np.asarray(x)
-    z = (np.asarray(ops) @ x) @ np.conj(x)
-    return float(np.sum(np.abs(z) ** p))
+def form_values(forms: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q_j x, <Q_j x, x>) for a stack of forms Q of shape (k, d, d).
+
+    x is one vector (d,) or a batch (b, d); the results keep the forms axis
+    first, with shapes (k, d) and (k,), or (k, b, d) and (k, b).
+    """
+    qx = x @ np.swapaxes(forms, -1, -2)
+    return qx, np.sum(qx * np.conj(x), axis=-1)
+
+
+def form_gradient(forms: np.ndarray, c: np.ndarray, x: np.ndarray,
+                  qx: np.ndarray) -> np.ndarray:
+    """Euclidean gradient G of a real function of the form values at x.
+
+    The weights c (shaped like the form values) are those with
+    d phi = Re sum_j c_j dz_j; then d phi(z(x)) along d equals Re <d, G> with
+    G = sum_j c_j Q_j x + conj(c_j) Q_j* x, where Q_j* x = conj(conj(x) Q_j).
+    qx is Q_j x as returned by :func:`form_values`.
+    """
+    return (np.einsum("k...,k...i->...i", c, qx)
+            + np.conj(np.einsum("k...,k...i->...i", c, np.conj(x) @ forms)))
+
+
+def omega_p_objective(ops, p: float, x: np.ndarray):
+    """F(x) = sum_i |<T_i x, x>|^p (not yet raised to 1/p).
+
+    A float for one vector x, an array of b values for a (b, n) batch.
+    """
+    _, z = form_values(np.asarray(ops), np.asarray(x))
+    f = np.sum(np.abs(z) ** p, axis=0)
+    return float(f) if f.ndim == 0 else f
 
 
 def omega_p_gradient(ops, p: float, x: np.ndarray,
@@ -210,108 +245,107 @@ def omega_p_gradient(ops, p: float, x: np.ndarray,
 
     The directional derivative of F along d equals Re <d, G> with
     G = sum_i p |z_i|^(p-2) (conj(z_i) T_i x + z_i T_i* x); terms with
-    |z_i| below zero_tol are dropped (the p < 2 kink guard).
+    |z_i| below zero_tol are dropped (the p < 2 kink guard). x is one
+    vector or a (b, n) batch, giving G of the same shape.
     """
     stack = np.asarray(ops, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
-    xc = np.conj(x)
-    tx = stack @ x
-    z = tx @ xc
+    tx, z = form_values(stack, x)
     az = np.abs(z)
     c = np.power(az, p - 2.0, out=np.zeros_like(az), where=az > zero_tol) * (p * np.conj(z))
-    # sum_i c_i T_i x + conj(c_i) T_i* x, where T_i* x = conj(conj(x) @ T_i)
-    return c @ tx + np.conj(c @ (xc @ stack))
+    return form_gradient(stack, c, x, tx)
 
 
-def _sphere_ascent(value, gradient, x0, max_iter, grad_tol, ceiling=math.inf):
-    """Projected-gradient ascent of value(x) on the unit sphere.
+def _great_circle(forms: np.ndarray, x: np.ndarray, u: np.ndarray):
+    """Coefficients of the form values along the great circles x cos t + u sin t.
 
-    Steps along the tangent part of gradient(x) with a backtracking line
-    search. A first try that succeeds probes one doubled step; otherwise
-    the accepted step is refined by parabolic interpolation through the
-    bracketing evaluations, which avoids the slow ping-pong across a ridge
-    that pure step-halving produces. The iterate value never decreases.
-    The ascent stops when the tangent gradient drops below grad_tol
-    (converged), when the value reaches `ceiling` (a known supremum), or
-    after three steps in a row that gain nothing.
+    x and u are (b, d) batches of unit vectors with Re <x, u> = 0. Along
+    each circle every form value is alpha + beta cos 2t + gamma sin 2t; the
+    three (k, b) coefficient arrays come from one product of the forms
+    with x and u.
     """
+    b = x.shape[0]
+    qw, z = form_values(forms, np.concatenate([x, u]))
+    cross = np.sum(qw[:, :b] * np.conj(u) + qw[:, b:] * np.conj(x), axis=-1)
+    return (z[:, :b] + z[:, b:]) / 2, (z[:, :b] - z[:, b:]) / 2, cross / 2
 
-    def retract(base, direction, length):
-        cand = base + length * direction
-        cand /= np.linalg.norm(cand)
-        return cand, value(cand)
 
-    x = x0 / np.linalg.norm(x0)
+def _sphere_ascent(forms, phi, value, gradient, x0, max_iter, grad_tol,
+                   ceiling=math.inf):
+    """Projected-gradient ascent of phi(<Q_j x, x>) on the unit sphere,
+    advancing a (b, d) batch of starts x0 in lockstep.
+
+    value(x) and gradient(x) take a (b, d) batch and return the objective
+    (b,) and its Euclidean gradient (b, d); phi maps form values with the
+    forms axis first to objective values. Each iteration evaluates phi in
+    closed form along the great circle through x in the direction of the
+    tangent gradient, at every angle of `_LADDER`, moves to the best one,
+    and keeps the move only if the recomputed value(x) does not decrease.
+    A row leaves the batch when its tangent gradient drops below grad_tol
+    (converged), when its value reaches `ceiling` (a known supremum), when
+    a move is refused (it would repeat exactly) or after three moves in a
+    row that gain nothing. Returns the final x (b, d), value (b,) and
+    converged flags (b,).
+    """
+    x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
     f = value(x)
-    step = 1.0
-    converged = False
-    stall = 0
+    out_x, out_f = x.copy(), f.copy()
+    converged = np.zeros(x.shape[0], dtype=bool)
+    rows = np.arange(x.shape[0])
+    stall = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
-        if f >= ceiling:
+        live = (f < ceiling) & (stall < 3)
+        if not live.all():
+            rows, x, f, stall = rows[live], x[live], f[live], stall[live]
+        if not rows.size:
             break
         g = gradient(x)
-        gt = g - np.real(np.vdot(x, g)) * x
-        gn = float(np.linalg.norm(gt))
-        if gn <= grad_tol:
-            converged = True
-            break
-        trail: list[tuple[float, float]] = []
-        accepted = None
-        sigma = step
-        while sigma >= 1e-18:
-            cand, fc = retract(x, gt, sigma)
-            trail.append((sigma, fc))
-            if fc >= f + 1e-4 * sigma * gn * gn:
-                accepted = (sigma, cand, fc)
+        gt = g - np.real(np.sum(np.conj(x) * g, axis=1))[:, None] * x
+        gn = np.linalg.norm(gt, axis=1)
+        done = gn <= grad_tol
+        if done.any():
+            converged[rows[done]] = True
+            keep = ~done
+            rows, x, f, stall, gt, gn = rows[keep], x[keep], f[keep], stall[keep], gt[keep], gn[keep]
+            if not rows.size:
                 break
-            sigma *= 0.5
-        if accepted is None:
-            break
-        sigma, cand, fc = accepted
-        if len(trail) == 1:
-            # first try succeeded: probe expansion once
-            cand2, fc2 = retract(x, gt, 2.0 * sigma)
-            if fc2 > fc:
-                sigma, cand, fc = 2.0 * sigma, cand2, fc2
-        else:
-            # parabola through (0, f), (sigma, fc) and the rejected 2*sigma
-            f_reject = trail[-2][1]
-            denom = f_reject - 2.0 * fc + f
-            if denom < 0.0:
-                vertex = sigma * 0.5 * (f_reject - 4.0 * fc + 3.0 * f) / denom
-                if 0.0 < vertex < 2.0 * sigma:
-                    cand3, fc3 = retract(x, gt, vertex)
-                    if fc3 > fc:
-                        sigma, cand, fc = vertex, cand3, fc3
-        improvement = fc - f
-        x, f = cand, fc
-        step = min(max(sigma * 2.0, 1e-12), 1e6)
-        stall = stall + 1 if improvement <= 1e-16 * max(1.0, f) else 0
-        if stall >= 3:
-            break
-    return x, f, converged
+        u = gt / gn[:, None]
+        alpha, beta, gamma = _great_circle(forms, x, u)
+        curve = phi(alpha[..., None] + beta[..., None] * _LADDER_COS
+                    + gamma[..., None] * _LADDER_SIN)
+        t = _LADDER[np.argmax(curve, axis=1)][:, None]
+        cand = x * np.cos(t) + u * np.sin(t)
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        fc = value(cand)
+        up = fc >= f
+        gain = fc - f
+        x = np.where(up[:, None], cand, x)
+        f = np.where(up, fc, f)
+        stall = np.where(~up, 3, np.where(gain <= 1e-16 * np.maximum(1.0, f), stall + 1, 0))
+        out_x[rows], out_f[rows] = x, f
+    return out_x, out_f, converged
 
 
-def sphere_maximize(value, gradient, dim: int, restarts: int, stream: RngStream,
+def sphere_maximize(forms, phi, value, gradient, restarts: int, stream: RngStream,
                     max_iter: int, grad_tol: float,
                     ceiling: float = math.inf) -> tuple[np.ndarray, float]:
     """Best (x, value(x)) of :func:`_sphere_ascent` over seeded restarts.
 
-    Restart k starts from a complex Gaussian point of dimension `dim`
-    drawn from derive(stream, k).
+    Restart k starts from a complex Gaussian point drawn from
+    derive(stream, k); all restarts advance together as one batch.
     """
     if restarts < 1:
         raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
-    best_x, best_f = None, -math.inf
+    dim = forms.shape[-1]
+    starts = np.empty((restarts, dim), dtype=np.complex128)
     for k in range(restarts):
         g = derive(stream, k).generator()
         x0 = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-        if not x0.any():
-            x0 = np.ones(dim, dtype=np.complex128)
-        x, f, _ = _sphere_ascent(value, gradient, x0, max_iter, grad_tol, ceiling)
-        if best_x is None or f > best_f:
-            best_x, best_f = x, f
-    return best_x, best_f
+        starts[k] = x0 if x0.any() else 1.0
+    x, f, _ = _sphere_ascent(forms, phi, value, gradient, starts, max_iter,
+                             grad_tol, ceiling)
+    best = int(np.argmax(f))
+    return x[best], float(f[best])
 
 
 def omega_p(
@@ -324,10 +358,11 @@ def omega_p(
 ) -> OmegaPEstimate:
     """Estimate the generalized Euclidean operator radius from below.
 
-    Runs :func:`sphere_maximize` on F(x) = sum_i |<T_i x, x>|^p from
-    `restarts` independent seeded starts and keeps the best. The reported
-    value is recomputed from the witness, so it is always a true lower
-    bound on the radius.
+    Runs :func:`sphere_maximize` on F(x) = sum_i |<T_i x, x>|^p, the
+    function phi(z) = sum_i |z_i|^p of the forms Q_i = T_i, from `restarts`
+    independent seeded starts and keeps the best. The reported value is
+    recomputed from the witness, so it is always a true lower bound on the
+    radius.
     """
     stack = _prepare_ops(ops)
     p = float(p)
@@ -348,6 +383,9 @@ def omega_p(
     grad_tol = 0.1 * (float(tol) / scale) * p * max(1.0, f_cap)
     zero_tol = _PHASE_ZERO_TOL * scale
 
+    def phi(z):
+        return np.sum(np.abs(z) ** p, axis=0)
+
     # looked up by module name at call time, so patched counters see them
     def value(x):
         return omega_p_objective(stack, p, x)
@@ -355,12 +393,13 @@ def omega_p(
     def gradient(x):
         return omega_p_gradient(stack, p, x, zero_tol)
 
-    best_x, best_f = sphere_maximize(value, gradient, side, restarts, stream,
+    best_x, best_f = sphere_maximize(stack, phi, value, gradient, restarts, stream,
                                      max_iter, grad_tol)
     # polish the winner with a second, longer run from its own endpoint
-    x, f, _ = _sphere_ascent(value, gradient, best_x, 2 * max_iter, grad_tol * 0.1)
-    if f >= best_f:
-        best_x, best_f = x, f
+    x, f, _ = _sphere_ascent(stack, phi, value, gradient, best_x[None],
+                             2 * max_iter, grad_tol * 0.1)
+    if f[0] >= best_f:
+        best_x = x[0]
 
     best_x = best_x / np.linalg.norm(best_x)
     g_fin = gradient(best_x)

@@ -222,6 +222,21 @@ class TestVerifyCommand:
         errors = json.loads((tmp_path / "report.json").read_text())["errors"]
         assert errors[0]["error"].startswith("DimensionMismatchError: expected matrices")
 
+    def test_extra_trial_group_not_a_list_is_error_record(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"bound_ids": [], "extra_trials": [["th1", {"m": 1, "n": 1, "p": 2.0},
+                                                {"blocks": 5}]]}))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "bound_summary id=th1 count=1 violations=0 errors=1" in captured.out
+        assert code == 0
+        errors = json.loads((tmp_path / "report.json").read_text())["errors"]
+        assert errors[0]["error"].startswith(
+            "DimensionMismatchError: 'blocks' must be a list of matrix groups")
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text("{broken")

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from numrad.ensembles import RngStream
+import numrad.radius
+from numrad.bounds import _negated_gap, _zeta_forms, zeta_value
+from numrad.ensembles import RngStream, derive
 from numrad.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -9,6 +13,7 @@ from numrad.errors import (
     OutOfRangeError,
 )
 from numrad.radius import (
+    _great_circle,
     omega,
     omega_p,
     omega_p_bruteforce,
@@ -103,6 +108,124 @@ class TestGradient:
             fd = (omega_p_objective(ops, p, x + step * d)
                   - omega_p_objective(ops, p, x - step * d)) / (2 * step)
             assert abs(analytic - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+def unit_vector(g, n):
+    x = g.standard_normal(n) + 1j * g.standard_normal(n)
+    return x / np.linalg.norm(x)
+
+
+def tangent_vector(g, x):
+    """A unit u with Re <x, u> = 0."""
+    while True:
+        d = unit_vector(g, x.shape[0])
+        u = d - np.real(np.vdot(x, d)) * x
+        if np.linalg.norm(u) > 1e-3:
+            return u / np.linalg.norm(u)
+
+
+def on_circle(x, u, t):
+    return x * np.cos(t) + u * np.sin(t)
+
+
+def curve_values(forms, x, u, t):
+    """Form values at x cos t + u sin t from the closed form of the line search."""
+    alpha, beta, gamma = _great_circle(forms, x[None], u[None])
+    return (alpha + beta * np.cos(2.0 * t) + gamma * np.sin(2.0 * t))[:, 0]
+
+
+CIRCLE_CASES = dict(seed=st.integers(0, 2 ** 32 - 1), side=st.integers(1, 6),
+                    t=st.floats(0.0, np.pi, exclude_min=True, exclude_max=True))
+
+
+class TestGreatCircle:
+    """The closed-form curve of the line search against direct evaluation.
+
+    Differences are measured relative to the larger of the value and the
+    objective's scale (sum ||T_i||^p, or ||A|| + ||B|| for the gap), since
+    a value that cancels to near zero carries the rounding of its terms.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n_ops=st.integers(1, 4), p=st.floats(1.0, 4.0), **CIRCLE_CASES)
+    def test_omega_p_curve_matches_objective(self, seed, side, t, n_ops, p):
+        g = np.random.default_rng(seed)
+        ops = np.stack([rand_complex(g, side) for _ in range(n_ops)])
+        x = unit_vector(g, side)
+        u = tangent_vector(g, x)
+        curve = float(np.sum(np.abs(curve_values(ops, x, u, t)) ** p))
+        direct = omega_p_objective(ops, p, on_circle(x, u, t))
+        scale = sum(np.linalg.norm(op, 2) ** p for op in ops)
+        assert abs(curve - direct) <= 1e-12 * max(direct, scale)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(other=st.integers(1, 6), **CIRCLE_CASES)
+    def test_zeta_curve_matches_gap(self, seed, side, t, other):
+        g = np.random.default_rng(seed)
+        a_half, b_half = rand_complex(g, other), rand_complex(g, side)
+        a_mat, b_mat = a_half @ a_half.conj().T, b_half @ b_half.conj().T
+        w = unit_vector(g, side + other)
+        u = tangent_vector(g, w)
+        curve = -float(_negated_gap(curve_values(_zeta_forms(a_mat, b_mat), w, u, t)))
+        on = on_circle(w, u, t)
+        direct = zeta_value(a_mat, b_mat, on[:side], on[side:])
+        scale = np.linalg.norm(a_mat, 2) + np.linalg.norm(b_mat, 2)
+        assert abs(curve - direct) <= 1e-12 * max(direct, scale)
+
+
+class TestLockstep:
+    def test_batched_calls_match_one_vector_calls(self):
+        g = np.random.default_rng(6)
+        for n, n_ops, p in ((1, 1, 1.0), (3, 2, 2.0), (5, 4, 3.5)):
+            ops = np.stack([rand_complex(g, n) for _ in range(n_ops)])
+            xs = np.stack([unit_vector(g, n) for _ in range(7)])
+            values = omega_p_objective(ops, p, xs)
+            grads = omega_p_gradient(ops, p, xs)
+            assert values.shape == (7,) and grads.shape == (7, n)
+            for row, x in enumerate(xs):
+                one = omega_p_objective(ops, p, x)
+                assert isinstance(one, float)
+                assert values[row] == pytest.approx(one, rel=1e-12)
+                np.testing.assert_allclose(grads[row], omega_p_gradient(ops, p, x),
+                                           rtol=1e-12, atol=1e-12 * np.abs(grads[row]).max())
+            a_half, b_half = rand_complex(g, n), rand_complex(g, n + 1)
+            a_mat, b_mat = a_half @ a_half.conj().T, b_half @ b_half.conj().T
+            ws = np.stack([unit_vector(g, 2 * n + 1) for _ in range(7)])
+            gaps = zeta_value(a_mat, b_mat, ws[:, :n + 1], ws[:, n + 1:])
+            for row, w in enumerate(ws):
+                one = zeta_value(a_mat, b_mat, w[:n + 1], w[n + 1:])
+                assert isinstance(one, float)
+                assert gaps[row] == pytest.approx(one, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n,n_ops,p,restarts", [
+        (2, 1, 1.0, 5), (3, 2, 2.0, 8), (4, 3, 3.0, 6), (6, 2, 1.5, 4),
+    ])
+    def test_restarts_do_not_couple(self, monkeypatch, n, n_ops, p, restarts):
+        g = np.random.default_rng(n * 10 + n_ops)
+        ops = [rand_complex(g, n) for _ in range(n_ops)]
+        stream = RngStream(17)
+        batched = omega_p(ops, p, restarts=restarts, stream=stream)
+
+        lockstep = numrad.radius._sphere_ascent
+        starts, row_values = [], []
+
+        def one_row_at_a_time(forms, phi, value, gradient, x0, *args):
+            runs = [lockstep(forms, phi, value, gradient, x0[k:k + 1], *args)
+                    for k in range(len(x0))]
+            together = lockstep(forms, phi, value, gradient, x0, *args)
+            starts.append(x0)
+            row_values.append((together[1], np.concatenate([run[1] for run in runs])))
+            return tuple(np.concatenate(parts) for parts in zip(*runs))
+
+        monkeypatch.setattr(numrad.radius, "_sphere_ascent", one_row_at_a_time)
+        one_by_one = omega_p(ops, p, restarts=restarts, stream=stream)
+        assert one_by_one.value == pytest.approx(batched.value, rel=1e-12)
+        for k in range(restarts):
+            draw = derive(stream, k).generator()
+            x0 = draw.standard_normal(n) + 1j * draw.standard_normal(n)
+            np.testing.assert_array_equal(starts[0][k], x0)
+        for together, alone in row_values:
+            np.testing.assert_allclose(together, alone, rtol=1e-12)
 
 
 class TestBruteForce:
