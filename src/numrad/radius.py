@@ -13,6 +13,12 @@ angle cells with two rigorous majorants derived from ||M||:
   bounded below by -||M||, so h(mid + s) + ||M|| s^2 / 2 is convex and
   h <= max(h(a), h(b)) + ||M|| w^2 / 8 on the cell.
 
+Since Re(e^{i(theta + pi)} M) = -Re(e^{i theta} M), one eigensolve gives h
+at two antipodal angles: h(theta + pi) = -lambda_min(Re(e^{i theta} M)).
+The cells therefore cover [0, pi) and carry two value tracks, theta and
+theta + pi; a cell's majorant is the larger of the two tracks'. The
+evaluation budget counts angles, two per eigensolve.
+
 The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants give the upper
 endpoint.
@@ -47,10 +53,14 @@ from .errors import (
 )
 from .linalg import adjoint, as_matrix, embed_offdiag, spectral_norm
 
-# Default cap on eigendecompositions spent certifying one radius.
+# Default cap on angles evaluated certifying one radius (two per eigensolve).
 DEFAULT_EVAL_BUDGET = 2_000_000
+# Grid angles on the full circle: half as many cells on [0, pi), two tracks.
 _INITIAL_CELLS = 64
 _MAX_SPLITS_PER_ROUND = 8192
+# Angles per batched eigensolve; bounds the (chunk, n, n) stack and its
+# temporaries.
+_EIG_CHUNK = 256
 # |z|^(p-2) z is treated as 0 below this relative magnitude (p < 2 kink guard).
 _PHASE_ZERO_TOL = 1e-14
 # Angles tried by the great-circle line search of `_sphere_ascent`: a
@@ -75,14 +85,20 @@ class CertifiedRadius:
 
 
 def _rotated_tops(m: np.ndarray, m_adj: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max(Re(e^{i theta} M)) for a batch of angles."""
-    out = np.empty(thetas.shape[0])
-    for start in range(0, thetas.shape[0], 4096):
-        chunk = thetas[start:start + 4096]
+    """h(theta) and h(theta + pi) for a batch of angles, shape (2, b).
+
+    Both come from one eigensolve of Re(e^{i theta} M) per angle: its
+    lambda_max is h(theta) and minus its lambda_min is h(theta + pi).
+    """
+    out = np.empty((2, thetas.shape[0]))
+    for start in range(0, thetas.shape[0], _EIG_CHUNK):
+        chunk = thetas[start:start + _EIG_CHUNK]
         phase = np.exp(1j * chunk)
         stack = 0.5 * (phase[:, None, None] * m
                        + np.conj(phase)[:, None, None] * m_adj)
-        out[start:start + 4096] = np.linalg.eigvalsh(stack)[:, -1]
+        spectra = np.linalg.eigvalsh(stack)
+        out[0, start:start + _EIG_CHUNK] = spectra[:, -1]
+        out[1, start:start + _EIG_CHUNK] = -spectra[:, 0]
     return out
 
 
@@ -92,10 +108,13 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
     Args:
         m: square complex matrix.
         tol: requested width of the enclosure; defaults to
-            1e-8 * max(1, ||M||) and must be >= 1e-12 * max(1, ||M||).
-        max_evals: budget of eigendecompositions before giving up.
+            1e-8 * max(1, ||M||) and must be finite and
+            >= 1e-12 * max(1, ||M||).
+        max_evals: budget of angles evaluated before giving up (each
+            eigensolve evaluates two, theta and theta + pi).
 
     Raises:
+        OutOfRangeError: tol is not finite or is too small.
         ToleranceUnreachableError: budget exhausted before hi - lo <= tol.
     """
     m = as_matrix(m)
@@ -106,6 +125,8 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
     if tol is None:
         tol = 1e-8 * scale
     tol = float(tol)
+    if not math.isfinite(tol):
+        raise OutOfRangeError(f"tolerance must be finite, got {tol}")
     if tol < 1e-12 * scale:
         raise OutOfRangeError(f"tolerance {tol:.3e} below 1e-12 * max(1, ||M||)")
     if nrm == 0.0:
@@ -115,25 +136,27 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
     lip = nrm   # global Lipschitz constant of h
     curv = nrm  # lower bound on -h'' along every supporting cosine
 
-    grid = np.linspace(0.0, 2.0 * np.pi, _INITIAL_CELLS, endpoint=False)
+    # Cells cover [0, pi); row 0 of each value array tracks h(theta), row 1
+    # tracks h(theta + pi). At pi the two tracks meet each other's start.
+    grid = np.linspace(0.0, np.pi, _INITIAL_CELLS // 2, endpoint=False)
     h = _rotated_tops(m, m_adj, grid)
-    evals = grid.size
+    evals = 2 * grid.size
 
     lefts = grid
-    rights = np.append(grid[1:], 2.0 * np.pi)
+    rights = np.append(grid[1:], np.pi)
     h_left = h
-    h_right = np.append(h[1:], h[0])
+    h_right = np.concatenate([h[:, 1:], h[::-1, :1]], axis=1)
 
-    best = int(np.argmax(h))
-    lo = float(h[best])
-    witness = float(grid[best])
+    track, best = divmod(int(np.argmax(h)), grid.size)
+    lo = float(h[track, best])
+    witness = float(grid[best]) + track * np.pi
 
     while True:
         width = rights - lefts
         ub = np.minimum(
             0.5 * (h_left + h_right) + 0.5 * lip * width,
             np.maximum(h_left, h_right) + 0.125 * curv * width * width,
-        )
+        ).max(axis=0)
         hi = max(lo, float(ub.max())) if ub.size else lo
         if hi - lo <= tol:
             return CertifiedRadius(lo=lo, hi=hi,
@@ -149,22 +172,23 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
         hold = keep & ~split
 
         mids = 0.5 * (lefts[split] + rights[split])
-        if evals + mids.size > max_evals:
+        if evals + 2 * mids.size > max_evals:
             raise ToleranceUnreachableError(
-                f"eigendecomposition budget {max_evals} exhausted at width {hi - lo:.3e}"
+                f"angle budget {max_evals} exhausted at width {hi - lo:.3e}"
             )
         h_mid = _rotated_tops(m, m_adj, mids)
-        evals += mids.size
+        evals += 2 * mids.size
 
-        top = int(np.argmax(h_mid)) if h_mid.size else -1
-        if top >= 0 and float(h_mid[top]) > lo:
-            lo = float(h_mid[top])
-            witness = float(mids[top])
+        if mids.size:
+            track, top = divmod(int(np.argmax(h_mid)), mids.size)
+            if float(h_mid[track, top]) > lo:
+                lo = float(h_mid[track, top])
+                witness = float(mids[top]) + track * np.pi
 
         lefts = np.concatenate([lefts[hold], lefts[split], mids])
         rights = np.concatenate([rights[hold], mids, rights[split]])
-        h_left = np.concatenate([h_left[hold], h_left[split], h_mid])
-        h_right = np.concatenate([h_right[hold], h_mid, h_right[split]])
+        h_left = np.concatenate([h_left[:, hold], h_left[:, split], h_mid], axis=1)
+        h_right = np.concatenate([h_right[:, hold], h_mid, h_right[:, split]], axis=1)
 
 
 def omega_offdiag_symmetric_check(
@@ -377,6 +401,8 @@ def omega_p(
     scale = max(1.0, max(norms))
     if tol is None:
         tol = 1e-8 * scale
+    if math.isnan(tol):
+        raise OutOfRangeError("tolerance must not be NaN")
     # stop a restart once the tangent gradient falls to a tenth of the
     # requested relative tolerance, in the objective's own units
     f_cap = sum(nv ** p for nv in norms)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import numrad
 from numrad.bounds import BOUND_IDS, bound_spec
 from numrad.cli import main
 from numrad.matrixio import read_matrix, write_matrix
@@ -73,6 +78,19 @@ class TestOmegaCommand:
     def test_non_square_exit_3(self, tmp_path):
         path = write_mat(tmp_path, "r.json", np.zeros((2, 3)))
         assert main(["omega", path]) == 3
+
+    def test_nan_tolerance_exit_3_promptly(self, tmp_path):
+        # a NaN width never lets a cell split; run in a child process so a
+        # regression fails on the timeout instead of hanging the suite
+        path = write_mat(tmp_path, "n.json", [[0, 1], [0, 0]])
+        src = str(Path(numrad.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "numrad.cli", "omega", path,
+                               "--tol", "nan"], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 3
+        assert "tolerance" in done.stderr
 
 
 class TestOmegaPCommand:

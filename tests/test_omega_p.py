@@ -89,6 +89,10 @@ class TestOmegaP:
         with pytest.raises(OutOfRangeError):
             omega_p([np.eye(2)], p=0.5)
 
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(OutOfRangeError):
+            omega_p([np.eye(2)], p=2.0, tol=float("nan"))
+
 
 class TestGradient:
     def test_matches_central_differences(self):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from numrad.errors import NotSquareError, OutOfRangeError, ToleranceUnreachableError
-from numrad.linalg import adjoint, spectral_norm
-from numrad.radius import omega, omega_offdiag_symmetric_check
+from numrad.linalg import adjoint, embed_offdiag, spectral_norm
+from numrad.radius import _rotated_tops, omega, omega_offdiag_symmetric_check
+
+U = np.finfo(float).eps / 2
 
 
 def rand_complex(g, n, m=None):
@@ -15,6 +17,16 @@ def rand_unitary(g, n):
     q, r = np.linalg.qr(rand_complex(g, n))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def h_direct(m, thetas):
+    """lambda_max(Re(e^{i theta} M)) evaluated at each angle itself."""
+    phase = np.exp(1j * np.asarray(thetas, dtype=float))[:, None, None]
+    return np.linalg.eigvalsh(0.5 * (phase * m + np.conj(phase) * adjoint(m)))[:, -1]
+
+
+def rounding_slack(m):
+    return 32 * m.shape[0] * U * max(1.0, spectral_norm(m))
 
 
 def mc_lower_bound(g, m, samples=20000):
@@ -127,6 +139,81 @@ class TestOmega:
         m = rand_complex(g, 4)
         with pytest.raises(ToleranceUnreachableError):
             omega(m, tol=1e-11, max_evals=80)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_tolerance(self, tol):
+        with pytest.raises(OutOfRangeError):
+            omega(np.eye(2), tol=tol)
+
+
+def two_track_cases():
+    g = np.random.default_rng(30)
+    herm = rand_complex(g, 4)
+    return {
+        "random": rand_complex(g, 5),
+        "hermitian": herm + adjoint(herm),
+        "shift": np.eye(6, k=1, dtype=complex),
+        "offdiag": embed_offdiag(rand_complex(g, 3), rand_complex(g, 3)),
+    }
+
+
+class TestTwoTracks:
+    """One eigensolve of Re(e^{i theta} M) gives h(theta) and h(theta + pi)."""
+
+    @pytest.mark.parametrize("kind", ["random", "hermitian", "shift", "offdiag"])
+    def test_second_row_is_antipodal_top(self, kind):
+        m = two_track_cases()[kind]
+        thetas = np.concatenate([np.linspace(0.0, np.pi, 97, endpoint=False),
+                                 [np.nextafter(np.pi, 0.0)]])
+        tops = _rotated_tops(m, adjoint(m), thetas)
+        assert tops.shape == (2, thetas.size)
+        slack = rounding_slack(m)
+        np.testing.assert_allclose(tops[0], h_direct(m, thetas), rtol=0, atol=slack)
+        np.testing.assert_allclose(tops[1], h_direct(m, thetas + np.pi), rtol=0, atol=slack)
+
+    def test_second_track_witness(self):
+        m = np.diag([1.0, -3.0])
+        cert = omega(m, tol=1e-10)
+        assert cert.lo == pytest.approx(3.0, abs=1e-12)
+        assert cert.witness_theta == pytest.approx(np.pi, abs=1e-12)
+        assert float(h_direct(m, [cert.witness_theta])[0]) == pytest.approx(cert.lo, abs=1e-12)
+
+    def test_eigensolve_count_on_shift(self, monkeypatch):
+        solved = [0]
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            solved[0] += int(np.prod(np.shape(a)[:-2], dtype=int))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        cert = omega(np.eye(8, k=1, dtype=complex), tol=1e-8)
+        assert cert.hi - cert.lo <= 1e-8
+        assert solved[0] <= 16384 + 32
+
+    def test_budget_counts_angles(self):
+        # the side-8 shift at tol 1e-6 takes 2048 eigensolves, 4096 angles
+        shift = np.eye(8, k=1, dtype=complex)
+        assert omega(shift, tol=1e-6, max_evals=4096).hi - np.cos(np.pi / 9) <= 1e-6
+        with pytest.raises(ToleranceUnreachableError):
+            omega(shift, tol=1e-6, max_evals=4094)
+
+    @pytest.mark.parametrize("kind,side", [("offdiag", 2), ("offdiag", 4),
+                                           ("near_disk", 3), ("near_disk", 5)])
+    def test_matches_angle_scan(self, kind, side):
+        g = np.random.default_rng(31 + side)
+        if kind == "offdiag":
+            # [[0, X], [Y, 0]] is unitarily similar to its negative, so its
+            # field of values is symmetric and both tracks reach the maximum
+            m = embed_offdiag(rand_complex(g, side), rand_complex(g, side))
+        else:
+            m = np.eye(side, k=1, dtype=complex) + 1e-7 * rand_complex(g, side)
+        cert = omega(m, tol=1e-10)
+        slack = rounding_slack(m)
+        scan = h_direct(m, np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
+        assert cert.hi - cert.lo <= 1e-10
+        assert cert.hi >= scan.max() - slack
+        assert abs(cert.lo - float(h_direct(m, [cert.witness_theta])[0])) <= slack
 
 
 class TestInnerProductProperties:
