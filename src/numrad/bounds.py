@@ -59,7 +59,7 @@ from .linalg import (
     gram_eigen,
     spectral_norm,
 )
-from .radius import form_gradient, form_values, omega, omega_p, sphere_maximize
+from .radius import omega, omega_p
 
 # Normality check: ||M*M - MM*|| <= NORMALITY_TOL * ||M||^2.
 NORMALITY_TOL = 1e-9
@@ -87,10 +87,10 @@ class BoundOutcome:
 
 @dataclass
 class ZetaEstimate:
-    """Upper estimate of the infimum of the split-vector gap functional.
+    """The split-vector gap functional at a witness where it vanishes.
 
-    The true infimum is >= 0 always (guaranteed_lower); the estimate comes
-    from multi-start descent, so it may sit above the infimum.
+    The infimum is 0 for every PSD pair (see `_estimate_zeta`), so value
+    is 0 up to rounding and guaranteed_lower is exact.
     """
 
     value: float
@@ -322,74 +322,36 @@ def bound_main11_young(p: OffDiagPair, pair: FunctionPair, r: float,
     )
 
 
-def _zeta_parts(a_mat: np.ndarray, b_mat: np.ndarray,
-                x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.maximum(np.sum(np.conj(x2) * (x2 @ a_mat.T), axis=-1).real, 0.0)
-    b = np.maximum(np.sum(np.conj(x1) * (x1 @ b_mat.T), axis=-1).real, 0.0)
-    return a, b
-
-
 def zeta_value(a_mat, b_mat, x1, x2):
     """(sqrt(<A x2, x2>) - sqrt(<B x1, x1>))**2 for PSD A, B.
 
     A float for vectors x1, x2; an array of b values for (b, m) and (b, n)
     batches.
     """
-    a, b = _zeta_parts(np.asarray(a_mat), np.asarray(b_mat),
-                       np.asarray(x1), np.asarray(x2))
+    x1, x2 = np.asarray(x1), np.asarray(x2)
+    a = np.maximum(np.sum(np.conj(x2) * (x2 @ np.asarray(a_mat).T), axis=-1).real, 0.0)
+    b = np.maximum(np.sum(np.conj(x1) * (x1 @ np.asarray(b_mat).T), axis=-1).real, 0.0)
     gap = (np.sqrt(a) - np.sqrt(b)) ** 2
     return float(gap) if gap.ndim == 0 else gap
 
 
-def _zeta_forms(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
-    """Forms [diag(0, A), diag(B, 0)] on the joint vector (x1, x2), whose
-    values are (<A x2, x2>, <B x1, x1>)."""
-    m, dim = b_mat.shape[0], b_mat.shape[0] + a_mat.shape[0]
-    forms = np.zeros((2, dim, dim), dtype=np.complex128)
-    forms[0, m:, m:] = a_mat
-    forms[1, :m, :m] = b_mat
-    return forms
+def _estimate_zeta(a_mat: np.ndarray, b_mat: np.ndarray) -> ZetaEstimate:
+    """A zero of the gap functional on the joint sphere, in closed form.
 
-
-def _negated_gap(z: np.ndarray, weights: bool = False) -> np.ndarray:
-    """-(sqrt a - sqrt b)**2 at form values z = (a, b), forms axis first.
-
-    With weights=True, returns instead the partial derivatives in a and b
-    (the weights of `radius.form_gradient`); the one of a side whose form
-    vanishes is set to zero.
+    For unit u1, u2 put a = <A u2, u2> and b = <B u1, u1>. At
+    x = (cos t u1, sin t u2) with (cos t, sin t) = (sqrt(a/(a+b)), sqrt(b/(a+b)))
+    both <A x2, x2> and <B x1, x1> equal ab/(a+b), so the gap vanishes and
+    inf zeta = 0 for every PSD pair. Here u1 = u2 = e_1, and t = pi/4 when
+    a + b = 0. The value is recomputed at the witness, so it carries only
+    rounding.
     """
-    root = np.sqrt(np.maximum(z.real, 0.0))
-    s = root[0] - root[1]
-    if not weights:
-        return -s * s
-    live = root > 1e-150
-    return np.where(live, np.stack([-s, s]) / np.where(live, root, 1.0), 0.0)
-
-
-def _estimate_zeta(a_mat: np.ndarray, b_mat: np.ndarray, restarts: int,
-                   stream: RngStream, max_iter: int = 150) -> ZetaEstimate:
-    """Multi-start descent of the gap functional on the joint sphere.
-
-    Runs the shared sphere optimizer `radius.sphere_maximize` on the
-    negated gap over the forms of :func:`_zeta_forms`, stopping a restart
-    once the gap is already zero. Descent can still park at a stationary
-    split (for instance when one component collapses to zero), which is why
-    the estimate only upper-bounds the infimum.
-    """
-    m = b_mat.shape[0]
-    forms = _zeta_forms(a_mat, b_mat)
-
-    # looked up by module name at call time, so patched counters see it
-    def value(w):
-        return -zeta_value(a_mat, b_mat, w[..., :m], w[..., m:])
-
-    def gradient(w):
-        qw, z = form_values(forms, w)
-        return form_gradient(forms, _negated_gap(z, weights=True), w, qw)
-
-    w, _ = sphere_maximize(forms, _negated_gap, value, gradient, restarts, stream,
-                           max_iter, grad_tol=1e-15, ceiling=-1e-28)
-    x1, x2 = w[:m], w[m:]
+    a = max(float(a_mat[0, 0].real), 0.0)
+    b = max(float(b_mat[0, 0].real), 0.0)
+    cos_t, sin_t = (math.sqrt(a / (a + b)), math.sqrt(b / (a + b))) if a + b > 0.0 \
+        else (math.sqrt(0.5), math.sqrt(0.5))
+    x1 = np.zeros(b_mat.shape[0], dtype=np.complex128)
+    x2 = np.zeros(a_mat.shape[0], dtype=np.complex128)
+    x1[0], x2[0] = cos_t, sin_t
     return ZetaEstimate(value=zeta_value(a_mat, b_mat, x1, x2), witness=(x1, x2))
 
 
@@ -398,21 +360,23 @@ def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
                 ) -> tuple[BoundOutcome, BoundOutcome, ZetaEstimate]:
     """Norm-sum bound with a subtracted gap term.
 
-    guaranteed uses the trivial lower bound inf zeta >= 0, so
-    omega(T)**r <= guaranteed.value is safe. refined subtracts the
-    descent estimate of the infimum; since that estimate only upper-bounds
-    the infimum, refined is heuristic and may undercut the true bound.
+    guaranteed uses the lower bound inf zeta >= 0, so
+    omega(T)**r <= guaranteed.value is safe. refined subtracts the gap at
+    the closed-form witness of `_estimate_zeta`; the gap on the joint
+    sphere is vacuous (inf zeta = 0), so refined equals guaranteed up to
+    rounding. zeta_restarts (validated, >= 1) and stream are accepted for
+    compatibility and do not affect the result.
     """
     p_ = _as_pair(p)
     r = _require_r(r)
     variant = _require_variant(variant)
-    if stream is None:
-        stream = RngStream(master_seed=0)
+    if zeta_restarts < 1:
+        raise OutOfRangeError(f"zeta_restarts must be >= 1, got {zeta_restarts}")
     first, second = _offdiag_groups(pair, r, variant, p_.x, p_.y)
     n1 = spectral_norm(first)
     n2 = spectral_norm(second)
     base = 2.0 ** (r - 2.0) * (n1 + n2)
-    zeta = _estimate_zeta(first, second, zeta_restarts, stream)
+    zeta = _estimate_zeta(first, second)
     bound_id = f"main3.v{variant}"
     shared_terms = {"norm_first": n1, "norm_second": n2}
     guaranteed = BoundOutcome(
@@ -653,7 +617,7 @@ def _main11_young(variant, m, prm, s):
 
 def _main3(variant, m, prm, s):
     guaranteed, refined, zeta = bound_main3(
-        *_offdiag(m, prm), variant, stream=derive(s.stream, 101),
+        *_offdiag(m, prm), variant,
         zeta_restarts=int(prm.get("zeta_restarts", s.zeta_restarts)))
     return guaranteed, {"refined_value": refined.value, "zeta_estimate": zeta.value}
 

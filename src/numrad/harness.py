@@ -6,8 +6,9 @@ and records tightness ratios and violations. Which grid, inputs, evaluator
 and contract side a bound id has comes from its entry in the bound table
 (`numrad.bounds.BOUNDS`); nothing here tests an id. Everything is
 deterministic in the master seed: each trial derives its own stream,
-records are emitted in trial-index order, and serialized reports are
-byte-identical across runs and across any number of worker threads.
+the plan runs serially in trial-index order, and serialized reports are
+byte-identical across runs. `CampaignConfig.jobs` is accepted and ignored:
+a thread pool ran campaigns slower than serial.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BOUND_IDS, BoundSpec, EvalSettings, bound_spec
 from .ensembles import RngStream, derive, sample
-from .errors import DimensionMismatchError, NumradError
+from .errors import DimensionMismatchError, NumradError, OutOfRangeError
 from .linalg import as_matrix, fn_of_abs, spectral_norm
 
 FORMAT_VERSION = "numrad-report/1"
@@ -61,8 +61,14 @@ class CampaignConfig:
     omega_p_restarts: int = 4
     omega_p_max_iter: int = 120
     zeta_restarts: int = 6
-    jobs: int = 1
+    jobs: int = 1                      # accepted; campaigns run serially
     extra_trials: tuple = ()           # (bound_id, params dict, mats dict) triples
+
+    def __post_init__(self) -> None:
+        # omega needs tol >= 1e-12 * max(1, ||M||); omega_tol is relative to that scale
+        if not math.isfinite(self.omega_tol) or self.omega_tol < 1e-12:
+            raise OutOfRangeError(
+                f"omega_tol must be finite and >= 1e-12, got {self.omega_tol}")
 
 
 def default_config(master_seed: int = 0, **overrides) -> CampaignConfig:
@@ -266,16 +272,8 @@ def _coerce_mats(mats: dict) -> dict:
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Execute the whole campaign plan; deterministic given the config."""
-    plan = _build_plan(config)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(
-                lambda item: _run_single(config, item[0], item[1][0], item[1][1], item[1][2]),
-                enumerate(plan)))
-    else:
-        records = [_run_single(config, i, b, prm, mts)
-                   for i, (b, prm, mts) in enumerate(plan)]
-    records.sort(key=lambda rec: rec.index)
+    records = [_run_single(config, i, b, prm, mts)
+               for i, (b, prm, mts) in enumerate(_build_plan(config))]
     return build_report(config, records)
 
 
@@ -317,7 +315,7 @@ def build_report(config: CampaignConfig, records: list) -> CampaignReport:
 
 def _config_echo(config: CampaignConfig) -> dict:
     echo = asdict(config)
-    # jobs controls execution only; reports must not depend on it
+    # jobs is accepted but ignored; reports must not depend on it
     echo.pop("jobs", None)
     echo["bound_ids"] = list(config.bound_ids)
     echo["dims"] = [list(d) for d in config.dims]

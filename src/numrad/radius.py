@@ -29,10 +29,9 @@ phi(z) over unit vectors x, where z_j = <Q_j x, x> are the values of a
 seeded restarts advancing together as one batch. Along the great circle
 x cos t + u sin t every form value is alpha + beta cos 2t + gamma sin 2t,
 so the line search evaluates phi in closed form over a fixed ladder of
-angles. The generalized radius omega_p is estimated from below with it
-(Q_j = T_j, phi = sum |z_j|^p); the gap term of `bounds.bound_main3` uses
-it on the negated gap. A brute-force quasi-uniform sphere scan serves as an
-oracle for omega_p at tiny sizes.
+angles. It serves omega_p, the generalized radius, estimated from below
+with Q_j = T_j and phi = sum |z_j|^p. A brute-force quasi-uniform sphere
+scan serves as an oracle for omega_p at tiny sizes.
 """
 
 from __future__ import annotations
@@ -240,19 +239,6 @@ def form_values(forms: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return qx, np.sum(qx * np.conj(x), axis=-1)
 
 
-def form_gradient(forms: np.ndarray, c: np.ndarray, x: np.ndarray,
-                  qx: np.ndarray) -> np.ndarray:
-    """Euclidean gradient G of a real function of the form values at x.
-
-    The weights c (shaped like the form values) are those with
-    d phi = Re sum_j c_j dz_j; then d phi(z(x)) along d equals Re <d, G> with
-    G = sum_j c_j Q_j x + conj(c_j) Q_j* x, where Q_j* x = conj(conj(x) Q_j).
-    qx is Q_j x as returned by :func:`form_values`.
-    """
-    return (np.einsum("k...,k...i->...i", c, qx)
-            + np.conj(np.einsum("k...,k...i->...i", c, np.conj(x) @ forms)))
-
-
 def omega_p_objective(ops, p: float, x: np.ndarray):
     """F(x) = sum_i |<T_i x, x>|^p (not yet raised to 1/p).
 
@@ -268,16 +254,18 @@ def omega_p_gradient(ops, p: float, x: np.ndarray,
     """Euclidean ascent direction of F at x (complex vector, real pairing).
 
     The directional derivative of F along d equals Re <d, G> with
-    G = sum_i p |z_i|^(p-2) (conj(z_i) T_i x + z_i T_i* x); terms with
-    |z_i| below zero_tol are dropped (the p < 2 kink guard). x is one
-    vector or a (b, n) batch, giving G of the same shape.
+    G = sum_i c_i T_i x + conj(c_i) T_i* x, c_i = p |z_i|^(p-2) conj(z_i),
+    where T_i* x = conj(conj(x) T_i); terms with |z_i| below zero_tol are
+    dropped (the p < 2 kink guard). x is one vector or a (b, n) batch,
+    giving G of the same shape.
     """
     stack = np.asarray(ops, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     tx, z = form_values(stack, x)
     az = np.abs(z)
     c = np.power(az, p - 2.0, out=np.zeros_like(az), where=az > zero_tol) * (p * np.conj(z))
-    return form_gradient(stack, c, x, tx)
+    return (np.einsum("k...,k...i->...i", c, tx)
+            + np.conj(np.einsum("k...,k...i->...i", c, np.conj(x) @ stack)))
 
 
 def _great_circle(forms: np.ndarray, x: np.ndarray, u: np.ndarray):
@@ -294,8 +282,7 @@ def _great_circle(forms: np.ndarray, x: np.ndarray, u: np.ndarray):
     return (z[:, :b] + z[:, b:]) / 2, (z[:, :b] - z[:, b:]) / 2, cross / 2
 
 
-def _sphere_ascent(forms, phi, value, gradient, x0, max_iter, grad_tol,
-                   ceiling=math.inf):
+def _sphere_ascent(forms, phi, value, gradient, x0, max_iter, grad_tol):
     """Projected-gradient ascent of phi(<Q_j x, x>) on the unit sphere,
     advancing a (b, d) batch of starts x0 in lockstep.
 
@@ -306,10 +293,9 @@ def _sphere_ascent(forms, phi, value, gradient, x0, max_iter, grad_tol,
     tangent gradient, at every angle of `_LADDER`, moves to the best one,
     and keeps the move only if the recomputed value(x) does not decrease.
     A row leaves the batch when its tangent gradient drops below grad_tol
-    (converged), when its value reaches `ceiling` (a known supremum), when
-    a move is refused (it would repeat exactly) or after three moves in a
-    row that gain nothing. Returns the final x (b, d), value (b,) and
-    converged flags (b,).
+    (converged), when a move is refused (it would repeat exactly) or after
+    three moves in a row that gain nothing. Returns the final x (b, d),
+    value (b,) and converged flags (b,).
     """
     x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
     f = value(x)
@@ -318,7 +304,7 @@ def _sphere_ascent(forms, phi, value, gradient, x0, max_iter, grad_tol,
     rows = np.arange(x.shape[0])
     stall = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
-        live = (f < ceiling) & (stall < 3)
+        live = stall < 3
         if not live.all():
             rows, x, f, stall = rows[live], x[live], f[live], stall[live]
         if not rows.size:
@@ -351,8 +337,7 @@ def _sphere_ascent(forms, phi, value, gradient, x0, max_iter, grad_tol,
 
 
 def sphere_maximize(forms, phi, value, gradient, restarts: int, stream: RngStream,
-                    max_iter: int, grad_tol: float,
-                    ceiling: float = math.inf) -> tuple[np.ndarray, float]:
+                    max_iter: int, grad_tol: float) -> tuple[np.ndarray, float]:
     """Best (x, value(x)) of :func:`_sphere_ascent` over seeded restarts.
 
     Restart k starts from a complex Gaussian point drawn from
@@ -366,8 +351,7 @@ def sphere_maximize(forms, phi, value, gradient, restarts: int, stream: RngStrea
         g = derive(stream, k).generator()
         x0 = g.standard_normal(dim) + 1j * g.standard_normal(dim)
         starts[k] = x0 if x0.any() else 1.0
-    x, f, _ = _sphere_ascent(forms, phi, value, gradient, starts, max_iter,
-                             grad_tol, ceiling)
+    x, f, _ = _sphere_ascent(forms, phi, value, gradient, starts, max_iter, grad_tol)
     best = int(np.argmax(f))
     return x[best], float(f[best])
 

@@ -5,6 +5,7 @@ import pytest
 
 from numrad.bounds import (
     BOUND_IDS,
+    _estimate_zeta,
     bound_main1,
     bound_main3,
     bound_main4,
@@ -43,6 +44,22 @@ HP22 = HolderPair(2.0, 2.0)
 def rand_complex(g, m, n=None):
     n = m if n is None else n
     return (g.standard_normal((m, n)) + 1j * g.standard_normal((m, n))) / np.sqrt(2)
+
+
+def rand_psd(g, side, scale):
+    h = rand_complex(g, side)
+    return scale * (h @ h.conj().T)
+
+
+def zeta_pairs():
+    """PSD pairs (A, B) at sides 1-8 and scales 1e-8..1e8, then zero pairs."""
+    g = np.random.default_rng(17)
+    pairs = [tuple(rand_psd(g, int(g.integers(1, 9)), 10.0 ** g.uniform(-8, 8))
+                   for _ in range(2)) for _ in range(300)]
+    pairs += [(np.zeros((3, 3)), rand_psd(g, 2, 1.0)),
+              (rand_psd(g, 4, 1e-8), np.zeros((1, 1))),
+              (np.zeros((2, 2)), np.zeros((5, 5)))]
+    return pairs
 
 
 def test_bound_id_strings():
@@ -343,6 +360,19 @@ class TestMain3:
             assert scan <= 1e-10
             assert zeta.value <= 1e-6
             assert refined.value <= guaranteed.value
+
+    def test_closed_form_zeta_vanishes(self):
+        # the gap is zero at the closed-form witness up to rounding of order
+        # u^2 (||A|| + ||B||), u the unit roundoff
+        for a_mat, b_mat in zeta_pairs():
+            zeta = _estimate_zeta(a_mat, b_mat)
+            scale = np.linalg.norm(a_mat, 2) + np.linalg.norm(b_mat, 2)
+            assert 0.0 <= zeta.value <= 1e-30 * max(1e-300, scale)
+            x1, x2 = zeta.witness
+            assert x1.shape == (b_mat.shape[0],) and x2.shape == (a_mat.shape[0],)
+            assert np.linalg.norm(x1) ** 2 + np.linalg.norm(x2) ** 2 == pytest.approx(
+                1.0, abs=1e-12)
+            assert zeta.value == zeta_value(a_mat, b_mat, x1, x2)
 
     def test_guaranteed_contract(self):
         g = np.random.default_rng(16)

@@ -255,6 +255,15 @@ class TestVerifyCommand:
         assert errors[0]["error"].startswith(
             "DimensionMismatchError: 'blocks' must be a list of matrix groups")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "1e-13", "-1"])
+    def test_bad_tolerance_exit_3(self, tmp_path, capsys, tol):
+        # rejected up front, before any trial becomes an error record
+        code = main(["verify", "--tol", tol, "--trials", "1", "--bounds", "main1.v1",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "omega_tol" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_bad_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text("{broken")
