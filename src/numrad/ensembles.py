@@ -126,22 +126,20 @@ def sample(kind: str, m: int, n: int, stream: RngStream) -> np.ndarray:
 
 def _post_check(kind: str, out: np.ndarray) -> None:
     """Verify the kind's defining property; a failure is an internal bug."""
-    nrm = spectral_norm(out)
-    scale = max(1.0, nrm)
     ok = True
     if kind == "hermitian":
-        ok = spectral_norm(out - adjoint(out)) <= _POST_CHECK_TOL * scale
+        ok = spectral_norm(out - adjoint(out)) <= _POST_CHECK_TOL * max(1.0, spectral_norm(out))
     elif kind == "psd":
         w = np.linalg.eigvalsh((out + adjoint(out)) / 2)
-        ok = float(w[0]) >= -_POST_CHECK_TOL * scale
+        ok = float(w[0]) >= -_POST_CHECK_TOL * max(1.0, spectral_norm(out))
     elif kind == "unitary":
         eye = np.eye(out.shape[0])
         ok = spectral_norm(adjoint(out) @ out - eye) <= _POST_CHECK_TOL
     elif kind == "normal":
         comm = adjoint(out) @ out - out @ adjoint(out)
-        ok = spectral_norm(comm) <= _POST_CHECK_TOL * max(1.0, nrm * nrm)
+        ok = spectral_norm(comm) <= _POST_CHECK_TOL * max(1.0, spectral_norm(out) ** 2)
     elif kind == "contraction":
-        ok = nrm <= 1.0
+        ok = spectral_norm(out) <= 1.0
     elif kind == "zero":
         ok = not out.any()
     elif kind == "nilpotent_shift":

@@ -23,15 +23,13 @@ The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants give the upper
 endpoint.
 
-`sphere_maximize` is the one sphere optimizer of the package. It maximizes
-phi(z) over unit vectors x, where z_j = <Q_j x, x> are the values of a
-(k, d, d) stack of quadratic forms, by projected-gradient ascent with all
+omega_p, the generalized radius, is estimated from below by projected-
+gradient ascent of F(x) = sum_i |<T_i x, x>|^p over unit vectors, with all
 seeded restarts advancing together as one batch. Along the great circle
-x cos t + u sin t every form value is alpha + beta cos 2t + gamma sin 2t,
-so the line search evaluates phi in closed form over a fixed ladder of
-angles. It serves omega_p, the generalized radius, estimated from below
-with Q_j = T_j and phi = sum |z_j|^p. A brute-force quasi-uniform sphere
-scan serves as an oracle for omega_p at tiny sizes.
+x cos t + u sin t every <T_i x, x> is alpha + beta cos 2t + gamma sin 2t,
+so the line search evaluates F in closed form over a fixed ladder of
+angles. A brute-force quasi-uniform sphere scan serves as an oracle for
+omega_p at tiny sizes.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from .errors import (
     OutOfRangeError,
     ToleranceUnreachableError,
 )
-from .linalg import adjoint, as_matrix, embed_offdiag, spectral_norm
+from .linalg import adjoint, as_matrix, embed_offdiag, hermitian_part, spectral_norm
 
 # Default cap on angles evaluated certifying one radius (two per eigensolve).
 DEFAULT_EVAL_BUDGET = 2_000_000
@@ -229,14 +227,14 @@ def _prepare_ops(ops) -> np.ndarray:
     return np.stack(mats)
 
 
-def form_values(forms: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q_j x, <Q_j x, x>) for a stack of forms Q of shape (k, d, d).
+def form_values(stack: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T_i x, <T_i x, x>) for a (k, n, n) stack of operators T.
 
-    x is one vector (d,) or a batch (b, d); the results keep the forms axis
-    first, with shapes (k, d) and (k,), or (k, b, d) and (k, b).
+    x is one vector (n,) or a batch (b, n); the results keep the operator
+    axis first, with shapes (k, n) and (k,), or (k, b, n) and (k, b).
     """
-    qx = x @ np.swapaxes(forms, -1, -2)
-    return qx, np.sum(qx * np.conj(x), axis=-1)
+    tx = x @ np.swapaxes(stack, -1, -2)
+    return tx, np.sum(tx * np.conj(x), axis=-1)
 
 
 def omega_p_objective(ops, p: float, x: np.ndarray):
@@ -268,39 +266,35 @@ def omega_p_gradient(ops, p: float, x: np.ndarray,
             + np.conj(np.einsum("k...,k...i->...i", c, np.conj(x) @ stack)))
 
 
-def _great_circle(forms: np.ndarray, x: np.ndarray, u: np.ndarray):
-    """Coefficients of the form values along the great circles x cos t + u sin t.
+def _great_circle(stack: np.ndarray, x: np.ndarray, u: np.ndarray):
+    """Coefficients of <T_i y, y> along the great circles y = x cos t + u sin t.
 
-    x and u are (b, d) batches of unit vectors with Re <x, u> = 0. Along
-    each circle every form value is alpha + beta cos 2t + gamma sin 2t; the
-    three (k, b) coefficient arrays come from one product of the forms
+    x and u are (b, n) batches of unit vectors with Re <x, u> = 0. Along
+    each circle every value is alpha + beta cos 2t + gamma sin 2t; the
+    three (k, b) coefficient arrays come from one product of the stack
     with x and u.
     """
     b = x.shape[0]
-    qw, z = form_values(forms, np.concatenate([x, u]))
-    cross = np.sum(qw[:, :b] * np.conj(u) + qw[:, b:] * np.conj(x), axis=-1)
+    tw, z = form_values(stack, np.concatenate([x, u]))
+    cross = np.sum(tw[:, :b] * np.conj(u) + tw[:, b:] * np.conj(x), axis=-1)
     return (z[:, :b] + z[:, b:]) / 2, (z[:, :b] - z[:, b:]) / 2, cross / 2
 
 
-def _sphere_ascent(forms, phi, value, gradient, x0, max_iter, grad_tol):
-    """Projected-gradient ascent of phi(<Q_j x, x>) on the unit sphere,
-    advancing a (b, d) batch of starts x0 in lockstep.
+def _sphere_ascent(stack, p, x0, max_iter, grad_tol, zero_tol):
+    """Projected-gradient ascent of F on the unit sphere, advancing a
+    (b, n) batch of starts x0 in lockstep.
 
-    value(x) and gradient(x) take a (b, d) batch and return the objective
-    (b,) and its Euclidean gradient (b, d); phi maps form values with the
-    forms axis first to objective values. Each iteration evaluates phi in
-    closed form along the great circle through x in the direction of the
-    tangent gradient, at every angle of `_LADDER`, moves to the best one,
-    and keeps the move only if the recomputed value(x) does not decrease.
-    A row leaves the batch when its tangent gradient drops below grad_tol
-    (converged), when a move is refused (it would repeat exactly) or after
-    three moves in a row that gain nothing. Returns the final x (b, d),
-    value (b,) and converged flags (b,).
+    Each iteration evaluates F in closed form along the great circle
+    through x in the direction of the tangent gradient, at every angle of
+    `_LADDER`, moves to the best one, and keeps the move only if the
+    recomputed F(x) does not decrease. A row leaves the batch when its
+    tangent gradient drops below grad_tol, when a move is refused (it
+    would repeat exactly) or after three moves in a row that gain nothing.
+    Returns the final x (b, n) and F(x) (b,).
     """
     x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
-    f = value(x)
+    f = omega_p_objective(stack, p, x)
     out_x, out_f = x.copy(), f.copy()
-    converged = np.zeros(x.shape[0], dtype=bool)
     rows = np.arange(x.shape[0])
     stall = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
@@ -309,51 +303,46 @@ def _sphere_ascent(forms, phi, value, gradient, x0, max_iter, grad_tol):
             rows, x, f, stall = rows[live], x[live], f[live], stall[live]
         if not rows.size:
             break
-        g = gradient(x)
+        g = omega_p_gradient(stack, p, x, zero_tol)
         gt = g - np.real(np.sum(np.conj(x) * g, axis=1))[:, None] * x
         gn = np.linalg.norm(gt, axis=1)
-        done = gn <= grad_tol
-        if done.any():
-            converged[rows[done]] = True
-            keep = ~done
-            rows, x, f, stall, gt, gn = rows[keep], x[keep], f[keep], stall[keep], gt[keep], gn[keep]
+        live = gn > grad_tol
+        if not live.all():
+            rows, x, f, stall, gt, gn = rows[live], x[live], f[live], stall[live], gt[live], gn[live]
             if not rows.size:
                 break
         u = gt / gn[:, None]
-        alpha, beta, gamma = _great_circle(forms, x, u)
-        curve = phi(alpha[..., None] + beta[..., None] * _LADDER_COS
-                    + gamma[..., None] * _LADDER_SIN)
+        alpha, beta, gamma = _great_circle(stack, x, u)
+        curve = np.sum(np.abs(alpha[..., None] + beta[..., None] * _LADDER_COS
+                              + gamma[..., None] * _LADDER_SIN) ** p, axis=0)
         t = _LADDER[np.argmax(curve, axis=1)][:, None]
         cand = x * np.cos(t) + u * np.sin(t)
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        fc = value(cand)
+        fc = omega_p_objective(stack, p, cand)
         up = fc >= f
         gain = fc - f
         x = np.where(up[:, None], cand, x)
         f = np.where(up, fc, f)
         stall = np.where(~up, 3, np.where(gain <= 1e-16 * np.maximum(1.0, f), stall + 1, 0))
         out_x[rows], out_f[rows] = x, f
-    return out_x, out_f, converged
+    return out_x, out_f
 
 
-def sphere_maximize(forms, phi, value, gradient, restarts: int, stream: RngStream,
-                    max_iter: int, grad_tol: float) -> tuple[np.ndarray, float]:
-    """Best (x, value(x)) of :func:`_sphere_ascent` over seeded restarts.
+def _dual_gap(stack: np.ndarray, p: float, x: np.ndarray) -> float:
+    """lambda_max(Re sum_i conj(c_i) T_i) - ||z||_p at a unit vector x.
 
-    Restart k starts from a complex Gaussian point drawn from
-    derive(stream, k); all restarts advance together as one batch.
+    z_i = <T_i x, x> and c = |z|^(p-1) sign(z) / ||z||_p^(p-1) is the unit
+    q-norm dual of z. The gap is >= 0, and 0 exactly when x maximizes the
+    linearized problem max_y Re sum_i conj(c_i) <T_i y, y>; inf when z = 0.
     """
-    if restarts < 1:
-        raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
-    dim = forms.shape[-1]
-    starts = np.empty((restarts, dim), dtype=np.complex128)
-    for k in range(restarts):
-        g = derive(stream, k).generator()
-        x0 = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-        starts[k] = x0 if x0.any() else 1.0
-    x, f, _ = _sphere_ascent(forms, phi, value, gradient, starts, max_iter, grad_tol)
-    best = int(np.argmax(f))
-    return x[best], float(f[best])
+    _, z = form_values(stack, x)
+    az = np.abs(z)
+    norm = float(np.sum(az ** p) ** (1.0 / p))
+    if norm == 0.0:
+        return math.inf
+    c = np.divide(z, az, out=np.zeros_like(z), where=az > 0.0) * (az / norm) ** (p - 1.0)
+    form = hermitian_part(np.tensordot(np.conj(c), stack, axes=1))
+    return float(np.linalg.eigvalsh(form)[-1]) - norm
 
 
 def omega_p(
@@ -366,11 +355,13 @@ def omega_p(
 ) -> OmegaPEstimate:
     """Estimate the generalized Euclidean operator radius from below.
 
-    Runs :func:`sphere_maximize` on F(x) = sum_i |<T_i x, x>|^p, the
-    function phi(z) = sum_i |z_i|^p of the forms Q_i = T_i, from `restarts`
-    independent seeded starts and keeps the best. The reported value is
-    recomputed from the witness, so it is always a true lower bound on the
-    radius.
+    Runs :func:`_sphere_ascent` on F(x) = sum_i |<T_i x, x>|^p from
+    `restarts` (default 8n) starts, restart k drawn from derive(stream, k),
+    and keeps the best; the value is recomputed from the witness, so it is
+    a true lower bound. `tol` (absolute, default 1e-8 * max(1, max ||T_i||))
+    sets the ascent's stopping gradient, and `converged` means the
+    :func:`_dual_gap` at the witness is <= tol: a first-order certificate,
+    not a global one (with all <T_i x, x> = 0, True only for zero T_i).
     """
     stack = _prepare_ops(ops)
     p = float(p)
@@ -379,6 +370,8 @@ def omega_p(
     side = stack.shape[1]
     if restarts is None:
         restarts = 8 * side
+    if restarts < 1:
+        raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
     if stream is None:
         stream = RngStream(master_seed=0)
     norms = [spectral_norm(t) for t in stack]
@@ -391,35 +384,21 @@ def omega_p(
     # requested relative tolerance, in the objective's own units
     f_cap = sum(nv ** p for nv in norms)
     grad_tol = 0.1 * (float(tol) / scale) * p * max(1.0, f_cap)
-    zero_tol = _PHASE_ZERO_TOL * scale
 
-    def phi(z):
-        return np.sum(np.abs(z) ** p, axis=0)
-
-    # looked up by module name at call time, so patched counters see them
-    def value(x):
-        return omega_p_objective(stack, p, x)
-
-    def gradient(x):
-        return omega_p_gradient(stack, p, x, zero_tol)
-
-    best_x, best_f = sphere_maximize(stack, phi, value, gradient, restarts, stream,
-                                     max_iter, grad_tol)
-    # polish the winner with a second, longer run from its own endpoint
-    x, f, _ = _sphere_ascent(stack, phi, value, gradient, best_x[None],
-                             2 * max_iter, grad_tol * 0.1)
-    if f[0] >= best_f:
-        best_x = x[0]
-
-    best_x = best_x / np.linalg.norm(best_x)
-    g_fin = gradient(best_x)
-    gt_fin = g_fin - np.real(np.vdot(best_x, g_fin)) * best_x
+    starts = np.empty((restarts, side), dtype=np.complex128)
+    for k in range(restarts):
+        g = derive(stream, k).generator()
+        x0 = g.standard_normal(side) + 1j * g.standard_normal(side)
+        starts[k] = x0 if x0.any() else 1.0
+    x, f = _sphere_ascent(stack, p, starts, max_iter, grad_tol, _PHASE_ZERO_TOL * scale)
+    best = int(np.argmax(f))
+    witness = x[best] / np.linalg.norm(x[best])
     return OmegaPEstimate(
-        value=float(value(best_x) ** (1.0 / p)),
-        witness=best_x,
+        value=float(omega_p_objective(stack, p, witness) ** (1.0 / p)),
+        witness=witness,
         p=p,
         restarts_used=restarts,
-        converged=bool(float(np.linalg.norm(gt_fin)) <= grad_tol),
+        converged=max(norms) == 0.0 or _dual_gap(stack, p, witness) <= tol,
     )
 
 

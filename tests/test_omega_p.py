@@ -13,6 +13,7 @@ from numrad.errors import (
     OutOfRangeError,
 )
 from numrad.radius import (
+    _dual_gap,
     _great_circle,
     omega,
     omega_p,
@@ -35,6 +36,7 @@ class TestOmegaP:
             cert = omega(m, tol=1e-10)
             est = omega_p([m], p=1.0 + k % 3)
             assert abs(est.value - cert.lo) <= 1e-6
+            assert est.converged
         # disk-shaped fields of values, centred (a continuum of maximizers) and off-centre
         for n in range(2, 9):
             shift = np.eye(n, k=1)
@@ -46,6 +48,21 @@ class TestOmegaP:
                 for p in (1.0, 2.0, 3.0):
                     est = omega_p([m], p=p)
                     assert abs(est.value - cert.lo) <= 1e-6
+                    assert est.converged
+
+    def test_unconverged_without_iterations(self):
+        g = np.random.default_rng(7)
+        ops = [rand_complex(g, 3) for _ in range(2)]
+        assert omega_p(ops, 2.0, restarts=1, max_iter=0).converged is False
+
+    def test_dual_gap_nonnegative(self):
+        # the Hermitian form of the dual coefficients takes the value ||z||_p at x
+        g = np.random.default_rng(8)
+        for k in range(40):
+            n, p = 1 + k % 4, (1.0, 1.5, 2.0, 3.0)[k % 4]
+            stack = np.stack([rand_complex(g, n) for _ in range(1 + k % 3)])
+            gap = _dual_gap(stack, p, unit_vector(g, n))
+            assert gap >= -1e-12 * max(1.0, max(np.linalg.norm(t, 2) for t in stack))
 
     def test_identity_copies(self):
         for n_ops, p in ((4, 2.0), (3, 1.0), (5, 3.0)):
@@ -199,10 +216,9 @@ class TestLockstep:
         lockstep = numrad.radius._sphere_ascent
         starts, row_values = [], []
 
-        def one_row_at_a_time(forms, phi, value, gradient, x0, *args):
-            runs = [lockstep(forms, phi, value, gradient, x0[k:k + 1], *args)
-                    for k in range(len(x0))]
-            together = lockstep(forms, phi, value, gradient, x0, *args)
+        def one_row_at_a_time(stack, p, x0, *args):
+            runs = [lockstep(stack, p, x0[k:k + 1], *args) for k in range(len(x0))]
+            together = lockstep(stack, p, x0, *args)
             starts.append(x0)
             row_values.append((together[1], np.concatenate([run[1] for run in runs])))
             return tuple(np.concatenate(parts) for parts in zip(*runs))
