@@ -54,7 +54,6 @@ from .linalg import (
     embed_block,
     embed_offdiag,
     fn_of_abs,
-    fn_of_psd,
     fn_of_spectrum,
     gram_eigen,
     spectral_norm,
@@ -275,7 +274,8 @@ def bound_main11(p: OffDiagPair, pair: FunctionPair, r: float, hp: HolderPair,
     """Holder-exponent bound with contract omega(T)**(2r) <= value.
 
     value = C (alpha_sq + beta_sq) with alpha_sq = ||group1**p|| / p**2 and
-    beta_sq = ||group2**q|| / q**2. The printed constant C = 4**(r-2)
+    beta_sq = ||group2**q|| / q**2; the groups are PSD, so these norms are
+    ||group1||**p and ||group2||**q. The printed constant C = 4**(r-2)
     ('as_stated') fails on scalars; the derivation supports C = 4**(r-1)
     ('as_proved', default).
     """
@@ -287,8 +287,8 @@ def bound_main11(p: OffDiagPair, pair: FunctionPair, r: float, hp: HolderPair,
                               f"got {constant_mode!r}")
     first, second = _offdiag_groups(pair, r, variant, p_.x, p_.y)
     pw, qw = hp.p, hp.q
-    alpha_sq = spectral_norm(fn_of_psd(first, lambda t: np.asarray(t) ** pw)) / pw ** 2
-    beta_sq = spectral_norm(fn_of_psd(second, lambda t: np.asarray(t) ** qw)) / qw ** 2
+    alpha_sq = spectral_norm(first) ** pw / pw ** 2
+    beta_sq = spectral_norm(second) ** qw / qw ** 2
     const = 4.0 ** (r - 2.0) if constant_mode == "as_stated" else 4.0 ** (r - 1.0)
     value = const * (alpha_sq + beta_sq)
     return BoundOutcome(
@@ -531,14 +531,17 @@ class Sampler:
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """Settings of one bound evaluation that do not vary by trial input."""
+    """Settings of one bound evaluation that do not vary by trial input.
 
-    omega_tol: float
-    constant_mode: str
-    omega_p_restarts: int
-    omega_p_max_iter: int
-    zeta_restarts: int
-    stream: RngStream
+    `omega_tol` is relative to max(1, scale) of the measured operator;
+    `stream` seeds the generalized-radius restarts. Per-trial parameters,
+    `constant_mode` among them, travel in the params dict instead.
+    """
+
+    omega_tol: float = 1e-6
+    omega_p_restarts: int = 8
+    omega_p_max_iter: int = 300
+    stream: RngStream = RngStream(0)
 
 
 @dataclass(frozen=True)
@@ -607,7 +610,7 @@ def _main1(variant, m, prm, s):
 
 
 def _main11(variant, m, prm, s):
-    mode = prm.get("constant_mode", s.constant_mode)
+    mode = prm.get("constant_mode", "as_proved")
     return bound_main11(*_offdiag(m, prm), _holder(prm), variant, constant_mode=mode), {}
 
 
@@ -616,9 +619,7 @@ def _main11_young(variant, m, prm, s):
 
 
 def _main3(variant, m, prm, s):
-    guaranteed, refined, zeta = bound_main3(
-        *_offdiag(m, prm), variant,
-        zeta_restarts=int(prm.get("zeta_restarts", s.zeta_restarts)))
+    guaranteed, refined, zeta = bound_main3(*_offdiag(m, prm), variant)
     return guaranteed, {"refined_value": refined.value, "zeta_estimate": zeta.value}
 
 

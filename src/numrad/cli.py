@@ -12,7 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from .bounds import bound_spec
+from .bounds import EvalSettings, bound_spec
+from .ensembles import RngStream
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .harness import (
     CampaignConfig,
+    contract_verdict,
     counterexample_suite,
     evaluate_bound,
     report_to_csv,
@@ -96,8 +98,6 @@ def cmd_omega(args) -> int:
 
 
 def cmd_omega_p(args) -> int:
-    from .ensembles import RngStream
-
     ops = [read_matrix(p) for p in args.paths]
     est = omega_p(ops, args.p, restarts=args.restarts, tol=args.tol,
                   stream=RngStream(master_seed=args.seed))
@@ -123,16 +123,11 @@ def cmd_bound(args) -> int:
         "variant": args.variant,
         "constant_mode": args.constant_mode,
     }
-    from .ensembles import RngStream
-
-    outcome, lhs, _, extras = evaluate_bound(
-        spec.bound_id, mats, params, omega_tol=args.tol,
-        constant_mode=args.constant_mode,
-        stream=RngStream(master_seed=args.seed))
-    lhs_pow = lhs ** outcome.exponent
-    ok = outcome.value >= lhs_pow - 1e-8 * max(1.0, outcome.value)
+    settings = EvalSettings(omega_tol=args.tol, stream=RngStream(master_seed=args.seed))
+    outcome, lhs, _, extras = evaluate_bound(spec.bound_id, mats, params, settings)
+    _, violation = contract_verdict(outcome.value, lhs ** outcome.exponent)
     _print_kv("bound", id=spec.bound_id, value=outcome.value,
-              exponent=outcome.exponent, omega_lo=lhs, ok=ok)
+              exponent=outcome.exponent, omega_lo=lhs, ok=not violation)
     if "zeta_estimate" in extras:
         _print_kv("zeta", value=extras["zeta_estimate"],
                   refined=extras["refined_value"], guaranteed=outcome.value)
@@ -161,12 +156,9 @@ def _load_config(args) -> CampaignConfig:
         fields["bound_ids"] = tuple(s.strip() for s in args.bounds.split(","))
     if args.constant_mode:
         fields["constant_mode"] = args.constant_mode
-    for key in ("dims", "bound_ids", "r_values", "alpha_values",
-                "holder_p_values", "omega_p_p_values", "n_operators_values",
-                "extra_trials"):
-        if key in fields and isinstance(fields[key], list):
-            fields[key] = tuple(tuple(v) if isinstance(v, list) else v
-                                for v in fields[key])
+    for key, val in fields.items():
+        if isinstance(val, list):
+            fields[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
     try:
         config = CampaignConfig(**fields)
     except TypeError as exc:

@@ -1,10 +1,13 @@
 """Seeded verification campaigns over the bound evaluators.
 
 A campaign draws random inputs per bound, evaluates the bound, computes the
-certified radius (or the generalized-radius estimate) on the contract side,
-and records tightness ratios and violations. Which grid, inputs, evaluator
-and contract side a bound id has comes from its entry in the bound table
-(`numrad.bounds.BOUNDS`); nothing here tests an id. Everything is
+certified radius (or the generalized-radius estimate) on the contract side
+once, and records tightness ratios and violations. Which grid, inputs,
+evaluator and contract side a bound id has comes from its entry in the
+bound table (`numrad.bounds.BOUNDS`); nothing here tests an id. Every
+evaluation takes its settings from one `numrad.bounds.EvalSettings`, and
+every contract check, in campaigns, the counterexample suite and
+`numrad bound`, goes through `contract_verdict`. Everything is
 deterministic in the master seed: each trial derives its own stream,
 the plan runs serially in trial-index order, and serialized reports are
 byte-identical across runs. `CampaignConfig.jobs` is accepted and ignored:
@@ -31,6 +34,9 @@ FORMAT_VERSION = "numrad-report/1"
 _CSV_COLUMNS = ("trial", "bound_id", "m", "n", "r", "alpha", "p", "q",
                 "value", "omega_lo", "omega_hi", "ratio", "violation", "seed_path")
 
+# Relative slack of every contract check: see `contract_verdict`.
+CONTRACT_SLACK = 1e-8
+
 DEFAULT_ROLES = {
     "x": "ginibre",
     "y": "ginibre",
@@ -56,11 +62,11 @@ class CampaignConfig:
     ensembles: dict = field(default_factory=lambda: dict(DEFAULT_ROLES))
     master_seed: int = 0
     omega_tol: float = 1e-6            # relative to max(1, scale) per trial
-    slack: float = 1e-8                # violation slack epsilon_rel
+    slack: float = CONTRACT_SLACK      # violation slack epsilon_rel
     constant_mode: str = "as_proved"
     omega_p_restarts: int = 4
     omega_p_max_iter: int = 120
-    zeta_restarts: int = 6
+    zeta_restarts: int = 6             # validated; changes no result
     jobs: int = 1                      # accepted; campaigns run serially
     extra_trials: tuple = ()           # (bound_id, params dict, mats dict) triples
 
@@ -69,6 +75,8 @@ class CampaignConfig:
         if not math.isfinite(self.omega_tol) or self.omega_tol < 1e-12:
             raise OutOfRangeError(
                 f"omega_tol must be finite and >= 1e-12, got {self.omega_tol}")
+        if self.zeta_restarts < 1:
+            raise OutOfRangeError(f"zeta_restarts must be >= 1, got {self.zeta_restarts}")
 
 
 def default_config(master_seed: int = 0, **overrides) -> CampaignConfig:
@@ -166,9 +174,7 @@ def _mats_digests(spec: BoundSpec, mats: dict) -> tuple:
 
 
 def evaluate_bound(bound_id: str, mats: dict, params: dict,
-                   omega_tol: float = 1e-6, constant_mode: str = "as_proved",
-                   omega_p_restarts: int = 8, omega_p_max_iter: int = 300,
-                   zeta_restarts: int = 6, stream: RngStream | None = None):
+                   settings: EvalSettings = EvalSettings()):
     """Evaluate one bound on explicit matrices and measure its contract side.
 
     Returns (outcome, lhs, omega_hi_or_None, extras). `lhs` is the certified
@@ -177,18 +183,26 @@ def evaluate_bound(bound_id: str, mats: dict, params: dict,
     lhs ** outcome.exponent whenever the bound is valid.
     """
     spec = bound_spec(bound_id)
-    settings = EvalSettings(omega_tol, constant_mode, omega_p_restarts, omega_p_max_iter,
-                            zeta_restarts, RngStream(master_seed=0) if stream is None else stream)
     mats = _coerce_mats(mats)
     outcome, extras = spec.evaluate(mats, params, settings)
     lhs, omega_hi, measured = spec.contract_side(mats, params, settings)
     return outcome, lhs, omega_hi, dict(extras, **measured)
 
 
-def _ratio(lhs_pow: float, value: float) -> float:
+def contract_verdict(value: float, lhs_pow: float,
+                     slack: float = CONTRACT_SLACK) -> tuple[float, bool]:
+    """(ratio, violation) of the contract lhs_pow <= value.
+
+    The contract is violated when value < lhs_pow - slack * max(1, value).
+    The tightness ratio is lhs_pow / value, capped at 1e308; at value 0 it
+    is 1 when lhs_pow <= 0 and 1e308 otherwise.
+    """
+    violation = value < lhs_pow - slack * max(1.0, value)
     if value > 0.0:
-        return min(lhs_pow / value, 1e308)
-    return 1.0 if lhs_pow <= 0.0 else 1e308
+        ratio = min(lhs_pow / value, 1e308)
+    else:
+        ratio = 1.0 if lhs_pow <= 0.0 else 1e308
+    return ratio, bool(violation)
 
 
 def _run_single(config: CampaignConfig, index: int, bound_id: str,
@@ -203,22 +217,11 @@ def _run_single(config: CampaignConfig, index: int, bound_id: str,
         mats = _sample_mats(spec, params, config, stream) if mats is None \
             else _coerce_mats(mats)
         digests = _mats_digests(spec, mats)
-        settings = dict(omega_tol=config.omega_tol,
-                        constant_mode=params.get("constant_mode", config.constant_mode),
-                        omega_p_restarts=config.omega_p_restarts,
-                        omega_p_max_iter=config.omega_p_max_iter,
-                        zeta_restarts=config.zeta_restarts,
-                        stream=stream)
-        outcome, lhs, omega_hi, extras = evaluate_bound(bound_id, mats, params, **settings)
-        lhs_pow = lhs ** outcome.exponent
-        violation = outcome.value < lhs_pow - config.slack * max(1.0, outcome.value)
-        if violation and spec.measure == "omega_p":
-            # estimates are lower bounds already; re-check with 4x restarts
-            settings["omega_p_restarts"] *= 4
-            lhs2, _, _ = spec.contract_side(mats, params, EvalSettings(**settings))
-            lhs = max(lhs, lhs2)
-            lhs_pow = lhs ** outcome.exponent
-            violation = outcome.value < lhs_pow - config.slack * max(1.0, outcome.value)
+        settings = EvalSettings(config.omega_tol, config.omega_p_restarts,
+                                config.omega_p_max_iter, stream)
+        outcome, lhs, omega_hi, extras = evaluate_bound(bound_id, mats, params, settings)
+        ratio, violation = contract_verdict(outcome.value, lhs ** outcome.exponent,
+                                            config.slack)
         record = TrialRecord(
             index=index,
             bound_id=bound_id,
@@ -228,8 +231,8 @@ def _run_single(config: CampaignConfig, index: int, bound_id: str,
             exponent=outcome.exponent,
             omega_lo=lhs,
             omega_hi=omega_hi,
-            ratio=_ratio(lhs_pow, outcome.value),
-            violation=bool(violation),
+            ratio=ratio,
+            violation=violation,
             seed_path=seed_path,
             wall_time=perf_counter() - t0,
         )
@@ -317,15 +320,10 @@ def _config_echo(config: CampaignConfig) -> dict:
     echo = asdict(config)
     # jobs is accepted but ignored; reports must not depend on it
     echo.pop("jobs", None)
-    echo["bound_ids"] = list(config.bound_ids)
-    echo["dims"] = [list(d) for d in config.dims]
     echo["extra_trials"] = [
         [bound_id, _clean_params(dict(params)), sorted(mats.keys())]
         for bound_id, params, mats in config.extra_trials
     ]
-    for key in ("r_values", "alpha_values", "holder_p_values",
-                "omega_p_p_values", "n_operators_values"):
-        echo[key] = list(echo[key])
     return echo
 
 
@@ -415,7 +413,7 @@ def counterexample_suite(master_seed: int = COUNTEREXAMPLE_SEED,
         y = sample("ginibre", side, side, derive(stream, 2))
         lhs = spectral_norm(x + y)
         rhs = spectral_norm(fn_of_abs(x, lambda t: t) + fn_of_abs(y, lambda t: t))
-        violation = rhs < lhs - 1e-8 * max(1.0, rhs)
+        ratio, violation = contract_verdict(rhs, lhs, config.slack)
         records.append(TrialRecord(
             index=index,
             bound_id="sum_norm.normal",
@@ -426,8 +424,8 @@ def counterexample_suite(master_seed: int = COUNTEREXAMPLE_SEED,
             exponent=1.0,
             omega_lo=lhs,
             omega_hi=lhs,
-            ratio=_ratio(lhs, rhs),
-            violation=bool(violation),
+            ratio=ratio,
+            violation=violation,
             seed_path=f"{master_seed}/{1000 + k}",
         ))
         index += 1
@@ -437,7 +435,7 @@ def counterexample_suite(master_seed: int = COUNTEREXAMPLE_SEED,
 def tightness_sweep(bound_id: str, mats: dict, sweep: dict,
                     base: dict | None = None, omega_tol: float = 1e-8,
                     omega_p_restarts: int = 8,
-                    stream: RngStream | None = None) -> list[tuple[dict, float]]:
+                    stream: RngStream = RngStream(0)) -> list[tuple[dict, float]]:
     """Ratio table over a parameter grid with fixed input matrices.
 
     Returns [(parameter point, ratio)] in deterministic grid order; an
@@ -452,12 +450,10 @@ def tightness_sweep(bound_id: str, mats: dict, sweep: dict,
     points: list[dict] = [{}]
     for key in keys:
         points = [dict(pt, **{key: val}) for pt in points for val in sweep[key]]
+    settings = EvalSettings(omega_tol, omega_p_restarts, stream=stream)
     rows = []
     for pt in points:
         params = dict(base or {}, **pt)
-        outcome, lhs, _, _ = evaluate_bound(
-            bound_id, mats, params, omega_tol=omega_tol,
-            omega_p_restarts=omega_p_restarts,
-            stream=stream or RngStream(master_seed=0))
-        rows.append((pt, _ratio(lhs ** outcome.exponent, outcome.value)))
+        outcome, lhs, _, _ = evaluate_bound(bound_id, mats, params, settings)
+        rows.append((pt, contract_verdict(outcome.value, lhs ** outcome.exponent)[0]))
     return rows

@@ -271,6 +271,50 @@ class TestMain11:
         s1 = fn_of_abs(x, fe) + fn_of_abs(adjoint(x), ge)
         assert n1 == pytest.approx(spectral_norm(s1) ** 4.0, rel=1e-9)
 
+    @pytest.mark.parametrize("variant", [1, 2])
+    @pytest.mark.parametrize("mode", ["as_stated", "as_proved"])
+    def test_matches_fn_of_psd_route(self, variant, mode):
+        # reference: ||G**p|| through an explicit function of the PSD group
+        g = np.random.default_rng(21)
+        x, y = rand_complex(g, 2, 3), rand_complex(g, 3, 2)
+        for alpha in (0.0, 0.5, 1.0):
+            pair = power_pair(alpha)
+            for hp in (HolderPair(1.25, 5.0), HP22, HolderPair(4.0, 4.0 / 3.0)):
+                for r in (1.0, 1.5):
+                    out = bound_main11(OffDiagPair(x, y), pair, r, hp, variant, mode)
+                    fe, ge = pow_of_pair(pair, 2 * r)
+                    f1, f2 = (fe, ge) if variant == 1 else (fe, fe)
+                    f3, f4 = (fe, ge) if variant == 1 else (ge, ge)
+                    first = fn_of_abs(x, f1) + fn_of_abs(adjoint(y), f2)
+                    second = fn_of_abs(y, f3) + fn_of_abs(adjoint(x), f4)
+                    a = spectral_norm(fn_of_psd(first, lambda t: np.asarray(t) ** hp.p))
+                    b = spectral_norm(fn_of_psd(second, lambda t: np.asarray(t) ** hp.q))
+                    const = 4.0 ** (r - 2.0) if mode == "as_stated" else 4.0 ** (r - 1.0)
+                    direct = const * (a / hp.p ** 2 + b / hp.q ** 2)
+                    assert out.value == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    def test_eigensolves_match_young_split(self, monkeypatch):
+        # both read the norms of the same two PSD groups: 4 Gram + 2 norm solves
+        calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        g = np.random.default_rng(22)
+        pair = OffDiagPair(rand_complex(g, 2, 3), rand_complex(g, 3, 2))
+        hp = HolderPair(4.0, 4.0 / 3.0)
+        counts = []
+        for bound in (bound_main11, bound_main11_young):
+            calls.clear()
+            bound(pair, HALF, 1.5, hp, 1)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 6
+
 
 class TestMain11Young:
     def test_scalar_tight(self):

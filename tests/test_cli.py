@@ -10,7 +10,7 @@ import pytest
 
 import numrad
 from numrad.bounds import BOUND_IDS, bound_spec
-from numrad.cli import main
+from numrad.cli import _load_config, build_parser, main
 from numrad.matrixio import read_matrix, write_matrix
 
 
@@ -143,6 +143,13 @@ class TestBoundCommand:
         assert float(kv["value"]) == pytest.approx(0.5, abs=1e-12)
         assert kv["ok"] == "false"
 
+    def test_main11_default_mode_ok(self, tmp_path, capsys):
+        path = write_mat(tmp_path, "one.json", [[1.0]])
+        assert main(["bound", "--id", "main11.v1", path, path]) == 0
+        _, kv = parse_kv(capsys.readouterr().out.strip())
+        assert float(kv["value"]) == pytest.approx(2.0, abs=1e-12)
+        assert kv["ok"] == "true"
+
     def test_th1_diagonal(self, tmp_path, capsys):
         a = write_mat(tmp_path, "a.json", [[2.0]])
         z = write_mat(tmp_path, "z.json", [[0.0]])
@@ -263,6 +270,27 @@ class TestVerifyCommand:
         assert code == 3
         assert "omega_tol" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_zero_zeta_restarts_exit_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"bound_ids": ["main3.v1"], "zeta_restarts": 0}))
+        code = main(["verify", "--config", str(cfg_path), "--trials", "1",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "zeta_restarts" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_config_echo_loads_back(self, tmp_path):
+        # every list in the echo, grid axes and extra trials alike, reads back
+        # as the tuple the config holds
+        extra = ("main1.v1", {"m": 1, "n": 1, "r": 1.0, "alpha": 0.5},
+                 {"x": [[1.0]], "y": [[2.0]]})
+        config = numrad.default_config(3, bound_ids=("main1.v1",), extra_trials=(extra,))
+        echo = json.loads(numrad.report_to_json(numrad.harness.build_report(config, [])))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(echo["config"], extra_trials=[extra])))
+        args = build_parser().parse_args(["verify", "--config", str(cfg_path)])
+        assert _load_config(args) == config
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg_path = tmp_path / "config.json"

@@ -12,10 +12,12 @@ from numrad.bounds import BOUND_IDS, BoundOutcome, bound_spec
 from numrad.ensembles import RngStream
 from numrad.errors import DimensionMismatchError, UnknownBoundError
 from numrad.harness import (
+    CONTRACT_SLACK,
     CampaignConfig,
     _build_plan,
     _run_single,
     _sample_mats,
+    contract_verdict,
     counterexample_suite,
     default_config,
     evaluate_bound,
@@ -117,6 +119,34 @@ class TestRunCampaign:
             lhs_pow = rec.omega_lo ** rec.exponent
             expect = rec.value < lhs_pow - cfg.slack * max(1.0, rec.value)
             assert rec.violation == expect
+
+
+class TestContractVerdict:
+    def test_threshold_is_not_a_violation(self):
+        # below 1 the slack is absolute: the threshold is lhs_pow - slack
+        at = 0.5 - CONTRACT_SLACK
+        assert contract_verdict(at, 0.5) == (0.5 / at, False)
+        assert contract_verdict(np.nextafter(at, 0.0), 0.5)[1]
+
+    def test_threshold_scales_with_value(self):
+        # above 1 it is relative: a power-of-two slack keeps the sums exact
+        slack = 2.0 ** -20
+        assert not contract_verdict(4.0, 4.0 + 4.0 * slack, slack)[1]
+        assert contract_verdict(np.nextafter(4.0, 0.0), 4.0 + 4.0 * slack, slack)[1]
+
+    def test_zero_value(self):
+        assert contract_verdict(0.0, 0.0) == (1.0, False)
+        assert contract_verdict(0.0, -1.0) == (1.0, False)
+        # the ratio saturates while the slack still forgives a tiny lhs_pow
+        assert contract_verdict(0.0, 1e-9) == (1e308, False)
+        assert contract_verdict(0.0, 1.0) == (1e308, True)
+
+    def test_ratio_cap(self):
+        assert contract_verdict(1e-300, 1e10) == (1e308, True)
+        assert contract_verdict(2.0, 1.0) == (0.5, False)
+
+    def test_campaign_slack_default(self):
+        assert CampaignConfig().slack == CONTRACT_SLACK
 
 
 class TestReports:
@@ -278,7 +308,9 @@ class TestBoundTable:
         record = _run_single(cfg, 0, "th1", params, None)
         assert record.violation
         assert evals == ["th1"]
-        assert restarts == [cfg.omega_p_restarts, 4 * cfg.omega_p_restarts]
+        # lhs is a lower estimate, so a second estimate can only raise it and
+        # never clears a violation: the contract side runs once
+        assert restarts == [cfg.omega_p_restarts]
 
     def test_inner_counters_stay_live(self, monkeypatch):
         calls = []
