@@ -7,10 +7,11 @@ intermediate norms, and the parameters used. The evaluators never compare
 against a radius themselves; validity checking lives in the harness.
 
 `BOUNDS` maps every bound id to its :class:`BoundSpec`: the campaign grid
-axes, how inputs are drawn (and so how many matrix files the CLI reads),
-the evaluator call and the contract-side measure. The harness and the CLI
-dispatch on this table only, so adding a bound over existing grid axes
-means writing its evaluator and adding one entry.
+axes, how inputs are drawn and checked (and so how many matrix files the
+CLI reads), the evaluator call and the contract-side measure. The harness
+and the CLI dispatch on this table only and name no input key, so adding
+a bound over existing grid axes means writing its evaluator and adding
+one entry.
 
 The two-exponent (Holder) bound carries a documented constant discrepancy:
 its printed prefactor 4**(r-2) is falsified by the scalar case X = Y = [1]
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensembles import RngStream, derive
+from .ensembles import RngStream, derive, sample
 from .errors import (
     DimensionMismatchError,
     InvalidFunctionError,
@@ -110,10 +111,6 @@ def _require_variant(variant: int) -> int:
     return variant
 
 
-def _as_pair(p) -> OffDiagPair:
-    return p if isinstance(p, OffDiagPair) else OffDiagPair(*p)
-
-
 def _check_pair_on_spectra(pair: FunctionPair, spectra: Sequence[np.ndarray]) -> None:
     samples = np.unique(np.concatenate([np.clip(s, 0.0, None) for s in spectra]
                                        + [np.array([0.0, 1.0])]))
@@ -142,11 +139,17 @@ def _pair_terms(pair: FunctionPair, r: float, variant: int,
     return [fn_of_spectrum(fn, s, v) for fn, (s, v) in zip(fns, eigs)]
 
 
-def _offdiag_groups(pair: FunctionPair, r: float, variant: int,
-                    x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two group sums of :func:`_pair_terms`."""
-    t1, t2, t3, t4 = _pair_terms(pair, r, variant, x, y)
-    return t1 + t2, t3 + t4
+def _offdiag_groups(p, pair: FunctionPair, r: float, variant: int) -> tuple:
+    """(r, first, second, ||first||, ||second||) for the pair p = (X, Y).
+
+    Validates r and the variant; the groups are the two sums of
+    :func:`_pair_terms`, which the four off-diagonal bounds share.
+    """
+    p = p if isinstance(p, OffDiagPair) else OffDiagPair(*p)
+    r = _require_r(r)
+    t1, t2, t3, t4 = _pair_terms(pair, r, _require_variant(variant), p.x, p.y)
+    first, second = t1 + t2, t3 + t4
+    return r, first, second, spectral_norm(first), spectral_norm(second)
 
 
 def refined_young(a: float, b: float, m: int) -> tuple[float, float]:
@@ -176,12 +179,7 @@ def bound_main1(p: OffDiagPair, pair: FunctionPair, r: float,
     f**(2r), g**(2r) applied to |X|, |Y*|, |Y|, |X*|; contract
     omega(T)**r <= value.
     """
-    p = _as_pair(p)
-    r = _require_r(r)
-    variant = _require_variant(variant)
-    first, second = _offdiag_groups(pair, r, variant, p.x, p.y)
-    n1 = spectral_norm(first)
-    n2 = spectral_norm(second)
+    r, _, _, n1, n2 = _offdiag_groups(p, pair, r, variant)
     value = 2.0 ** (r - 2.0) * math.sqrt(n1) * math.sqrt(n2)
     return BoundOutcome(
         bound_id=f"main1.v{variant}",
@@ -279,16 +277,13 @@ def bound_main11(p: OffDiagPair, pair: FunctionPair, r: float, hp: HolderPair,
     ('as_stated') fails on scalars; the derivation supports C = 4**(r-1)
     ('as_proved', default).
     """
-    p_ = _as_pair(p)
-    r = _require_r(r)
-    variant = _require_variant(variant)
     if constant_mode not in ("as_stated", "as_proved"):
         raise OutOfRangeError(f"constant_mode must be as_stated or as_proved, "
                               f"got {constant_mode!r}")
-    first, second = _offdiag_groups(pair, r, variant, p_.x, p_.y)
+    r, _, _, n1, n2 = _offdiag_groups(p, pair, r, variant)
     pw, qw = hp.p, hp.q
-    alpha_sq = spectral_norm(first) ** pw / pw ** 2
-    beta_sq = spectral_norm(second) ** qw / qw ** 2
+    alpha_sq = n1 ** pw / pw ** 2
+    beta_sq = n2 ** qw / qw ** 2
     const = 4.0 ** (r - 2.0) if constant_mode == "as_stated" else 4.0 ** (r - 1.0)
     value = const * (alpha_sq + beta_sq)
     return BoundOutcome(
@@ -305,12 +300,7 @@ def bound_main11_young(p: OffDiagPair, pair: FunctionPair, r: float,
                        hp: HolderPair, variant: int = 1) -> BoundOutcome:
     """Young-split variant: value = 2**(r-2) (||g1||^(p/2)/p + ||g2||^(q/2)/q),
     contract omega(T)**r <= value."""
-    p_ = _as_pair(p)
-    r = _require_r(r)
-    variant = _require_variant(variant)
-    first, second = _offdiag_groups(pair, r, variant, p_.x, p_.y)
-    n1 = spectral_norm(first)
-    n2 = spectral_norm(second)
+    r, _, _, n1, n2 = _offdiag_groups(p, pair, r, variant)
     pw, qw = hp.p, hp.q
     value = 2.0 ** (r - 2.0) * (n1 ** (pw / 2.0) / pw + n2 ** (qw / 2.0) / qw)
     return BoundOutcome(
@@ -367,14 +357,9 @@ def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
     rounding. zeta_restarts (validated, >= 1) and stream are accepted for
     compatibility and do not affect the result.
     """
-    p_ = _as_pair(p)
-    r = _require_r(r)
-    variant = _require_variant(variant)
     if zeta_restarts < 1:
         raise OutOfRangeError(f"zeta_restarts must be >= 1, got {zeta_restarts}")
-    first, second = _offdiag_groups(pair, r, variant, p_.x, p_.y)
-    n1 = spectral_norm(first)
-    n2 = spectral_norm(second)
+    r, first, second, n1, n2 = _offdiag_groups(p, pair, r, variant)
     base = 2.0 ** (r - 2.0) * (n1 + n2)
     zeta = _estimate_zeta(first, second)
     bound_id = f"main3.v{variant}"
@@ -414,12 +399,13 @@ def _as_contraction_item(item) -> tuple[np.ndarray, ...]:
 
 def main4_operands(items) -> list[np.ndarray]:
     """The compressed off-diagonal products [[0, A*XD], [B*YC, 0]] whose
-    generalized radius the contraction bound controls."""
-    out = []
-    for item in items:
-        a, b, c, d, x, y = _as_contraction_item(item)
-        out.append(embed_offdiag(adjoint(a) @ x @ d, adjoint(b) @ y @ c))
-    return out
+    generalized radius the contraction bound controls.
+
+    The items must be ones `bound_main4` accepted: their shapes and
+    contraction norms are not checked again here.
+    """
+    return [embed_offdiag(adjoint(a) @ x @ d, adjoint(b) @ y @ c)
+            for a, b, c, d, x, y in items]
 
 
 def bound_main4(items, pair: FunctionPair, p: float, variant: int = 1) -> BoundOutcome:
@@ -491,7 +477,8 @@ def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
 
 @dataclass(frozen=True)
 class Sampler:
-    """How one bound's input matrices are drawn, packed and read from files.
+    """How one bound's input matrices are drawn, checked, packed and read
+    from files.
 
     Each slot is (name, ensemble role, shape), shape "mn" meaning m-by-n,
     and slot k draws from derive(stream, k + 1). A grouped sampler draws
@@ -510,10 +497,28 @@ class Sampler:
         return dict(zip([name for name, _, _ in self.slots], groups[0]))
 
     def unpack(self, mats: dict) -> list:
-        """Every input matrix, group by group in slot order.
+        """Every matrix of a coerced input dict, group by group in slot order."""
+        if self.group is None:
+            return [mats[name] for name, _, _ in self.slots]
+        return [m for g in mats[self.group] for m in g]
 
-        Raises DimensionMismatchError when a key is missing or a group does
-        not hold one matrix per slot.
+    def draw(self, params: dict, kinds: dict, stream: RngStream) -> dict:
+        """Fresh inputs of sides params["m"], params["n"] (and
+        params["n_operators"] groups), each role drawn from kinds[role]."""
+        dims = {"m": params["m"], "n": params["n"]}
+        streams = [stream] if self.group is None else \
+            [derive(stream, 10 + i) for i in range(params["n_operators"])]
+        return self.pack([
+            [sample(kinds[role], dims[shape[0]], dims[shape[1]], derive(sub, k + 1))
+             for k, (_, role, shape) in enumerate(self.slots)]
+            for sub in streams])
+
+    def coerce(self, mats: dict) -> dict:
+        """The input dict with every slot's matrix as a complex array.
+
+        Raises DimensionMismatchError when a key is missing, a group value
+        is not a list of groups, or a group does not hold one matrix per
+        slot, and ValueError on a malformed matrix. Other keys are dropped.
         """
         names = [name for name, _, _ in self.slots]
         keys = names if self.group is None else [self.group]
@@ -521,12 +526,17 @@ class Sampler:
             raise DimensionMismatchError(
                 f"expected matrices {sorted(keys)}, got {sorted(mats)}")
         if self.group is None:
-            return [mats[name] for name in names]
-        for g in mats[self.group]:
+            return {name: as_matrix(mats[name]) for name in names}
+        try:
+            groups = [tuple(g) for g in mats[self.group]]
+        except TypeError:
+            raise DimensionMismatchError(f"{self.group!r} must be a list of matrix "
+                                         f"groups, got {mats[self.group]!r}") from None
+        for g in groups:
             if len(g) != len(names):
                 raise DimensionMismatchError(
                     f"each {self.group!r} group needs matrices {names}, got {len(g)}")
-        return [m for g in mats[self.group] for m in g]
+        return {self.group: [tuple(as_matrix(m) for m in g) for g in groups]}
 
 
 @dataclass(frozen=True)
@@ -650,6 +660,10 @@ def _sign(params: dict) -> float:
 def _embedding(m, prm):
     return embed_offdiag(m["x"], m["y"])
 
+
+# The ensemble kind of each sampler role unless a campaign names another.
+DEFAULT_ROLES = {"x": "ginibre", "y": "ginibre", "contraction": "contraction",
+                 "block": "ginibre", "normal": "normal"}
 
 _PAIR = Sampler((("x", "x", "mn"), ("y", "y", "nm")))
 _NORMAL_PAIR = Sampler((("x", "normal", "mn"), ("y", "normal", "nm")))

@@ -4,7 +4,8 @@ A campaign draws random inputs per bound, evaluates the bound, computes the
 certified radius (or the generalized-radius estimate) on the contract side
 once, and records tightness ratios and violations. Which grid, inputs,
 evaluator and contract side a bound id has comes from its entry in the
-bound table (`numrad.bounds.BOUNDS`); nothing here tests an id. Every
+bound table (`numrad.bounds.BOUNDS`), whose sampler draws and checks the
+inputs; nothing here tests an id or names an input key. Every
 evaluation takes its settings from one `numrad.bounds.EvalSettings`, and
 every contract check, in campaigns, the counterexample suite and
 `numrad bound`, goes through `contract_verdict`. Everything is
@@ -24,10 +25,10 @@ from time import perf_counter
 
 import numpy as np
 
-from .bounds import BOUND_IDS, BoundSpec, EvalSettings, bound_spec
-from .ensembles import RngStream, derive, sample
-from .errors import DimensionMismatchError, NumradError, OutOfRangeError
-from .linalg import as_matrix, fn_of_abs, spectral_norm
+from .bounds import BOUND_IDS, DEFAULT_ROLES, BoundSpec, EvalSettings, bound_spec
+from .ensembles import KINDS, RngStream, derive, sample
+from .errors import NumradError, OutOfRangeError
+from .linalg import fn_of_abs, spectral_norm
 
 FORMAT_VERSION = "numrad-report/1"
 
@@ -36,14 +37,6 @@ _CSV_COLUMNS = ("trial", "bound_id", "m", "n", "r", "alpha", "p", "q",
 
 # Relative slack of every contract check: see `contract_verdict`.
 CONTRACT_SLACK = 1e-8
-
-DEFAULT_ROLES = {
-    "x": "ginibre",
-    "y": "ginibre",
-    "contraction": "contraction",
-    "block": "ginibre",
-    "normal": "normal",
-}
 
 
 @dataclass
@@ -59,7 +52,7 @@ class CampaignConfig:
     holder_p_values: tuple = (1.25, 2.0, 4.0)
     omega_p_p_values: tuple = (1.0, 2.0, 3.0)
     n_operators_values: tuple = (1, 2, 4)
-    ensembles: dict = field(default_factory=lambda: dict(DEFAULT_ROLES))
+    ensembles: dict = field(default_factory=dict)  # role -> kind; the rest default
     master_seed: int = 0
     omega_tol: float = 1e-6            # relative to max(1, scale) per trial
     slack: float = CONTRACT_SLACK      # violation slack epsilon_rel
@@ -75,8 +68,25 @@ class CampaignConfig:
         if not math.isfinite(self.omega_tol) or self.omega_tol < 1e-12:
             raise OutOfRangeError(
                 f"omega_tol must be finite and >= 1e-12, got {self.omega_tol}")
-        if self.zeta_restarts < 1:
-            raise OutOfRangeError(f"zeta_restarts must be >= 1, got {self.zeta_restarts}")
+        if not math.isfinite(self.slack) or self.slack < 0.0:
+            raise OutOfRangeError(f"slack must be finite and >= 0, got {self.slack}")
+        for key in ("zeta_restarts", "omega_p_restarts"):
+            if getattr(self, key) < 1:
+                raise OutOfRangeError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.omega_p_max_iter < 0:
+            raise OutOfRangeError(
+                f"omega_p_max_iter must be >= 0, got {self.omega_p_max_iter}")
+        if not isinstance(self.ensembles, dict) or any(
+                role not in DEFAULT_ROLES or kind not in KINDS
+                for role, kind in self.ensembles.items()):
+            raise OutOfRangeError(f"ensembles must map roles in {sorted(DEFAULT_ROLES)} "
+                                  f"to kinds in {list(KINDS)}, got {self.ensembles!r}")
+        self.ensembles = dict(DEFAULT_ROLES, **self.ensembles)
+        for entry in self.extra_trials:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 3
+                    and isinstance(entry[1], dict) and isinstance(entry[2], dict)):
+                raise OutOfRangeError(f"an extra trial must be a (bound id, params "
+                                      f"object, matrices object) triple, got {entry!r}")
 
 
 def default_config(master_seed: int = 0, **overrides) -> CampaignConfig:
@@ -157,22 +167,6 @@ def _build_plan(config: CampaignConfig) -> list[tuple[str, dict, dict | None]]:
     return plan
 
 
-def _sample_mats(spec: BoundSpec, params: dict, config: CampaignConfig,
-                 stream: RngStream) -> dict:
-    sampler = spec.sampler
-    dims = {"m": params["m"], "n": params["n"]}
-    streams = [stream] if sampler.group is None else \
-        [derive(stream, 10 + i) for i in range(params["n_operators"])]
-    return sampler.pack([
-        [sample(config.ensembles[role], dims[shape[0]], dims[shape[1]], derive(sub, k + 1))
-         for k, (_, role, shape) in enumerate(sampler.slots)]
-        for sub in streams])
-
-
-def _mats_digests(spec: BoundSpec, mats: dict) -> tuple:
-    return tuple(_digest(m) for m in spec.sampler.unpack(mats))
-
-
 def evaluate_bound(bound_id: str, mats: dict, params: dict,
                    settings: EvalSettings = EvalSettings()):
     """Evaluate one bound on explicit matrices and measure its contract side.
@@ -183,7 +177,7 @@ def evaluate_bound(bound_id: str, mats: dict, params: dict,
     lhs ** outcome.exponent whenever the bound is valid.
     """
     spec = bound_spec(bound_id)
-    mats = _coerce_mats(mats)
+    mats = spec.sampler.coerce(mats)
     outcome, extras = spec.evaluate(mats, params, settings)
     lhs, omega_hi, measured = spec.contract_side(mats, params, settings)
     return outcome, lhs, omega_hi, dict(extras, **measured)
@@ -214,9 +208,9 @@ def _run_single(config: CampaignConfig, index: int, bound_id: str,
         spec = bound_spec(bound_id)
         params = dict(params, **{key: params.get(key, getattr(config, key))
                                  for key in spec.extras})
-        mats = _sample_mats(spec, params, config, stream) if mats is None \
-            else _coerce_mats(mats)
-        digests = _mats_digests(spec, mats)
+        mats = spec.sampler.draw(params, config.ensembles, stream) if mats is None \
+            else spec.sampler.coerce(mats)
+        digests = tuple(_digest(m) for m in spec.sampler.unpack(mats))
         settings = EvalSettings(config.omega_tol, config.omega_p_restarts,
                                 config.omega_p_max_iter, stream)
         outcome, lhs, omega_hi, extras = evaluate_bound(bound_id, mats, params, settings)
@@ -236,7 +230,7 @@ def _run_single(config: CampaignConfig, index: int, bound_id: str,
             seed_path=seed_path,
             wall_time=perf_counter() - t0,
         )
-    except (NumradError, ValueError) as exc:
+    except (NumradError, ValueError, TypeError) as exc:
         record = TrialRecord(
             index=index, bound_id=bound_id, params=_clean_params(dict(params)),
             digests=(), value=None, exponent=None, omega_lo=None, omega_hi=None,
@@ -255,21 +249,6 @@ def _clean_params(params: dict) -> dict:
             out[key] = val
         else:
             out[key] = str(val)
-    return out
-
-
-def _coerce_mats(mats: dict) -> dict:
-    out = {}
-    for key, val in mats.items():
-        if key in ("items", "blocks"):
-            try:
-                groups = [tuple(group) for group in val]
-            except TypeError:
-                raise DimensionMismatchError(
-                    f"{key!r} must be a list of matrix groups, got {val!r}") from None
-            out[key] = [tuple(as_matrix(m) for m in group) for group in groups]
-        else:
-            out[key] = as_matrix(val)
     return out
 
 
@@ -328,20 +307,9 @@ def _config_echo(config: CampaignConfig) -> dict:
 
 
 def _record_dict(rec: TrialRecord) -> dict:
-    return {
-        "index": rec.index,
-        "bound_id": rec.bound_id,
-        "params": rec.params,
-        "digests": list(rec.digests),
-        "value": rec.value,
-        "exponent": rec.exponent,
-        "omega_lo": rec.omega_lo,
-        "omega_hi": rec.omega_hi,
-        "ratio": rec.ratio,
-        "violation": rec.violation,
-        "seed_path": rec.seed_path,
-        "error": rec.error,
-    }
+    out = asdict(rec)
+    del out["wall_time"]
+    return out
 
 
 def report_to_json(report: CampaignReport) -> str:
@@ -397,12 +365,12 @@ def counterexample_suite(master_seed: int = COUNTEREXAMPLE_SEED,
                             extra_trials=())
     records = []
     one = [[1.0]]
+    scalars = bound_spec("main11.v1").sampler.pack([[one, one]])
     base = {"m": 1, "n": 1, "r": 1.0, "alpha": 0.5, "p": 2.0, "q": 2.0}
 
     for idx, mode, section in ((0, "as_stated", "a"), (1, "as_proved", "c")):
         params = dict(base, constant_mode=mode, section=section)
-        records.append(_run_single(config, idx, "main11.v1", params,
-                                   {"x": one, "y": one}))
+        records.append(_run_single(config, idx, "main11.v1", params, scalars))
 
     root = RngStream(master_seed)
     index = 2
@@ -442,10 +410,10 @@ def tightness_sweep(bound_id: str, mats: dict, sweep: dict,
     empty sweep gives an empty table. Ratios report tightness only and are
     never asserted monotone.
     """
-    bound_spec(bound_id)
+    sampler = bound_spec(bound_id).sampler
     if not sweep:
         return []
-    mats = _coerce_mats(mats)
+    mats = sampler.coerce(mats)
     keys = sorted(sweep.keys())
     points: list[dict] = [{}]
     for key in keys:

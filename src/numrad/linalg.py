@@ -29,8 +29,12 @@ CLAMP_TOL = 1e-12
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Coerce input to a dense complex matrix, rejecting NaN/Inf entries."""
-    m = np.array(entries, dtype=np.complex128, copy=True)
+    """Coerce input to a dense complex matrix, rejecting NaN/Inf entries and
+    entries that are not numbers."""
+    raw = np.asarray(entries)
+    if raw.dtype.kind not in "biufc":
+        raise ValueError(f"matrix entries must be numbers, got {raw.dtype} entries")
+    m = np.array(raw, dtype=np.complex128, copy=True)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -193,8 +193,9 @@ def omega_offdiag_symmetric_check(
 ) -> tuple[CertifiedRadius, CertifiedRadius]:
     """Certified radii of X and of [[0, X], [X, 0]].
 
-    The two intervals must overlap (after widening by 1e-9 * scale);
-    the embedded symmetric matrix has the same numerical radius as X.
+    The embedded symmetric matrix has the same numerical radius as X, so
+    the two intervals should overlap; the function only returns them and
+    leaves that comparison, with whatever widening, to the caller.
     """
     x = as_matrix(x)
     if x.shape[0] != x.shape[1]:

@@ -280,6 +280,70 @@ class TestVerifyCommand:
         assert "zeta_restarts" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("override,name", [
+        ({"slack": math.nan}, "slack"),
+        ({"slack": -1.0}, "slack"),
+        ({"omega_p_restarts": 0}, "omega_p_restarts"),
+        ({"omega_p_max_iter": -1}, "omega_p_max_iter"),
+        ({"ensembles": {"z": "ginibre"}}, "ensembles"),
+        ({"ensembles": {"x": "cauchy"}}, "ensembles"),
+    ])
+    def test_bad_config_value_exit_3(self, tmp_path, capsys, override, name):
+        # each value would disable the check or flood the report with errors
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(
+            {"bound_ids": ["main1.v1", "th1"], "min_trials_per_bound": 1}, **override)))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 3
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_partial_ensembles_run_with_default_roles(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"bound_ids": ["main1.v1"], "min_trials_per_bound": 1,
+                                        "ensembles": {"x": "scalar"}, "dims": [[1, 1]]}))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--format", "json"])
+        assert code == 0
+        assert "errors=0" in capsys.readouterr().out
+        echo = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert echo["ensembles"] == dict(numrad.bounds.DEFAULT_ROLES, x="scalar")
+
+    @pytest.mark.parametrize("bound_id,params,mats,error", [
+        ("main1.v1", {"m": 1, "n": 1}, {"x": {"a": 1}, "y": [[1.0]]},
+         "ValueError: matrix entries must be numbers"),
+        ("main1.v1", {"m": 1, "n": 1, "r": [1]}, {"x": [[1.0]], "y": [[1.0]]},
+         "TypeError: "),
+        ("product_xy", {"m": 1, "n": 1, "variant": None}, {"x": [[1.0]], "y": [[1.0]]},
+         "TypeError: "),
+    ])
+    def test_extra_trial_malformed_value_is_error_record(self, tmp_path, capsys, bound_id,
+                                                         params, mats, error):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"bound_ids": [], "extra_trials": [[bound_id, params, mats]]}))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert f"bound_summary id={bound_id} count=1 violations=0 errors=1" in captured.out
+        assert code == 0
+        errors = json.loads((tmp_path / "report.json").read_text())["errors"]
+        assert errors[0]["error"].startswith(error)
+
+    @pytest.mark.parametrize("entry", [
+        ["main1.v1", [1, 2], {"x": [[1.0]], "y": [[1.0]]}],
+        ["main1.v1", {"m": 1, "n": 1}, [[1.0]]],
+        ["main1.v1", {"m": 1, "n": 1}],
+    ])
+    def test_extra_trial_not_a_triple_exit_3(self, tmp_path, capsys, entry):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"bound_ids": [], "extra_trials": [entry]}))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 3
+        assert "extra trial" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_config_echo_loads_back(self, tmp_path):
         # every list in the echo, grid axes and extra trials alike, reads back
         # as the tuple the config holds

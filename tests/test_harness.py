@@ -7,16 +7,17 @@ import pytest
 
 import numrad.bounds
 import numrad.harness
+import numrad.linalg
 import numrad.radius
-from numrad.bounds import BOUND_IDS, BoundOutcome, bound_spec
+from numrad.bounds import BOUND_IDS, DEFAULT_ROLES, BoundOutcome, bound_spec
 from numrad.ensembles import RngStream
-from numrad.errors import DimensionMismatchError, UnknownBoundError
+from numrad.errors import DimensionMismatchError, NotContractionError, UnknownBoundError
 from numrad.harness import (
     CONTRACT_SLACK,
     CampaignConfig,
+    TrialRecord,
     _build_plan,
     _run_single,
-    _sample_mats,
     contract_verdict,
     counterexample_suite,
     default_config,
@@ -172,6 +173,21 @@ class TestReports:
         assert first[1] == "main1.v1"
         assert first[12] in ("true", "false")
 
+    def test_records_serialize_every_field_but_wall_time(self):
+        cfg = small_config(bound_ids=("main11.v1",), dims=((1, 1),), r_values=(1.0,),
+                           alpha_values=(0.5,), holder_p_values=(2.0,),
+                           min_trials_per_bound=2, constant_mode="as_stated",
+                           extra_trials=(("th1", {"m": 1, "n": 1}, {"x": [[1.0]]}),))
+        report = run_campaign(cfg)
+        payload = json.loads(report_to_json(report))
+        assert len(payload["violations"]) == 2 and len(payload["errors"]) == 1
+        names = [f for f in TrialRecord.__dataclass_fields__ if f != "wall_time"]
+        for key in ("violations", "errors"):
+            for rec, row in zip(getattr(report, key), payload[key]):
+                assert sorted(row) == sorted(names)
+                assert row["digests"] == list(rec.digests)
+                assert row["params"] == rec.params and row["error"] == rec.error
+
     def test_summary_consistency(self):
         report = run_campaign(small_config(bound_ids=("main1.v1", "th1"),
                                            min_trials_per_bound=6))
@@ -247,10 +263,10 @@ TINY = dict(dims=((2, 2),), trials=1, r_values=(2.0,), alpha_values=(0.5,),
             omega_p_restarts=2, omega_p_max_iter=20, zeta_restarts=2)
 
 
-def first_trial(bound_id):
-    cfg = CampaignConfig(bound_ids=(bound_id,), **TINY)
+def first_trial(bound_id, **overrides):
+    cfg = CampaignConfig(bound_ids=(bound_id,), **{**TINY, **overrides})
     _, params, _ = _build_plan(cfg)[0]
-    return cfg, params, _sample_mats(bound_spec(bound_id), params, cfg, RngStream(0))
+    return cfg, params, bound_spec(bound_id).sampler.draw(params, cfg.ensembles, RngStream(0))
 
 
 def patch_everywhere(monkeypatch, orig, calls, key):
@@ -326,4 +342,48 @@ class TestBoundTable:
     def test_unpack_rejects_short_group(self):
         one = np.eye(1)
         with pytest.raises(DimensionMismatchError, match="'blocks' group"):
-            bound_spec("th1").sampler.unpack({"blocks": [(one, one, one)]})
+            bound_spec("th1").sampler.coerce({"blocks": [(one, one, one)]})
+
+
+class TestSamplerInputs:
+    def test_partial_ensembles_equal_default_campaign(self):
+        kw = dict(bound_ids=("main1.v1", "sum_norm.normal", "main4.v1", "th1"),
+                  min_trials_per_bound=4, n_operators_values=(1, 2),
+                  omega_p_restarts=2, omega_p_max_iter=20)
+        default = run_campaign(small_config(**kw))
+        partial = run_campaign(small_config(ensembles={"x": "ginibre"}, **kw))
+        assert partial.config["ensembles"] == DEFAULT_ROLES
+        assert report_to_json(partial) == report_to_json(default)
+        assert report_to_csv(partial) == report_to_csv(default)
+
+    @pytest.mark.parametrize("bound_id,mats,match", [
+        ("main1.v1", {"x": [[1.0]]}, "expected matrices"),
+        ("main4.v1", {"x": [[1.0]], "y": [[1.0]]}, "expected matrices"),
+        ("th1", {"blocks": 5}, "'blocks' must be a list of matrix groups"),
+        ("th1", {"blocks": [5]}, "'blocks' must be a list of matrix groups"),
+    ])
+    def test_coerce_rejects_malformed_inputs(self, bound_id, mats, match):
+        with pytest.raises(DimensionMismatchError, match=match):
+            bound_spec(bound_id).sampler.coerce(mats)
+
+    def test_coerce_keeps_only_slot_keys(self):
+        out = bound_spec("main1.v1").sampler.coerce({"x": [[1]], "y": [[2j]], "z": [[3]]})
+        assert list(out) == ["x", "y"]
+        assert out["y"].dtype == np.complex128 and out["y"][0, 0] == 2j
+
+    def test_main4_contract_side_still_rejects_non_contraction(self):
+        _, params, mats = first_trial("main4.v1")
+        a, b, c, d, x, y = mats["items"][0]
+        mats = {"items": [(2.0 * np.eye(a.shape[0]), b, c, d, x, y)]}
+        with pytest.raises(NotContractionError, match="A has spectral norm"):
+            evaluate_bound("main4.v1", mats, params)
+
+    @pytest.mark.parametrize("k", (1, 2, 4))
+    def test_main4_checks_each_contraction_once(self, monkeypatch, k):
+        _, params, mats = first_trial("main4.v1", n_operators_values=(k,))
+        calls = []
+        patch_everywhere(monkeypatch, numrad.linalg.spectral_norm, calls, "spectral_norm")
+        evaluate_bound("main4.v1", mats, params)
+        # per item: four contraction checks and two group norms in bound_main4,
+        # and one scale norm in omega_p; main4_operands adds none
+        assert len(calls) == 7 * k

@@ -50,6 +50,11 @@ class TestAsMatrix:
         with pytest.raises(ValueError):
             as_matrix([1.0, 2.0])
 
+    @pytest.mark.parametrize("entries", ({"a": 1}, [[None]], [["1"]], [[1.0, {}]]))
+    def test_rejects_entries_that_are_not_numbers(self, entries):
+        with pytest.raises(ValueError, match="must be numbers"):
+            as_matrix(entries)
+
 
 class TestAdjoint:
     def test_real_shift(self):
