@@ -8,11 +8,17 @@ bound table (`numrad.bounds.BOUNDS`), whose sampler draws and checks the
 inputs; nothing here tests an id or names an input key. Every
 evaluation takes its settings from one `numrad.bounds.EvalSettings`, and
 every contract check, in campaigns, the counterexample suite and
-`numrad bound`, goes through `contract_verdict`. Everything is
-deterministic in the master seed: each trial derives its own stream,
-the plan runs serially in trial-index order, and serialized reports are
-byte-identical across runs. `CampaignConfig.jobs` is accepted and ignored:
-a thread pool ran campaigns slower than serial.
+`numrad bound`, goes through `contract_verdict`.
+
+Everything is deterministic in the master seed: each trial derives its own
+stream from its plan index, so trials can run in any order and in any
+process. With `CampaignConfig.jobs` N > 1 and `os.fork` available,
+`run_campaign` forks N - 1 workers; worker k runs plan indices k, k + N,
+k + 2N, ... (this process is worker 0) and sends its records back through
+a pipe. The plan is grouped by bound with the dims outermost, so the
+stride spreads the long trials across workers. Records are put back at
+their indices before the report is built, so serialized reports are
+byte-identical for every N and across runs.
 """
 
 from __future__ import annotations
@@ -20,6 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
@@ -60,22 +71,31 @@ class CampaignConfig:
     omega_p_restarts: int = 4
     omega_p_max_iter: int = 120
     zeta_restarts: int = 6             # validated; changes no result
-    jobs: int = 1                      # accepted; campaigns run serially
+    jobs: int = 1                      # worker processes; never changes a report
     extra_trials: tuple = ()           # (bound_id, params dict, mats dict) triples
 
     def __post_init__(self) -> None:
         # omega needs tol >= 1e-12 * max(1, ||M||); omega_tol is relative to that scale
-        if not math.isfinite(self.omega_tol) or self.omega_tol < 1e-12:
+        for key, low in (("omega_tol", 1e-12), ("slack", 0.0)):
+            val = getattr(self, key)
+            if not (_is_real(val) and math.isfinite(val) and val >= low):
+                raise OutOfRangeError(f"{key} must be a finite number >= {low:g}, "
+                                      f"got {val!r}")
+        counts = {"master_seed": None, "min_trials_per_bound": 0, "zeta_restarts": 1,
+                  "omega_p_restarts": 1, "omega_p_max_iter": 0, "jobs": 1}
+        if self.trials is not None:  # None picks the count from min_trials_per_bound
+            counts["trials"] = 1
+        for key, low in counts.items():
+            val = getattr(self, key)
+            if not (_is_int(val) and (low is None or val >= low)):
+                at_least = "" if low is None else f" >= {low}"
+                raise OutOfRangeError(f"{key} must be an integer{at_least}, got {val!r}")
+        if not (isinstance(self.dims, (tuple, list)) and all(
+                isinstance(dim, (tuple, list)) and len(dim) == 2
+                and all(_is_int(side) and side >= 1 for side in dim)
+                for dim in self.dims)):
             raise OutOfRangeError(
-                f"omega_tol must be finite and >= 1e-12, got {self.omega_tol}")
-        if not math.isfinite(self.slack) or self.slack < 0.0:
-            raise OutOfRangeError(f"slack must be finite and >= 0, got {self.slack}")
-        for key in ("zeta_restarts", "omega_p_restarts"):
-            if getattr(self, key) < 1:
-                raise OutOfRangeError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.omega_p_max_iter < 0:
-            raise OutOfRangeError(
-                f"omega_p_max_iter must be >= 0, got {self.omega_p_max_iter}")
+                f"dims must be (m, n) pairs of integers >= 1, got {self.dims!r}")
         if not isinstance(self.ensembles, dict) or any(
                 role not in DEFAULT_ROLES or kind not in KINDS
                 for role, kind in self.ensembles.items()):
@@ -87,6 +107,14 @@ class CampaignConfig:
                     and isinstance(entry[1], dict) and isinstance(entry[2], dict)):
                 raise OutOfRangeError(f"an extra trial must be a (bound id, params "
                                       f"object, matrices object) triple, got {entry!r}")
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
 def default_config(master_seed: int = 0, **overrides) -> CampaignConfig:
@@ -254,9 +282,68 @@ def _clean_params(params: dict) -> dict:
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Execute the whole campaign plan; deterministic given the config."""
-    records = [_run_single(config, i, b, prm, mts)
-               for i, (b, prm, mts) in enumerate(_build_plan(config))]
+    plan = _build_plan(config)
+    workers = min(config.jobs, len(plan))
+    if workers > 1 and hasattr(os, "fork"):
+        records = _run_forked(config, plan, workers)
+    else:
+        records = [_run_single(config, i, b, prm, mts)
+                   for i, (b, prm, mts) in enumerate(plan)]
     return build_report(config, records)
+
+
+def _run_forked(config: CampaignConfig, plan: list, workers: int) -> list:
+    """Run plan index i in worker i % workers; worker 0 is this process."""
+    records: list = [None] * len(plan)
+    children: dict = {}  # stride -> (pid, read end of its pipe)
+    try:
+        for stride in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(config, plan, stride, workers, write_fd)
+            os.close(write_fd)
+            children[stride] = (pid, os.fdopen(read_fd, "rb"))
+        for i in range(0, len(plan), workers):
+            records[i] = _run_single(config, i, *plan[i])
+        failed = []
+        for stride, (pid, pipe) in list(children.items()):
+            try:
+                share = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                share = None
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[stride]
+            if share is None or status != 0:
+                failed.append(f"stride {stride} of {workers} (wait status {status})")
+            else:
+                records[stride::workers] = share
+        if failed:
+            raise RuntimeError(f"campaign worker failed: {'; '.join(failed)}")
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return records
+
+
+def _worker(config: CampaignConfig, plan: list, stride: int, workers: int,
+            write_fd: int) -> None:
+    """Body of a forked worker: run one stride, pickle its records to
+    `write_fd` and leave through `os._exit`, so no atexit handler runs and
+    no inherited stdio buffer is flushed twice."""
+    status = 1
+    try:
+        share = [_run_single(config, i, *plan[i]) for i in range(stride, len(plan), workers)]
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
 
 
 def replay_trial(config: CampaignConfig, index: int) -> TrialRecord:
@@ -297,7 +384,7 @@ def build_report(config: CampaignConfig, records: list) -> CampaignReport:
 
 def _config_echo(config: CampaignConfig) -> dict:
     echo = asdict(config)
-    # jobs is accepted but ignored; reports must not depend on it
+    # jobs only splits the plan across processes; reports must not depend on it
     echo.pop("jobs", None)
     echo["extra_trials"] = [
         [bound_id, _clean_params(dict(params)), sorted(mats.keys())]

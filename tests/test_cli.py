@@ -287,15 +287,28 @@ class TestVerifyCommand:
         ({"omega_p_max_iter": -1}, "omega_p_max_iter"),
         ({"ensembles": {"z": "ginibre"}}, "ensembles"),
         ({"ensembles": {"x": "cauchy"}}, "ensembles"),
+        ({"trials": 0}, "trials"),
+        ({"dims": [[0, 1]]}, "dims"),
+        ({"jobs": 0}, "jobs"),
+        ({"omega_p_restarts": "4"}, "omega_p_restarts"),
+        ({"slack": "0"}, "slack"),
     ])
     def test_bad_config_value_exit_3(self, tmp_path, capsys, override, name):
-        # each value would disable the check or flood the report with errors
+        # each value would disable the check, flood the report with errors,
+        # plan no trial or fail mid-campaign on its type
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(dict(
             {"bound_ids": ["main1.v1", "th1"], "min_trials_per_bound": 1}, **override)))
         code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert code == 3
         assert name in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_zero_jobs_exit_3(self, tmp_path, capsys):
+        code = main(["verify", "--jobs", "0", "--trials", "1", "--bounds", "main1.v1",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "jobs" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
     def test_partial_ensembles_run_with_default_roles(self, tmp_path, capsys):

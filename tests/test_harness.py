@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -102,6 +104,59 @@ class TestRunCampaign:
         rep2 = run_campaign(cfg2)
         assert report_to_json(rep1) == report_to_json(rep2)
         assert report_to_csv(rep1) == report_to_csv(rep2)
+
+    @pytest.mark.parametrize("jobs", (2, 3, 5))
+    def test_forked_records_in_index_order(self, jobs):
+        # three trials, so jobs=5 runs one trial in each of three processes
+        cfg = small_config(bound_ids=("main1.v1",), dims=((2, 2),), r_values=(1.0,),
+                           alpha_values=(0.5,), min_trials_per_bound=3, jobs=jobs)
+        serial = run_campaign(dataclasses.replace(cfg, jobs=1))
+        report = run_campaign(cfg)
+        assert [rec.index for rec in report.records] == [0, 1, 2]
+        assert all(rec.wall_time > 0.0 for rec in report.records)
+        assert report_to_csv(report) == report_to_csv(serial)
+
+    def test_forked_worker_failure_raises_and_reaps(self, monkeypatch):
+        cfg = small_config(bound_ids=("main1.v1",), min_trials_per_bound=4, jobs=2)
+        orig = numrad.harness._run_single
+
+        def failing(config, index, *args):
+            if index == 3:  # odd indices belong to the forked worker
+                raise RuntimeError("planted failure")
+            return orig(config, index, *args)
+
+        monkeypatch.setattr(numrad.harness, "_run_single", failing)
+        with pytest.raises(RuntimeError, match="stride 1 of 2"):
+            run_campaign(cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_parent_share_failure_kills_and_reaps_workers(self, monkeypatch):
+        cfg = small_config(bound_ids=("main1.v1",), min_trials_per_bound=4, jobs=3)
+        orig = numrad.harness._run_single
+
+        def interrupted(config, index, *args):
+            if index == 3:  # index % 3 == 0: this process's own share
+                raise KeyboardInterrupt
+            return orig(config, index, *args)
+
+        monkeypatch.setattr(numrad.harness, "_run_single", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_replay_reproduces_forked_record(self):
+        cfg = small_config(bound_ids=("main1.v1", "th1"), min_trials_per_bound=4, jobs=2)
+        report = run_campaign(cfg)
+        assert report.records[85].bound_id == "th1"
+        for index in (5, 85):  # odd indices belong to the forked worker
+            target = report.records[index]
+            again = replay_trial(cfg, index)
+            assert again.value == target.value
+            assert again.digests == target.digests
+            assert again.omega_lo == target.omega_lo
+            assert again.seed_path == target.seed_path
 
     def test_replay_reproduces_record(self):
         cfg = small_config(bound_ids=("main1.v1",), min_trials_per_bound=4)
