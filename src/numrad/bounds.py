@@ -560,7 +560,9 @@ class BoundSpec:
 
     `axes` names the campaign grid axes, outermost first. `evaluate(mats,
     params, settings)` returns (outcome, extras). The contract side takes
-    `measure` ("omega", "norm" or "omega_p") of `operand(mats, params)`.
+    `measure` ("omega", "norm" or "omega_p") of `operand(mats, params)`;
+    an "omega_p" operand list of one operator is measured by `omega`, its
+    certified enclosure, and longer lists by the ascent's lower estimate.
     `extras` names the campaign settings each trial adds to its params.
     """
 
@@ -580,12 +582,21 @@ class BoundSpec:
     def contract_side(self, mats: dict, params: dict,
                       settings: EvalSettings) -> tuple[float, float | None, dict]:
         """(lhs, upper end or None, extras): the certified lower radius
-        endpoint, the exact norm, or the generalized-radius lower estimate."""
+        endpoint, the exact norm, or the generalized-radius lower estimate.
+
+        The generalized radius of one operator is its numerical radius for
+        every p, so an "omega_p" side with a single operand is certified by
+        `omega` and gets an upper end; with two or more it is the
+        restarted ascent's lower estimate and the upper end is None.
+        """
         target = self.operand(mats, params)
-        if self.measure == "norm":
+        measure = self.measure
+        if measure == "omega_p" and len(target) == 1:
+            measure, target = "omega", target[0]
+        if measure == "norm":
             lhs = spectral_norm(target)
             return lhs, lhs, {}
-        if self.measure == "omega":
+        if measure == "omega":
             cert = omega(target, settings.omega_tol * max(1.0, spectral_norm(target)))
             return cert.lo, cert.hi, {}
         est = omega_p(target, float(params.get("p", 1.0)),

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 unexpected campaign violations, 2 file parse
 errors, 3 dimension/parameter errors, 4 numerical failures, 5 unknown
-bound id. All stdout result lines are space-separated key=value tokens.
+bound id, 6 an unexpected exception (its traceback goes to stderr). All
+stdout result lines are space-separated key=value tokens.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .bounds import EvalSettings, bound_spec
@@ -165,6 +167,8 @@ def _load_config(args) -> CampaignConfig:
         raise MatrixFileError(f"bad config fields: {exc}") from exc
     for bound_id in config.bound_ids:
         bound_spec(bound_id)
+    for bound_id, _, _ in config.extra_trials:
+        bound_spec(bound_id)
     return config
 
 
@@ -293,11 +297,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Exception as exc:  # mapped to documented exit codes
-        if isinstance(exc, (NumradError, ValueError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return _exit_code(exc)
-        raise
+    except (NumradError, ValueError) as exc:  # mapped to documented exit codes
+        print(f"error: {exc}", file=sys.stderr)
+        return _exit_code(exc)
+    except Exception:  # a bug, not a finding: keep exit 1 for violations
+        traceback.print_exc()
+        return 6
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Seeded verification campaigns over the bound evaluators.
 
-A campaign draws random inputs per bound, evaluates the bound, computes the
-certified radius (or the generalized-radius estimate) on the contract side
-once, and records tightness ratios and violations. Which grid, inputs,
+A campaign draws random inputs per bound, evaluates the bound, measures
+the contract side once, and records tightness ratios and violations. The
+contract side is the certified radius enclosure, the exact norm, or, for
+the generalized-radius bounds, the certified enclosure of `omega` when the
+trial has one operator (whose generalized radius is its numerical radius,
+so the record's `omega_hi` is filled) and the ascent's lower estimate of
+`omega_p` when it has two or more (`omega_hi` stays None). Which grid, inputs,
 evaluator and contract side a bound id has comes from its entry in the
 bound table (`numrad.bounds.BOUNDS`), whose sampler draws and checks the
 inputs; nothing here tests an id or names an input key. Every
@@ -200,9 +204,11 @@ def evaluate_bound(bound_id: str, mats: dict, params: dict,
     """Evaluate one bound on explicit matrices and measure its contract side.
 
     Returns (outcome, lhs, omega_hi_or_None, extras). `lhs` is the certified
-    lower radius endpoint, the exact operator norm, or the generalized-radius
-    estimate, depending on the bound family; `outcome.value` must dominate
-    lhs ** outcome.exponent whenever the bound is valid.
+    lower radius endpoint (also for a generalized radius of one operator),
+    the exact operator norm, or the generalized-radius estimate of two or
+    more operators, depending on the bound family and operand count;
+    `outcome.value` must dominate lhs ** outcome.exponent whenever the bound
+    is valid.
     """
     spec = bound_spec(bound_id)
     mats = spec.sampler.coerce(mats)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import numrad
+import numrad.harness
 from numrad.bounds import BOUND_IDS, bound_spec
 from numrad.cli import _load_config, build_parser, main
 from numrad.matrixio import read_matrix, write_matrix
@@ -355,6 +356,35 @@ class TestVerifyCommand:
         code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert code == 3
         assert "extra trial" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("bound_id", ["nope", ["main1.v1"]])
+    def test_extra_trial_unknown_id_exit_5(self, tmp_path, capsys, bound_id):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"bound_ids": [], "extra_trials": [[bound_id, {}, {}]]}))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert "unknown bound id" in captured.err
+        assert captured.out == ""  # rejected before any trial ran
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("jobs,message", [(1, "planted failure"),
+                                              (2, "campaign worker failed")])
+    def test_unexpected_exception_exit_6(self, tmp_path, capfd, monkeypatch, jobs, message):
+        orig = numrad.harness._run_single
+
+        def failing(config, index, *args):
+            if index == 1:  # at jobs 2, the forked worker's first trial
+                raise RuntimeError("planted failure")
+            return orig(config, index, *args)
+
+        monkeypatch.setattr(numrad.harness, "_run_single", failing)
+        code = main(["verify", "--trials", "1", "--bounds", "main1.v1", "--jobs", str(jobs),
+                     "--out", str(tmp_path)])
+        err = capfd.readouterr().err
+        assert code == 6
+        assert "Traceback" in err and f"RuntimeError: {message}" in err
         assert not (tmp_path / "report.json").exists()
 
     def test_config_echo_loads_back(self, tmp_path):

@@ -11,7 +11,7 @@ import numrad.bounds
 import numrad.harness
 import numrad.linalg
 import numrad.radius
-from numrad.bounds import BOUND_IDS, DEFAULT_ROLES, BoundOutcome, bound_spec
+from numrad.bounds import BOUND_IDS, DEFAULT_ROLES, BoundOutcome, EvalSettings, bound_spec
 from numrad.ensembles import RngStream
 from numrad.errors import DimensionMismatchError, NotContractionError, UnknownBoundError
 from numrad.harness import (
@@ -351,11 +351,14 @@ class TestBoundTable:
             patch_everywhere(monkeypatch, getattr(numrad.bounds, fname), calls, fname)
         for fname in ("omega", "omega_p"):
             patch_everywhere(monkeypatch, getattr(numrad.radius, fname), calls, fname)
-        _, params, mats = first_trial(bound_id)
+        measure = bound_spec(bound_id).measure
+        # one operator is measured by omega (TestOneOperatorContract), so the
+        # omega_p side is pinned at two
+        overrides = {"n_operators_values": (2,)} if measure == "omega_p" else {}
+        _, params, mats = first_trial(bound_id, **overrides)
         outcome, _, _, _ = evaluate_bound(bound_id, mats, params)
         assert outcome.bound_id == bound_id
         assert EVALUATOR[bound_id] in calls
-        measure = bound_spec(bound_id).measure
         if measure != "norm":
             assert measure in calls
 
@@ -375,7 +378,7 @@ class TestBoundTable:
 
         monkeypatch.setattr(numrad.harness, "evaluate_bound", counting_eval)
         monkeypatch.setattr(numrad.bounds, "omega_p", recording_omega_p)
-        cfg, params, _ = first_trial("th1")
+        cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
         assert record.violation
         assert evals == ["th1"]
@@ -389,7 +392,7 @@ class TestBoundTable:
             patch_everywhere(monkeypatch, getattr(numrad.radius, fname), calls, fname)
         patch_everywhere(monkeypatch, numrad.bounds.zeta_value, calls, "zeta_value")
         for bound_id in ("th1", "main3.v1"):
-            _, params, mats = first_trial(bound_id)
+            _, params, mats = first_trial(bound_id, n_operators_values=(2,))
             evaluate_bound(bound_id, mats, params)
         for key in ("omega_p_objective", "omega_p_gradient", "zeta_value"):
             assert calls.count(key) > 0, key
@@ -439,6 +442,52 @@ class TestSamplerInputs:
         calls = []
         patch_everywhere(monkeypatch, numrad.linalg.spectral_norm, calls, "spectral_norm")
         evaluate_bound("main4.v1", mats, params)
-        # per item: four contraction checks and two group norms in bound_main4,
-        # and one scale norm in omega_p; main4_operands adds none
-        assert len(calls) == 7 * k
+        # per item: four contraction checks and two group norms in bound_main4;
+        # main4_operands adds none. The contract side adds one scale norm per
+        # operand in omega_p, or at k = 1 the omega tolerance's scale norm and
+        # omega's own
+        assert len(calls) == 6 * k + (2 if k == 1 else k)
+
+
+class TestOneOperatorContract:
+    """The generalized radius of one operator is its numerical radius, so
+    an omega_p contract side with one operand is certified by omega."""
+
+    @pytest.mark.parametrize("bound_id", ("main4.v1", "main4.v2", "th1"))
+    def test_one_operand_is_measured_by_omega(self, monkeypatch, bound_id):
+        cfg, params, mats = first_trial(bound_id)
+        assert params["n_operators"] == 1
+        spec = bound_spec(bound_id)
+        (target,) = spec.operand(spec.sampler.coerce(mats), params)
+        cert = numrad.radius.omega(
+            target, cfg.omega_tol * max(1.0, numrad.linalg.spectral_norm(target)))
+        ascent = numrad.radius.omega_p([target], params["p"]).value
+        calls = []
+        patch_everywhere(monkeypatch, numrad.radius.omega_p, calls, "omega_p")
+        settings = EvalSettings(cfg.omega_tol, cfg.omega_p_restarts, cfg.omega_p_max_iter)
+        _, lhs, omega_hi, extras = evaluate_bound(bound_id, mats, params, settings)
+        record = _run_single(cfg, 0, bound_id, params, mats)
+        assert calls == []
+        assert (lhs, omega_hi) == (cert.lo, cert.hi)
+        assert extras == {} and "estimate_converged" not in record.params
+        assert (record.omega_lo, record.omega_hi) == (lhs, omega_hi)
+        assert record.omega_lo <= record.omega_hi
+        # the ascent and the certificate still check each other
+        assert lhs == pytest.approx(ascent, abs=1e-6)
+        assert ascent <= omega_hi
+
+    def test_campaign_fills_omega_hi_only_for_one_operand(self):
+        cfg = small_config(bound_ids=("main4.v1", "main4.v2", "th1"), trials=1,
+                           alpha_values=(0.5,), omega_p_p_values=(1.0, 3.0),
+                           n_operators_values=(1, 2), omega_p_restarts=2,
+                           omega_p_max_iter=20)
+        report = run_campaign(cfg)
+        assert not report.violations and not report.errors
+        ks = [rec.params["n_operators"] for rec in report.records]
+        assert sorted(set(ks)) == [1, 2]
+        for k, rec in zip(ks, report.records):
+            if k == 1:
+                assert rec.omega_hi is not None and rec.omega_lo <= rec.omega_hi
+                assert "estimate_converged" not in rec.params
+            else:
+                assert rec.omega_hi is None and "estimate_converged" in rec.params
