@@ -17,12 +17,15 @@ every contract check, in campaigns, the counterexample suite and
 Everything is deterministic in the master seed: each trial derives its own
 stream from its plan index, so trials can run in any order and in any
 process. With `CampaignConfig.jobs` N > 1 and `os.fork` available,
-`run_campaign` forks N - 1 workers; worker k runs plan indices k, k + N,
-k + 2N, ... (this process is worker 0) and sends its records back through
-a pipe. The plan is grouped by bound with the dims outermost, so the
-stride spreads the long trials across workers. Records are put back at
-their indices before the report is built, so serialized reports are
-byte-identical for every N and across runs.
+`run_campaign` forks N - 1 workers (this process is worker 0) and deals
+the plan to them back and forth: indices 0..N-1 go to workers 0..N-1,
+indices N..2N-1 to workers N-1..0, and so on (`_deal`). Each worker sends
+its records back through a pipe. The plan's innermost grid axis often
+alternates cheap and costly trials (one operator, then two), and its dims
+rise from block to block; each block of 2N indices gives every worker one
+even and one odd position, so neither trend piles up in one worker.
+Records are put back at their indices before the report is built, so
+serialized reports are byte-identical for every N and across runs.
 """
 
 from __future__ import annotations
@@ -298,33 +301,43 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     return build_report(config, records)
 
 
+def _deal(worker: int, workers: int, count: int) -> list[int]:
+    """Ascending plan indices of `worker` when `count` trials are dealt to
+    `workers` processes back and forth: index i goes to worker
+    min(i % 2N, 2N - 1 - i % 2N) for N = `workers`."""
+    period = 2 * workers
+    return [i for start in range(0, count, period)
+            for i in (start + worker, start + period - 1 - worker) if i < count]
+
+
 def _run_forked(config: CampaignConfig, plan: list, workers: int) -> list:
-    """Run plan index i in worker i % workers; worker 0 is this process."""
+    """Run each worker's `_deal` share of the plan; worker 0 is this process."""
     records: list = [None] * len(plan)
-    children: dict = {}  # stride -> (pid, read end of its pipe)
+    children: dict = {}  # worker -> (pid, read end of its pipe)
     try:
-        for stride in range(1, workers):
+        for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _worker(config, plan, stride, workers, write_fd)
+                _worker(config, plan, worker, workers, write_fd)
             os.close(write_fd)
-            children[stride] = (pid, os.fdopen(read_fd, "rb"))
-        for i in range(0, len(plan), workers):
+            children[worker] = (pid, os.fdopen(read_fd, "rb"))
+        for i in _deal(0, workers, len(plan)):
             records[i] = _run_single(config, i, *plan[i])
         failed = []
-        for stride, (pid, pipe) in list(children.items()):
+        for worker, (pid, pipe) in list(children.items()):
             try:
                 share = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
                 share = None
             pipe.close()
             status = os.waitpid(pid, 0)[1]
-            del children[stride]
+            del children[worker]
             if share is None or status != 0:
-                failed.append(f"stride {stride} of {workers} (wait status {status})")
+                failed.append(f"worker {worker} of {workers} (wait status {status})")
             else:
-                records[stride::workers] = share
+                for rec in share:
+                    records[rec.index] = rec
         if failed:
             raise RuntimeError(f"campaign worker failed: {'; '.join(failed)}")
     finally:
@@ -335,14 +348,14 @@ def _run_forked(config: CampaignConfig, plan: list, workers: int) -> list:
     return records
 
 
-def _worker(config: CampaignConfig, plan: list, stride: int, workers: int,
+def _worker(config: CampaignConfig, plan: list, worker: int, workers: int,
             write_fd: int) -> None:
-    """Body of a forked worker: run one stride, pickle its records to
+    """Body of a forked worker: run its `_deal` share, pickle the records to
     `write_fd` and leave through `os._exit`, so no atexit handler runs and
     no inherited stdio buffer is flushed twice."""
     status = 1
     try:
-        share = [_run_single(config, i, *plan[i]) for i in range(stride, len(plan), workers)]
+        share = [_run_single(config, i, *plan[i]) for i in _deal(worker, workers, len(plan))]
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0

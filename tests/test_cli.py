@@ -375,7 +375,7 @@ class TestVerifyCommand:
         orig = numrad.harness._run_single
 
         def failing(config, index, *args):
-            if index == 1:  # at jobs 2, the forked worker's first trial
+            if index == 1:  # _deal(1, 2, n)[0]: at jobs 2, the forked worker's first trial
                 raise RuntimeError("planted failure")
             return orig(config, index, *args)
 

@@ -19,6 +19,7 @@ from numrad.harness import (
     CampaignConfig,
     TrialRecord,
     _build_plan,
+    _deal,
     _run_single,
     contract_verdict,
     counterexample_suite,
@@ -116,27 +117,49 @@ class TestRunCampaign:
         assert all(rec.wall_time > 0.0 for rec in report.records)
         assert report_to_csv(report) == report_to_csv(serial)
 
+    @pytest.mark.parametrize("workers", range(1, 6))
+    def test_deal_partitions_plan(self, workers):
+        for count in range(3 * workers + 2):
+            shares = [_deal(k, workers, count) for k in range(workers)]
+            assert sorted(i for share in shares for i in share) == list(range(count))
+            assert all(share == sorted(share) for share in shares)
+            assert all(k in shares[k] for k in range(min(workers, count)))
+
+    @pytest.mark.parametrize("jobs", (2, 3, 4))
+    def test_deal_balances_alternating_operator_counts(self, jobs):
+        # n_operators is the innermost axis here, so the plan alternates
+        # one-operator and two-operator trials
+        cfg = small_config(bound_ids=("main4.v1",), n_operators_values=(1, 2),
+                           alpha_values=(0.5,), trials=1)
+        plan = _build_plan(cfg)
+        costly = [sum(plan[i][1]["n_operators"] == 2 for i in _deal(k, jobs, len(plan)))
+                  for k in range(jobs)]
+        assert sum(costly) == len(plan) // 2
+        assert max(costly) - min(costly) <= 1
+
     def test_forked_worker_failure_raises_and_reaps(self, monkeypatch):
         cfg = small_config(bound_ids=("main1.v1",), min_trials_per_bound=4, jobs=2)
+        planted = _deal(1, 2, len(_build_plan(cfg)))[1]  # the forked worker's second trial
         orig = numrad.harness._run_single
 
         def failing(config, index, *args):
-            if index == 3:  # odd indices belong to the forked worker
+            if index == planted:
                 raise RuntimeError("planted failure")
             return orig(config, index, *args)
 
         monkeypatch.setattr(numrad.harness, "_run_single", failing)
-        with pytest.raises(RuntimeError, match="stride 1 of 2"):
+        with pytest.raises(RuntimeError, match="worker 1 of 2"):
             run_campaign(cfg)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_parent_share_failure_kills_and_reaps_workers(self, monkeypatch):
         cfg = small_config(bound_ids=("main1.v1",), min_trials_per_bound=4, jobs=3)
+        planted = _deal(0, 3, len(_build_plan(cfg)))[1]  # this process's second trial
         orig = numrad.harness._run_single
 
         def interrupted(config, index, *args):
-            if index == 3:  # index % 3 == 0: this process's own share
+            if index == planted:
                 raise KeyboardInterrupt
             return orig(config, index, *args)
 
@@ -150,7 +173,8 @@ class TestRunCampaign:
         cfg = small_config(bound_ids=("main1.v1", "th1"), min_trials_per_bound=4, jobs=2)
         report = run_campaign(cfg)
         assert report.records[85].bound_id == "th1"
-        for index in (5, 85):  # odd indices belong to the forked worker
+        assert {5, 85} <= set(_deal(1, 2, len(report.records)))
+        for index in (5, 85):
             target = report.records[index]
             again = replay_trial(cfg, index)
             assert again.value == target.value
