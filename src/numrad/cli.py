@@ -95,7 +95,7 @@ def _print_kv(prefix: str, **fields) -> None:
 def cmd_omega(args) -> int:
     m = read_matrix(args.path)
     cert = omega(m, args.tol)
-    _print_kv("omega", lo=cert.lo, hi=cert.hi, theta=cert.witness_theta)
+    _print_kv("omega", lo=cert.lo, hi=cert.hi, theta=cert.witness_theta, evals=cert.evals)
     return 0
 
 

@@ -5,13 +5,10 @@ The numerical radius of a square matrix M is recovered from the rotation
 identity: with h(theta) = lambda_max(Re(e^{i theta} M)), the radius equals
 max_theta h(theta) over a full period. h is 1-dimensional, continuous and
 generally multimodal, so the enclosure comes from branch-and-bound over
-angle cells with two rigorous majorants derived from ||M||:
-
-* Lipschitz: |h(t1) - h(t2)| <= ||M|| |t1 - t2|, giving
-  (h(a)+h(b))/2 + ||M|| w/2 on a cell of width w;
-* curvature: for every unit x, Re(e^{i theta}<Mx, x>) has second derivative
-  bounded below by -||M||, so h(mid + s) + ||M|| s^2 / 2 is convex and
-  h <= max(h(a), h(b)) + ||M|| w^2 / 8 on the cell.
+angle cells. h(theta) = max_x |<Mx, x>| cos(theta + arg <Mx, x>) over unit
+x is a maximum of sinusoids of amplitude at most ||M||, so on a cell the
+majorant is the highest such sinusoid that stays below h at both ends
+(`_cell_majorant`); it is computed once, when the cell is made.
 
 Since Re(e^{i(theta + pi)} M) = -Re(e^{i theta} M), one eigensolve gives h
 at two antipodal angles: h(theta + pi) = -lambda_min(Re(e^{i theta} M)).
@@ -53,6 +50,7 @@ from .linalg import adjoint, as_matrix, embed_offdiag, hermitian_part, spectral_
 # Default cap on angles evaluated certifying one radius (two per eigensolve).
 DEFAULT_EVAL_BUDGET = 2_000_000
 # Grid angles on the full circle: half as many cells on [0, pi), two tracks.
+# Cells start pi/32 wide, inside the w < pi/2 that `_cell_majorant` needs.
 _INITIAL_CELLS = 64
 _MAX_SPLITS_PER_ROUND = 8192
 # Angles per batched eigensolve; bounds the (chunk, n, n) stack and its
@@ -73,12 +71,14 @@ class CertifiedRadius:
     """Enclosure lo <= omega <= hi with hi - lo <= tol.
 
     lo is h(witness_theta), an attained value; hi is a rigorous majorant.
+    evals counts the angles evaluated, two per eigensolve.
     """
 
     lo: float
     hi: float
     witness_theta: float
     tol: float
+    evals: int
 
 
 def _rotated_tops(m: np.ndarray, m_adj: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -97,6 +97,26 @@ def _rotated_tops(m: np.ndarray, m_adj: np.ndarray, thetas: np.ndarray) -> np.nd
         out[0, start:start + _EIG_CHUNK] = spectra[:, -1]
         out[1, start:start + _EIG_CHUNK] = -spectra[:, 0]
     return out
+
+
+def _cell_majorant(u, v, w, nrm):
+    """Majorant of h on cells of width w < pi/2 with end values u and v.
+
+    It is the supremum over the cell of every sinusoid r cos(theta - psi)
+    with r <= nrm that is at most u at the left end and v at the right
+    end. One that peaks outside the cell is highest at an end, so at most
+    max(u, v). One that peaks inside, t from the left end, has
+    r cos t <= u and r cos(w - t) <= v. When min(u, v) >= max(u, v) cos w
+    (u, v > 0 with v >= u cos w and u >= v cos w, or u = v = 0), the
+    largest such r has both equal: r = sqrt((u - v)^2 + 4 u v sin^2(w/2))
+    / sin w. Otherwise it peaks at an end, at most max(u, v). Arrays
+    broadcast elementwise.
+    """
+    top = np.maximum(u, v)
+    peak = np.minimum(u, v) >= top * np.cos(w)
+    # the radicand is u^2 + v^2 - 2 u v cos w >= (|u| - |v|)^2 for all signs
+    s = np.sqrt((u - v) ** 2 + 4.0 * u * v * np.sin(0.5 * w) ** 2) / np.sin(w)
+    return np.where(peak, np.maximum(top, np.minimum(s, nrm)), top)
 
 
 def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> CertifiedRadius:
@@ -127,11 +147,9 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
     if tol < 1e-12 * scale:
         raise OutOfRangeError(f"tolerance {tol:.3e} below 1e-12 * max(1, ||M||)")
     if nrm == 0.0:
-        return CertifiedRadius(lo=0.0, hi=0.0, witness_theta=0.0, tol=tol)
+        return CertifiedRadius(lo=0.0, hi=0.0, witness_theta=0.0, tol=tol, evals=0)
 
     m_adj = adjoint(m)
-    lip = nrm   # global Lipschitz constant of h
-    curv = nrm  # lower bound on -h'' along every supporting cosine
 
     # Cells cover [0, pi); row 0 of each value array tracks h(theta), row 1
     # tracks h(theta + pi). At pi the two tracks meet each other's start.
@@ -143,30 +161,25 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
     rights = np.append(grid[1:], np.pi)
     h_left = h
     h_right = np.concatenate([h[:, 1:], h[::-1, :1]], axis=1)
+    ub = _cell_majorant(h_left, h_right, rights - lefts, nrm).max(axis=0)
 
     track, best = divmod(int(np.argmax(h)), grid.size)
     lo = float(h[track, best])
     witness = float(grid[best]) + track * np.pi
 
     while True:
-        width = rights - lefts
-        ub = np.minimum(
-            0.5 * (h_left + h_right) + 0.5 * lip * width,
-            np.maximum(h_left, h_right) + 0.125 * curv * width * width,
-        ).max(axis=0)
         hi = max(lo, float(ub.max())) if ub.size else lo
         if hi - lo <= tol:
-            return CertifiedRadius(lo=lo, hi=hi,
-                                   witness_theta=witness % (2.0 * np.pi), tol=tol)
+            return CertifiedRadius(lo=lo, hi=hi, witness_theta=witness % (2.0 * np.pi),
+                                   tol=tol, evals=evals)
 
-        keep = ub > lo
         split = ub > lo + tol
         if split.sum() > _MAX_SPLITS_PER_ROUND:
-            order = np.argsort(ub)[::-1][:_MAX_SPLITS_PER_ROUND]
-            chosen = np.zeros_like(split)
-            chosen[order] = True
-            split &= chosen
-        hold = keep & ~split
+            # the cap's worth of highest majorants, all above lo + tol
+            chosen = np.argpartition(ub, -_MAX_SPLITS_PER_ROUND)[-_MAX_SPLITS_PER_ROUND:]
+            split = np.zeros_like(split)
+            split[chosen] = True
+        hold = (ub > lo) & ~split
 
         mids = 0.5 * (lefts[split] + rights[split])
         if evals + 2 * mids.size > max_evals:
@@ -186,6 +199,10 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
         rights = np.concatenate([rights[hold], mids, rights[split]])
         h_left = np.concatenate([h_left[:, hold], h_left[:, split], h_mid], axis=1)
         h_right = np.concatenate([h_right[:, hold], h_mid, h_right[:, split]], axis=1)
+        # held cells keep their majorants; only the new halves get one
+        held = np.count_nonzero(hold)
+        ub = np.concatenate([ub[hold], _cell_majorant(
+            h_left[:, held:], h_right[:, held:], rights[held:] - lefts[held:], nrm).max(axis=0)])
 
 
 def omega_offdiag_symmetric_check(

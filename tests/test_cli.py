@@ -64,12 +64,15 @@ class TestOmegaCommand:
         assert prefix == "omega"
         assert float(kv["lo"]) == pytest.approx(0.5, abs=1e-8)
         assert float(kv["hi"]) == pytest.approx(0.5, abs=1e-8)
+        # 64 grid angles at least, two per eigensolve
+        assert int(kv["evals"]) >= 64 and int(kv["evals"]) % 2 == 0
 
     def test_zero_matrix(self, tmp_path, capsys):
         path = write_mat(tmp_path, "z.json", np.zeros((2, 2)))
         assert main(["omega", path]) == 0
         _, kv = parse_kv(capsys.readouterr().out.strip())
         assert float(kv["lo"]) == 0.0 and float(kv["hi"]) == 0.0
+        assert kv["evals"] == "0"
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numrad.errors import NotSquareError, OutOfRangeError, ToleranceUnreachableError
 from numrad.linalg import adjoint, embed_offdiag, spectral_norm
-from numrad.radius import _rotated_tops, omega, omega_offdiag_symmetric_check
+from numrad.radius import _cell_majorant, _rotated_tops, omega, omega_offdiag_symmetric_check
 
 U = np.finfo(float).eps / 2
 
@@ -179,17 +181,28 @@ class TestTwoTracks:
         assert float(h_direct(m, [cert.witness_theta])[0]) == pytest.approx(cert.lo, abs=1e-12)
 
     def test_eigensolve_count_on_shift(self, monkeypatch):
-        solved = [0]
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            solved[0] += int(np.prod(np.shape(a)[:-2], dtype=int))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        solved = count_eigensolves(monkeypatch)
         cert = omega(np.eye(8, k=1, dtype=complex), tol=1e-8)
         assert cert.hi - cert.lo <= 1e-8
         assert solved[0] <= 16384 + 32
+
+    def test_eigensolve_count_on_offdiag_disk(self, monkeypatch):
+        # [[0, X], [0, 0]] has the disk of radius ||X|| / 2 as its field of
+        # values, so h is flat at half of ||M||: the sinusoid majorant
+        # allows cells sqrt(2) times wider than the curvature bound did
+        g = np.random.default_rng(32)
+        x = rand_complex(g, 4)
+        x /= spectral_norm(x)
+        zero = np.zeros_like(x)
+        m = np.block([[zero, x], [zero, zero]])
+        slack = rounding_slack(m)
+        solved = count_eigensolves(monkeypatch)
+        cert = omega(m, tol=1e-8)
+        assert cert.hi - cert.lo <= 1e-8
+        assert cert.lo - slack <= 0.5 <= cert.hi + slack
+        assert solved[0] <= 8192 + 32
+        # every eigensolve but the norm's evaluates two angles
+        assert cert.evals == 2 * (solved[0] - 1)
 
     def test_budget_counts_angles(self):
         # the side-8 shift at tol 1e-6 takes 2048 eigensolves, 4096 angles
@@ -214,6 +227,60 @@ class TestTwoTracks:
         assert cert.hi - cert.lo <= 1e-10
         assert cert.hi >= scan.max() - slack
         assert abs(cert.lo - float(h_direct(m, [cert.witness_theta])[0])) <= slack
+
+
+def count_eigensolves(monkeypatch):
+    """Patch np.linalg.eigvalsh to count the matrices it solves; returns a
+    one-element list holding the running count."""
+    solved = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved[0] += int(np.prod(np.shape(a)[:-2], dtype=int))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return solved
+
+
+class TestCellMajorant:
+    """`_cell_majorant` bounds h on a cell and is never looser than the
+    Lipschitz bound (u + v)/2 + ||M|| w/2 or the curvature bound
+    max(u, v) + ||M|| w^2/8 that it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), side=st.integers(1, 5),
+           log_scale=st.floats(-3.0, 3.0), nilpotent_eps=st.sampled_from([None, 0.0, 1e-9, 1e-4]),
+           left=st.floats(0.0, 2.0 * np.pi),
+           width=st.floats(1e-6, 0.5 * np.pi, exclude_max=True))
+    def test_bounds_h_and_tightens_old_majorants(self, seed, side, log_scale, nilpotent_eps,
+                                                 left, width):
+        g = np.random.default_rng(seed)
+        m = rand_complex(g, side)
+        if nilpotent_eps is not None:
+            m = np.eye(side, k=1, dtype=complex) + nilpotent_eps * m
+        m *= 10.0 ** log_scale
+        nrm = spectral_norm(m)
+        if nrm == 0.0:
+            return
+        u, v = h_direct(m, [left, left + width])
+        ub = float(_cell_majorant(u, v, width, nrm))
+        slack = 32 * side * U * nrm
+        inside = h_direct(m, np.linspace(left, left + width, 66)[1:-1])
+        assert ub >= inside.max() - slack
+        assert ub <= 0.5 * (u + v) + 0.5 * nrm * width + slack
+        assert ub <= max(u, v) + 0.125 * nrm * width ** 2 + slack
+
+    def test_flat_cell_is_secant_over_cosine(self):
+        # with equal ends c the highest admissible sinusoid peaks mid-cell
+        # and passes through both ends: its height is c / cos(w/2)
+        c, w = 0.5, 1e-2
+        assert _cell_majorant(c, c, w, 1.0) == pytest.approx(c / np.cos(w / 2), rel=1e-14)
+
+    def test_steep_or_negative_ends_give_larger_end(self):
+        w = 0.1
+        assert _cell_majorant(1.0, 0.5, w, 2.0) == 1.0  # v < u cos w
+        assert _cell_majorant(-0.2, 0.3, w, 2.0) == 0.3
 
 
 class TestInnerProductProperties:
