@@ -65,6 +65,8 @@ from .radius import omega, omega_p
 NORMALITY_TOL = 1e-9
 # Contractions may exceed norm 1 by at most this absolute slack.
 CONTRACTION_SLACK = 1e-10
+# The prefactors of the Holder bound: the printed one and the proved one.
+CONSTANT_MODES = ("as_stated", "as_proved")
 
 
 @dataclass
@@ -90,12 +92,11 @@ class ZetaEstimate:
     """The split-vector gap functional at a witness where it vanishes.
 
     The infimum is 0 for every PSD pair (see `_estimate_zeta`), so value
-    is 0 up to rounding and guaranteed_lower is exact.
+    is 0 up to rounding.
     """
 
     value: float
     witness: tuple[np.ndarray, np.ndarray]
-    guaranteed_lower: float = 0.0
 
 
 def _require_r(r: float, name: str = "r") -> float:
@@ -277,8 +278,8 @@ def bound_main11(p: OffDiagPair, pair: FunctionPair, r: float, hp: HolderPair,
     ('as_stated') fails on scalars; the derivation supports C = 4**(r-1)
     ('as_proved', default).
     """
-    if constant_mode not in ("as_stated", "as_proved"):
-        raise OutOfRangeError(f"constant_mode must be as_stated or as_proved, "
+    if constant_mode not in CONSTANT_MODES:
+        raise OutOfRangeError(f"constant_mode must be {' or '.join(CONSTANT_MODES)}, "
                               f"got {constant_mode!r}")
     r, _, _, n1, n2 = _offdiag_groups(p, pair, r, variant)
     pw, qw = hp.p, hp.q
@@ -346,7 +347,7 @@ def _estimate_zeta(a_mat: np.ndarray, b_mat: np.ndarray) -> ZetaEstimate:
 
 
 def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
-                zeta_restarts: int = 8, stream: RngStream | None = None,
+                stream: RngStream | None = None,
                 ) -> tuple[BoundOutcome, BoundOutcome, ZetaEstimate]:
     """Norm-sum bound with a subtracted gap term.
 
@@ -354,11 +355,9 @@ def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
     omega(T)**r <= guaranteed.value is safe. refined subtracts the gap at
     the closed-form witness of `_estimate_zeta`; the gap on the joint
     sphere is vacuous (inf zeta = 0), so refined equals guaranteed up to
-    rounding. zeta_restarts (validated, >= 1) and stream are accepted for
-    compatibility and do not affect the result.
+    rounding. stream is accepted for compatibility and does not affect
+    the result.
     """
-    if zeta_restarts < 1:
-        raise OutOfRangeError(f"zeta_restarts must be >= 1, got {zeta_restarts}")
     r, first, second, n1, n2 = _offdiag_groups(p, pair, r, variant)
     base = 2.0 ** (r - 2.0) * (n1 + n2)
     zeta = _estimate_zeta(first, second)
@@ -375,7 +374,7 @@ def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
         bound_id=bound_id,
         value=max(base - 2.0 ** (r - 2.0) * zeta.value, 0.0),
         exponent=r,
-        terms=dict(shared_terms, zeta_estimate=zeta.value),
+        terms=dict(shared_terms, zeta=zeta.value),
         params={"r": r, "variant": variant, "pair": pair.tag,
                 "mode": "refined_heuristic"},
     )
@@ -559,7 +558,7 @@ class BoundSpec:
     """One bound id: how to sample, evaluate and check it.
 
     `axes` names the campaign grid axes, outermost first. `evaluate(mats,
-    params, settings)` returns (outcome, extras). The contract side takes
+    params, settings)` returns the BoundOutcome. The contract side takes
     `measure` ("omega", "norm" or "omega_p") of `operand(mats, params)`;
     an "omega_p" operand list of one operator is measured by `omega`, its
     certified enclosure, and longer lists by the ascent's lower estimate.
@@ -627,41 +626,40 @@ def _holder(params: dict) -> HolderPair:
 # so a function patched onto this module is the one that runs.
 
 def _main1(variant, m, prm, s):
-    return bound_main1(*_offdiag(m, prm), variant), {}
+    return bound_main1(*_offdiag(m, prm), variant)
 
 
 def _main11(variant, m, prm, s):
     mode = prm.get("constant_mode", "as_proved")
-    return bound_main11(*_offdiag(m, prm), _holder(prm), variant, constant_mode=mode), {}
+    return bound_main11(*_offdiag(m, prm), _holder(prm), variant, constant_mode=mode)
 
 
 def _main11_young(variant, m, prm, s):
-    return bound_main11_young(*_offdiag(m, prm), _holder(prm), variant), {}
+    return bound_main11_young(*_offdiag(m, prm), _holder(prm), variant)
 
 
 def _main3(variant, m, prm, s):
-    guaranteed, refined, zeta = bound_main3(*_offdiag(m, prm), variant)
-    return guaranteed, {"refined_value": refined.value, "zeta_estimate": zeta.value}
+    return bound_main3(*_offdiag(m, prm), variant)[0]
 
 
 def _main4(variant, m, prm, s):
-    return bound_main4(m["items"], _pair_arg(prm), float(prm.get("p", 1.0)), variant), {}
+    return bound_main4(m["items"], _pair_arg(prm), float(prm.get("p", 1.0)), variant)
 
 
 def _product_xy(m, prm, s):
     return bound_product_xy(m["x"], m["y"], float(prm.get("alpha", 0.5)),
-                            float(prm.get("r", 1.0)), int(prm.get("variant", 1))), {}
+                            float(prm.get("r", 1.0)), int(prm.get("variant", 1)))
 
 
 def _sum_norm(normal_mode, m, prm, s):
     return bound_sum_norm(m["x"], m["y"], float(prm.get("r", 1.0)),
-                          sign=prm.get("sign", "+"), normal_mode=normal_mode), {}
+                          sign=prm.get("sign", "+"), normal_mode=normal_mode)
 
 
 def _th1(m, prm, s):
     p = float(prm.get("p", 1.0))
     scale = max([1.0] + [spectral_norm(embed_block(*blk)) for blk in m["blocks"]])
-    return bound_th1(m["blocks"], p, s.omega_tol * scale), {}
+    return bound_th1(m["blocks"], p, s.omega_tol * scale)
 
 
 def _sign(params: dict) -> float:

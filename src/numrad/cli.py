@@ -14,7 +14,7 @@ import sys
 import traceback
 from pathlib import Path
 
-from .bounds import EvalSettings, bound_spec
+from .bounds import CONSTANT_MODES, EvalSettings, bound_spec
 from .ensembles import RngStream
 from .errors import (
     ConvergenceError,
@@ -125,14 +125,11 @@ def cmd_bound(args) -> int:
         "variant": args.variant,
         "constant_mode": args.constant_mode,
     }
-    settings = EvalSettings(omega_tol=args.tol, stream=RngStream(master_seed=args.seed))
-    outcome, lhs, _, extras = evaluate_bound(spec.bound_id, mats, params, settings)
+    settings = EvalSettings(omega_tol=args.tol)
+    outcome, lhs, _, _ = evaluate_bound(spec.bound_id, mats, params, settings)
     _, violation = contract_verdict(outcome.value, lhs ** outcome.exponent)
     _print_kv("bound", id=spec.bound_id, value=outcome.value,
               exponent=outcome.exponent, omega_lo=lhs, ok=not violation)
-    if "zeta_estimate" in extras:
-        _print_kv("zeta", value=extras["zeta_estimate"],
-                  refined=extras["refined_value"], guaranteed=outcome.value)
     return 0
 
 
@@ -262,10 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--p", type=float, default=2.0)
     p_bound.add_argument("--q", type=float, default=None)
     p_bound.add_argument("--variant", type=int, choices=(1, 2), default=1)
-    p_bound.add_argument("--constant-mode", choices=("as_stated", "as_proved"),
-                         default="as_proved")
+    p_bound.add_argument("--constant-mode", choices=CONSTANT_MODES, default="as_proved")
     p_bound.add_argument("--tol", type=float, default=1e-8)
-    p_bound.add_argument("--seed", type=int, default=0)
     p_bound.set_defaults(func=cmd_bound)
 
     p_verify = sub.add_parser("verify", help="run a verification campaign")
@@ -277,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="minimum trials per bound")
     p_verify.add_argument("--bounds", default=None,
                           help="comma-separated bound ids")
-    p_verify.add_argument("--constant-mode",
-                          choices=("as_stated", "as_proved"), default=None)
+    p_verify.add_argument("--constant-mode", choices=CONSTANT_MODES, default=None)
     p_verify.add_argument("--out", default=".")
     p_verify.add_argument("--format", choices=("json", "csv", "both"),
                           default="both")

@@ -43,7 +43,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .bounds import BOUND_IDS, DEFAULT_ROLES, BoundSpec, EvalSettings, bound_spec
+from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, BoundSpec, EvalSettings,
+                     bound_spec)
 from .ensembles import KINDS, RngStream, derive, sample
 from .errors import NumradError, OutOfRangeError
 from .linalg import fn_of_abs, spectral_norm
@@ -77,7 +78,6 @@ class CampaignConfig:
     constant_mode: str = "as_proved"
     omega_p_restarts: int = 4
     omega_p_max_iter: int = 120
-    zeta_restarts: int = 6             # validated; changes no result
     jobs: int = 1                      # worker processes; never changes a report
     extra_trials: tuple = ()           # (bound_id, params dict, mats dict) triples
 
@@ -88,7 +88,7 @@ class CampaignConfig:
             if not (_is_real(val) and math.isfinite(val) and val >= low):
                 raise OutOfRangeError(f"{key} must be a finite number >= {low:g}, "
                                       f"got {val!r}")
-        counts = {"master_seed": None, "min_trials_per_bound": 0, "zeta_restarts": 1,
+        counts = {"master_seed": None, "min_trials_per_bound": 0,
                   "omega_p_restarts": 1, "omega_p_max_iter": 0, "jobs": 1}
         if self.trials is not None:  # None picks the count from min_trials_per_bound
             counts["trials"] = 1
@@ -97,6 +97,9 @@ class CampaignConfig:
             if not (_is_int(val) and (low is None or val >= low)):
                 at_least = "" if low is None else f" >= {low}"
                 raise OutOfRangeError(f"{key} must be an integer{at_least}, got {val!r}")
+        if self.constant_mode not in CONSTANT_MODES:
+            raise OutOfRangeError(f"constant_mode must be {' or '.join(CONSTANT_MODES)}, "
+                                  f"got {self.constant_mode!r}")
         if not (isinstance(self.dims, (tuple, list)) and all(
                 isinstance(dim, (tuple, list)) and len(dim) == 2
                 and all(_is_int(side) and side >= 1 for side in dim)
@@ -211,13 +214,13 @@ def evaluate_bound(bound_id: str, mats: dict, params: dict,
     the exact operator norm, or the generalized-radius estimate of two or
     more operators, depending on the bound family and operand count;
     `outcome.value` must dominate lhs ** outcome.exponent whenever the bound
-    is valid.
+    is valid. `extras` holds what the contract side adds to a record's
+    params: `estimate_converged` for a generalized-radius estimate.
     """
     spec = bound_spec(bound_id)
     mats = spec.sampler.coerce(mats)
-    outcome, extras = spec.evaluate(mats, params, settings)
-    lhs, omega_hi, measured = spec.contract_side(mats, params, settings)
-    return outcome, lhs, omega_hi, dict(extras, **measured)
+    outcome = spec.evaluate(mats, params, settings)
+    return (outcome, *spec.contract_side(mats, params, settings))
 
 
 def contract_verdict(value: float, lhs_pow: float,

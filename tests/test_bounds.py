@@ -351,11 +351,6 @@ class TestMain3:
         x1, x2 = zeta.witness
         assert np.linalg.norm(x1) == pytest.approx(np.linalg.norm(x2), abs=1e-5)
 
-    @pytest.mark.parametrize("restarts", [0, -3])
-    def test_nonpositive_zeta_restarts_raise(self, restarts):
-        with pytest.raises(OutOfRangeError):
-            bound_main3(OffDiagPair(ONE, ONE), HALF, 1.0, 1, zeta_restarts=restarts)
-
     def test_y_equals_x_guaranteed_form(self):
         g = np.random.default_rng(13)
         for k in range(10):

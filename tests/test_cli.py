@@ -163,14 +163,22 @@ class TestBoundCommand:
         assert float(kv["value"]) == pytest.approx(5.0, abs=1e-6)
         assert kv["ok"] == "true"
 
-    def test_main3_prints_zeta_line(self, tmp_path, capsys):
+    def test_main3_prints_only_bound_line(self, tmp_path, capsys):
         path = write_mat(tmp_path, "one.json", [[1.0]])
         assert main(["bound", "--id", "main3.v1", path, path]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0].startswith("bound ")
-        prefix, kv = parse_kv(lines[1])
-        assert prefix == "zeta"
-        assert float(kv["guaranteed"]) == pytest.approx(2.0, abs=1e-10)
+        assert len(lines) == 1
+        prefix, kv = parse_kv(lines[0])
+        assert prefix == "bound"
+        assert float(kv["value"]) == 2.0
+        assert kv["ok"] == "true"
+
+    def test_seed_option_rejected(self, tmp_path):
+        # one operator never reaches the seeded ascent, so there is no --seed
+        path = write_mat(tmp_path, "one.json", [[1.0]])
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--seed", "0", "--id", "main1.v1", path, path])
+        assert exc.value.code == 2
 
     def test_unknown_id_exit_5(self, tmp_path):
         path = write_mat(tmp_path, "one.json", [[1.0]])
@@ -275,12 +283,13 @@ class TestVerifyCommand:
         assert "omega_tol" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
-    def test_zero_zeta_restarts_exit_3(self, tmp_path, capsys):
+    def test_zeta_restarts_field_exit_2(self, tmp_path, capsys):
+        # a config echo from before the field was removed still names it
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"bound_ids": ["main3.v1"], "zeta_restarts": 0}))
+        cfg_path.write_text(json.dumps({"bound_ids": ["main3.v1"], "zeta_restarts": 6}))
         code = main(["verify", "--config", str(cfg_path), "--trials", "1",
                      "--out", str(tmp_path)])
-        assert code == 3
+        assert code == 2
         assert "zeta_restarts" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
@@ -296,6 +305,7 @@ class TestVerifyCommand:
         ({"jobs": 0}, "jobs"),
         ({"omega_p_restarts": "4"}, "omega_p_restarts"),
         ({"slack": "0"}, "slack"),
+        ({"bound_ids": ["main11.v1"], "constant_mode": "bogus"}, "constant_mode"),
     ])
     def test_bad_config_value_exit_3(self, tmp_path, capsys, override, name):
         # each value would disable the check, flood the report with errors,

@@ -339,7 +339,7 @@ EVALUATOR = {
 
 TINY = dict(dims=((2, 2),), trials=1, r_values=(2.0,), alpha_values=(0.5,),
             holder_p_values=(2.0,), omega_p_p_values=(2.0,), n_operators_values=(1,),
-            omega_p_restarts=2, omega_p_max_iter=20, zeta_restarts=2)
+            omega_p_restarts=2, omega_p_max_iter=20)
 
 
 def first_trial(bound_id, **overrides):
@@ -420,6 +420,13 @@ class TestBoundTable:
             evaluate_bound(bound_id, mats, params)
         for key in ("omega_p_objective", "omega_p_gradient", "zeta_value"):
             assert calls.count(key) > 0, key
+
+    @pytest.mark.parametrize("bound_id", ("main3.v1", "main3.v2"))
+    def test_main3_record_carries_no_gap_fields(self, bound_id):
+        cfg, params, mats = first_trial(bound_id)
+        record = _run_single(cfg, 0, bound_id, params, mats)
+        assert record.error is None
+        assert not {"refined_value", "zeta_estimate"} & set(record.params)
 
     def test_unpack_rejects_short_group(self):
         one = np.eye(1)
