@@ -245,57 +245,92 @@ def _prepare_ops(ops) -> np.ndarray:
     return np.stack(mats)
 
 
+def _rows_times(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """x @ mats for one vector x (n,) or a (b, n) batch.
+
+    numpy hands a one-row product to gemv, which rounds differently from
+    the gemm it uses for two rows or more, so a lone row is doubled: each
+    row's products then come out the same to the bit however many rows
+    share the batch, and the restarts of `_sphere_ascent` cannot couple
+    through rounding.
+    """
+    if x.ndim == 2 and x.shape[0] != 1:
+        return x @ mats
+    out = np.concatenate([x, x]).reshape(2, -1) @ mats
+    return out[..., 0, :] if x.ndim == 1 else out[..., :1, :]
+
+
 def form_values(stack: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T_i x, <T_i x, x>) for a (k, n, n) stack of operators T.
 
     x is one vector (n,) or a batch (b, n); the results keep the operator
     axis first, with shapes (k, n) and (k,), or (k, b, n) and (k, b).
     """
-    tx = x @ np.swapaxes(stack, -1, -2)
-    return tx, np.sum(tx * np.conj(x), axis=-1)
+    tx = _rows_times(x, np.swapaxes(stack, -1, -2))
+    return tx, (tx * np.conj(x)).sum(axis=-1)
 
 
-def omega_p_objective(ops, p: float, x: np.ndarray):
+def _doubled(stack: np.ndarray) -> np.ndarray:
+    """[T_i^T; conj(T_i)], shape (2k, n, n): x @ it is [T_i x; T_i* x]."""
+    return np.concatenate([np.swapaxes(stack, -1, -2), np.conj(stack)])
+
+
+def _products(doubled: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W = [T_i x; T_i* x] and z_i = <T_i x, x> from one product with the
+    `_doubled` stack; x is one vector (n,) or a (b, n) batch."""
+    w = _rows_times(x, doubled)
+    return w, (w[:doubled.shape[0] // 2] * np.conj(x)).sum(axis=-1)
+
+
+def omega_p_objective(ops, p: float, x: np.ndarray, z: np.ndarray | None = None):
     """F(x) = sum_i |<T_i x, x>|^p (not yet raised to 1/p).
 
     A float for one vector x, an array of b values for a (b, n) batch.
+    z, when given, holds the values <T_i x, x> already computed at x.
     """
-    _, z = form_values(np.asarray(ops), np.asarray(x))
-    f = np.sum(np.abs(z) ** p, axis=0)
+    if z is None:
+        _, z = form_values(np.asarray(ops), np.asarray(x))
+    f = (np.abs(z) ** p).sum(axis=0)
     return float(f) if f.ndim == 0 else f
 
 
-def omega_p_gradient(ops, p: float, x: np.ndarray,
-                     zero_tol: float = 0.0) -> np.ndarray:
+def omega_p_gradient(ops, p: float, x: np.ndarray, zero_tol: float = 0.0,
+                     products: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Euclidean ascent direction of F at x (complex vector, real pairing).
 
     The directional derivative of F along d equals Re <d, G> with
-    G = sum_i c_i T_i x + conj(c_i) T_i* x, c_i = p |z_i|^(p-2) conj(z_i),
-    where T_i* x = conj(conj(x) T_i); terms with |z_i| below zero_tol are
-    dropped (the p < 2 kink guard). x is one vector or a (b, n) batch,
-    giving G of the same shape.
+    G = sum_i c_i T_i x + conj(c_i) T_i* x, c_i = p |z_i|^(p-2) conj(z_i);
+    terms with |z_i| below zero_tol are dropped (the p < 2 kink guard).
+    x is one vector or a (b, n) batch, giving G of the same shape.
+    `products`, when given, is the pair (W, z) of `_products` at x.
     """
-    stack = np.asarray(ops, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    tx, z = form_values(stack, x)
+    if products is None:
+        products = _products(_doubled(np.asarray(ops, dtype=np.complex128)),
+                             np.asarray(x, dtype=np.complex128))
+    w, z = products
     az = np.abs(z)
     c = np.power(az, p - 2.0, out=np.zeros_like(az), where=az > zero_tol) * (p * np.conj(z))
-    return (np.einsum("k...,k...i->...i", c, tx)
-            + np.conj(np.einsum("k...,k...i->...i", c, np.conj(x) @ stack)))
+    k = c.shape[0]
+    return (np.einsum("k...,k...i->...i", c, w[:k])
+            + np.einsum("k...,k...i->...i", np.conj(c), w[k:]))
 
 
-def _great_circle(stack: np.ndarray, x: np.ndarray, u: np.ndarray):
+def _great_circle(stack: np.ndarray, x: np.ndarray, u: np.ndarray,
+                  at_x: tuple[np.ndarray, np.ndarray] | None = None):
     """Coefficients of <T_i y, y> along the great circles y = x cos t + u sin t.
 
     x and u are (b, n) batches of unit vectors with Re <x, u> = 0. Along
     each circle every value is alpha + beta cos 2t + gamma sin 2t; the
-    three (k, b) coefficient arrays come from one product of the stack
-    with x and u.
+    three (k, b) coefficient arrays come from the products of the stack
+    with x and u. `at_x`, when given, is (T_i x, <T_i x, x>) already
+    computed, so only T_i u is formed.
     """
-    b = x.shape[0]
-    tw, z = form_values(stack, np.concatenate([x, u]))
-    cross = np.sum(tw[:, :b] * np.conj(u) + tw[:, b:] * np.conj(x), axis=-1)
-    return (z[:, :b] + z[:, b:]) / 2, (z[:, :b] - z[:, b:]) / 2, cross / 2
+    tx, zx = form_values(stack, x) if at_x is None else at_x
+    tu = _rows_times(u, np.swapaxes(stack, -1, -2))
+    cu = np.conj(u)
+    zu = (tu * cu).sum(axis=-1)
+    cross = (tx * cu + tu * np.conj(x)).sum(axis=-1)
+    return (zx + zu) / 2, (zx - zu) / 2, cross / 2
 
 
 def _sphere_ascent(stack, p, x0, max_iter, grad_tol, zero_tol):
@@ -308,41 +343,52 @@ def _sphere_ascent(stack, p, x0, max_iter, grad_tol, zero_tol):
     recomputed F(x) does not decrease. A row leaves the batch when its
     tangent gradient drops below grad_tol, when a move is refused (it
     would repeat exactly) or after three moves in a row that gain nothing.
-    Returns the final x (b, n) and F(x) (b,).
+    Each row carries W = [T_i x; T_i* x] and z = <T_i x, x> with F(x), so
+    an iteration forms T_i u for the line search and one product of the
+    doubled stack with the candidate, which gives its z and F and, once
+    the move is kept, the next W. Returns the final x (b, n) and F(x) (b,).
     """
+    doubled = _doubled(stack)
+    k = stack.shape[0]
     x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
-    f = omega_p_objective(stack, p, x)
-    out_x, out_f = x.copy(), f.copy()
+    w, z = _products(doubled, x)
+    f = omega_p_objective(stack, p, x, z)
+    out_x, out_f = np.empty_like(x), np.empty_like(f)
     rows = np.arange(x.shape[0])
     stall = np.zeros(x.shape[0], dtype=int)
     for _ in range(max_iter):
-        live = stall < 3
-        if not live.all():
-            rows, x, f, stall = rows[live], x[live], f[live], stall[live]
-        if not rows.size:
-            break
-        g = omega_p_gradient(stack, p, x, zero_tol)
-        gt = g - np.real(np.sum(np.conj(x) * g, axis=1))[:, None] * x
+        g = omega_p_gradient(stack, p, x, zero_tol, (w, z))
+        gt = g - (np.conj(x) * g).sum(axis=1).real[:, None] * x
         gn = np.linalg.norm(gt, axis=1)
         live = gn > grad_tol
         if not live.all():
-            rows, x, f, stall, gt, gn = rows[live], x[live], f[live], stall[live], gt[live], gn[live]
+            out_x[rows[~live]], out_f[rows[~live]] = x[~live], f[~live]
+            rows, x, f, stall, w, z = rows[live], x[live], f[live], stall[live], w[:, live], z[:, live]
+            gt, gn = gt[live], gn[live]
             if not rows.size:
                 break
         u = gt / gn[:, None]
-        alpha, beta, gamma = _great_circle(stack, x, u)
-        curve = np.sum(np.abs(alpha[..., None] + beta[..., None] * _LADDER_COS
-                              + gamma[..., None] * _LADDER_SIN) ** p, axis=0)
-        t = _LADDER[np.argmax(curve, axis=1)][:, None]
+        alpha, beta, gamma = _great_circle(stack, x, u, (w[:k], z))
+        curve = (np.abs(alpha[..., None] + beta[..., None] * _LADDER_COS
+                        + gamma[..., None] * _LADDER_SIN) ** p).sum(axis=0)
+        t = _LADDER[curve.argmax(axis=1)][:, None]
         cand = x * np.cos(t) + u * np.sin(t)
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        fc = omega_p_objective(stack, p, cand)
+        wc, zc = _products(doubled, cand)
+        fc = omega_p_objective(stack, p, cand, zc)
         up = fc >= f
-        gain = fc - f
-        x = np.where(up[:, None], cand, x)
-        f = np.where(up, fc, f)
-        stall = np.where(~up, 3, np.where(gain <= 1e-16 * np.maximum(1.0, f), stall + 1, 0))
-        out_x[rows], out_f[rows] = x, f
+        stall = np.where(fc - f <= 1e-16 * np.maximum(1.0, fc), stall + 1, 0)
+        if not up.all():
+            # a refused move would repeat exactly, so the row leaves at x
+            cand[~up], fc[~up], stall[~up] = x[~up], f[~up], 3
+        x, f, w, z = cand, fc, wc, zc
+        live = stall < 3
+        if not live.all():
+            out_x[rows[~live]], out_f[rows[~live]] = x[~live], f[~live]
+            rows, x, f, stall, w, z = rows[live], x[live], f[live], stall[live], w[:, live], z[:, live]
+            if not rows.size:
+                break
+    out_x[rows], out_f[rows] = x, f
     return out_x, out_f
 
 
@@ -376,10 +422,11 @@ def omega_p(
     Runs :func:`_sphere_ascent` on F(x) = sum_i |<T_i x, x>|^p from
     `restarts` (default 8n) starts, restart k drawn from derive(stream, k),
     and keeps the best; the value is recomputed from the witness, so it is
-    a true lower bound. `tol` (absolute, default 1e-8 * max(1, max ||T_i||))
-    sets the ascent's stopping gradient, and `converged` means the
-    :func:`_dual_gap` at the witness is <= tol: a first-order certificate,
-    not a global one (with all <T_i x, x> = 0, True only for zero T_i).
+    a true lower bound. `tol` (absolute, finite and >= 0, default
+    1e-8 * max(1, max ||T_i||)) sets the ascent's stopping gradient, and
+    `converged` means the :func:`_dual_gap` at the witness is <= tol: a
+    first-order certificate, not a global one (with all <T_i x, x> = 0,
+    True only for zero T_i).
     """
     stack = _prepare_ops(ops)
     p = float(p)
@@ -396,12 +443,15 @@ def omega_p(
     scale = max(1.0, max(norms))
     if tol is None:
         tol = 1e-8 * scale
-    if math.isnan(tol):
-        raise OutOfRangeError("tolerance must not be NaN")
+    tol = float(tol)
+    if not math.isfinite(tol) or tol < 0.0:
+        # an infinite tol would stop every restart at its start and call it
+        # converged; a negative one could never be met
+        raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
     # stop a restart once the tangent gradient falls to a tenth of the
     # requested relative tolerance, in the objective's own units
     f_cap = sum(nv ** p for nv in norms)
-    grad_tol = 0.1 * (float(tol) / scale) * p * max(1.0, f_cap)
+    grad_tol = 0.1 * (tol / scale) * p * max(1.0, f_cap)
 
     starts = np.empty((restarts, side), dtype=np.complex128)
     for k in range(restarts):

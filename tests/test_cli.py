@@ -129,6 +129,14 @@ class TestOmegaPCommand:
         path = write_mat(tmp_path, "i.json", np.eye(2))
         assert main(["omega-p", path, "--restarts", restarts]) == 3
 
+    def test_infinite_tolerance_exit_3(self, tmp_path, capsys):
+        # accepted, it would print a random start of the shift pair as converged
+        path = write_mat(tmp_path, "shift.json", np.eye(2, k=1))
+        assert main(["omega-p", path, path, "--tol", "inf"]) == 3
+        out, err = capsys.readouterr()
+        assert "converged" not in out
+        assert "tolerance" in err
+
 
 class TestBoundCommand:
     def test_main1_scalar(self, tmp_path, capsys):

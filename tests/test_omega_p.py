@@ -15,6 +15,7 @@ from numrad.errors import (
 from numrad.radius import (
     _dual_gap,
     _great_circle,
+    _sphere_ascent,
     omega,
     omega_p,
     omega_p_bruteforce,
@@ -109,6 +110,17 @@ class TestOmegaP:
     def test_rejects_nan_tolerance(self):
         with pytest.raises(OutOfRangeError):
             omega_p([np.eye(2)], p=2.0, tol=float("nan"))
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("-inf"), -1.0])
+    def test_rejects_infinite_or_negative_tolerance(self, tol):
+        # an infinite tol would stop every restart at its random start and
+        # still report the estimate converged
+        with pytest.raises(OutOfRangeError, match="tolerance"):
+            omega_p([np.eye(2, k=1)], p=2.0, tol=tol)
+
+    def test_zero_tolerance_allowed(self):
+        est = omega_p([np.eye(2, k=1)], p=2.0, restarts=4, tol=0.0)
+        assert est.value == pytest.approx(0.5, abs=1e-9)
 
 
 class TestGradient:
@@ -232,6 +244,80 @@ class TestLockstep:
             np.testing.assert_array_equal(starts[0][k], x0)
         for together, alone in row_values:
             np.testing.assert_allclose(together, alone, rtol=1e-12)
+
+
+def three_call_ascent(stack, p, x0, max_iter, grad_tol, zero_tol):
+    """Reference for `_sphere_ascent`: the same iteration written as three
+    calls (gradient, great circle, objective) that each form the products
+    of the stack with x afresh, with every live row written out each
+    iteration."""
+    x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+    f = omega_p_objective(stack, p, x)
+    out_x, out_f = x.copy(), f.copy()
+    rows = np.arange(x.shape[0])
+    stall = np.zeros(x.shape[0], dtype=int)
+    for _ in range(max_iter):
+        live = stall < 3
+        rows, x, f, stall = rows[live], x[live], f[live], stall[live]
+        if not rows.size:
+            break
+        g = omega_p_gradient(stack, p, x, zero_tol)
+        gt = g - np.real(np.sum(np.conj(x) * g, axis=1))[:, None] * x
+        gn = np.linalg.norm(gt, axis=1)
+        live = gn > grad_tol
+        rows, x, f, stall, gt, gn = rows[live], x[live], f[live], stall[live], gt[live], gn[live]
+        if not rows.size:
+            break
+        u = gt / gn[:, None]
+        alpha, beta, gamma = _great_circle(stack, x, u)
+        ladder = numrad.radius._LADDER
+        curve = np.sum(np.abs(alpha[..., None] + beta[..., None] * np.cos(2.0 * ladder)
+                              + gamma[..., None] * np.sin(2.0 * ladder)) ** p, axis=0)
+        t = ladder[np.argmax(curve, axis=1)][:, None]
+        cand = x * np.cos(t) + u * np.sin(t)
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        fc = omega_p_objective(stack, p, cand)
+        up = fc >= f
+        gain = fc - f
+        x = np.where(up[:, None], cand, x)
+        f = np.where(up, fc, f)
+        stall = np.where(~up, 3, np.where(gain <= 1e-16 * np.maximum(1.0, f), stall + 1, 0))
+        out_x[rows], out_f[rows] = x, f
+    return out_x, out_f
+
+
+class TestCarriedProducts:
+    """`_sphere_ascent` carries T_i x, T_i* x, <T_i x, x> and F between
+    iterations; every row must end where the three-call reference ends."""
+
+    def run_both(self, monkeypatch, ops, p, restarts):
+        pairs = []
+
+        def both(*args):
+            carried = _sphere_ascent(*args)
+            pairs.append((carried[1], three_call_ascent(*args)[1]))
+            return carried
+
+        monkeypatch.setattr(numrad.radius, "_sphere_ascent", both)
+        omega_p(ops, p, restarts=restarts, stream=RngStream(23))
+        (carried, reference), = pairs
+        np.testing.assert_allclose(carried, reference, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_ops", [1, 2, 4])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_rows_end_at_reference(self, monkeypatch, n_ops, p):
+        g = np.random.default_rng(int(100 * p) + n_ops)
+        for side in range(1, 9):
+            ops = [rand_complex(g, side) for _ in range(n_ops)]
+            self.run_both(monkeypatch, ops, p, restarts=6)
+
+    @pytest.mark.parametrize("n_ops", [2, 4])
+    def test_zero_operator_at_p1(self, monkeypatch, n_ops):
+        # <0 x, x> = 0 sits on the kink of |z| that zero_tol guards
+        g = np.random.default_rng(40 + n_ops)
+        for side in range(1, 9):
+            ops = [rand_complex(g, side) for _ in range(n_ops - 1)] + [np.zeros((side, side))]
+            self.run_both(monkeypatch, ops, 1.0, restarts=6)
 
 
 class TestBruteForce:
