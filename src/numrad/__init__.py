@@ -62,6 +62,7 @@ from .radius import (
     CertifiedRadius,
     OmegaPEstimate,
     omega,
+    omega_many,
     omega_offdiag_symmetric_check,
     omega_p,
     omega_p_bruteforce,
@@ -108,6 +109,7 @@ __all__ = [
     "herm_eig",
     "imag_part",
     "omega",
+    "omega_many",
     "omega_offdiag_symmetric_check",
     "omega_p",
     "omega_p_bruteforce",

@@ -36,6 +36,7 @@ from .errors import (
     InvalidFunctionError,
     NotContractionError,
     NotNormalError,
+    NumradError,
     OutOfRangeError,
     UnknownBoundError,
 )
@@ -59,7 +60,7 @@ from .linalg import (
     gram_eigen,
     spectral_norm,
 )
-from .radius import omega, omega_p
+from .radius import CertifiedRadius, OmegaPEstimate, omega, omega_many, omega_p
 
 # Normality check: ||M*M - MM*|| <= NORMALITY_TOL * ||M||^2.
 NORMALITY_TOL = 1e-9
@@ -445,17 +446,25 @@ def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
     value = 2**(-p) sum_i (w(A_i) + w(D_i)
     + sqrt((w(A_i) - w(D_i))**2 + (||B_i|| + ||C_i||)**2))**p, with the
     certified radii taken at their upper endpoints (the conservative side
-    for an upper bound).
+    for an upper bound). The A_i are certified together by one
+    :func:`omega_many`, and so are the D_i, so the A_i share one side and
+    the D_i another; the first failure, in the order A_1, D_1, A_2, ...,
+    is raised.
     """
     p = _require_r(p, "p")
     blocks = [blk if isinstance(blk, Block2x2) else Block2x2(*blk) for blk in blocks]
     if not blocks:
         raise OutOfRangeError("at least one block is required")
+    tols = [omega_tol] * len(blocks)
+    radii = zip(omega_many([blk.a for blk in blocks], tols),
+                omega_many([blk.d for blk in blocks], tols))
     total = 0.0
     per_item = []
-    for blk in blocks:
-        wa = omega(blk.a, omega_tol).hi
-        wd = omega(blk.d, omega_tol).hi
+    for blk, certs in zip(blocks, radii):
+        for cert in certs:
+            if isinstance(cert, NumradError):
+                raise cert
+        wa, wd = (cert.hi for cert in certs)
         nb = spectral_norm(blk.b)
         nc = spectral_norm(blk.c)
         term = (wa + wd + math.sqrt((wa - wd) ** 2 + (nb + nc) ** 2)) ** p
@@ -578,31 +587,57 @@ class BoundSpec:
         """Matrix files one CLI evaluation reads."""
         return len(self.sampler.slots)
 
-    def contract_side(self, mats: dict, params: dict,
-                      settings: EvalSettings) -> tuple[float, float | None, dict]:
-        """(lhs, upper end or None, extras): the certified lower radius
-        endpoint, the exact norm, or the generalized-radius lower estimate.
+    def contract_target(self, mats: dict, params: dict,
+                        settings: EvalSettings) -> tuple[str, object, float | None]:
+        """(measure, target, tol): what the contract side measures, and how.
 
         The generalized radius of one operator is its numerical radius for
-        every p, so an "omega_p" side with a single operand is certified by
-        `omega` and gets an upper end; with two or more it is the
-        restarted ascent's lower estimate and the upper end is None.
+        every p, so an "omega_p" side with a single operand is measured by
+        `omega`, certified; with two or more it is the restarted ascent's
+        lower estimate. tol is the absolute `omega` tolerance, None for
+        the other measures. An `omega` target is checked here, so that a
+        bad one fails its own trial and not a lockstep batch.
         """
         target = self.operand(mats, params)
         measure = self.measure
         if measure == "omega_p" and len(target) == 1:
             measure, target = "omega", target[0]
-        if measure == "norm":
-            lhs = spectral_norm(target)
-            return lhs, lhs, {}
-        if measure == "omega":
-            cert = omega(target, settings.omega_tol * max(1.0, spectral_norm(target)))
-            return cert.lo, cert.hi, {}
-        est = omega_p(target, float(params.get("p", 1.0)),
-                      restarts=settings.omega_p_restarts,
-                      stream=derive(settings.stream, 102),
-                      max_iter=settings.omega_p_max_iter)
-        return est.value, None, {"estimate_converged": est.converged}
+        if measure != "omega":
+            return measure, target, None
+        tol = settings.omega_tol * max(1.0, spectral_norm(target))
+        return measure, as_matrix(target), tol
+
+    def contract_side(self, mats: dict, params: dict,
+                      settings: EvalSettings) -> tuple[float, float | None, dict]:
+        """(lhs, upper end or None, extras) of :meth:`contract_target`,
+        measured alone."""
+        measure, target, tol = self.contract_target(mats, params, settings)
+        return contract_ends(measure_contract(measure, target, tol, params, settings))
+
+
+def measure_contract(measure: str, target, tol: float | None, params: dict,
+                     settings: EvalSettings):
+    """One contract side measured: `omega`'s CertifiedRadius, the exact
+    norm, or `omega_p`'s OmegaPEstimate."""
+    if measure == "omega":
+        return omega(target, tol)
+    if measure == "norm":
+        return spectral_norm(target)
+    return omega_p(target, float(params.get("p", 1.0)),
+                   restarts=settings.omega_p_restarts,
+                   stream=derive(settings.stream, 102),
+                   max_iter=settings.omega_p_max_iter)
+
+
+def contract_ends(result) -> tuple[float, float | None, dict]:
+    """(lhs, upper end or None, extras) of a measured contract side: the
+    ends of a certified enclosure, a norm twice, or a lower estimate with
+    no upper end and its `estimate_converged` flag."""
+    if isinstance(result, CertifiedRadius):
+        return result.lo, result.hi, {}
+    if isinstance(result, OmegaPEstimate):
+        return result.value, None, {"estimate_converged": result.converged}
+    return result, result, {}
 
 
 def _pair_arg(params: dict) -> FunctionPair:

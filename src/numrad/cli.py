@@ -95,7 +95,8 @@ def _print_kv(prefix: str, **fields) -> None:
 def cmd_omega(args) -> int:
     m = read_matrix(args.path)
     cert = omega(m, args.tol)
-    _print_kv("omega", lo=cert.lo, hi=cert.hi, theta=cert.witness_theta, evals=cert.evals)
+    _print_kv("omega", lo=cert.lo, hi=cert.hi, theta=cert.witness_theta, evals=cert.evals,
+              rounds=cert.rounds)
     return 0
 
 

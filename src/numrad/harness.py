@@ -14,6 +14,22 @@ evaluation takes its settings from one `numrad.bounds.EvalSettings`, and
 every contract check, in campaigns, the counterexample suite and
 `numrad bound`, goes through `contract_verdict`.
 
+Each process runs its share of the plan in three stages. `_start_trial`
+draws (or checks) every trial's inputs, evaluates its bound and names its
+contract side (`BoundSpec.contract_target`). `_measure_sides` measures
+every side: the `omega` sides of one operand shape are certified together
+by one `numrad.radius.omega_many` call, while norms and the ascents of two
+or more operators are measured one trial at a time. `_finish_trial` reads
+the ends off each measurement (`numrad.bounds.contract_ends`) and makes
+the record through `contract_verdict`. A trial that raises at any stage
+becomes its own error record; the others go on. `_run_single`, behind
+`replay_trial` and the counterexample suite, is a share of one trial;
+`omega_many` results do not depend on their batch-mates, so a replay gives
+back the campaign record. A record's `wall_time` is its own time in the
+first and last stages plus its own measurement, or its share of the
+`omega_many` call it took part in split by the angles each operator
+evaluated, so the records of a share add up to the share's time.
+
 Everything is deterministic in the master seed: each trial derives its own
 stream from its plan index, so trials can run in any order and in any
 process. With `CampaignConfig.jobs` N > 1 and `os.fork` available,
@@ -44,10 +60,11 @@ from time import perf_counter
 import numpy as np
 
 from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, BoundSpec, EvalSettings,
-                     bound_spec)
+                     bound_spec, contract_ends, measure_contract)
 from .ensembles import KINDS, RngStream, derive, sample
 from .errors import NumradError, OutOfRangeError
 from .linalg import fn_of_abs, spectral_norm
+from .radius import omega_many
 
 FORMAT_VERSION = "numrad-report/1"
 
@@ -239,45 +256,141 @@ def contract_verdict(value: float, lhs_pow: float,
     return ratio, bool(violation)
 
 
-def _run_single(config: CampaignConfig, index: int, bound_id: str,
-                params: dict, mats: dict | None) -> TrialRecord:
+# The exceptions that turn one trial into an error record.
+_TRIAL_ERRORS = (NumradError, ValueError, TypeError)
+
+
+@dataclass(slots=True)
+class _Trial:
+    """A trial between the stages of `_run_share`."""
+
+    index: int
+    bound_id: str
+    params: dict
+    wall: float = 0.0
+    digests: tuple = ()
+    value: float | None = None       # the bound's value and contract exponent
+    exponent: float | None = None
+    side: tuple = ()     # (measure, target, tol) of BoundSpec.contract_target
+    result: object = None
+    error: Exception | None = None
+
+
+def _settings(config: CampaignConfig, index: int) -> EvalSettings:
+    """The evaluation settings of plan entry `index`, with its own stream."""
+    return EvalSettings(config.omega_tol, config.omega_p_restarts, config.omega_p_max_iter,
+                        derive(RngStream(config.master_seed), index))
+
+
+def _start_trial(config: CampaignConfig, index: int, bound_id: str,
+                 params: dict, mats: dict | None) -> _Trial:
+    """Stage 1: draw (or check) the inputs, evaluate the bound and name the
+    contract side to measure."""
     t0 = perf_counter()
-    stream = derive(RngStream(config.master_seed), index)
-    seed_path = f"{config.master_seed}/{index}"
+    trial = _Trial(index, bound_id, params)
     try:
         spec = bound_spec(bound_id)
-        params = dict(params, **{key: params.get(key, getattr(config, key))
-                                 for key in spec.extras})
-        mats = spec.sampler.draw(params, config.ensembles, stream) if mats is None \
+        if spec.extras:
+            trial.params = params = dict(params, **{key: params.get(key, getattr(config, key))
+                                                    for key in spec.extras})
+        settings = _settings(config, index)
+        mats = spec.sampler.draw(params, config.ensembles, settings.stream) if mats is None \
             else spec.sampler.coerce(mats)
-        digests = tuple(_digest(m) for m in spec.sampler.unpack(mats))
-        settings = EvalSettings(config.omega_tol, config.omega_p_restarts,
-                                config.omega_p_max_iter, stream)
-        outcome, lhs, omega_hi, extras = evaluate_bound(bound_id, mats, params, settings)
-        ratio, violation = contract_verdict(outcome.value, lhs ** outcome.exponent,
-                                            config.slack)
+        trial.digests = tuple(_digest(m) for m in spec.sampler.unpack(mats))
+        outcome = spec.evaluate(mats, params, settings)
+        trial.value, trial.exponent = outcome.value, outcome.exponent
+        trial.side = spec.contract_target(mats, params, settings)
+    except _TRIAL_ERRORS as exc:
+        trial.error = exc
+    trial.wall = perf_counter() - t0
+    return trial
+
+
+def _measure_sides(config: CampaignConfig, trials: list) -> None:
+    """Stage 2: measure the contract sides, the `omega` ones by one
+    `omega_many` per operand shape whose time is split by evals (evenly
+    when none were made), the others one trial at a time."""
+    batches: dict = {}
+    t = perf_counter()
+    for trial in trials:
+        measure, target, tol = trial.side
+        if measure == "omega":
+            batches.setdefault(target.shape, []).append(trial)
+            continue
+        try:
+            trial.result = measure_contract(measure, target, tol, trial.params,
+                                            _settings(config, trial.index))
+        except _TRIAL_ERRORS as exc:
+            trial.error = exc
+        trial.side = ()
+        now = perf_counter()
+        trial.wall += now - t
+        t = now
+    for _, batch in sorted(batches.items()):
+        results = omega_many([trial.side[1] for trial in batch],
+                             [trial.side[2] for trial in batch])
+        now = perf_counter()
+        weights = [getattr(res, "evals", 0) for res in results]
+        total = sum(weights)
+        for trial, res, weight in zip(batch, results, weights):
+            if isinstance(res, NumradError):
+                trial.error = res
+            else:
+                trial.result = res
+            trial.side = ()
+            trial.wall += (now - t) * (weight / total if total else 1.0 / len(batch))
+        t = now
+
+
+def _finish_trial(config: CampaignConfig, trial: _Trial) -> TrialRecord:
+    """Stage 3: the record of a measured trial, through `contract_verdict`."""
+    t0 = perf_counter()
+    seed_path = f"{config.master_seed}/{trial.index}"
+    if trial.error is None:
+        try:
+            lhs, omega_hi, extras = contract_ends(trial.result)
+            ratio, violation = contract_verdict(
+                trial.value, lhs ** trial.exponent, config.slack)
+            record = TrialRecord(
+                index=trial.index,
+                bound_id=trial.bound_id,
+                params=_clean_params(dict(trial.params, **extras)),
+                digests=trial.digests,
+                value=trial.value,
+                exponent=trial.exponent,
+                omega_lo=lhs,
+                omega_hi=omega_hi,
+                ratio=ratio,
+                violation=violation,
+                seed_path=seed_path,
+            )
+        except _TRIAL_ERRORS as exc:
+            trial.error = exc
+    if trial.error is not None:
         record = TrialRecord(
-            index=index,
-            bound_id=bound_id,
-            params=_clean_params(dict(params, **extras)),
-            digests=digests,
-            value=outcome.value,
-            exponent=outcome.exponent,
-            omega_lo=lhs,
-            omega_hi=omega_hi,
-            ratio=ratio,
-            violation=violation,
-            seed_path=seed_path,
-            wall_time=perf_counter() - t0,
+            index=trial.index, bound_id=trial.bound_id,
+            params=_clean_params(dict(trial.params)), digests=(), value=None,
+            exponent=None, omega_lo=None, omega_hi=None, ratio=None, violation=False,
+            seed_path=seed_path, error=f"{type(trial.error).__name__}: {trial.error}",
         )
-    except (NumradError, ValueError, TypeError) as exc:
-        record = TrialRecord(
-            index=index, bound_id=bound_id, params=_clean_params(dict(params)),
-            digests=(), value=None, exponent=None, omega_lo=None, omega_hi=None,
-            ratio=None, violation=False, seed_path=seed_path,
-            error=f"{type(exc).__name__}: {exc}", wall_time=perf_counter() - t0,
-        )
+    record.wall_time = trial.wall + perf_counter() - t0
     return record
+
+
+def _run_share(config: CampaignConfig, entries: list) -> list[TrialRecord]:
+    """The records of plan entries (index, bound id, params, mats), run as
+    one share in three stages: every trial drawn and evaluated, every
+    contract side measured, every record finished. A trial that fails
+    becomes its own error record; the others go on."""
+    trials = [_start_trial(config, *entry) for entry in entries]
+    _measure_sides(config, [trial for trial in trials if trial.error is None])
+    return [_finish_trial(config, trial) for trial in trials]
+
+
+def _run_single(config: CampaignConfig, index: int, bound_id: str,
+                params: dict, mats: dict | None) -> TrialRecord:
+    """One plan entry as a share of its own."""
+    return _run_share(config, [(index, bound_id, params, mats)])[0]
 
 
 def _clean_params(params: dict) -> dict:
@@ -299,8 +412,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     if workers > 1 and hasattr(os, "fork"):
         records = _run_forked(config, plan, workers)
     else:
-        records = [_run_single(config, i, b, prm, mts)
-                   for i, (b, prm, mts) in enumerate(plan)]
+        records = _run_share(config, [(i, *entry) for i, entry in enumerate(plan)])
     return build_report(config, records)
 
 
@@ -325,8 +437,8 @@ def _run_forked(config: CampaignConfig, plan: list, workers: int) -> list:
                 _worker(config, plan, worker, workers, write_fd)
             os.close(write_fd)
             children[worker] = (pid, os.fdopen(read_fd, "rb"))
-        for i in _deal(0, workers, len(plan)):
-            records[i] = _run_single(config, i, *plan[i])
+        for rec in _run_share(config, [(i, *plan[i]) for i in _deal(0, workers, len(plan))]):
+            records[rec.index] = rec
         failed = []
         for worker, (pid, pipe) in list(children.items()):
             try:
@@ -358,7 +470,7 @@ def _worker(config: CampaignConfig, plan: list, worker: int, workers: int,
     no inherited stdio buffer is flushed twice."""
     status = 1
     try:
-        share = [_run_single(config, i, *plan[i]) for i in _deal(worker, workers, len(plan))]
+        share = _run_share(config, [(i, *plan[i]) for i in _deal(worker, workers, len(plan))])
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0

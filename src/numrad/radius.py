@@ -20,6 +20,14 @@ The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants give the upper
 endpoint.
 
+`omega_many` runs the branch and bound of several operators of one side in
+lockstep: each round makes one batched eigensolve over every live cell of
+every operator, while the split cap, the angle budget, the lower end and
+witness, and termination stay per operator. Each operator's cells keep the
+order they would have alone and each angle's matrix is built the same way
+whatever else shares its batch, so every result equals a lone run to the
+bit; `omega` is the lockstep run of one operator.
+
 omega_p, the generalized radius, is estimated from below by projected-
 gradient ascent of F(x) = sum_i |<T_i x, x>|^p over unit vectors, with all
 seeded restarts advancing together as one batch. Along the great circle
@@ -31,6 +39,7 @@ omega_p at tiny sizes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,10 +51,11 @@ from .errors import (
     DimensionTooLargeError,
     EmptyListError,
     NotSquareError,
+    NumradError,
     OutOfRangeError,
     ToleranceUnreachableError,
 )
-from .linalg import adjoint, as_matrix, embed_offdiag, hermitian_part, spectral_norm
+from .linalg import as_matrix, embed_offdiag, hermitian_part, spectral_norm
 
 # Default cap on angles evaluated certifying one radius (two per eigensolve).
 DEFAULT_EVAL_BUDGET = 2_000_000
@@ -54,8 +64,13 @@ DEFAULT_EVAL_BUDGET = 2_000_000
 _INITIAL_CELLS = 64
 _MAX_SPLITS_PER_ROUND = 8192
 # Angles per batched eigensolve; bounds the (chunk, n, n) stack and its
-# temporaries.
+# temporaries. A lockstep batch gathers one operator per angle, so its
+# chunks also stay within 2^12 matrix entries (fewer angles past side 4).
 _EIG_CHUNK = 256
+_EIG_CHUNK_ENTRIES = 2 ** 12
+# The initial cells' left and right ends.
+_GRID = np.linspace(0.0, np.pi, _INITIAL_CELLS // 2, endpoint=False)
+_GRID_RIGHTS = np.append(_GRID[1:], np.pi)
 # |z|^(p-2) z is treated as 0 below this relative magnitude (p < 2 kink guard).
 _PHASE_ZERO_TOL = 1e-14
 # Angles tried by the great-circle line search of `_sphere_ascent`: a
@@ -71,7 +86,8 @@ class CertifiedRadius:
     """Enclosure lo <= omega <= hi with hi - lo <= tol.
 
     lo is h(witness_theta), an attained value; hi is a rigorous majorant.
-    evals counts the angles evaluated, two per eigensolve.
+    evals counts the angles evaluated, two per eigensolve; rounds counts
+    the splitting rounds after the initial grid.
     """
 
     lo: float
@@ -79,23 +95,38 @@ class CertifiedRadius:
     witness_theta: float
     tol: float
     evals: int
+    rounds: int
 
 
-def _rotated_tops(m: np.ndarray, m_adj: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """h(theta) and h(theta + pi) for a batch of angles, shape (2, b).
+def _rotated_tops(ms: np.ndarray, thetas: np.ndarray, owner: np.ndarray | None = None,
+                  step: int = _EIG_CHUNK) -> np.ndarray:
+    """h(theta) and h(theta + pi) of operator ms[owner[j]] at angle
+    thetas[j], shape (2, c), from eigensolves of `step` angles at a time;
+    `owner` is nondecreasing, and None when the (1, n, n) stack holds the
+    only operator.
 
     Both come from one eigensolve of Re(e^{i theta} M) per angle: its
-    lambda_max is h(theta) and minus its lambda_min is h(theta + pi).
+    lambda_max is h(theta) and minus its lambda_min is h(theta + pi). A
+    chunk of one owner broadcasts that operator as a (1, n, n) slice and
+    any other gathers one operator per angle. Both are 3-d operands, which
+    round alike, so an angle's bits do not depend on its chunk-mates.
     """
     out = np.empty((2, thetas.shape[0]))
-    for start in range(0, thetas.shape[0], _EIG_CHUNK):
-        chunk = thetas[start:start + _EIG_CHUNK]
-        phase = np.exp(1j * chunk)
-        stack = 0.5 * (phase[:, None, None] * m
-                       + np.conj(phase)[:, None, None] * m_adj)
+    ops = ms
+    adjs = np.conj(ops).transpose(0, 2, 1).copy()
+    for start in range(0, thetas.shape[0], step):
+        stop = start + step
+        if owner is not None:
+            own = owner[start:stop]
+            ops = ms[own[0]:own[0] + 1] if own[0] == own[-1] else ms[own]
+            adjs = np.conj(ops).transpose(0, 2, 1).copy()
+        phase = np.exp(1j * thetas[start:stop])
+        stack = phase[:, None, None] * ops
+        stack += np.conj(phase)[:, None, None] * adjs
+        stack *= 0.5
         spectra = np.linalg.eigvalsh(stack)
-        out[0, start:start + _EIG_CHUNK] = spectra[:, -1]
-        out[1, start:start + _EIG_CHUNK] = -spectra[:, 0]
+        out[0, start:stop] = spectra[:, -1]
+        out[1, start:stop] = -spectra[:, 0]
     return out
 
 
@@ -131,69 +162,179 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
             eigensolve evaluates two, theta and theta + pi).
 
     Raises:
+        NotSquareError: m is not square.
         OutOfRangeError: tol is not finite or is too small.
         ToleranceUnreachableError: budget exhausted before hi - lo <= tol.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"omega requires a square matrix, got {m.shape}")
-    nrm = spectral_norm(m)
-    scale = max(1.0, nrm)
-    if tol is None:
-        tol = 1e-8 * scale
-    tol = float(tol)
-    if not math.isfinite(tol):
-        raise OutOfRangeError(f"tolerance must be finite, got {tol}")
-    if tol < 1e-12 * scale:
-        raise OutOfRangeError(f"tolerance {tol:.3e} below 1e-12 * max(1, ||M||)")
-    if nrm == 0.0:
-        return CertifiedRadius(lo=0.0, hi=0.0, witness_theta=0.0, tol=tol, evals=0)
+    (out,) = omega_many([m], [tol], max_evals)
+    if isinstance(out, NumradError):
+        raise out
+    return out
 
-    m_adj = adjoint(m)
+
+def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
+    """:func:`omega` of operators of one side, certified in lockstep.
+
+    tols[i] (None for the default) and the budget apply to mats[i] alone,
+    and so do the split cap, the witness updates and termination; only the
+    eigensolves of each round are shared, one batch over every live cell
+    of every operator. Returns one CertifiedRadius, or the NumradError
+    :func:`omega` would raise, per operator; each equals :func:`omega` of
+    that operator alone to the bit.
+
+    Raises:
+        DimensionMismatchError: the square operators differ in side, or
+            tols has another length.
+    """
+    mats, tols = list(mats), list(tols)
+    if len(tols) != len(mats):
+        raise DimensionMismatchError(f"{len(mats)} operators but {len(tols)} tolerances")
+    out: list = [None] * len(mats)
+    live, stack, norms, widths = [], None, [], []
+    for i, (m, tol) in enumerate(zip(mats, tols)):
+        m = as_matrix(m)
+        if m.shape[0] != m.shape[1]:
+            out[i] = NotSquareError(f"omega requires a square matrix, got {m.shape}")
+            continue
+        nrm = spectral_norm(m)
+        scale = max(1.0, nrm)
+        tol = 1e-8 * scale if tol is None else float(tol)
+        if not math.isfinite(tol):
+            out[i] = OutOfRangeError(f"tolerance must be finite, got {tol}")
+        elif tol < 1e-12 * scale:
+            out[i] = OutOfRangeError(f"tolerance {tol:.3e} below 1e-12 * max(1, ||M||)")
+        elif nrm == 0.0:
+            out[i] = CertifiedRadius(lo=0.0, hi=0.0, witness_theta=0.0, tol=tol,
+                                     evals=0, rounds=0)
+        else:
+            if stack is None:
+                stack = np.empty((len(mats), *m.shape), dtype=np.complex128)
+            elif m.shape != stack.shape[1:]:
+                raise DimensionMismatchError(f"operators must share one side, got "
+                                             f"{stack.shape[1]} and {m.shape[0]}")
+            stack[len(live)] = m
+            live.append(i)
+            norms.append(nrm)
+            widths.append(tol)
+    if live:
+        done = _branch_and_bound(stack[:len(live)], np.array(norms), np.array(widths),
+                                 max_evals)
+        for i, res in zip(live, done):
+            out[i] = res
+    return out
+
+
+def _raise_lo(lo: np.ndarray, witness: np.ndarray, h_mid: np.ndarray, mids: np.ndarray,
+              starts: np.ndarray, lengths: np.ndarray) -> None:
+    """Raise each owner's lo, in place, to the highest new value in its run
+    of the (2, c) values h_mid at angles mids (runs begin at `starts`),
+    and move its witness there.
+
+    A tie goes to the first value in (track, angle) order, where argmax
+    over one owner's flattened values lands, and lo moves only on a
+    strict rise.
+    """
+    if starts.size == 1:
+        track, col = divmod(int(h_mid.argmax()), h_mid.shape[1])
+        if h_mid[track, col] > lo[0]:
+            lo[0], witness[0] = h_mid[track, col], mids[col] + track * np.pi
+        return
+    peak = np.maximum.reduceat(h_mid, starts, axis=1)
+    track = (peak[1] > peak[0]).astype(int)
+    runs = np.arange(starts.size)
+    value = peak[track, runs]
+    cols = np.where(h_mid == value.repeat(lengths), np.arange(h_mid.shape[1]), h_mid.shape[1])
+    col = np.minimum.reduceat(cols, starts, axis=1)[track, runs]
+    up = value > lo
+    lo[up], witness[up] = value[up], mids[col[up]] + track[up] * np.pi
+
+
+def _branch_and_bound(ms: np.ndarray, nrm: np.ndarray, tol: np.ndarray,
+                      max_evals: int) -> list:
+    """The rounds of :func:`omega_many` over a (b, n, n) stack of nonzero
+    operators with their norms and checked tolerances.
+
+    Each cell has a left and a right end, h at both ends on both tracks
+    and a majorant, and `own` names its operator. Cells are kept in owner
+    order, and each owner's in the order it would have alone: held cells,
+    then the left halves of split cells, then the right halves. Per-owner
+    maxima are taken over each owner's run of cells, ties going to its
+    first, as they would alone. An operator leaves when it ends, so every
+    owner left has a run; each left splits in every round, so all share
+    one round count.
+    """
+    ids = np.arange(ms.shape[0])
+    out: list = [None] * ids.size
+    one = ids.size == 1
+    step = _EIG_CHUNK if one else min(_EIG_CHUNK, max(1, _EIG_CHUNK_ENTRIES // ms.shape[1] ** 2))
 
     # Cells cover [0, pi); row 0 of each value array tracks h(theta), row 1
     # tracks h(theta + pi). At pi the two tracks meet each other's start.
-    grid = np.linspace(0.0, np.pi, _INITIAL_CELLS // 2, endpoint=False)
-    h = _rotated_tops(m, m_adj, grid)
-    evals = 2 * grid.size
+    g = _GRID.size
+    own = ids.repeat(g)
+    starts = ids * g
+    lefts, rights = np.tile(_GRID, ids.size), np.tile(_GRID_RIGHTS, ids.size)
+    h = _rotated_tops(ms, lefts, None if one else own, step).reshape(2, -1, g)
+    h_left = h.reshape(2, -1)
+    h_right = np.concatenate([h[:, :, 1:], h[::-1, :, :1]], axis=2).reshape(2, -1)
+    ub = _cell_majorant(h_left, h_right, rights - lefts, nrm if one else nrm[own]).max(axis=0)
+    # eigensolves each operator may still make
+    room0 = (max_evals - 2 * g) // 2
+    room = np.full(ids.size, room0)
 
-    lefts = grid
-    rights = np.append(grid[1:], np.pi)
-    h_left = h
-    h_right = np.concatenate([h[:, 1:], h[::-1, :1]], axis=1)
-    ub = _cell_majorant(h_left, h_right, rights - lefts, nrm).max(axis=0)
+    flat = h.transpose(1, 0, 2).reshape(ids.size, -1)
+    best = flat.argmax(axis=1)
+    lo = flat[ids, best]
+    track, best = divmod(best, g)
+    witness = _GRID[best] + track * np.pi
 
-    track, best = divmod(int(np.argmax(h)), grid.size)
-    lo = float(h[track, best])
-    witness = float(grid[best]) + track * np.pi
-
-    while True:
-        hi = max(lo, float(ub.max())) if ub.size else lo
-        if hi - lo <= tol:
-            return CertifiedRadius(lo=lo, hi=hi, witness_theta=witness % (2.0 * np.pi),
-                                   tol=tol, evals=evals)
-
-        split = ub > lo + tol
-        if split.sum() > _MAX_SPLITS_PER_ROUND:
-            # the cap's worth of highest majorants, all above lo + tol
-            chosen = np.argpartition(ub, -_MAX_SPLITS_PER_ROUND)[-_MAX_SPLITS_PER_ROUND:]
-            split = np.zeros_like(split)
-            split[chosen] = True
-        hold = (ub > lo) & ~split
+    for rounds in itertools.count():
+        top = np.maximum.reduceat(ub, starts)
+        bar = lo + tol
+        split = ub > (bar if one else bar[own])
+        splits = np.count_nonzero(split, axis=0, keepdims=True) if one else \
+            np.bincount(own[split], minlength=ids.size)
+        if splits.max() > _MAX_SPLITS_PER_ROUND:
+            for k in np.flatnonzero(splits > _MAX_SPLITS_PER_ROUND):
+                # the cap's worth of highest majorants, all above lo + tol
+                run = slice(starts[k], starts[k + 1] if k + 1 < starts.size else None)
+                chosen = np.argpartition(ub[run], -_MAX_SPLITS_PER_ROUND)[-_MAX_SPLITS_PER_ROUND:]
+                split[run] = False
+                split[starts[k] + chosen] = True
+            splits = np.minimum(splits, _MAX_SPLITS_PER_ROUND)
+        done = top - lo <= tol
+        gone = done | (splits > room)
+        if gone.any():
+            for k in np.flatnonzero(gone):
+                hi = max(lo[k], top[k])
+                out[ids[k]] = CertifiedRadius(
+                    lo=float(lo[k]), hi=float(hi),
+                    witness_theta=float(witness[k]) % (2.0 * np.pi), tol=float(tol[k]),
+                    evals=2 * int(g + room0 - room[k]), rounds=rounds) if done[k] else \
+                    ToleranceUnreachableError(f"angle budget {max_evals} exhausted at "
+                                              f"width {hi - lo[k]:.3e}")
+            keep = ~gone
+            if not keep.any():
+                return out
+            kept = keep[own]
+            split, own = split[kept], (np.cumsum(keep) - 1)[own[kept]]
+            lefts, rights, ub = lefts[kept], rights[kept], ub[kept]
+            h_left, h_right = h_left[:, kept], h_right[:, kept]
+            ids, nrm, tol, lo, witness, room, splits = (
+                a[keep] for a in (ids, nrm, tol, lo, witness, room, splits))
+            if ids.size == 1 and not one:
+                one, ms, starts = True, ms[ids], starts[:1]
+        hold = (ub > (lo if one else lo[own])) & ~split
 
         mids = 0.5 * (lefts[split] + rights[split])
-        if evals + 2 * mids.size > max_evals:
-            raise ToleranceUnreachableError(
-                f"angle budget {max_evals} exhausted at width {hi - lo:.3e}"
-            )
-        h_mid = _rotated_tops(m, m_adj, mids)
-        evals += 2 * mids.size
-
-        if mids.size:
-            track, top = divmod(int(np.argmax(h_mid)), mids.size)
-            if float(h_mid[track, top]) > lo:
-                lo = float(h_mid[track, top])
-                witness = float(mids[top]) + track * np.pi
+        if one:
+            h_mid = _rotated_tops(ms, mids, None, step)
+        else:
+            own_mid = own[split]
+            h_mid = _rotated_tops(ms, mids, ids[own_mid], step)
+            starts = np.cumsum(splits) - splits
+        room -= splits
+        _raise_lo(lo, witness, h_mid, mids, starts, splits)
 
         lefts = np.concatenate([lefts[hold], lefts[split], mids])
         rights = np.concatenate([rights[hold], mids, rights[split]])
@@ -202,7 +343,15 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
         # held cells keep their majorants; only the new halves get one
         held = np.count_nonzero(hold)
         ub = np.concatenate([ub[hold], _cell_majorant(
-            h_left[:, held:], h_right[:, held:], rights[held:] - lefts[held:], nrm).max(axis=0)])
+            h_left[:, held:], h_right[:, held:], rights[held:] - lefts[held:],
+            nrm if one else nrm[np.concatenate([own_mid, own_mid])]).max(axis=0)])
+        if not one:
+            own = np.concatenate([own[hold], own_mid, own_mid])
+            order = np.argsort(own, kind="stable")
+            own, lefts, rights, ub = own[order], lefts[order], rights[order], ub[order]
+            h_left, h_right = h_left[:, order], h_right[:, order]
+            counts = np.bincount(own)
+            starts = np.cumsum(counts) - counts
 
 
 def omega_offdiag_symmetric_check(

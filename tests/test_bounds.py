@@ -23,6 +23,7 @@ from numrad.errors import (
     NotContractionError,
     NotNormalError,
     OutOfRangeError,
+    ToleranceUnreachableError,
 )
 from numrad.funcpair import FunctionPair, HolderPair, power_pair, pow_of_pair
 from numrad.linalg import (
@@ -34,7 +35,8 @@ from numrad.linalg import (
     fn_of_psd,
     spectral_norm,
 )
-from numrad.radius import omega
+import numrad.bounds
+from numrad.radius import omega, omega_many
 
 ONE = [[1.0]]
 HALF = power_pair(0.5)
@@ -509,3 +511,38 @@ class TestTh1:
         blocks = [([[1.0]], [[0.0]], [[0.0]], [[1.0]])] * 3
         out = bound_th1(blocks, 2.0, omega_tol=1e-10)
         assert out.value == pytest.approx(3.0, abs=1e-7)
+
+    @pytest.mark.parametrize("k,p", [(1, 1.0), (2, 3.0), (4, 2.0)])
+    def test_block_radii_equal_single_calls(self, k, p):
+        # the A_i and the D_i are certified in two lockstep calls; each term
+        # equals the one made from a lone omega per block, to the bit
+        g = np.random.default_rng(19 + k)
+        blocks = [(rand_complex(g, 3), rand_complex(g, 3, 2), rand_complex(g, 2, 3),
+                   rand_complex(g, 2)) for _ in range(k)]
+        tol = 1e-7
+        out = bound_th1(blocks, p, tol)
+        total = 0.0
+        for i, (a, b, c, d) in enumerate(blocks):
+            wa, wd = omega(a, tol).hi, omega(d, tol).hi
+            term = (wa + wd + math.sqrt((wa - wd) ** 2
+                                        + (spectral_norm(b) + spectral_norm(c)) ** 2)) ** p
+            assert out.terms[f"item_{i}"] == term
+            total += term
+        assert out.value == 2.0 ** (-p) * total
+
+    def test_first_failing_block_radius_is_raised(self, monkeypatch):
+        # with 64 angles only the initial grid fits: a zero A_1 certifies,
+        # so D_1 is the first radius to run out of budget
+        def short(mats, tols):
+            return omega_many(mats, tols, max_evals=64)
+
+        monkeypatch.setattr(numrad.bounds, "omega_many", short)
+        g = np.random.default_rng(23)
+        d1, a2 = rand_complex(g, 2), rand_complex(g, 2)
+        blocks = [(np.zeros((2, 2)), np.eye(2), np.eye(2), d1),
+                  (a2, np.eye(2), np.eye(2), rand_complex(g, 2))]
+        with pytest.raises(ToleranceUnreachableError) as info:
+            bound_th1(blocks, 1.0, 1e-8)
+        with pytest.raises(ToleranceUnreachableError) as first:
+            omega(d1, 1e-8, max_evals=64)
+        assert str(info.value) == str(first.value)

@@ -72,7 +72,16 @@ class TestOmegaCommand:
         assert main(["omega", path]) == 0
         _, kv = parse_kv(capsys.readouterr().out.strip())
         assert float(kv["lo"]) == 0.0 and float(kv["hi"]) == 0.0
-        assert kv["evals"] == "0"
+        assert kv["evals"] == "0" and kv["rounds"] == "0"
+
+    def test_prints_rounds(self, tmp_path, capsys):
+        m = [[0, 1], [0, 0]]
+        path = write_mat(tmp_path, "n.json", m)
+        assert main(["omega", path, "--tol", "1e-8"]) == 0
+        _, kv = parse_kv(capsys.readouterr().out.strip())
+        cert = numrad.omega(m, 1e-8)
+        assert (int(kv["evals"]), int(kv["rounds"])) == (cert.evals, cert.rounds)
+        assert cert.rounds > 0
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -393,14 +402,14 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("jobs,message", [(1, "planted failure"),
                                               (2, "campaign worker failed")])
     def test_unexpected_exception_exit_6(self, tmp_path, capfd, monkeypatch, jobs, message):
-        orig = numrad.harness._run_single
+        orig = numrad.harness._start_trial
 
         def failing(config, index, *args):
             if index == 1:  # _deal(1, 2, n)[0]: at jobs 2, the forked worker's first trial
                 raise RuntimeError("planted failure")
             return orig(config, index, *args)
 
-        monkeypatch.setattr(numrad.harness, "_run_single", failing)
+        monkeypatch.setattr(numrad.harness, "_start_trial", failing)
         code = main(["verify", "--trials", "1", "--bounds", "main1.v1", "--jobs", str(jobs),
                      "--out", str(tmp_path)])
         err = capfd.readouterr().err

@@ -140,14 +140,14 @@ class TestRunCampaign:
     def test_forked_worker_failure_raises_and_reaps(self, monkeypatch):
         cfg = small_config(bound_ids=("main1.v1",), min_trials_per_bound=4, jobs=2)
         planted = _deal(1, 2, len(_build_plan(cfg)))[1]  # the forked worker's second trial
-        orig = numrad.harness._run_single
+        orig = numrad.harness._start_trial
 
         def failing(config, index, *args):
             if index == planted:
                 raise RuntimeError("planted failure")
             return orig(config, index, *args)
 
-        monkeypatch.setattr(numrad.harness, "_run_single", failing)
+        monkeypatch.setattr(numrad.harness, "_start_trial", failing)
         with pytest.raises(RuntimeError, match="worker 1 of 2"):
             run_campaign(cfg)
         with pytest.raises(ChildProcessError):
@@ -156,14 +156,14 @@ class TestRunCampaign:
     def test_parent_share_failure_kills_and_reaps_workers(self, monkeypatch):
         cfg = small_config(bound_ids=("main1.v1",), min_trials_per_bound=4, jobs=3)
         planted = _deal(0, 3, len(_build_plan(cfg)))[1]  # this process's second trial
-        orig = numrad.harness._run_single
+        orig = numrad.harness._start_trial
 
         def interrupted(config, index, *args):
             if index == planted:
                 raise KeyboardInterrupt
             return orig(config, index, *args)
 
-        monkeypatch.setattr(numrad.harness, "_run_single", interrupted)
+        monkeypatch.setattr(numrad.harness, "_start_trial", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_campaign(cfg)
         with pytest.raises(ChildProcessError):
@@ -388,19 +388,18 @@ class TestBoundTable:
 
     def test_omega_p_recheck_reuses_the_bound_outcome(self, monkeypatch):
         zero = BoundOutcome(bound_id="th1", value=0.0, exponent=2.0)
-        monkeypatch.setattr(numrad.bounds, "bound_th1", lambda *a, **k: zero)
         evals, restarts = [], []
-        real_eval, real_omega_p = evaluate_bound, numrad.radius.omega_p
+        real_omega_p = numrad.radius.omega_p
 
-        def counting_eval(*args, **kwargs):
-            evals.append(args[0])
-            return real_eval(*args, **kwargs)
+        def counting_th1(*args, **kwargs):
+            evals.append("th1")
+            return zero
 
         def recording_omega_p(*args, **kwargs):
             restarts.append(kwargs["restarts"])
             return real_omega_p(*args, **kwargs)
 
-        monkeypatch.setattr(numrad.harness, "evaluate_bound", counting_eval)
+        monkeypatch.setattr(numrad.bounds, "bound_th1", counting_th1)
         monkeypatch.setattr(numrad.bounds, "omega_p", recording_omega_p)
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
@@ -522,3 +521,91 @@ class TestOneOperatorContract:
                 assert "estimate_converged" not in rec.params
             else:
                 assert rec.omega_hi is None and "estimate_converged" in rec.params
+
+
+class TestStagedShare:
+    """A process's share runs in stages: every trial drawn and evaluated,
+    every contract side measured (the omega sides of one operand side in
+    one lockstep call), every record finished."""
+
+    IDS = ("main1.v1", "product_xy", "sum_norm", "main11.young.v2", "main4.v1", "th1")
+
+    def cfg(self, **overrides):
+        kw = dict(bound_ids=self.IDS, dims=((1, 1), (2, 3), (8, 8)), trials=1,
+                  r_values=(1.0,), alpha_values=(0.5,), holder_p_values=(2.0,),
+                  omega_p_p_values=(2.0,), n_operators_values=(1, 2), omega_p_restarts=2,
+                  omega_p_max_iter=20)
+        return small_config(**{**kw, **overrides})
+
+    @staticmethod
+    def fields(rec):
+        return {key: val for key, val in dataclasses.asdict(rec).items() if key != "wall_time"}
+
+    def test_every_record_equals_its_replay(self):
+        cfg = self.cfg()
+        report = run_campaign(cfg)
+        assert not report.errors and len(report.records) == 27
+        dims = {(rec.params["m"], rec.params["n"]) for rec in report.records}
+        assert dims == {(1, 1), (2, 2), (2, 3), (8, 8)}
+        for rec in report.records:
+            assert self.fields(replay_trial(cfg, rec.index)) == self.fields(rec)
+
+    def test_failing_trial_is_its_own_record(self, monkeypatch):
+        # the [[0, 1], [0, 0]] extra trial shares its side-2 lockstep call with
+        # the grid's (1, 1) trials but needs far more than 4096 angles at
+        # omega_tol 1e-10; the r = 0.5 one fails while its bound is evaluated
+        disk = ("main1.v1", {"m": 1, "n": 1, "r": 1.0, "alpha": 0.5},
+                {"x": [[1.0]], "y": [[0.0]]})
+        bad_r = ("main1.v1", {"m": 1, "n": 1, "r": 0.5, "alpha": 0.5},
+                 {"x": [[1.0]], "y": [[1.0]]})
+        cfg = self.cfg(omega_tol=1e-10, extra_trials=(disk, bad_r))
+        lockstep = numrad.radius.omega_many
+        monkeypatch.setattr(numrad.harness, "omega_many",
+                            lambda mats, tols: lockstep(mats, tols, max_evals=4096))
+        report = run_campaign(cfg)
+        *grid, failed, rejected = report.records
+        assert failed.error.startswith("ToleranceUnreachableError: angle budget 4096")
+        assert rejected.error.startswith("OutOfRangeError: r must be >= 1")
+        assert failed.value is None and failed.digests == ()
+        monkeypatch.undo()
+        clean = run_campaign(dataclasses.replace(cfg, extra_trials=()))
+        assert [self.fields(r) for r in grid] == [self.fields(r) for r in clean.records]
+
+    def test_wall_times_add_up_to_the_stage(self, monkeypatch):
+        # with a clock that ticks once per reading, the time charged to the
+        # trials in the measuring stage is exactly the stage's own span
+        clock = [0.0]
+
+        def tick():
+            clock[0] += 1.0
+            return clock[0]
+
+        measure, spans = numrad.harness._measure_sides, []
+
+        def measured(config, trials):
+            before, start = sum(t.wall for t in trials), clock[0]
+            measure(config, trials)
+            # the stage reads the clock first at start + 1 and last at clock[0]
+            spans.append((sum(t.wall for t in trials) - before, clock[0] - (start + 1)))
+
+        monkeypatch.setattr(numrad.harness, "perf_counter", tick)
+        monkeypatch.setattr(numrad.harness, "_measure_sides", measured)
+        report = run_campaign(self.cfg())
+        assert all(rec.wall_time > 0.0 for rec in report.records)
+        ((charged, span),) = spans
+        assert span > 0 and charged == pytest.approx(span, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", (0, 170604497))
+    def test_reports_identical_across_jobs(self, seed):
+        reports = [run_campaign(self.cfg(master_seed=seed, jobs=jobs)) for jobs in (1, 2, 3)]
+        assert len({report_to_json(r) for r in reports}) == 1
+        assert len({report_to_csv(r) for r in reports}) == 1
+        assert all(rec.wall_time > 0.0 for r in reports for rec in r.records)
+
+    def test_th1_budget_error_is_the_trials_error_record(self, monkeypatch):
+        lockstep = numrad.radius.omega_many
+        monkeypatch.setattr(numrad.bounds, "omega_many",
+                            lambda mats, tols: lockstep(mats, tols, max_evals=64))
+        cfg, params, _ = first_trial("th1", n_operators_values=(2,))
+        record = _run_single(cfg, 0, "th1", params, None)
+        assert record.error.startswith("ToleranceUnreachableError: angle budget 64")

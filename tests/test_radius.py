@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numrad.errors import NotSquareError, OutOfRangeError, ToleranceUnreachableError
+import numrad.radius
+from numrad.errors import (DimensionMismatchError, NotSquareError, OutOfRangeError,
+                           ToleranceUnreachableError)
 from numrad.linalg import adjoint, embed_offdiag, spectral_norm
-from numrad.radius import _cell_majorant, _rotated_tops, omega, omega_offdiag_symmetric_check
+from numrad.radius import (_cell_majorant, _rotated_tops, omega, omega_many,
+                           omega_offdiag_symmetric_check)
 
 U = np.finfo(float).eps / 2
 
@@ -167,11 +170,17 @@ class TestTwoTracks:
         m = two_track_cases()[kind]
         thetas = np.concatenate([np.linspace(0.0, np.pi, 97, endpoint=False),
                                  [np.nextafter(np.pi, 0.0)]])
-        tops = _rotated_tops(m, adjoint(m), thetas)
+        tops = _rotated_tops(m[None], thetas)
         assert tops.shape == (2, thetas.size)
         slack = rounding_slack(m)
         np.testing.assert_allclose(tops[0], h_direct(m, thetas), rtol=0, atol=slack)
         np.testing.assert_allclose(tops[1], h_direct(m, thetas + np.pi), rtol=0, atol=slack)
+        # the same angles owned by the second operator of a stack
+        other = np.eye(m.shape[0], dtype=complex)
+        stack = np.stack([other, m])
+        owner = np.repeat([0, 1], [3, thetas.size])
+        both = _rotated_tops(stack, np.concatenate([thetas[:3], thetas]), owner)
+        np.testing.assert_array_equal(both[:, 3:], tops)
 
     def test_second_track_witness(self):
         m = np.diag([1.0, -3.0])
@@ -351,3 +360,94 @@ class TestOffdiagSymmetricCheck:
             x = rand_complex(g, 3)
             c1, c2 = omega_offdiag_symmetric_check(x, tol=1e-8)
             assert self.overlap(c1, c2, spectral_norm(x))
+
+
+def omega_cases(side):
+    """Ginibre, shift, [[0, X], [0, 0]] (even sides) and zero operators of one side."""
+    g = np.random.default_rng(40 + side)
+    cases = [rand_complex(g, side), rand_complex(g, side), np.eye(side, k=1, dtype=complex),
+             np.zeros((side, side), dtype=complex)]
+    if side % 2 == 0:
+        x = rand_complex(g, side // 2)
+        zero = np.zeros_like(x)
+        cases.append(np.block([[zero, x / spectral_norm(x)], [zero, zero]]))
+    return cases
+
+
+class TestOmegaMany:
+    """`omega_many` equals `omega` of each operator alone, bit for bit."""
+
+    TOLS = (1e-6, None, 1e-8)
+
+    @pytest.mark.parametrize("side", (1, 2, 8))
+    def test_stack_matches_single_calls(self, side):
+        mats = omega_cases(side)
+        tols = [self.TOLS[i % len(self.TOLS)] for i in range(len(mats))]
+        alone = [omega(m, tol) for m, tol in zip(mats, tols)]
+        assert omega_many(mats, tols) == alone
+        g = np.random.default_rng(side)
+        for _ in range(4):
+            order = g.permutation(len(mats))
+            cut = int(g.integers(1, len(mats)))
+            for batch in (order[:cut], order[cut:], order):
+                got = omega_many([mats[i] for i in batch], [tols[i] for i in batch])
+                assert got == [alone[i] for i in batch]
+
+    def test_rounds_and_evals_are_per_operator(self):
+        mats = omega_cases(8)
+        certs = omega_many(mats, [1e-8] * len(mats))
+        assert len({c.rounds for c in certs}) > 1
+        assert [c.evals for c in certs] == [omega(m, 1e-8).evals for m in mats]
+        assert certs[3] == numrad.radius.CertifiedRadius(0.0, 0.0, 0.0, 1e-8, 0, 0)
+
+    def test_side_one_single_angle_round(self, monkeypatch):
+        # a round of this 1x1 operator evaluates one angle, where a 2-d
+        # operand rounds Re(e^{i theta} M) differently from a batch of them
+        z = np.array([[1.0288568739519013 + 1.6419200406711503j]])
+        seen = []
+        tops = numrad.radius._rotated_tops
+
+        def recording(ms, thetas, *args):
+            seen.append(thetas.copy())
+            return tops(ms, thetas, *args)
+
+        monkeypatch.setattr(numrad.radius, "_rotated_tops", recording)
+        alone = omega(z, 1e-6)
+        single = [t[0] for t in seen[1:] if t.size == 1]
+        assert single
+        flat = [0.5 * (phase * z + np.conj(phase) * adjoint(z))
+                for phase in np.exp(1j * np.array(single))[:, None, None, None]]
+        cube = [0.5 * (phase * z[None] + np.conj(phase) * adjoint(z)[None])
+                for phase in np.exp(1j * np.array(single))[:, None, None, None]]
+        assert any(a != b for a, b in zip(flat, cube))
+        # the others run more rounds, so z's single angle shares its batch
+        g = np.random.default_rng(41)
+        others = [rand_complex(g, 1) for _ in range(5)]
+        lone = [omega(m, 1e-10) for m in others]
+        assert min(c.rounds for c in lone) >= alone.rounds
+        for at in (0, 2, 5):
+            got = omega_many(others[:at] + [z] + others[at:], [1e-10] * at + [1e-6]
+                             + [1e-10] * (5 - at))
+            assert got == lone[:at] + [alone] + lone[at:]
+
+    def test_failure_stays_with_its_operator(self):
+        mats = omega_cases(8)
+        shift = 2  # needs 32768 angles at tol 1e-8
+        budget = 4096
+        tols = [1e-8 if i == shift else 1e-6 for i in range(len(mats))]
+        got = omega_many(mats + [np.ones((8, 8)), np.eye(8)], tols + [1e-14, float("inf")],
+                         max_evals=budget)
+        assert isinstance(got[shift], ToleranceUnreachableError)
+        with pytest.raises(ToleranceUnreachableError, match=str(got[shift])):
+            omega(mats[shift], 1e-8, max_evals=budget)
+        assert isinstance(got[-2], OutOfRangeError) and isinstance(got[-1], OutOfRangeError)
+        for i, m in enumerate(mats):
+            if i != shift:
+                assert got[i] == omega(m, tols[i], max_evals=budget)
+
+    def test_rejects_mixed_sides_and_tolerance_count(self):
+        assert isinstance(omega_many([np.ones((2, 3))], [None])[0], NotSquareError)
+        with pytest.raises(DimensionMismatchError, match="share one side"):
+            omega_many([np.eye(2), np.eye(3)], [None, None])
+        with pytest.raises(DimensionMismatchError, match="tolerances"):
+            omega_many([np.eye(2)], [])
