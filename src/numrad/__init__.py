@@ -41,7 +41,6 @@ from .harness import (
     report_to_csv,
     report_to_json,
     run_campaign,
-    tightness_sweep,
 )
 from .linalg import (
     Block2x2,
@@ -122,6 +121,5 @@ __all__ = [
     "run_campaign",
     "sample",
     "spectral_norm",
-    "tightness_sweep",
     "validate_pair",
 ]

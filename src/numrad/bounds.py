@@ -60,7 +60,7 @@ from .linalg import (
     gram_eigen,
     spectral_norm,
 )
-from .radius import CertifiedRadius, OmegaPEstimate, omega, omega_many, omega_p
+from .radius import CertifiedRadius, OmegaPEstimate, omega_many, omega_p
 
 # Normality check: ||M*M - MM*|| <= NORMALITY_TOL * ||M||^2.
 NORMALITY_TOL = 1e-9
@@ -596,7 +596,8 @@ class BoundSpec:
         `omega`, certified; with two or more it is the restarted ascent's
         lower estimate. tol is the absolute `omega` tolerance, None for
         the other measures. An `omega` target is checked here, so that a
-        bad one fails its own trial and not a lockstep batch.
+        bad one fails its own trial and not a lockstep :func:`omega_many`
+        batch; :func:`measure_contract` measures the others.
         """
         target = self.operand(mats, params)
         measure = self.measure
@@ -607,20 +608,10 @@ class BoundSpec:
         tol = settings.omega_tol * max(1.0, spectral_norm(target))
         return measure, as_matrix(target), tol
 
-    def contract_side(self, mats: dict, params: dict,
-                      settings: EvalSettings) -> tuple[float, float | None, dict]:
-        """(lhs, upper end or None, extras) of :meth:`contract_target`,
-        measured alone."""
-        measure, target, tol = self.contract_target(mats, params, settings)
-        return contract_ends(measure_contract(measure, target, tol, params, settings))
 
-
-def measure_contract(measure: str, target, tol: float | None, params: dict,
-                     settings: EvalSettings):
-    """One contract side measured: `omega`'s CertifiedRadius, the exact
-    norm, or `omega_p`'s OmegaPEstimate."""
-    if measure == "omega":
-        return omega(target, tol)
+def measure_contract(measure: str, target, params: dict, settings: EvalSettings):
+    """A "norm" or "omega_p" contract side measured: the exact norm, or
+    `omega_p`'s OmegaPEstimate."""
     if measure == "norm":
         return spectral_norm(target)
     return omega_p(target, float(params.get("p", 1.0)),

@@ -25,7 +25,10 @@ the record through `contract_verdict`. A trial that raises at any stage
 becomes its own error record; the others go on. `_run_single`, behind
 `replay_trial` and the counterexample suite, is a share of one trial;
 `omega_many` results do not depend on their batch-mates, so a replay gives
-back the campaign record. A record's `wall_time` is its own time in the
+back the campaign record. `evaluate_bound`, behind `numrad bound`, runs
+stage 1's evaluation and `_measure_sides` on one trial of given inputs
+with its caller's settings, and raises that trial's error; so one path
+measures every contract side. A record's `wall_time` is its own time in the
 first and last stages plus its own measurement, or its share of the
 `omega_many` call it took part in split by the angles each operator
 evaluated, so the records of a share add up to the share's time.
@@ -55,6 +58,7 @@ import pickle
 import signal
 import traceback
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -222,24 +226,6 @@ def _build_plan(config: CampaignConfig) -> list[tuple[str, dict, dict | None]]:
     return plan
 
 
-def evaluate_bound(bound_id: str, mats: dict, params: dict,
-                   settings: EvalSettings = EvalSettings()):
-    """Evaluate one bound on explicit matrices and measure its contract side.
-
-    Returns (outcome, lhs, omega_hi_or_None, extras). `lhs` is the certified
-    lower radius endpoint (also for a generalized radius of one operator),
-    the exact operator norm, or the generalized-radius estimate of two or
-    more operators, depending on the bound family and operand count;
-    `outcome.value` must dominate lhs ** outcome.exponent whenever the bound
-    is valid. `extras` holds what the contract side adds to a record's
-    params: `estimate_converged` for a generalized-radius estimate.
-    """
-    spec = bound_spec(bound_id)
-    mats = spec.sampler.coerce(mats)
-    outcome = spec.evaluate(mats, params, settings)
-    return (outcome, *spec.contract_side(mats, params, settings))
-
-
 def contract_verdict(value: float, lhs_pow: float,
                      slack: float = CONTRACT_SLACK) -> tuple[float, bool]:
     """(ratio, violation) of the contract lhs_pow <= value.
@@ -297,19 +283,27 @@ def _start_trial(config: CampaignConfig, index: int, bound_id: str,
         mats = spec.sampler.draw(params, config.ensembles, settings.stream) if mats is None \
             else spec.sampler.coerce(mats)
         trial.digests = tuple(_digest(m) for m in spec.sampler.unpack(mats))
-        outcome = spec.evaluate(mats, params, settings)
-        trial.value, trial.exponent = outcome.value, outcome.exponent
-        trial.side = spec.contract_target(mats, params, settings)
+        _evaluate(trial, spec, mats, settings)
     except _TRIAL_ERRORS as exc:
         trial.error = exc
     trial.wall = perf_counter() - t0
     return trial
 
 
-def _measure_sides(config: CampaignConfig, trials: list) -> None:
+def _evaluate(trial: _Trial, spec: BoundSpec, mats: dict, settings: EvalSettings):
+    """Stage 1's evaluation of checked inputs: the bound's outcome, whose
+    value and exponent `trial` keeps with the contract side to measure."""
+    outcome = spec.evaluate(mats, trial.params, settings)
+    trial.value, trial.exponent = outcome.value, outcome.exponent
+    trial.side = spec.contract_target(mats, trial.params, settings)
+    return outcome
+
+
+def _measure_sides(trials: list, settings) -> None:
     """Stage 2: measure the contract sides, the `omega` ones by one
     `omega_many` per operand shape whose time is split by evals (evenly
-    when none were made), the others one trial at a time."""
+    when none were made), the others one trial at a time with the
+    EvalSettings `settings(trial.index)`."""
     batches: dict = {}
     t = perf_counter()
     for trial in trials:
@@ -318,8 +312,8 @@ def _measure_sides(config: CampaignConfig, trials: list) -> None:
             batches.setdefault(target.shape, []).append(trial)
             continue
         try:
-            trial.result = measure_contract(measure, target, tol, trial.params,
-                                            _settings(config, trial.index))
+            trial.result = measure_contract(measure, target, trial.params,
+                                            settings(trial.index))
         except _TRIAL_ERRORS as exc:
             trial.error = exc
         trial.side = ()
@@ -383,7 +377,8 @@ def _run_share(config: CampaignConfig, entries: list) -> list[TrialRecord]:
     contract side measured, every record finished. A trial that fails
     becomes its own error record; the others go on."""
     trials = [_start_trial(config, *entry) for entry in entries]
-    _measure_sides(config, [trial for trial in trials if trial.error is None])
+    _measure_sides([trial for trial in trials if trial.error is None],
+                   partial(_settings, config))
     return [_finish_trial(config, trial) for trial in trials]
 
 
@@ -391,6 +386,31 @@ def _run_single(config: CampaignConfig, index: int, bound_id: str,
                 params: dict, mats: dict | None) -> TrialRecord:
     """One plan entry as a share of its own."""
     return _run_share(config, [(index, bound_id, params, mats)])[0]
+
+
+def evaluate_bound(bound_id: str, mats: dict, params: dict,
+                   settings: EvalSettings = EvalSettings()):
+    """Evaluate one bound on explicit matrices and measure its contract side.
+
+    Returns (outcome, lhs, omega_hi_or_None, extras). `lhs` is the certified
+    lower radius endpoint (also for a generalized radius of one operator),
+    the exact operator norm, or the generalized-radius estimate of two or
+    more operators, depending on the bound family and operand count;
+    `outcome.value` must dominate lhs ** outcome.exponent whenever the bound
+    is valid. `extras` holds what the contract side adds to a record's
+    params: `estimate_converged` for a generalized-radius estimate.
+
+    This is a campaign trial on given inputs: stage 1's evaluation, then
+    `_measure_sides` over the one trial with `settings`. A failure is
+    raised, not recorded.
+    """
+    spec = bound_spec(bound_id)
+    trial = _Trial(0, bound_id, params)
+    outcome = _evaluate(trial, spec, spec.sampler.coerce(mats), settings)
+    _measure_sides([trial], lambda index: settings)
+    if trial.error is not None:
+        raise trial.error
+    return (outcome, *contract_ends(trial.result))
 
 
 def _clean_params(params: dict) -> dict:
@@ -620,29 +640,3 @@ def counterexample_suite(master_seed: int = COUNTEREXAMPLE_SEED,
         index += 1
     return build_report(config, records)
 
-
-def tightness_sweep(bound_id: str, mats: dict, sweep: dict,
-                    base: dict | None = None, omega_tol: float = 1e-8,
-                    omega_p_restarts: int = 8,
-                    stream: RngStream = RngStream(0)) -> list[tuple[dict, float]]:
-    """Ratio table over a parameter grid with fixed input matrices.
-
-    Returns [(parameter point, ratio)] in deterministic grid order; an
-    empty sweep gives an empty table. Ratios report tightness only and are
-    never asserted monotone.
-    """
-    sampler = bound_spec(bound_id).sampler
-    if not sweep:
-        return []
-    mats = sampler.coerce(mats)
-    keys = sorted(sweep.keys())
-    points: list[dict] = [{}]
-    for key in keys:
-        points = [dict(pt, **{key: val}) for pt in points for val in sweep[key]]
-    settings = EvalSettings(omega_tol, omega_p_restarts, stream=stream)
-    rows = []
-    for pt in points:
-        params = dict(base or {}, **pt)
-        outcome, lhs, _, _ = evaluate_bound(bound_id, mats, params, settings)
-        rows.append((pt, contract_verdict(outcome.value, lhs ** outcome.exponent)[0]))
-    return rows

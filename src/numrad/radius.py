@@ -190,12 +190,16 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
     if len(tols) != len(mats):
         raise DimensionMismatchError(f"{len(mats)} operators but {len(tols)} tolerances")
     out: list = [None] * len(mats)
-    live, stack, norms, widths = [], None, [], []
+    live, stack, norms, widths, side = [], None, [], [], None
     for i, (m, tol) in enumerate(zip(mats, tols)):
         m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
             out[i] = NotSquareError(f"omega requires a square matrix, got {m.shape}")
             continue
+        side = m.shape[0] if side is None else side
+        if m.shape[0] != side:
+            raise DimensionMismatchError(f"operators must share one side, got "
+                                         f"{side} and {m.shape[0]}")
         nrm = spectral_norm(m)
         scale = max(1.0, nrm)
         tol = 1e-8 * scale if tol is None else float(tol)
@@ -208,10 +212,7 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
                                      evals=0, rounds=0)
         else:
             if stack is None:
-                stack = np.empty((len(mats), *m.shape), dtype=np.complex128)
-            elif m.shape != stack.shape[1:]:
-                raise DimensionMismatchError(f"operators must share one side, got "
-                                             f"{stack.shape[1]} and {m.shape[0]}")
+                stack = np.empty((len(mats), side, side), dtype=np.complex128)
             stack[len(live)] = m
             live.append(i)
             norms.append(nrm)
@@ -261,7 +262,8 @@ def _branch_and_bound(ms: np.ndarray, nrm: np.ndarray, tol: np.ndarray,
     maxima are taken over each owner's run of cells, ties going to its
     first, as they would alone. An operator leaves when it ends, so every
     owner left has a run; each left splits in every round, so all share
-    one round count.
+    one round count. The `one` fork, a lone operator without owner arrays,
+    stays: lone `omega` calls ran slower and larger without it (ROADMAP).
     """
     ids = np.arange(ms.shape[0])
     out: list = [None] * ids.size

@@ -21,6 +21,7 @@ from numrad.harness import (
     _build_plan,
     _deal,
     _run_single,
+    _settings,
     contract_verdict,
     counterexample_suite,
     default_config,
@@ -29,7 +30,6 @@ from numrad.harness import (
     report_to_csv,
     report_to_json,
     run_campaign,
-    tightness_sweep,
 )
 
 SMALL = dict(
@@ -298,27 +298,29 @@ class TestCounterexampleSuite:
         assert report_to_json(a) == report_to_json(b)
 
 
-class TestTightnessSweep:
-    def test_r_sweep_scalar(self):
-        rows = tightness_sweep("main1.v1", {"x": [[1.0]], "y": [[1.0]]},
-                               {"r": [1.0, 2.0, 3.0]}, base={"alpha": 0.5})
-        ratios = [ratio for _, ratio in rows]
-        assert ratios == pytest.approx([1.0, 0.5, 0.25], abs=1e-8)
+class TestScalarRatios:
+    """main1.v1's contract ratio on X = Y = [1], through evaluate_bound."""
 
-    def test_alpha_sweep_peaks_at_half(self):
-        rows = tightness_sweep("main1.v1", {"x": [[1.0]], "y": [[1.0]]},
-                               {"alpha": [0.0, 0.5, 1.0]}, base={"r": 1.0})
-        by_alpha = {pt["alpha"]: ratio for pt, ratio in rows}
+    SCALARS = {"x": [[1.0]], "y": [[1.0]]}
+
+    def ratio(self, params):
+        outcome, lhs, _, _ = evaluate_bound("main1.v1", self.SCALARS, params,
+                                            EvalSettings(omega_tol=1e-8))
+        return contract_verdict(outcome.value, lhs ** outcome.exponent)[0]
+
+    @pytest.mark.parametrize("r,expected", [(1.0, 1.0), (2.0, 0.5), (3.0, 0.25)])
+    def test_ratio_halves_per_unit_of_r(self, r, expected):
+        assert self.ratio({"r": r, "alpha": 0.5}) == pytest.approx(expected, abs=1e-8)
+
+    def test_alpha_half_gives_the_largest_ratio(self):
+        by_alpha = {alpha: self.ratio({"r": 1.0, "alpha": alpha}) for alpha in (0.0, 0.5, 1.0)}
         assert by_alpha[0.5] >= by_alpha[0.0]
         assert by_alpha[0.5] >= by_alpha[1.0]
         assert by_alpha[0.5] == pytest.approx(1.0, abs=1e-9)
 
-    def test_empty_sweep(self):
-        assert tightness_sweep("main1.v1", {"x": [[1.0]], "y": [[1.0]]}, {}) == []
-
     def test_unknown_bound(self):
         with pytest.raises(UnknownBoundError):
-            tightness_sweep("main99", {"x": [[1.0]], "y": [[1.0]]}, {"r": [1.0]})
+            evaluate_bound("main99", self.SCALARS, {"r": 1.0})
 
 
 # sha256 of the default campaign's (bound id, params) plan, computed before
@@ -373,7 +375,7 @@ class TestBoundTable:
         calls = []
         for fname in sorted(set(EVALUATOR.values())):
             patch_everywhere(monkeypatch, getattr(numrad.bounds, fname), calls, fname)
-        for fname in ("omega", "omega_p"):
+        for fname in ("omega_many", "omega_p"):
             patch_everywhere(monkeypatch, getattr(numrad.radius, fname), calls, fname)
         measure = bound_spec(bound_id).measure
         # one operator is measured by omega (TestOneOperatorContract), so the
@@ -384,7 +386,8 @@ class TestBoundTable:
         assert outcome.bound_id == bound_id
         assert EVALUATOR[bound_id] in calls
         if measure != "norm":
-            assert measure in calls
+            # an omega side is certified by the lockstep omega_many
+            assert {"omega": "omega_many"}.get(measure, measure) in calls
 
     def test_omega_p_recheck_reuses_the_bound_outcome(self, monkeypatch):
         zero = BoundOutcome(bound_id="th1", value=0.0, exponent=2.0)
@@ -494,17 +497,28 @@ class TestOneOperatorContract:
         ascent = numrad.radius.omega_p([target], params["p"]).value
         calls = []
         patch_everywhere(monkeypatch, numrad.radius.omega_p, calls, "omega_p")
-        settings = EvalSettings(cfg.omega_tol, cfg.omega_p_restarts, cfg.omega_p_max_iter)
-        _, lhs, omega_hi, extras = evaluate_bound(bound_id, mats, params, settings)
-        record = _run_single(cfg, 0, bound_id, params, mats)
+        _, lhs, omega_hi, extras = evaluate_bound(bound_id, mats, params, _settings(cfg, 0))
         assert calls == []
         assert (lhs, omega_hi) == (cert.lo, cert.hi)
-        assert extras == {} and "estimate_converged" not in record.params
-        assert (record.omega_lo, record.omega_hi) == (lhs, omega_hi)
-        assert record.omega_lo <= record.omega_hi
+        assert extras == {} and lhs <= omega_hi
         # the ascent and the certificate still check each other
         assert lhs == pytest.approx(ascent, abs=1e-6)
         assert ascent <= omega_hi
+
+    @pytest.mark.parametrize("bound_id,k", [(bid, 1) for bid in BOUND_IDS] + [
+        ("main4.v1", 2), ("main4.v2", 2), ("th1", 2)])
+    def test_evaluate_bound_equals_the_campaign_record(self, bound_id, k):
+        # evaluate_bound runs a campaign trial's stages on its inputs, so at
+        # the trial's own settings it gives the record's sides to the bit
+        cfg, params, mats = first_trial(bound_id, n_operators_values=(k,))
+        outcome, lhs, omega_hi, extras = evaluate_bound(bound_id, mats, params,
+                                                        _settings(cfg, 0))
+        record = _run_single(cfg, 0, bound_id, params, mats)
+        assert record.error is None
+        assert (lhs, omega_hi) == (record.omega_lo, record.omega_hi)
+        assert (outcome.value, outcome.exponent) == (record.value, record.exponent)
+        assert extras.items() <= record.params.items()
+        assert (omega_hi is None) == (k == 2)
 
     def test_campaign_fills_omega_hi_only_for_one_operand(self):
         cfg = small_config(bound_ids=("main4.v1", "main4.v2", "th1"), trials=1,
@@ -582,9 +596,9 @@ class TestStagedShare:
 
         measure, spans = numrad.harness._measure_sides, []
 
-        def measured(config, trials):
+        def measured(trials, settings):
             before, start = sum(t.wall for t in trials), clock[0]
-            measure(config, trials)
+            measure(trials, settings)
             # the stage reads the clock first at start + 1 and last at clock[0]
             spans.append((sum(t.wall for t in trials) - before, clock[0] - (start + 1)))
 

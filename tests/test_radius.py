@@ -449,5 +449,12 @@ class TestOmegaMany:
         assert isinstance(omega_many([np.ones((2, 3))], [None])[0], NotSquareError)
         with pytest.raises(DimensionMismatchError, match="share one side"):
             omega_many([np.eye(2), np.eye(3)], [None, None])
+        # the side is checked before the zero and tolerance shortcuts
+        for mats, tols in (([np.zeros((3, 3)), np.eye(2)], [None, None]),
+                           ([np.eye(2), np.zeros((3, 3))], [None, None]),
+                           ([np.eye(3), np.eye(2)], [float("inf"), None]),
+                           ([np.ones((2, 3)), np.eye(3), np.eye(2)], [None, 1e-14, None])):
+            with pytest.raises(DimensionMismatchError, match="share one side"):
+                omega_many(mats, tols)
         with pytest.raises(DimensionMismatchError, match="tolerances"):
             omega_many([np.eye(2)], [])
