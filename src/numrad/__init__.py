@@ -26,7 +26,6 @@ from .errors import NumradError
 from .funcpair import (
     FunctionPair,
     HolderPair,
-    PairValidation,
     conjugate_exponent,
     pow_of_pair,
     power_pair,
@@ -44,7 +43,6 @@ from .harness import (
 )
 from .linalg import (
     Block2x2,
-    HermEigen,
     OffDiagPair,
     abs_op,
     adjoint,
@@ -53,8 +51,6 @@ from .linalg import (
     embed_offdiag,
     fn_of_psd,
     herm_eig,
-    imag_part,
-    real_part,
     spectral_norm,
 )
 from .radius import (
@@ -77,13 +73,11 @@ __all__ = [
     "CampaignReport",
     "CertifiedRadius",
     "FunctionPair",
-    "HermEigen",
     "HolderPair",
     "KINDS",
     "NumradError",
     "OffDiagPair",
     "OmegaPEstimate",
-    "PairValidation",
     "RngStream",
     "TrialRecord",
     "ZetaEstimate",
@@ -106,7 +100,6 @@ __all__ = [
     "embed_offdiag",
     "fn_of_psd",
     "herm_eig",
-    "imag_part",
     "omega",
     "omega_many",
     "omega_offdiag_symmetric_check",
@@ -114,7 +107,6 @@ __all__ = [
     "omega_p_bruteforce",
     "power_pair",
     "pow_of_pair",
-    "real_part",
     "refined_young",
     "report_to_csv",
     "report_to_json",

@@ -26,14 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .ensembles import RngStream, derive, sample
 from .errors import (
     DimensionMismatchError,
-    InvalidFunctionError,
     NotContractionError,
     NotNormalError,
     NumradError,
@@ -113,18 +112,6 @@ def _require_variant(variant: int) -> int:
     return variant
 
 
-def _check_pair_on_spectra(pair: FunctionPair, spectra: Sequence[np.ndarray]) -> None:
-    samples = np.unique(np.concatenate([np.clip(s, 0.0, None) for s in spectra]
-                                       + [np.array([0.0, 1.0])]))
-    report = validate_pair(pair, samples)
-    if not report.passed:
-        raise InvalidFunctionError(
-            f"pair {pair.tag!r} failed validation: max deviation "
-            f"{report.max_deviation:.3e} at t={report.worst_sample:g}, "
-            f"min f={report.min_f:.3e}, min g={report.min_g:.3e}"
-        )
-
-
 def _pair_terms(pair: FunctionPair, r: float, variant: int,
                 x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     """The four PSD terms feeding every off-diagonal bound.
@@ -132,10 +119,11 @@ def _pair_terms(pair: FunctionPair, r: float, variant: int,
     They are f**(2r) or g**(2r) applied to |X|, |Y*|, |Y| and |X*|; the
     first two make up the first group and the last two the second.
     Variant 1 mixes f and g inside each group; variant 2 keeps f with the
-    first group and g with the second.
+    first group and g with the second. The pair is validated on the four
+    spectra and the probes 0 and 1.
     """
     eigs = [gram_eigen(x), gram_eigen(adjoint(y)), gram_eigen(y), gram_eigen(adjoint(x))]
-    _check_pair_on_spectra(pair, [s for s, _ in eigs])
+    validate_pair(pair, np.concatenate([s for s, _ in eigs] + [np.array([0.0, 1.0])]))
     fe, ge = pow_of_pair(pair, 2.0 * r)
     fns = (fe, ge, fe, ge) if variant == 1 else (fe, fe, ge, ge)
     return [fn_of_spectrum(fn, s, v) for fn, (s, v) in zip(fns, eigs)]

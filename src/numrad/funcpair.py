@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import InvalidFunctionError, OutOfRangeError
 
 # |f(t)g(t) - t| <= PAIR_TOL * max(1, t) on every validation sample.
 PAIR_TOL = 1e-9
@@ -89,51 +89,35 @@ def pow_of_pair(pair: FunctionPair, exponent: float) -> tuple[ScalarFn, ScalarFn
     return fe, ge
 
 
-@dataclass(frozen=True)
-class PairValidation:
-    """Report of a sampled validation run; never raised, only inspected."""
-
-    max_deviation: float
-    worst_sample: float
-    min_f: float
-    min_g: float
-    passed: bool
-
-
-def validate_pair(pair: FunctionPair, samples) -> PairValidation:
+def validate_pair(pair: FunctionPair, samples) -> None:
     """Check f(t)*g(t) = t and nonnegativity of f, g on the given samples.
 
-    Passes iff every deviation |f(t)g(t) - t| stays within
-    PAIR_TOL * max(1, t) and both functions are finite and nonnegative.
+    Passes iff f and g map the sample array to finite, nonnegative arrays of
+    its shape with |f(t)g(t) - t| <= PAIR_TOL * max(1, t) at every sample;
+    raises InvalidFunctionError otherwise, and OutOfRangeError for a
+    negative or non-finite sample.
     """
     t = np.asarray(samples, dtype=np.float64).ravel()
     if t.size == 0:
-        return PairValidation(0.0, 0.0, 0.0, 0.0, True)
+        return
     if not np.isfinite(t).all() or (t < 0).any():
         raise OutOfRangeError("validation samples must be finite and nonnegative")
     try:
         ft = np.asarray(pair.f(t), dtype=np.float64)
         gt = np.asarray(pair.g(t), dtype=np.float64)
         if ft.shape != t.shape or gt.shape != t.shape:
-            raise ValueError
-    except Exception:
-        return PairValidation(math.inf, float(t[0]), -math.inf, -math.inf, False)
+            raise ValueError(f"shapes {ft.shape} and {gt.shape}, expected {t.shape}")
+    except Exception as exc:
+        raise InvalidFunctionError(
+            f"pair {pair.tag!r} failed validation on the sample array: {exc}") from exc
 
     dev = np.abs(ft * gt - t)
-    worst = int(np.argmax(dev - PAIR_TOL * np.maximum(1.0, t)))
-    finite = bool(np.isfinite(ft).all() and np.isfinite(gt).all())
-    min_f = float(ft.min()) if finite else -math.inf
-    min_g = float(gt.min()) if finite else -math.inf
-    passed = (
-        finite
-        and bool((dev <= PAIR_TOL * np.maximum(1.0, t)).all())
-        and min_f >= 0.0
-        and min_g >= 0.0
-    )
-    return PairValidation(
-        max_deviation=float(dev.max()),
-        worst_sample=float(t[worst]),
-        min_f=min_f,
-        min_g=min_g,
-        passed=passed,
+    allowed = PAIR_TOL * np.maximum(1.0, t)
+    if (np.isfinite(ft).all() and np.isfinite(gt).all()
+            and (ft >= 0.0).all() and (gt >= 0.0).all() and (dev <= allowed).all()):
+        return
+    worst = float(t[int(np.argmax(dev - allowed))])
+    raise InvalidFunctionError(
+        f"pair {pair.tag!r} failed validation: max deviation {dev.max():.3e} "
+        f"at t={worst:g}, min f={ft.min():.3e}, min g={gt.min():.3e}"
     )

@@ -127,6 +127,10 @@ class CampaignConfig:
                 for dim in self.dims)):
             raise OutOfRangeError(
                 f"dims must be (m, n) pairs of integers >= 1, got {self.dims!r}")
+        # each p sets its conjugate q = p / (p - 1), which needs a finite p > 1
+        if not all(_is_real(p) and math.isfinite(p) and p > 1.0 for p in self.holder_p_values):
+            raise OutOfRangeError(f"holder_p_values must be finite numbers > 1, "
+                                  f"got {self.holder_p_values!r}")
         if not isinstance(self.ensembles, dict) or any(
                 role not in DEFAULT_ROLES or kind not in KINDS
                 for role, kind in self.ensembles.items()):

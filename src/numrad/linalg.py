@@ -70,16 +70,8 @@ def spectral_norm(m) -> float:
     return float(np.sqrt(max(float(w[-1]), 0.0)))
 
 
-@dataclass(frozen=True)
-class HermEigen:
-    """Eigendecomposition H = V diag(values) V* with values nondecreasing."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def herm_eig(h) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix.
+def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, V) of Hermitian H = V diag(w) V*, w nondecreasing.
 
     The input may deviate from exact Hermitian symmetry by at most
     ``EIG_TOL * max(1, ||H||)``; it is symmetrized before decomposition.
@@ -106,27 +98,31 @@ def herm_eig(h) -> HermEigen:
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds target"
         )
-    return HermEigen(values=w, vectors=v)
+    return w, v
+
+
+def _clamp_psd(w: np.ndarray, what: str) -> np.ndarray:
+    """The nondecreasing spectrum w of a PSD matrix, with its eigenvalues in
+    [-CLAMP_TOL * max(w[-1], -w[0], 0), 0) clamped to zero; one further below
+    signals an indefinite matrix or a failed decomposition."""
+    floor = -CLAMP_TOL * max(float(w[-1]), -float(w[0]), 0.0)
+    if float(w[0]) < floor:
+        raise NegativeSpectrumError(
+            f"eigenvalue {float(w[0]):.3e} of {what} below clamping floor {floor:.3e}"
+        )
+    return np.clip(w, 0.0, None)
 
 
 def gram_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """Spectral data of |M| = (M*M)^(1/2): returns (s, V) with |M| = V diag(s) V*.
 
-    Eigenvalues of M*M in [-CLAMP_TOL * ||M||^2, 0) are clamped to zero;
-    anything further below signals a decomposition failure.
+    The spectrum of M*M goes through the PSD clamp rule of `_clamp_psd`.
     """
     m = as_matrix(m)
     gram = np.conj(m).T @ m
     gram = (gram + np.conj(gram).T) / 2
     w, v = np.linalg.eigh(gram)
-    top = max(float(w[-1]), 0.0)
-    floor = -CLAMP_TOL * top
-    if float(w[0]) < floor:
-        raise NegativeSpectrumError(
-            f"eigenvalue {float(w[0]):.3e} of M*M below clamping floor {floor:.3e}"
-        )
-    s = np.sqrt(np.clip(w, 0.0, None))
-    return s, v
+    return np.sqrt(_clamp_psd(w, "M*M")), v
 
 
 def recompose(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -141,21 +137,13 @@ def abs_op(m) -> np.ndarray:
     return recompose(s, v)
 
 
-def _apply_scalar_fn(phi: Callable, values: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(phi(values), dtype=np.float64)
-        if out.shape != values.shape:
-            raise ValueError
-    except Exception:
-        out = np.array([float(phi(float(t))) for t in values], dtype=np.float64)
-    return out
-
-
 def fn_of_spectrum(phi: Callable, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """V diag(phi(values)) V*; phi must be finite and >= 0 on the values."""
-    out = _apply_scalar_fn(phi, values)
-    if not np.isfinite(out).all() or (out < 0).any():
-        raise InvalidFunctionError("function must be finite and >= 0 on the spectrum")
+    """V diag(phi(values)) V*; phi is applied to the array of values once and
+    must return a finite, nonnegative array of its shape."""
+    out = np.asarray(phi(values), dtype=np.float64)
+    if out.shape != values.shape or not np.isfinite(out).all() or (out < 0).any():
+        raise InvalidFunctionError(
+            "function must map the spectrum to a finite, nonnegative array of its shape")
     return recompose(out, vectors)
 
 
@@ -167,33 +155,11 @@ def fn_of_abs(m, phi: Callable) -> np.ndarray:
 def fn_of_psd(h, phi: Callable) -> np.ndarray:
     """phi(H) for PSD Hermitian H via the spectral theorem.
 
-    Eigenvalues in [-CLAMP_TOL * ||H||, 0) are clamped to zero before phi is
-    applied; phi must be finite and nonnegative on the clamped spectrum.
+    The spectrum goes through the PSD clamp rule of `_clamp_psd` before phi
+    is applied; phi must be finite and nonnegative on the clamped spectrum.
     """
-    eig = herm_eig(h)
-    w = eig.values
-    nrm = max(float(w[-1]), -float(w[0]), 0.0)
-    if float(w[0]) < -CLAMP_TOL * nrm:
-        raise NegativeSpectrumError(
-            f"eigenvalue {float(w[0]):.3e} below PSD clamping floor"
-        )
-    return fn_of_spectrum(phi, np.clip(w, 0.0, None), eig.vectors)
-
-
-def real_part(m) -> np.ndarray:
-    """(M + M*)/2; requires a square matrix."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"real_part requires a square matrix, got {m.shape}")
-    return hermitian_part(m)
-
-
-def imag_part(m) -> np.ndarray:
-    """(M - M*)/(2i); requires a square matrix."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise NotSquareError(f"imag_part requires a square matrix, got {m.shape}")
-    return (m - adjoint(m)) / 2j
+    w, v = herm_eig(h)
+    return fn_of_spectrum(phi, _clamp_psd(w, "H"), v)
 
 
 @dataclass

@@ -378,7 +378,6 @@ class OmegaPEstimate:
     value: float
     witness: np.ndarray
     p: float
-    restarts_used: int
     converged: bool
 
 
@@ -616,7 +615,6 @@ def omega_p(
         value=float(omega_p_objective(stack, p, witness) ** (1.0 / p)),
         witness=witness,
         p=p,
-        restarts_used=restarts,
         converged=max(norms) == 0.0 or _dual_gap(stack, p, witness) <= tol,
     )
 

@@ -323,6 +323,7 @@ class TestVerifyCommand:
         ({"omega_p_restarts": "4"}, "omega_p_restarts"),
         ({"slack": "0"}, "slack"),
         ({"bound_ids": ["main11.v1"], "constant_mode": "bogus"}, "constant_mode"),
+        ({"holder_p_values": [1.0]}, "holder_p_values"),
     ])
     def test_bad_config_value_exit_3(self, tmp_path, capsys, override, name):
         # each value would disable the check, flood the report with errors,

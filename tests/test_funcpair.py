@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from numrad.errors import OutOfRangeError
+from numrad.errors import InvalidFunctionError, OutOfRangeError
 from numrad.funcpair import (
     FunctionPair,
     HolderPair,
@@ -41,21 +43,25 @@ class TestValidatePair:
     def test_power_pairs_pass(self):
         samples = [0.0, 0.5, 1.0, 10.0, 123.4]
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert validate_pair(power_pair(alpha), samples).passed
+            validate_pair(power_pair(alpha), samples)
 
     def test_product_mismatch_fails(self):
         bad = FunctionPair(f=lambda t: np.asarray(t, float),
                            g=lambda t: np.asarray(t, float), tag="t*t")
-        report = validate_pair(bad, [2.0])
-        assert not report.passed
-        assert report.max_deviation == pytest.approx(2.0)
+        with pytest.raises(InvalidFunctionError, match="max deviation 2.000e"):
+            validate_pair(bad, [2.0])
 
     def test_negativity_fails(self):
+        # f g = t holds here, so only the sign rule rejects the pair
         bad = FunctionPair(f=lambda t: -np.sqrt(np.asarray(t, float)),
                            g=lambda t: -np.sqrt(np.asarray(t, float)), tag="neg")
-        report = validate_pair(bad, [1.0, 4.0])
-        assert not report.passed
-        assert report.min_f < 0
+        with pytest.raises(InvalidFunctionError, match="min f=-"):
+            validate_pair(bad, [1.0, 4.0])
+
+    def test_fails_when_f_rejects_arrays(self):
+        bad = FunctionPair(f=lambda t: math.sqrt(t), g=lambda t: np.sqrt(t), tag="scalar f")
+        with pytest.raises(InvalidFunctionError, match="sample array"):
+            validate_pair(bad, [1.0, 4.0])
 
     def test_rejects_bad_samples(self):
         with pytest.raises(OutOfRangeError):
@@ -129,4 +135,4 @@ def test_adjoint_spectra_share_validation_samples():
     s_x, _ = gram_eigen(x)
     s_xs, _ = gram_eigen(adjoint(x))
     samples = np.concatenate([s_x, s_xs, [0.0, 1.0]])
-    assert validate_pair(pair, samples).passed
+    validate_pair(pair, samples)

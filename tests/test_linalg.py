@@ -21,8 +21,6 @@ from numrad.linalg import (
     fn_of_spectrum,
     gram_eigen,
     herm_eig,
-    imag_part,
-    real_part,
     spectral_norm,
 )
 
@@ -78,31 +76,31 @@ class TestAdjoint:
 
 class TestHermEig:
     def test_diagonal(self):
-        eig = herm_eig(np.diag([3.0, -1.0]))
-        assert np.allclose(eig.values, [-1.0, 3.0])
+        w, v = herm_eig(np.diag([3.0, -1.0]))
+        assert np.allclose(w, [-1.0, 3.0])
         # eigenvectors are permuted identity columns up to phase
-        assert np.allclose(np.abs(eig.vectors), [[0, 1], [1, 0]])
+        assert np.allclose(np.abs(v), [[0, 1], [1, 0]])
 
     def test_pauli_x(self):
-        eig = herm_eig([[0, 1], [1, 0]])
-        assert np.allclose(eig.values, [-1.0, 1.0])
+        w, _ = herm_eig([[0, 1], [1, 0]])
+        assert np.allclose(w, [-1.0, 1.0])
 
     def test_reconstruction_residual(self):
         g = np.random.default_rng(2)
         for n in (2, 5, 8):
             z = rand_complex(g, n, n)
             h = (z + adjoint(z)) / 2
-            eig = herm_eig(h)
-            recon = (eig.vectors * eig.values) @ adjoint(eig.vectors)
+            w, v = herm_eig(h)
+            recon = (v * w) @ adjoint(v)
             assert spectral_norm(h - recon) <= 1e-10 * max(1.0, spectral_norm(h))
-            gram = adjoint(eig.vectors) @ eig.vectors
+            gram = adjoint(v) @ v
             assert spectral_norm(gram - np.eye(n)) <= 1e-10 * n
 
     def test_values_sorted(self):
         g = np.random.default_rng(3)
         z = rand_complex(g, 6, 6)
-        eig = herm_eig((z + adjoint(z)) / 2)
-        assert np.all(np.diff(eig.values) >= 0)
+        w, _ = herm_eig((z + adjoint(z)) / 2)
+        assert np.all(np.diff(w) >= 0)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
@@ -196,6 +194,42 @@ class TestFnOfSpectrum:
         with pytest.raises(InvalidFunctionError):
             fn_of_spectrum(lambda t: np.full_like(t, np.inf), np.array([1.0, 2.0]), vectors)
 
+    def test_rejects_output_of_another_shape(self):
+        # phi sees the array of values once; a scalar result is not retried per value
+        with pytest.raises(InvalidFunctionError):
+            fn_of_spectrum(lambda t: 1.0, np.array([1.0, 2.0]), np.eye(2, dtype=complex))
+
+
+def _gram_route(w, monkeypatch):
+    # a computed M*M is PSD up to rounding, so its spectrum comes in through eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (w, np.eye(len(w), dtype=complex)))
+    s, _ = gram_eigen(np.eye(len(w)))
+    return s ** 2
+
+
+def _psd_route(w, monkeypatch):
+    u = rand_unitary(np.random.default_rng(14), len(w))
+    seen = []
+    fn_of_psd((u * w) @ adjoint(u), lambda t: seen.append(t) or t)
+    return seen[0]
+
+
+@pytest.mark.parametrize("route", (_gram_route, _psd_route), ids=("gram_eigen", "fn_of_psd"))
+class TestPsdClamp:
+    """Both routes to a PSD spectrum share one clamp rule: eigenvalues down to
+    -CLAMP_TOL (1e-12) times the top one are rounding noise and become 0."""
+
+    top = 4.0
+
+    def test_rounding_noise_clamped_to_zero(self, route, monkeypatch):
+        w = route(np.array([-1e-13 * self.top, 1.0, self.top]), monkeypatch)
+        assert w[0] == 0.0
+        assert w[-1] == pytest.approx(self.top, rel=1e-12)
+
+    def test_negative_beyond_noise_raises(self, route, monkeypatch):
+        with pytest.raises(NegativeSpectrumError):
+            route(np.array([-1e-11 * self.top, 1.0, self.top]), monkeypatch)
+
 
 class TestSpectralNorm:
     def test_nilpotent(self):
@@ -214,24 +248,6 @@ class TestSpectralNorm:
         c = 2.5 - 0.5j
         assert spectral_norm(c * m) == pytest.approx(
             abs(c) * spectral_norm(m), rel=1e-12)
-
-
-class TestRealImagParts:
-    def test_real_of_shift(self):
-        assert np.allclose(real_part([[0, 2], [0, 0]]), [[0, 1], [1, 0]])
-
-    def test_imag_of_hermitian_is_zero(self):
-        h = np.array([[1.0, 2j], [-2j, 3.0]])
-        assert np.allclose(imag_part(h), 0)
-
-    def test_decomposition_identity(self):
-        g = np.random.default_rng(13)
-        m = rand_complex(g, 4, 4)
-        assert np.allclose(real_part(m) + 1j * imag_part(m), m, atol=1e-14)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(NotSquareError):
-            real_part(np.zeros((2, 3)))
 
 
 class TestEmbeddings:
