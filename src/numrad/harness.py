@@ -106,7 +106,7 @@ class CampaignConfig:
         # omega needs tol >= 1e-12 * max(1, ||M||); omega_tol is relative to that scale
         for key, low in (("omega_tol", 1e-12), ("slack", 0.0)):
             val = getattr(self, key)
-            if not (_is_real(val) and math.isfinite(val) and val >= low):
+            if not (_is_finite(val) and val >= low):
                 raise OutOfRangeError(f"{key} must be a finite number >= {low:g}, "
                                       f"got {val!r}")
         counts = {"master_seed": None, "min_trials_per_bound": 0,
@@ -127,10 +127,17 @@ class CampaignConfig:
                 for dim in self.dims)):
             raise OutOfRangeError(
                 f"dims must be (m, n) pairs of integers >= 1, got {self.dims!r}")
-        # each p sets its conjugate q = p / (p - 1), which needs a finite p > 1
-        if not all(_is_real(p) and math.isfinite(p) and p > 1.0 for p in self.holder_p_values):
-            raise OutOfRangeError(f"holder_p_values must be finite numbers > 1, "
-                                  f"got {self.holder_p_values!r}")
+        # every sweep entry must suit each bound it reaches; a Hoelder p sets
+        # its conjugate q = p / (p - 1), which needs a finite p > 1
+        for key, what, ok in (
+                ("r_values", "finite numbers >= 1", lambda v: _is_finite(v) and v >= 1.0),
+                ("alpha_values", "numbers in [0, 1]", lambda v: _is_real(v) and 0.0 <= v <= 1.0),
+                ("holder_p_values", "finite numbers > 1", lambda v: _is_finite(v) and v > 1.0),
+                ("omega_p_p_values", "finite numbers >= 1", lambda v: _is_finite(v) and v >= 1.0),
+                ("n_operators_values", "integers >= 1", lambda v: _is_int(v) and v >= 1)):
+            vals = getattr(self, key)
+            if not (isinstance(vals, (tuple, list)) and all(ok(v) for v in vals)):
+                raise OutOfRangeError(f"{key} must be {what}, got {vals!r}")
         if not isinstance(self.ensembles, dict) or any(
                 role not in DEFAULT_ROLES or kind not in KINDS
                 for role, kind in self.ensembles.items()):
@@ -150,6 +157,10 @@ def _is_int(val) -> bool:
 
 def _is_real(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool)
+
+
+def _is_finite(val) -> bool:
+    return _is_real(val) and math.isfinite(val)
 
 
 def default_config(master_seed: int = 0, **overrides) -> CampaignConfig:

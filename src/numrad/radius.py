@@ -16,17 +16,26 @@ The cells therefore cover [0, pi) and carry two value tracks, theta and
 theta + pi; a cell's majorant is the larger of the two tracks'. The
 evaluation budget counts angles, two per eigensolve.
 
+An operator whose graph of nonzero entries is bipartite (`_bipartition`),
+such as [[0, X], [Y, 0]] or a shift, takes a cheaper kernel: Re(e^{i theta}
+M) permutes to 1/2 [[0, K], [K*, 0]] with K = e^{i theta} M[A][:, B] +
+e^{-i theta} M[B][:, A]*, so h(theta) = h(theta + pi) = sigma_max(K) / 2,
+one SVD of the |A| x |B| block per angle in place of an eigensolve of
+side n (Hirzallah, Kittaneh & Shebrawi, Integral Equations Operator
+Theory 71, 2011).
+
 The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants give the upper
 endpoint.
 
 `omega_many` runs the branch and bound of several operators of one side in
-lockstep: each round makes one batched eigensolve over every live cell of
-every operator, while the split cap, the angle budget, the lower end and
-witness, and termination stay per operator. Each operator's cells keep the
-order they would have alone and each angle's matrix is built the same way
-whatever else shares its batch, so every result equals a lone run to the
-bit; `omega` is the lockstep run of one operator.
+lockstep: each round makes one batched solve per kernel and block shape
+over the live cells of its operators, while the split cap, the angle
+budget, the lower end and witness, and termination stay per operator. An
+operator's kernel depends on it alone, its cells keep the order they would
+have alone and each angle's matrix is built the same way whatever else
+shares its batch, so every result equals a lone run to the bit; `omega` is
+the lockstep run of one operator.
 
 omega_p, the generalized radius, is estimated from below by projected-
 gradient ascent of F(x) = sum_i |<T_i x, x>|^p over unit vectors, with all
@@ -63,9 +72,9 @@ DEFAULT_EVAL_BUDGET = 2_000_000
 # Cells start pi/32 wide, inside the w < pi/2 that `_cell_majorant` needs.
 _INITIAL_CELLS = 64
 _MAX_SPLITS_PER_ROUND = 8192
-# Angles per batched eigensolve; bounds the (chunk, n, n) stack and its
+# Angles per batched solve; bounds the (chunk, n, n) stack and its
 # temporaries. A lockstep batch gathers one operator per angle, so its
-# chunks also stay within 2^12 matrix entries (fewer angles past side 4).
+# chunks also stay within 2^12 matrix (or block) entries.
 _EIG_CHUNK = 256
 _EIG_CHUNK_ENTRIES = 2 ** 12
 # The initial cells' left and right ends.
@@ -98,35 +107,51 @@ class CertifiedRadius:
     rounds: int
 
 
-def _rotated_tops(ms: np.ndarray, thetas: np.ndarray, owner: np.ndarray | None = None,
-                  step: int = _EIG_CHUNK) -> np.ndarray:
-    """h(theta) and h(theta + pi) of operator ms[owner[j]] at angle
-    thetas[j], shape (2, c), from eigensolves of `step` angles at a time;
-    `owner` is nondecreasing, and None when the (1, n, n) stack holds the
-    only operator.
+def _rotated_tops(kernels: list, thetas: np.ndarray,
+                  owner: np.ndarray | None = None) -> np.ndarray:
+    """h(theta) and h(theta + pi) of operator owner[j] at angle thetas[j],
+    shape (2, c). `kernels` holds (first, ms, adjs) stacks of the
+    operators first, first + 1, ...; `owner` is nondecreasing, and None
+    when the kernels hold one operator.
 
-    Both come from one eigensolve of Re(e^{i theta} M) per angle: its
-    lambda_max is h(theta) and minus its lambda_min is h(theta + pi). A
-    chunk of one owner broadcasts that operator as a (1, n, n) slice and
-    any other gathers one operator per angle. Both are 3-d operands, which
-    round alike, so an angle's bits do not depend on its chunk-mates.
+    Where adjs is None, ms is a (b, n, n) stack and both come from one
+    eigensolve of Re(e^{i theta} M) per angle: its lambda_max is h(theta)
+    and minus its lambda_min is h(theta + pi). Otherwise ms and adjs are
+    the (b, |A|, |B|) blocks X and Y* of bipartite operators
+    (`_bipartition`), and both are sigma_max(e^{i theta} X + e^{-i theta}
+    Y*) / 2, from one SVD per angle (|k| / 2 for cheaper 1x1 blocks).
+    Angles are solved in chunks of at most _EIG_CHUNK. A chunk of one
+    owner broadcasts that operator as a 3-d slice and any other gathers
+    one operator per angle. Both are 3-d operands, which round alike, so
+    an angle's bits do not depend on its chunk-mates.
     """
     out = np.empty((2, thetas.shape[0]))
-    ops = ms
-    adjs = np.conj(ops).transpose(0, 2, 1).copy()
-    for start in range(0, thetas.shape[0], step):
-        stop = start + step
+    for first, ms, adjs in kernels:
+        svd = adjs is not None
+        if not svd:
+            adjs = np.conj(ms).transpose(0, 2, 1).copy()
+        ops, ops_adj, lo, hi, step = ms, adjs, 0, thetas.shape[0], _EIG_CHUNK
         if owner is not None:
-            own = owner[start:stop]
-            ops = ms[own[0]:own[0] + 1] if own[0] == own[-1] else ms[own]
-            adjs = np.conj(ops).transpose(0, 2, 1).copy()
-        phase = np.exp(1j * thetas[start:stop])
-        stack = phase[:, None, None] * ops
-        stack += np.conj(phase)[:, None, None] * adjs
-        stack *= 0.5
-        spectra = np.linalg.eigvalsh(stack)
-        out[0, start:stop] = spectra[:, -1]
-        out[1, start:stop] = -spectra[:, 0]
+            lo, hi = np.searchsorted(owner, [first, first + ms.shape[0]])
+            step = min(_EIG_CHUNK, max(1, _EIG_CHUNK_ENTRIES // ms[0].size))
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            if owner is not None:
+                own = owner[start:stop] - first
+                pick = slice(own[0], own[0] + 1) if own[0] == own[-1] else own
+                ops, ops_adj = ms[pick], adjs[pick]
+            phase = np.exp(1j * thetas[start:stop])
+            stack = phase[:, None, None] * ops
+            stack += np.conj(phase)[:, None, None] * ops_adj
+            stack *= 0.5
+            if not svd:
+                spectra = np.linalg.eigvalsh(stack)
+                out[0, start:stop] = spectra[:, -1]
+                out[1, start:stop] = -spectra[:, 0]
+            elif stack.shape[1:] == (1, 1):
+                out[:, start:stop] = np.abs(stack[:, 0, 0])
+            else:
+                out[:, start:stop] = np.linalg.svd(stack, compute_uv=False)[:, 0]
     return out
 
 
@@ -177,10 +202,10 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
 
     tols[i] (None for the default) and the budget apply to mats[i] alone,
     and so do the split cap, the witness updates and termination; only the
-    eigensolves of each round are shared, one batch over every live cell
-    of every operator. Returns one CertifiedRadius, or the NumradError
-    :func:`omega` would raise, per operator; each equals :func:`omega` of
-    that operator alone to the bit.
+    solves of each round are shared, one batch per kernel and block shape
+    over the live cells of its operators. Returns one CertifiedRadius, or
+    the NumradError :func:`omega` would raise, per operator; each equals
+    :func:`omega` of that operator alone to the bit.
 
     Raises:
         DimensionMismatchError: the square operators differ in side, or
@@ -190,7 +215,10 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
     if len(tols) != len(mats):
         raise DimensionMismatchError(f"{len(mats)} operators but {len(tols)} tolerances")
     out: list = [None] * len(mats)
-    live, stack, norms, widths, side = [], None, [], [], None
+    groups: dict = {}  # None or block shape -> (index, X or M, Y* or None, norm, tol)
+    # operators of one call often share a nonzero pattern; each is 2-coloured once
+    patterns: dict = {}
+    side = None
     for i, (m, tol) in enumerate(zip(mats, tols)):
         m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
@@ -211,18 +239,54 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
             out[i] = CertifiedRadius(lo=0.0, hi=0.0, witness_theta=0.0, tol=tol,
                                      evals=0, rounds=0)
         else:
-            if stack is None:
-                stack = np.empty((len(mats), side, side), dtype=np.complex128)
-            stack[len(live)] = m
-            live.append(i)
-            norms.append(nrm)
-            widths.append(tol)
-    if live:
-        done = _branch_and_bound(stack[:len(live)], np.array(norms), np.array(widths),
-                                 max_evals)
-        for i, res in zip(live, done):
+            nz = m != 0
+            key = nz.tobytes()
+            if key not in patterns:
+                patterns[key] = _bipartition(nz)
+            parts = patterns[key]
+            if parts is None:
+                groups.setdefault(None, []).append((i, m, None, nrm, tol))
+            else:
+                a, b = parts
+                groups.setdefault((a.size, b.size), []).append(
+                    (i, m[a[:, None], b], np.conj(m[b[:, None], a]).T, nrm, tol))
+    if groups:
+        kernels, live = [], []
+        for key, group in groups.items():
+            _, xs, ys, _, _ = zip(*group)
+            kernels.append((len(live), np.stack(xs), None if key is None else np.stack(ys)))
+            live += group
+        index, _, _, norms, widths = zip(*live)
+        done = _branch_and_bound(kernels, np.array(norms), np.array(widths), max_evals)
+        for i, res in zip(index, done):
             out[i] = res
     return out
+
+
+def _bipartition(nz: np.ndarray):
+    """Index arrays (A, B) with nz[A][:, A] and nz[B][:, B] all False that
+    cover every index with a True entry in its row or column, for the
+    nonzero pattern nz of an operator, or None when its diagonal has a
+    True entry or its graph an odd cycle. The graph is 2-coloured breadth
+    first, each component from its lowest index; an index in neither class
+    only adds zero eigenvalues.
+    """
+    if nz.diagonal().any():
+        return None
+    adj = nz | nz.T
+    colour = np.zeros(nz.shape[0], dtype=np.int8)
+    for s in np.flatnonzero(adj.any(axis=1)):
+        if colour[s]:
+            continue
+        colour[s], front, c = 1, np.arange(s, s + 1), 1
+        while front.size:
+            near = adj[front].any(axis=0)
+            if (colour[near] == c).any():
+                return None
+            c = 3 - c
+            front = np.flatnonzero(near & (colour == 0))
+            colour[front] = c
+    return np.flatnonzero(colour == 1), np.flatnonzero(colour == 2)
 
 
 def _raise_lo(lo: np.ndarray, witness: np.ndarray, h_mid: np.ndarray, mids: np.ndarray,
@@ -250,10 +314,10 @@ def _raise_lo(lo: np.ndarray, witness: np.ndarray, h_mid: np.ndarray, mids: np.n
     lo[up], witness[up] = value[up], mids[col[up]] + track[up] * np.pi
 
 
-def _branch_and_bound(ms: np.ndarray, nrm: np.ndarray, tol: np.ndarray,
+def _branch_and_bound(kernels: list, nrm: np.ndarray, tol: np.ndarray,
                       max_evals: int) -> list:
-    """The rounds of :func:`omega_many` over a (b, n, n) stack of nonzero
-    operators with their norms and checked tolerances.
+    """The rounds of :func:`omega_many` over nonzero operators, given as
+    `_rotated_tops` kernels, with their norms and checked tolerances.
 
     Each cell has a left and a right end, h at both ends on both tracks
     and a majorant, and `own` names its operator. Cells are kept in owner
@@ -265,10 +329,9 @@ def _branch_and_bound(ms: np.ndarray, nrm: np.ndarray, tol: np.ndarray,
     one round count. The `one` fork, a lone operator without owner arrays,
     stays: lone `omega` calls ran slower and larger without it (ROADMAP).
     """
-    ids = np.arange(ms.shape[0])
+    ids = np.arange(nrm.size)
     out: list = [None] * ids.size
     one = ids.size == 1
-    step = _EIG_CHUNK if one else min(_EIG_CHUNK, max(1, _EIG_CHUNK_ENTRIES // ms.shape[1] ** 2))
 
     # Cells cover [0, pi); row 0 of each value array tracks h(theta), row 1
     # tracks h(theta + pi). At pi the two tracks meet each other's start.
@@ -276,7 +339,7 @@ def _branch_and_bound(ms: np.ndarray, nrm: np.ndarray, tol: np.ndarray,
     own = ids.repeat(g)
     starts = ids * g
     lefts, rights = np.tile(_GRID, ids.size), np.tile(_GRID_RIGHTS, ids.size)
-    h = _rotated_tops(ms, lefts, None if one else own, step).reshape(2, -1, g)
+    h = _rotated_tops(kernels, lefts, None if one else own).reshape(2, -1, g)
     h_left = h.reshape(2, -1)
     h_right = np.concatenate([h[:, :, 1:], h[::-1, :, :1]], axis=2).reshape(2, -1)
     ub = _cell_majorant(h_left, h_right, rights - lefts, nrm if one else nrm[own]).max(axis=0)
@@ -325,15 +388,17 @@ def _branch_and_bound(ms: np.ndarray, nrm: np.ndarray, tol: np.ndarray,
             ids, nrm, tol, lo, witness, room, splits = (
                 a[keep] for a in (ids, nrm, tol, lo, witness, room, splits))
             if ids.size == 1 and not one:
-                one, ms, starts = True, ms[ids], starts[:1]
+                one, starts, k = True, starts[:1], ids[0]
+                kernels = [(0, ms[k - first:][:1], None if adjs is None else adjs[k - first:][:1])
+                           for first, ms, adjs in kernels if first <= k < first + ms.shape[0]]
         hold = (ub > (lo if one else lo[own])) & ~split
 
         mids = 0.5 * (lefts[split] + rights[split])
         if one:
-            h_mid = _rotated_tops(ms, mids, None, step)
+            h_mid = _rotated_tops(kernels, mids)
         else:
             own_mid = own[split]
-            h_mid = _rotated_tops(ms, mids, ids[own_mid], step)
+            h_mid = _rotated_tops(kernels, mids, ids[own_mid])
             starts = np.cumsum(splits) - splits
         room -= splits
         _raise_lo(lo, witness, h_mid, mids, starts, splits)

@@ -324,6 +324,16 @@ class TestVerifyCommand:
         ({"slack": "0"}, "slack"),
         ({"bound_ids": ["main11.v1"], "constant_mode": "bogus"}, "constant_mode"),
         ({"holder_p_values": [1.0]}, "holder_p_values"),
+        ({"r_values": [0.5]}, "r_values"),
+        ({"r_values": ["x"]}, "r_values"),
+        ({"r_values": [math.inf]}, "r_values"),
+        ({"alpha_values": [2]}, "alpha_values"),
+        ({"alpha_values": [math.nan]}, "alpha_values"),
+        ({"omega_p_p_values": [0.5]}, "omega_p_p_values"),
+        ({"omega_p_p_values": [math.inf]}, "omega_p_p_values"),
+        ({"n_operators_values": [0]}, "n_operators_values"),
+        ({"n_operators_values": [1.5]}, "n_operators_values"),
+        ({"n_operators_values": 2}, "n_operators_values"),
     ])
     def test_bad_config_value_exit_3(self, tmp_path, capsys, override, name):
         # each value would disable the check, flood the report with errors,

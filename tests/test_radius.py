@@ -7,7 +7,7 @@ import numrad.radius
 from numrad.errors import (DimensionMismatchError, NotSquareError, OutOfRangeError,
                            ToleranceUnreachableError)
 from numrad.linalg import adjoint, embed_offdiag, spectral_norm
-from numrad.radius import (_cell_majorant, _rotated_tops, omega, omega_many,
+from numrad.radius import (_bipartition, _cell_majorant, _rotated_tops, omega, omega_many,
                            omega_offdiag_symmetric_check)
 
 U = np.finfo(float).eps / 2
@@ -170,7 +170,7 @@ class TestTwoTracks:
         m = two_track_cases()[kind]
         thetas = np.concatenate([np.linspace(0.0, np.pi, 97, endpoint=False),
                                  [np.nextafter(np.pi, 0.0)]])
-        tops = _rotated_tops(m[None], thetas)
+        tops = _rotated_tops([(0, m[None], None)], thetas)
         assert tops.shape == (2, thetas.size)
         slack = rounding_slack(m)
         np.testing.assert_allclose(tops[0], h_direct(m, thetas), rtol=0, atol=slack)
@@ -179,7 +179,7 @@ class TestTwoTracks:
         other = np.eye(m.shape[0], dtype=complex)
         stack = np.stack([other, m])
         owner = np.repeat([0, 1], [3, thetas.size])
-        both = _rotated_tops(stack, np.concatenate([thetas[:3], thetas]), owner)
+        both = _rotated_tops([(0, stack, None)], np.concatenate([thetas[:3], thetas]), owner)
         np.testing.assert_array_equal(both[:, 3:], tops)
 
     def test_second_track_witness(self):
@@ -210,7 +210,8 @@ class TestTwoTracks:
         assert cert.hi - cert.lo <= 1e-8
         assert cert.lo - slack <= 0.5 <= cert.hi + slack
         assert solved[0] <= 8192 + 32
-        # every eigensolve but the norm's evaluates two angles
+        # every solve but the norm's evaluates two angles; this operand is
+        # bipartite, so they are SVDs of its 4x4 block
         assert cert.evals == 2 * (solved[0] - 1)
 
     def test_budget_counts_angles(self):
@@ -238,18 +239,77 @@ class TestTwoTracks:
         assert abs(cert.lo - float(h_direct(m, [cert.witness_theta])[0])) <= slack
 
 
-def count_eigensolves(monkeypatch):
-    """Patch np.linalg.eigvalsh to count the matrices it solves; returns a
-    one-element list holding the running count."""
+def count_eigensolves(monkeypatch, names=("eigvalsh", "svd")):
+    """Patch the named np.linalg solvers (by default both of omega's
+    kernels) to count the matrices they solve; returns a one-element list
+    holding the running count."""
     solved = [0]
-    eigvalsh = np.linalg.eigvalsh
 
-    def counting(a, *args, **kwargs):
-        solved[0] += int(np.prod(np.shape(a)[:-2], dtype=int))
-        return eigvalsh(a, *args, **kwargs)
+    def counting(solve):
+        def wrapped(a, *args, **kwargs):
+            solved[0] += int(np.prod(np.shape(a)[:-2], dtype=int))
+            return solve(a, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
     return solved
+
+
+def bipartite_cases(seed):
+    """embed_offdiag operands of shapes (1, 1), (2, 3) and (8, 8), [[0, X],
+    [0, 0]], shifts of even and odd side, and a random symmetric
+    permutation of each."""
+    g = np.random.default_rng(seed)
+    x = rand_complex(g, 3)
+    cases = [embed_offdiag(rand_complex(g, m, n), rand_complex(g, n, m))
+             for m, n in ((1, 1), (2, 3), (8, 8))]
+    cases += [np.block([[np.zeros_like(x), x], [np.zeros_like(x), np.zeros_like(x)]]),
+              np.eye(6, k=1, dtype=complex), np.eye(7, k=1, dtype=complex)]
+    for m in cases[:6]:
+        perm = g.permutation(m.shape[0])
+        cases.append(m[np.ix_(perm, perm)])
+    return cases
+
+
+def svd_tracks(m, thetas):
+    """`_rotated_tops` through the bipartite kernel, from M's blocks."""
+    a, b = _bipartition(m != 0)
+    return _rotated_tops([(0, m[np.ix_(a, b)][None], np.conj(m[np.ix_(b, a)]).T[None])], thetas)
+
+
+class TestBipartiteKernel:
+    """sigma_max(e^{i theta} X + e^{-i theta} Y*) / 2 gives both tracks of
+    an operator whose graph of nonzero entries is bipartite."""
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_svd_tracks_match_eigensolve(self, case):
+        m = bipartite_cases(50)[case]
+        a, b = _bipartition(m != 0)
+        assert not m[np.ix_(a, a)].any() and not m[np.ix_(b, b)].any()
+        assert np.union1d(a, b).size == m.shape[0]
+        thetas = np.linspace(0.0, np.pi, 97, endpoint=False)
+        slack = 32 * m.shape[0] * U * spectral_norm(m)
+        general = _rotated_tops([(0, m[None], None)], thetas)
+        np.testing.assert_allclose(svd_tracks(m, thetas), general, rtol=0, atol=slack)
+
+    def test_not_bipartite(self):
+        shift = np.eye(4, k=1, dtype=complex)
+        shift[2, 2] = 1e-300
+        assert _bipartition(shift != 0) is None
+        assert _bipartition(np.roll(np.eye(3), 1, axis=1) != 0) is None
+        # isolated indices belong to neither class
+        a, b = _bipartition(embed_offdiag(np.array([[0.0, 2.0]]), np.zeros((2, 1))) != 0)
+        assert a.tolist() == [0] and b.tolist() == [2]
+
+    def test_lone_solves_are_svds(self, monkeypatch):
+        m = bipartite_cases(51)[7]  # the permuted (2, 3) operand
+        svds = count_eigensolves(monkeypatch, ("svd",))
+        solved = count_eigensolves(monkeypatch)
+        cert = omega(m, tol=1e-10)
+        # the norm takes the only eigensolve; every other solve is an SVD
+        assert solved[0] - svds[0] == 1
+        assert cert.evals == 2 * svds[0]
 
 
 class TestCellMajorant:
@@ -379,13 +439,18 @@ class TestOmegaMany:
 
     TOLS = (1e-6, None, 1e-8)
 
-    @pytest.mark.parametrize("side", (1, 2, 8))
+    @pytest.mark.parametrize("side", (1, 2, 5, 8))
     def test_stack_matches_single_calls(self, side):
-        mats = omega_cases(side)
+        # Ginibre operands share batches with bipartite ones of the same side
+        mats = omega_cases(side) + [m for m in bipartite_cases(side) if m.shape[0] == side]
+        g = np.random.default_rng(side)
+        for m in mats[:2] if side > 1 else ():
+            embed = embed_offdiag(m[:side // 2, side // 2:], m[side // 2:, :side // 2])
+            perm = g.permutation(side)
+            mats += [embed, embed[np.ix_(perm, perm)]]
         tols = [self.TOLS[i % len(self.TOLS)] for i in range(len(mats))]
         alone = [omega(m, tol) for m, tol in zip(mats, tols)]
         assert omega_many(mats, tols) == alone
-        g = np.random.default_rng(side)
         for _ in range(4):
             order = g.permutation(len(mats))
             cut = int(g.integers(1, len(mats)))
@@ -407,9 +472,9 @@ class TestOmegaMany:
         seen = []
         tops = numrad.radius._rotated_tops
 
-        def recording(ms, thetas, *args):
+        def recording(kernels, thetas, *args):
             seen.append(thetas.copy())
-            return tops(ms, thetas, *args)
+            return tops(kernels, thetas, *args)
 
         monkeypatch.setattr(numrad.radius, "_rotated_tops", recording)
         alone = omega(z, 1e-6)
