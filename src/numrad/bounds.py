@@ -56,7 +56,7 @@ from .linalg import (
     embed_offdiag,
     fn_of_abs,
     fn_of_spectrum,
-    gram_eigen,
+    polar_eigen,
     spectral_norm,
 )
 from .radius import CertifiedRadius, OmegaPEstimate, omega_many, omega_p
@@ -118,11 +118,13 @@ def _pair_terms(pair: FunctionPair, r: float, variant: int,
 
     They are f**(2r) or g**(2r) applied to |X|, |Y*|, |Y| and |X*|; the
     first two make up the first group and the last two the second.
+    One SVD per block gives both |X| and |X*| (and |Y| and |Y*|).
     Variant 1 mixes f and g inside each group; variant 2 keeps f with the
     first group and g with the second. The pair is validated on the four
     spectra and the probes 0 and 1.
     """
-    eigs = [gram_eigen(x), gram_eigen(adjoint(y)), gram_eigen(y), gram_eigen(adjoint(x))]
+    (abs_x, abs_xs), (abs_y, abs_ys) = polar_eigen(x), polar_eigen(y)
+    eigs = [abs_x, abs_ys, abs_y, abs_xs]
     validate_pair(pair, np.concatenate([s for s, _ in eigs] + [np.array([0.0, 1.0])]))
     fe, ge = pow_of_pair(pair, 2.0 * r)
     fns = (fe, ge, fe, ge) if variant == 1 else (fe, fe, ge, ge)

@@ -2,6 +2,7 @@
 
 Adjoints, Hermitian eigendecompositions, operator absolute values,
 functions of PSD matrices, spectral norms, and 2x2 block assembly.
+Singular values, and with them |M| and |M*|, come from one SVD.
 All matrices are dense ``numpy`` arrays of ``complex128`` at desk scale
 (sides <= 64); every operation is a pure function of its inputs.
 """
@@ -52,22 +53,11 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value; exactly 0.0 for the zero matrix.
-
-    Computed as the square root of the top eigenvalue of the smaller Gram
-    matrix (M*M or MM*), which keeps the Hermitian eigendecomposition as the
-    single primitive.
-    """
+    """Largest singular value; exactly 0.0 for the zero matrix."""
     m = np.asarray(m, dtype=np.complex128)
     if not m.any():
         return 0.0
-    if m.shape[0] <= m.shape[1]:
-        gram = m @ np.conj(m).T
-    else:
-        gram = np.conj(m).T @ m
-    gram = (gram + np.conj(gram).T) / 2
-    w = np.linalg.eigvalsh(gram)
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -101,28 +91,26 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _clamp_psd(w: np.ndarray, what: str) -> np.ndarray:
-    """The nondecreasing spectrum w of a PSD matrix, with its eigenvalues in
-    [-CLAMP_TOL * max(w[-1], -w[0], 0), 0) clamped to zero; one further below
-    signals an indefinite matrix or a failed decomposition."""
-    floor = -CLAMP_TOL * max(float(w[-1]), -float(w[0]), 0.0)
-    if float(w[0]) < floor:
-        raise NegativeSpectrumError(
-            f"eigenvalue {float(w[0]):.3e} of {what} below clamping floor {floor:.3e}"
-        )
-    return np.clip(w, 0.0, None)
+def polar_eigen(m) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Spectral data of |M| and |M*| from one SVD M = U S V*.
+
+    Returns ((s, V), (t, U)) with |M| = V diag(s) V* and |M*| = U diag(t) U*;
+    s and t are the singular values padded with zeros to the column and row
+    count of M (two views of one array). Singular values are
+    nonnegative by construction, so small ones keep their absolute
+    accuracy, about u ||M||.
+    """
+    m = as_matrix(m)
+    u, sv, vh = np.linalg.svd(m)
+    rows, cols = m.shape
+    s = np.zeros(max(rows, cols))
+    s[:sv.size] = sv
+    return (s[:cols], np.conj(vh).T), (s[:rows], u)
 
 
 def gram_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral data of |M| = (M*M)^(1/2): returns (s, V) with |M| = V diag(s) V*.
-
-    The spectrum of M*M goes through the PSD clamp rule of `_clamp_psd`.
-    """
-    m = as_matrix(m)
-    gram = np.conj(m).T @ m
-    gram = (gram + np.conj(gram).T) / 2
-    w, v = np.linalg.eigh(gram)
-    return np.sqrt(_clamp_psd(w, "M*M")), v
+    """(s, V) with |M| = (M*M)^(1/2) = V diag(s) V*: the |M| half of `polar_eigen`."""
+    return polar_eigen(m)[0]
 
 
 def recompose(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -133,8 +121,7 @@ def recompose(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def abs_op(m) -> np.ndarray:
     """Operator absolute value (M*M)^(1/2), a PSD matrix of side M.cols."""
-    s, v = gram_eigen(m)
-    return recompose(s, v)
+    return recompose(*gram_eigen(m))
 
 
 def fn_of_spectrum(phi: Callable, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -148,18 +135,25 @@ def fn_of_spectrum(phi: Callable, values: np.ndarray, vectors: np.ndarray) -> np
 
 
 def fn_of_abs(m, phi: Callable) -> np.ndarray:
-    """phi(|M|) computed through a single Gram eigendecomposition."""
+    """phi(|M|) computed through a single SVD of M."""
     return fn_of_spectrum(phi, *gram_eigen(m))
 
 
 def fn_of_psd(h, phi: Callable) -> np.ndarray:
     """phi(H) for PSD Hermitian H via the spectral theorem.
 
-    The spectrum goes through the PSD clamp rule of `_clamp_psd` before phi
-    is applied; phi must be finite and nonnegative on the clamped spectrum.
+    Eigenvalues in [-CLAMP_TOL * max(w[-1], -w[0], 0), 0) are rounding noise
+    and are clamped to zero before phi is applied; one further below signals
+    an indefinite matrix or a failed decomposition. phi must be finite and
+    nonnegative on the clamped spectrum.
     """
     w, v = herm_eig(h)
-    return fn_of_spectrum(phi, _clamp_psd(w, "H"), v)
+    floor = -CLAMP_TOL * max(float(w[-1]), -float(w[0]), 0.0)
+    if float(w[0]) < floor:
+        raise NegativeSpectrumError(
+            f"eigenvalue {float(w[0]):.3e} of H below clamping floor {floor:.3e}"
+        )
+    return fn_of_spectrum(phi, np.clip(w, 0.0, None), v)
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """JSON matrix files.
 
 Schema: {"rows": r, "cols": c, "data": [[re, im], ...]} with data in
-row-major order. Floats are serialized with shortest round-trip decimal
+row-major order; r and c are JSON integers >= 1 and re, im JSON numbers
+(booleans are neither). Floats are serialized with shortest round-trip decimal
 representation (up to 17 significant digits), so write followed by read
 reproduces every entry bit-exactly.
 """
@@ -28,13 +29,12 @@ def read_matrix(path) -> np.ndarray:
     if not isinstance(payload, dict):
         raise MatrixFileError(f"{path}: expected a JSON object")
     try:
-        rows = int(payload["rows"])
-        cols = int(payload["cols"])
-        data = payload["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFileError(f"{path}: missing or bad rows/cols/data") from exc
-    if rows < 1 or cols < 1:
-        raise MatrixFileError(f"{path}: rows and cols must be >= 1")
+        rows, cols, data = payload["rows"], payload["cols"], payload["data"]
+    except KeyError as exc:
+        raise MatrixFileError(f"{path}: missing rows/cols/data") from exc
+    # type(), not isinstance(): JSON true and false load as bool, an int subclass
+    if not all(type(n) is int and n >= 1 for n in (rows, cols)):
+        raise MatrixFileError(f"{path}: rows and cols must be integers >= 1")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFileError(
             f"{path}: data must hold rows*cols = {rows * cols} entries"
@@ -42,9 +42,12 @@ def read_matrix(path) -> np.ndarray:
     out = np.empty((rows, cols), dtype=np.complex128)
     for k, entry in enumerate(data):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)):
+                or not all(type(v) in (int, float) for v in entry)):
             raise MatrixFileError(f"{path}: entry {k} is not a [re, im] pair")
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except OverflowError:  # a JSON integer beyond the float range
+            re = im = math.inf
         if not (math.isfinite(re) and math.isfinite(im)):
             raise MatrixFileError(f"{path}: entry {k} is not finite")
         out[k // cols, k % cols] = complex(re, im)

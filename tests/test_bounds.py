@@ -161,6 +161,31 @@ class TestMain1:
         v2 = bound_main1(OffDiagPair(x, y), pair, 1.0, 2).value
         assert v1 != pytest.approx(v2, rel=1e-12)
 
+    def test_rank_one_closed_form(self):
+        # X = s u v* and Y = t w z* make each group a P_p + b P_q, whose top
+        # eigenvalue is ((a + b) + sqrt((a - b)^2 + 4ab |<p, q>|^2)) / 2; the
+        # zero singular values of |X| feed f^2(t) = t^0.5, so any error in
+        # them of order sqrt(u) ||X|| shows here at 1e-4 relative
+        g = np.random.default_rng(23)
+
+        def unit(n):
+            v = rand_complex(g, n, 1)[:, 0]
+            return v / np.linalg.norm(v)
+
+        def top(a, b, p, q):
+            c2 = abs(np.vdot(p, q)) ** 2
+            return ((a + b) + math.sqrt((a - b) ** 2 + 4.0 * a * b * c2)) / 2.0
+
+        pair = power_pair(0.25)
+        for _ in range(200):
+            s, t = 10.0 ** g.uniform(-1, 1, size=2)
+            u, v, w, z = (unit(3) for _ in range(4))
+            x, y = s * np.outer(u, v.conj()), t * np.outer(w, z.conj())
+            n1 = top(s ** 0.5, t ** 1.5, v, w)
+            n2 = top(t ** 0.5, s ** 1.5, z, u)
+            out = bound_main1(OffDiagPair(x, y), pair, 1.0, 1)
+            assert out.value == pytest.approx(0.5 * math.sqrt(n1 * n2), rel=1e-7)
+
     def test_rejects_bad_pair(self):
         # f * g = t**2 differs from t on the sample t = 2 drawn from the spectrum
         broken = FunctionPair(f=lambda t: np.asarray(t, float),
@@ -296,7 +321,8 @@ class TestMain11:
                     assert out.value == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_eigensolves_match_young_split(self, monkeypatch):
-        # both read the norms of the same two PSD groups: 4 Gram + 2 norm solves
+        # both read the norms of the same two PSD groups: one SVD per block
+        # gives |X|, |X*|, |Y| and |Y*|, and one SVD per group its norm
         calls = []
 
         def counting(real):
@@ -305,7 +331,7 @@ class TestMain11:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
         g = np.random.default_rng(22)
         pair = OffDiagPair(rand_complex(g, 2, 3), rand_complex(g, 3, 2))
@@ -314,8 +340,8 @@ class TestMain11:
         for bound in (bound_main11, bound_main11_young):
             calls.clear()
             bound(pair, HALF, 1.5, hp, 1)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] == 6
+            counts.append(list(calls))
+        assert counts[0] == counts[1] == ["svd"] * 4
 
 
 class TestMain11Young:

@@ -88,6 +88,22 @@ class TestOmegaCommand:
         path.write_text("{not json")
         assert main(["omega", str(path)]) == 2
 
+    @pytest.mark.parametrize("text", (
+        '{"rows": 1.9, "cols": "1", "data": [[2, 0]]}',
+        '{"rows": 1, "cols": 1, "data": [[true, false]]}',
+        '{"rows": true, "cols": 1, "data": [[2, 0]]}',
+        '{"rows": 2.0, "cols": 1, "data": [[2, 0], [1, 0]]}',
+        '{"rows": 0, "cols": 1, "data": []}',
+        '{"cols": 1, "data": [[2, 0]]}',
+        '{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400),
+    ), ids=("float-and-string-sizes", "bool-entry", "bool-rows", "float-rows",
+            "zero-rows", "no-rows", "int-beyond-float-range"))
+    def test_bad_matrix_file_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["omega", str(path)]) == 2
+        assert "bad.json" in capsys.readouterr().err
+
     def test_non_square_exit_3(self, tmp_path):
         path = write_mat(tmp_path, "r.json", np.zeros((2, 3)))
         assert main(["omega", path]) == 3

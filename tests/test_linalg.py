@@ -21,8 +21,12 @@ from numrad.linalg import (
     fn_of_spectrum,
     gram_eigen,
     herm_eig,
+    polar_eigen,
+    recompose,
     spectral_norm,
 )
+
+U = 2.0 ** -53
 
 
 def rand_complex(g, m, n):
@@ -200,13 +204,6 @@ class TestFnOfSpectrum:
             fn_of_spectrum(lambda t: 1.0, np.array([1.0, 2.0]), np.eye(2, dtype=complex))
 
 
-def _gram_route(w, monkeypatch):
-    # a computed M*M is PSD up to rounding, so its spectrum comes in through eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (w, np.eye(len(w), dtype=complex)))
-    s, _ = gram_eigen(np.eye(len(w)))
-    return s ** 2
-
-
 def _psd_route(w, monkeypatch):
     u = rand_unitary(np.random.default_rng(14), len(w))
     seen = []
@@ -214,10 +211,11 @@ def _psd_route(w, monkeypatch):
     return seen[0]
 
 
-@pytest.mark.parametrize("route", (_gram_route, _psd_route), ids=("gram_eigen", "fn_of_psd"))
+@pytest.mark.parametrize("route", (_psd_route,), ids=("fn_of_psd",))
 class TestPsdClamp:
-    """Both routes to a PSD spectrum share one clamp rule: eigenvalues down to
-    -CLAMP_TOL (1e-12) times the top one are rounding noise and become 0."""
+    """fn_of_psd's clamp rule: eigenvalues down to -CLAMP_TOL (1e-12) times
+    the top one are rounding noise and become 0. gram_eigen needs no clamp,
+    since singular values are nonnegative by construction."""
 
     top = 4.0
 
@@ -229,6 +227,38 @@ class TestPsdClamp:
     def test_negative_beyond_noise_raises(self, route, monkeypatch):
         with pytest.raises(NegativeSpectrumError):
             route(np.array([-1e-11 * self.top, 1.0, self.top]), monkeypatch)
+
+
+class TestPolarEigen:
+    """One SVD M = U S V* gives |M| = V S V* and |M*| = U S U*, and its zero
+    singular values stay within 32 n u ||M|| of zero; a Gram eigensolve of
+    M*M leaves them at up to sqrt(u) ||M||."""
+
+    def test_rank_one_zero_singular_values(self):
+        g = np.random.default_rng(31)
+        for _ in range(50):
+            x = rand_complex(g, 3, 1) @ rand_complex(g, 1, 3)
+            s = np.sort(gram_eigen(x)[0])
+            assert s[:2].max() <= 32 * 3 * U * spectral_norm(x)
+
+    def test_abs_of_wide_block_has_zero_singular_value(self):
+        # |X| of a 2x3 X is 3x3 of rank 2
+        g = np.random.default_rng(32)
+        for _ in range(50):
+            x = rand_complex(g, 2, 3)
+            s = np.sort(gram_eigen(x)[0])
+            assert s.shape == (3,)
+            assert s[0] <= 32 * 3 * U * spectral_norm(x)
+
+    @pytest.mark.parametrize("shape", ((1, 1), (2, 3), (3, 2), (4, 4)))
+    def test_adjoint_half_is_abs_of_adjoint(self, shape):
+        g = np.random.default_rng(33)
+        m, n = shape
+        for x in (rand_complex(g, m, n), rand_complex(g, m, 1) @ rand_complex(g, 1, n)):
+            (s, v), (t, u) = polar_eigen(x)
+            assert s.shape == (n,) and t.shape == (m,)
+            diff = spectral_norm(recompose(t, u) - recompose(*gram_eigen(adjoint(x))))
+            assert diff <= 32 * max(m, n) * U * spectral_norm(x)
 
 
 class TestSpectralNorm:

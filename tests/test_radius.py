@@ -307,9 +307,9 @@ class TestBipartiteKernel:
         svds = count_eigensolves(monkeypatch, ("svd",))
         solved = count_eigensolves(monkeypatch)
         cert = omega(m, tol=1e-10)
-        # the norm takes the only eigensolve; every other solve is an SVD
-        assert solved[0] - svds[0] == 1
-        assert cert.evals == 2 * svds[0]
+        # every solve is an SVD: the norm's one and one per angle
+        assert solved[0] == svds[0]
+        assert cert.evals == 2 * (svds[0] - 1)
 
 
 class TestCellMajorant:
