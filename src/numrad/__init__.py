@@ -44,13 +44,10 @@ from .harness import (
 from .linalg import (
     Block2x2,
     OffDiagPair,
-    abs_op,
     adjoint,
     as_matrix,
     embed_block,
     embed_offdiag,
-    fn_of_psd,
-    herm_eig,
     spectral_norm,
 )
 from .radius import (
@@ -58,7 +55,6 @@ from .radius import (
     OmegaPEstimate,
     omega,
     omega_many,
-    omega_offdiag_symmetric_check,
     omega_p,
     omega_p_bruteforce,
 )
@@ -81,7 +77,6 @@ __all__ = [
     "RngStream",
     "TrialRecord",
     "ZetaEstimate",
-    "abs_op",
     "adjoint",
     "as_matrix",
     "bound_main1",
@@ -98,11 +93,8 @@ __all__ = [
     "derive",
     "embed_block",
     "embed_offdiag",
-    "fn_of_psd",
-    "herm_eig",
     "omega",
     "omega_many",
-    "omega_offdiag_symmetric_check",
     "omega_p",
     "omega_p_bruteforce",
     "power_pair",

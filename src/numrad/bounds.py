@@ -8,10 +8,11 @@ against a radius themselves; validity checking lives in the harness.
 
 `BOUNDS` maps every bound id to its :class:`BoundSpec`: the campaign grid
 axes, how inputs are drawn and checked (and so how many matrix files the
-CLI reads), the evaluator call and the contract-side measure. The harness
-and the CLI dispatch on this table only and name no input key, so adding
-a bound over existing grid axes means writing its evaluator and adding
-one entry.
+CLI reads), the evaluator call and the contract-side measure. An
+evaluator whose value needs certified radii names them in a
+:class:`PendingOutcome`. The harness and the CLI dispatch on this table only
+and name no input key, so adding a bound over existing grid axes means
+writing its evaluator and adding one entry.
 
 The two-exponent (Holder) bound carries a documented constant discrepancy:
 its printed prefactor 4**(r-2) is falsified by the scalar case X = Y = [1]
@@ -85,6 +86,16 @@ class BoundOutcome:
         for name, term in self.terms.items():
             if not math.isfinite(term) or term < 0.0:
                 raise OutOfRangeError(f"term {name} must be finite and >= 0, got {term}")
+
+
+@dataclass(frozen=True)
+class PendingOutcome:
+    """A bound value that waits on certified radii: `radii` lists the
+    (operator, absolute tol) pairs to certify, and `finish(certs)` makes
+    the BoundOutcome from their :func:`omega_many` results, in that order."""
+
+    radii: list
+    finish: Callable
 
 
 @dataclass
@@ -430,44 +441,55 @@ def bound_main4(items, pair: FunctionPair, p: float, variant: int = 1) -> BoundO
     )
 
 
+def _th1_inputs(blocks, p: float) -> tuple[list, list, float]:
+    """th1's inputs checked: [A_1, D_1, A_2, ...], [(||B_i||, ||C_i||)] and p."""
+    p = _require_r(p, "p")
+    blocks = [blk if isinstance(blk, Block2x2) else Block2x2(*blk) for blk in blocks]
+    if not blocks:
+        raise OutOfRangeError("at least one block is required")
+    return ([op for blk in blocks for op in (blk.a, blk.d)],
+            [(spectral_norm(blk.b), spectral_norm(blk.c)) for blk in blocks], p)
+
+
+def _th1_value(offdiag_norms, p: float, certs) -> BoundOutcome:
+    """th1's outcome from the norms [(||B_i||, ||C_i||)] and the certified
+    radii [w(A_1), w(D_1), w(A_2), ...]: CertifiedRadius results, or the
+    NumradError each raised, of which the first is raised. The radii are
+    taken at their upper endpoints, the conservative side for an upper
+    bound, and `omega_tol` is the tol they were certified at."""
+    for cert in certs:
+        if isinstance(cert, NumradError):
+            raise cert
+    total = 0.0
+    per_item = []
+    for (nb, nc), cert_a, cert_d in zip(offdiag_norms, certs[::2], certs[1::2]):
+        wa, wd = cert_a.hi, cert_d.hi
+        term = (wa + wd + math.sqrt((wa - wd) ** 2 + (nb + nc) ** 2)) ** p
+        per_item.append(term)
+        total += term
+    return BoundOutcome(
+        bound_id="th1",
+        value=2.0 ** (-p) * total,
+        exponent=p,
+        terms={f"item_{i}": t for i, t in enumerate(per_item)},
+        params={"p": p, "n_operators": len(per_item), "omega_tol": certs[0].tol},
+    )
+
+
 def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
     """Full-block bound on omega_p**p of [[A_i, B_i], [C_i, D_i]].
 
     value = 2**(-p) sum_i (w(A_i) + w(D_i)
     + sqrt((w(A_i) - w(D_i))**2 + (||B_i|| + ||C_i||)**2))**p, with the
-    certified radii taken at their upper endpoints (the conservative side
-    for an upper bound). The A_i are certified together by one
-    :func:`omega_many`, and so are the D_i, so the A_i share one side and
-    the D_i another; the first failure, in the order A_1, D_1, A_2, ...,
-    is raised.
+    certified radii taken at their upper endpoints. The A_i are certified
+    together by one :func:`omega_many`, and so are the D_i; the first
+    failure, in the order A_1, D_1, A_2, ..., is raised. A campaign
+    certifies these radii in its measuring stage instead and finishes the
+    value the same way.
     """
-    p = _require_r(p, "p")
-    blocks = [blk if isinstance(blk, Block2x2) else Block2x2(*blk) for blk in blocks]
-    if not blocks:
-        raise OutOfRangeError("at least one block is required")
-    tols = [omega_tol] * len(blocks)
-    radii = zip(omega_many([blk.a for blk in blocks], tols),
-                omega_many([blk.d for blk in blocks], tols))
-    total = 0.0
-    per_item = []
-    for blk, certs in zip(blocks, radii):
-        for cert in certs:
-            if isinstance(cert, NumradError):
-                raise cert
-        wa, wd = (cert.hi for cert in certs)
-        nb = spectral_norm(blk.b)
-        nc = spectral_norm(blk.c)
-        term = (wa + wd + math.sqrt((wa - wd) ** 2 + (nb + nc) ** 2)) ** p
-        per_item.append(term)
-        total += term
-    value = 2.0 ** (-p) * total
-    return BoundOutcome(
-        bound_id="th1",
-        value=value,
-        exponent=p,
-        terms={f"item_{i}": t for i, t in enumerate(per_item)},
-        params={"p": p, "n_operators": len(per_item), "omega_tol": omega_tol},
-    )
+    ops, norms, p = _th1_inputs(blocks, p)
+    a_certs, d_certs = (omega_many(ops[i::2], [omega_tol] * len(norms)) for i in (0, 1))
+    return _th1_value(norms, p, [cert for pair in zip(a_certs, d_certs) for cert in pair])
 
 
 # -- the bound table ---------------------------------------------------------
@@ -557,11 +579,14 @@ class BoundSpec:
     """One bound id: how to sample, evaluate and check it.
 
     `axes` names the campaign grid axes, outermost first. `evaluate(mats,
-    params, settings)` returns the BoundOutcome. The contract side takes
-    `measure` ("omega", "norm" or "omega_p") of `operand(mats, params)`;
-    an "omega_p" operand list of one operator is measured by `omega`, its
-    certified enclosure, and longer lists by the ascent's lower estimate.
-    `extras` names the campaign settings each trial adds to its params.
+    params, settings)` checks the inputs and returns the BoundOutcome, or,
+    when the value needs certified radii (`th1`), a PendingOutcome naming
+    them, which a campaign certifies with the contract sides. The
+    contract side takes `measure` ("omega", "norm" or "omega_p") of
+    `operand(mats, params)`; an "omega_p" operand list of one operator is
+    measured by `omega`, its certified enclosure, and longer lists by the
+    ascent's lower estimate. `extras` names the campaign settings each
+    trial adds to its params.
     """
 
     bound_id: str
@@ -638,8 +663,9 @@ def _holder(params: dict) -> HolderPair:
 
 
 # Evaluators, bound to a variant with functools.partial in the table. Each
-# looks its bound_* up by name when called, never when the table is built,
-# so a function patched onto this module is the one that runs.
+# looks its bound_* (th1: `_th1_value`) up by name when called, never when
+# the table is built, so a function patched onto this module is the one
+# that runs.
 
 def _main1(variant, m, prm, s):
     return bound_main1(*_offdiag(m, prm), variant)
@@ -673,9 +699,13 @@ def _sum_norm(normal_mode, m, prm, s):
 
 
 def _th1(m, prm, s):
+    """th1's radii A_1, D_1, A_2, ..., at omega_tol relative to the largest
+    block operator's norm, and the finish that takes their certificates."""
     p = float(prm.get("p", 1.0))
     scale = max([1.0] + [spectral_norm(embed_block(*blk)) for blk in m["blocks"]])
-    return bound_th1(m["blocks"], p, s.omega_tol * scale)
+    ops, norms, p = _th1_inputs(m["blocks"], p)
+    tol = s.omega_tol * scale
+    return PendingOutcome([(op, tol) for op in ops], partial(_th1_value, norms, p))
 
 
 def _sign(params: dict) -> float:

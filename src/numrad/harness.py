@@ -16,22 +16,26 @@ every contract check, in campaigns, the counterexample suite and
 
 Each process runs its share of the plan in three stages. `_start_trial`
 draws (or checks) every trial's inputs, evaluates its bound and names its
-contract side (`BoundSpec.contract_target`). `_measure_sides` measures
-every side: the `omega` sides of one operand shape are certified together
-by one `numrad.radius.omega_many` call, while norms and the ascents of two
-or more operators are measured one trial at a time. `_finish_trial` reads
-the ends off each measurement (`numrad.bounds.contract_ends`) and makes
-the record through `contract_verdict`. A trial that raises at any stage
-becomes its own error record; the others go on. `_run_single`, behind
-`replay_trial` and the counterexample suite, is a share of one trial;
-`omega_many` results do not depend on their batch-mates, so a replay gives
-back the campaign record. `evaluate_bound`, behind `numrad bound`, runs
-stage 1's evaluation and `_measure_sides` on one trial of given inputs
-with its caller's settings, and raises that trial's error; so one path
-measures every contract side. A record's `wall_time` is its own time in the
-first and last stages plus its own measurement, or its share of the
-`omega_many` call it took part in split by the angles each operator
-evaluated, so the records of a share add up to the share's time.
+contract side (`BoundSpec.contract_target`); `th1`'s evaluator instead
+names the block radii its value needs (a `PendingOutcome`).
+`_measure_sides` measures every side and certifies those radii: the
+`omega` sides and the radii of one operand shape are certified together
+by `numrad.radius.omega_many`, in calls of at most OMEGA_MANY_CAP
+operators, while norms and the ascents of two or more operators are
+measured one trial at a time; then each pending value is finished from
+its certificates. `_finish_trial` reads the ends off each measurement
+(`numrad.bounds.contract_ends`) and makes the record through
+`contract_verdict`. A trial that raises at any stage becomes its own error
+record; the others go on. `_run_single`, behind `replay_trial` and the
+counterexample suite, is a share of one trial; `omega_many` results do not
+depend on their batch-mates, so a replay gives back the campaign record.
+`evaluate_bound`, behind `numrad bound`, runs stage 1's evaluation and
+`_measure_sides` on one trial of given inputs with its caller's settings,
+and raises that trial's error; so one path measures every contract side
+and certifies every radius. A record's `wall_time` is its own time in the
+first and last stages plus its own measurement and finish, and its share
+of each `omega_many` call it took part in split by the angles each
+operator evaluated, so the records of a share add up to the share's time.
 
 Everything is deterministic in the master seed: each trial derives its own
 stream from its plan index, so trials can run in any order and in any
@@ -60,11 +64,13 @@ import traceback
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from time import perf_counter
+from typing import Callable
 
 import numpy as np
 
-from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, BoundSpec, EvalSettings,
-                     bound_spec, contract_ends, measure_contract)
+from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, BoundOutcome, BoundSpec,
+                     EvalSettings, PendingOutcome, bound_spec, contract_ends,
+                     measure_contract)
 from .ensembles import KINDS, RngStream, derive, sample
 from .errors import NumradError, OutOfRangeError
 from .linalg import fn_of_abs, spectral_norm
@@ -184,7 +190,11 @@ class TrialRecord:
     violation: bool
     seed_path: str
     error: str | None = None
-    wall_time: float = 0.0  # in-memory only; reports must be byte-identical
+    # In-memory only; reports must be byte-identical. A batched omega_many
+    # call's time is split by angles, and a bipartite operand's angle (an SVD
+    # of its off-diagonal block) is cheaper than an eigensolve, so a call that
+    # mixes the kernels overcharges bipartite operands.
+    wall_time: float = 0.0
 
 
 @dataclass
@@ -260,6 +270,10 @@ def contract_verdict(value: float, lhs_pow: float,
 # The exceptions that turn one trial into an error record.
 _TRIAL_ERRORS = (NumradError, ValueError, TypeError)
 
+# Most operators per stage-2 `omega_many` call, whose working arrays grow
+# with its batch; results do not depend on batch-mates, so no report moves.
+OMEGA_MANY_CAP = 256
+
 
 @dataclass(slots=True)
 class _Trial:
@@ -272,6 +286,11 @@ class _Trial:
     digests: tuple = ()
     value: float | None = None       # the bound's value and contract exponent
     exponent: float | None = None
+    # a PendingOutcome's (operator, tol) pairs, replaced by their certificates
+    # in stage 2, its finish, and the outcome it finishes
+    radii: list | tuple = ()
+    finish: Callable | None = None
+    outcome: BoundOutcome | None = None
     side: tuple = ()     # (measure, target, tol) of BoundSpec.contract_target
     result: object = None
     error: Exception | None = None
@@ -305,26 +324,39 @@ def _start_trial(config: CampaignConfig, index: int, bound_id: str,
     return trial
 
 
-def _evaluate(trial: _Trial, spec: BoundSpec, mats: dict, settings: EvalSettings):
+def _evaluate(trial: _Trial, spec: BoundSpec, mats: dict,
+              settings: EvalSettings) -> BoundOutcome | None:
     """Stage 1's evaluation of checked inputs: the bound's outcome, whose
-    value and exponent `trial` keeps with the contract side to measure."""
+    value and exponent `trial` keeps with the contract side to measure. A
+    value that needs certified radii is left to stage 2: `trial` keeps the
+    radii and the finish, and None is returned."""
     outcome = spec.evaluate(mats, trial.params, settings)
-    trial.value, trial.exponent = outcome.value, outcome.exponent
+    if isinstance(outcome, PendingOutcome):
+        trial.radii, trial.finish = outcome.radii, outcome.finish
+        outcome = None
+    else:
+        trial.value, trial.exponent = outcome.value, outcome.exponent
     trial.side = spec.contract_target(mats, trial.params, settings)
     return outcome
 
 
 def _measure_sides(trials: list, settings) -> None:
-    """Stage 2: measure the contract sides, the `omega` ones by one
-    `omega_many` per operand shape whose time is split by evals (evenly
-    when none were made), the others one trial at a time with the
-    EvalSettings `settings(trial.index)`."""
-    batches: dict = {}
+    """Stage 2: measure the contract sides and certify the radii each
+    value needs, then finish those values. The `omega` sides and the
+    radii are certified by one `omega_many` per operand shape, in calls
+    of at most OMEGA_MANY_CAP operators whose time is split by the angles
+    each operator evaluated (evenly when none were); the other sides are
+    measured one trial at a time with the EvalSettings
+    `settings(trial.index)`. A failed radius, the first in its trial's
+    order, is that trial's error."""
+    batches: dict = {}  # shape -> [(trial, radius slot or None for the side, operator, tol)]
     t = perf_counter()
     for trial in trials:
+        for slot, (op, tol) in enumerate(trial.radii):
+            batches.setdefault(op.shape, []).append((trial, slot, op, tol))
         measure, target, tol = trial.side
         if measure == "omega":
-            batches.setdefault(target.shape, []).append(trial)
+            batches.setdefault(target.shape, []).append((trial, None, target, tol))
             continue
         try:
             trial.result = measure_contract(measure, target, trial.params,
@@ -335,19 +367,35 @@ def _measure_sides(trials: list, settings) -> None:
         now = perf_counter()
         trial.wall += now - t
         t = now
-    for _, batch in sorted(batches.items()):
-        results = omega_many([trial.side[1] for trial in batch],
-                             [trial.side[2] for trial in batch])
+    for shape in sorted(batches):
+        batch = batches.pop(shape)  # frees its operands once certified
+        for start in range(0, len(batch), OMEGA_MANY_CAP):
+            chunk = batch[start:start + OMEGA_MANY_CAP]
+            results = omega_many([op for _, _, op, _ in chunk], [tol for *_, tol in chunk])
+            now = perf_counter()
+            weights = [getattr(res, "evals", 0) for res in results]
+            total = sum(weights)
+            for (trial, slot, _, _), res, weight in zip(chunk, results, weights):
+                if slot is not None:
+                    trial.radii[slot] = res
+                elif isinstance(res, NumradError):
+                    trial.error = res
+                else:
+                    trial.result = res
+                trial.side = ()
+                trial.wall += (now - t) * (weight / total if total else 1.0 / len(chunk))
+            t = now
+    for trial in trials:
+        if trial.finish is None:
+            continue
+        try:
+            trial.outcome = trial.finish(trial.radii)
+            trial.value, trial.exponent = trial.outcome.value, trial.outcome.exponent
+        except _TRIAL_ERRORS as exc:
+            trial.error = exc
+        trial.radii, trial.finish = (), None
         now = perf_counter()
-        weights = [getattr(res, "evals", 0) for res in results]
-        total = sum(weights)
-        for trial, res, weight in zip(batch, results, weights):
-            if isinstance(res, NumradError):
-                trial.error = res
-            else:
-                trial.result = res
-            trial.side = ()
-            trial.wall += (now - t) * (weight / total if total else 1.0 / len(batch))
+        trial.wall += now - t
         t = now
 
 
@@ -425,7 +473,7 @@ def evaluate_bound(bound_id: str, mats: dict, params: dict,
     _measure_sides([trial], lambda index: settings)
     if trial.error is not None:
         raise trial.error
-    return (outcome, *contract_ends(trial.result))
+    return (trial.outcome if outcome is None else outcome, *contract_ends(trial.result))
 
 
 def _clean_params(params: dict) -> dict:

@@ -1,8 +1,8 @@
 """Dense complex-matrix kernel.
 
-Adjoints, Hermitian eigendecompositions, operator absolute values,
-functions of PSD matrices, spectral norms, and 2x2 block assembly.
-Singular values, and with them |M| and |M*|, come from one SVD.
+Adjoints, spectral norms, functions of operator absolute values, and 2x2
+block assembly. Singular values, and with them |M| and |M*|, come from
+one SVD.
 All matrices are dense ``numpy`` arrays of ``complex128`` at desk scale
 (sides <= 64); every operation is a pure function of its inputs.
 """
@@ -14,19 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    InvalidFunctionError,
-    NegativeSpectrumError,
-    NotSquareError,
-    NotHermitianError,
-)
-
-# Residual bound for eigendecompositions, relative to max(1, ||H||).
-EIG_TOL = 1e-10
-# Relative threshold separating rounding noise from a genuinely negative spectrum.
-CLAMP_TOL = 1e-12
+from .errors import DimensionMismatchError, InvalidFunctionError
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -60,37 +48,6 @@ def spectral_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, V) of Hermitian H = V diag(w) V*, w nondecreasing.
-
-    The input may deviate from exact Hermitian symmetry by at most
-    ``EIG_TOL * max(1, ||H||)``; it is symmetrized before decomposition.
-
-    Raises:
-        NotSquareError: non-square input.
-        NotHermitianError: the symmetry pre-check fails.
-        ConvergenceError: the decomposition misses its residual target.
-    """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise NotSquareError(f"herm_eig requires a square matrix, got {h.shape}")
-    nrm = spectral_norm(h)
-    scale = max(1.0, nrm)
-    if spectral_norm(h - adjoint(h)) > EIG_TOL * scale:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    hs = hermitian_part(h)
-    try:
-        w, v = np.linalg.eigh(hs)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    residual = spectral_norm(hs - (v * w) @ np.conj(v).T)
-    if residual > EIG_TOL * scale:
-        raise ConvergenceError(
-            f"eigendecomposition residual {residual:.3e} exceeds target"
-        )
-    return w, v
-
-
 def polar_eigen(m) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Spectral data of |M| and |M*| from one SVD M = U S V*.
 
@@ -119,11 +76,6 @@ def recompose(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (out + np.conj(out).T) / 2
 
 
-def abs_op(m) -> np.ndarray:
-    """Operator absolute value (M*M)^(1/2), a PSD matrix of side M.cols."""
-    return recompose(*gram_eigen(m))
-
-
 def fn_of_spectrum(phi: Callable, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """V diag(phi(values)) V*; phi is applied to the array of values once and
     must return a finite, nonnegative array of its shape."""
@@ -137,23 +89,6 @@ def fn_of_spectrum(phi: Callable, values: np.ndarray, vectors: np.ndarray) -> np
 def fn_of_abs(m, phi: Callable) -> np.ndarray:
     """phi(|M|) computed through a single SVD of M."""
     return fn_of_spectrum(phi, *gram_eigen(m))
-
-
-def fn_of_psd(h, phi: Callable) -> np.ndarray:
-    """phi(H) for PSD Hermitian H via the spectral theorem.
-
-    Eigenvalues in [-CLAMP_TOL * max(w[-1], -w[0], 0), 0) are rounding noise
-    and are clamped to zero before phi is applied; one further below signals
-    an indefinite matrix or a failed decomposition. phi must be finite and
-    nonnegative on the clamped spectrum.
-    """
-    w, v = herm_eig(h)
-    floor = -CLAMP_TOL * max(float(w[-1]), -float(w[0]), 0.0)
-    if float(w[0]) < floor:
-        raise NegativeSpectrumError(
-            f"eigenvalue {float(w[0]):.3e} of H below clamping floor {floor:.3e}"
-        )
-    return fn_of_spectrum(phi, np.clip(w, 0.0, None), v)
 
 
 @dataclass

@@ -64,7 +64,7 @@ from .errors import (
     OutOfRangeError,
     ToleranceUnreachableError,
 )
-from .linalg import as_matrix, embed_offdiag, hermitian_part, spectral_norm
+from .linalg import as_matrix, hermitian_part, spectral_norm
 
 # Default cap on angles evaluated certifying one radius (two per eigensolve).
 DEFAULT_EVAL_BUDGET = 2_000_000
@@ -419,21 +419,6 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, tol: np.ndarray,
             h_left, h_right = h_left[:, order], h_right[:, order]
             counts = np.bincount(own)
             starts = np.cumsum(counts) - counts
-
-
-def omega_offdiag_symmetric_check(
-    x, tol: float | None = None
-) -> tuple[CertifiedRadius, CertifiedRadius]:
-    """Certified radii of X and of [[0, X], [X, 0]].
-
-    The embedded symmetric matrix has the same numerical radius as X, so
-    the two intervals should overlap; the function only returns them and
-    leaves that comparison, with whatever widening, to the caller.
-    """
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise NotSquareError(f"expected a square matrix, got {x.shape}")
-    return omega(x, tol), omega(embed_offdiag(x, x), tol)
 
 
 @dataclass(frozen=True)

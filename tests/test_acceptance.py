@@ -32,21 +32,19 @@ from numrad.harness import (
 )
 from numrad.linalg import (
     OffDiagPair,
-    abs_op,
     adjoint,
     embed_offdiag,
     fn_of_abs,
-    fn_of_psd,
     spectral_norm,
 )
 from numrad.radius import (
     omega,
-    omega_offdiag_symmetric_check,
     omega_p,
     omega_p_bruteforce,
     omega_p_gradient,
     omega_p_objective,
 )
+from reference import abs_op, fn_of_psd, omega_offdiag_symmetric_check
 
 CAMPAIGN_SEED = 20240819
 

@@ -28,15 +28,14 @@ from numrad.errors import (
 from numrad.funcpair import FunctionPair, HolderPair, power_pair, pow_of_pair
 from numrad.linalg import (
     OffDiagPair,
-    abs_op,
     adjoint,
     embed_offdiag,
     fn_of_abs,
-    fn_of_psd,
     spectral_norm,
 )
 import numrad.bounds
 from numrad.radius import omega, omega_many
+from reference import abs_op, fn_of_psd
 
 ONE = [[1.0]]
 HALF = power_pair(0.5)

@@ -11,15 +11,19 @@ import numrad.bounds
 import numrad.harness
 import numrad.linalg
 import numrad.radius
-from numrad.bounds import BOUND_IDS, DEFAULT_ROLES, BoundOutcome, EvalSettings, bound_spec
+from numrad.bounds import (BOUND_IDS, DEFAULT_ROLES, BoundOutcome, EvalSettings, bound_spec,
+                           bound_th1)
 from numrad.ensembles import RngStream
-from numrad.errors import DimensionMismatchError, NotContractionError, UnknownBoundError
+from numrad.errors import (DimensionMismatchError, NotContractionError,
+                           ToleranceUnreachableError, UnknownBoundError)
 from numrad.harness import (
     CONTRACT_SLACK,
+    OMEGA_MANY_CAP,
     CampaignConfig,
     TrialRecord,
     _build_plan,
     _deal,
+    _digest,
     _run_single,
     _settings,
     contract_verdict,
@@ -31,6 +35,8 @@ from numrad.harness import (
     report_to_json,
     run_campaign,
 )
+from numrad.linalg import embed_block, spectral_norm
+from numrad.radius import omega
 
 SMALL = dict(
     dims=((1, 1), (2, 2), (2, 3)),
@@ -327,7 +333,8 @@ class TestScalarRatios:
 # the bound table replaced the per-id branches; it pins grid order and keys.
 DEFAULT_PLAN_SHA256 = "cc2963d8ff79d8c859b3926fc16232349115315357e06b4ba3e5d6b7651d6cf1"
 
-# The bound_* evaluator each id must reach through evaluate_bound.
+# The bound_* evaluator each id must reach through evaluate_bound; th1's
+# value is finished from its stage-2 block radii by `_th1_value`.
 EVALUATOR = {
     "main1.v1": "bound_main1", "main1.v2": "bound_main1",
     "product_xy": "bound_product_xy",
@@ -336,7 +343,7 @@ EVALUATOR = {
     "main11.young.v1": "bound_main11_young", "main11.young.v2": "bound_main11_young",
     "main3.v1": "bound_main3", "main3.v2": "bound_main3",
     "main4.v1": "bound_main4", "main4.v2": "bound_main4",
-    "th1": "bound_th1",
+    "th1": "_th1_value",
 }
 
 TINY = dict(dims=((2, 2),), trials=1, r_values=(2.0,), alpha_values=(0.5,),
@@ -402,7 +409,7 @@ class TestBoundTable:
             restarts.append(kwargs["restarts"])
             return real_omega_p(*args, **kwargs)
 
-        monkeypatch.setattr(numrad.bounds, "bound_th1", counting_th1)
+        monkeypatch.setattr(numrad.bounds, "_th1_value", counting_th1)
         monkeypatch.setattr(numrad.bounds, "omega_p", recording_omega_p)
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
@@ -617,9 +624,76 @@ class TestStagedShare:
         assert all(rec.wall_time > 0.0 for r in reports for rec in r.records)
 
     def test_th1_budget_error_is_the_trials_error_record(self, monkeypatch):
+        # th1's block radii are certified in the measuring stage
         lockstep = numrad.radius.omega_many
-        monkeypatch.setattr(numrad.bounds, "omega_many",
+        monkeypatch.setattr(numrad.harness, "omega_many",
                             lambda mats, tols: lockstep(mats, tols, max_evals=64))
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
         assert record.error.startswith("ToleranceUnreachableError: angle budget 64")
+
+    def test_th1_records_equal_bound_th1(self):
+        # one finish path: bound_th1 on a record's drawn inputs, at the
+        # campaign's tol relative to the largest block operator, gives the
+        # record's value to the bit, though the campaign certified the block
+        # radii in its measuring stage
+        cfg = self.cfg(bound_ids=("th1",), dims=((1, 1), (2, 3), (3, 3)),
+                       omega_p_p_values=(1.0, 3.0), n_operators_values=(1, 2, 4))
+        report = run_campaign(cfg)
+        assert not report.errors and len(report.records) == 18
+        spec = bound_spec("th1")
+        for rec in report.records:
+            _, params, _ = _build_plan(cfg)[rec.index]
+            mats = spec.sampler.draw(params, cfg.ensembles, _settings(cfg, rec.index).stream)
+            assert tuple(_digest(m) for m in spec.sampler.unpack(mats)) == rec.digests
+            blocks = mats["blocks"]
+            scale = max([1.0] + [spectral_norm(embed_block(*blk)) for blk in blocks])
+            assert bound_th1(blocks, params["p"], cfg.omega_tol * scale).value == rec.value
+
+    def test_failing_block_radius_is_its_own_record(self, monkeypatch):
+        # an extra th1 trial whose D_1 and A_2, 2x2 shifts, need far more than
+        # 4096 angles at omega_tol 1e-10 shares its lockstep calls with the
+        # grid's radii and sides; A_1 = 0 certifies at once, so the record's
+        # error is D_1's, and the grid's records equal a clean run's
+        zero, eye, shift = np.zeros((2, 2)), np.eye(2), np.eye(2, k=1)
+        blocks = [(zero, eye, eye, shift), (3.0 * shift, eye, eye, zero)]
+        hard = ("th1", {"m": 2, "n": 2, "p": 2.0}, {"blocks": blocks})
+        cfg = self.cfg(omega_tol=1e-10, extra_trials=(hard,))
+        lockstep = numrad.radius.omega_many
+        monkeypatch.setattr(numrad.harness, "omega_many",
+                            lambda mats, tols: lockstep(mats, tols, max_evals=4096))
+        report = run_campaign(cfg)
+        *grid, failed = report.records
+        tol = 1e-10 * max(spectral_norm(embed_block(*blk)) for blk in blocks)
+        errors = []
+        for radius in (shift, 3.0 * shift):
+            with pytest.raises(ToleranceUnreachableError) as info:
+                omega(radius, tol, max_evals=4096)
+            errors.append(f"ToleranceUnreachableError: {info.value}")
+        assert errors[0] != errors[1]
+        assert failed.error == errors[0]
+        assert failed.value is None and failed.digests == ()
+        monkeypatch.undo()
+        clean = run_campaign(dataclasses.replace(cfg, extra_trials=()))
+        assert [self.fields(r) for r in grid] == [self.fields(r) for r in clean.records]
+
+    def test_lockstep_calls_are_capped(self, monkeypatch):
+        # a share's radii and omega sides of one shape go to omega_many in
+        # calls of at most OMEGA_MANY_CAP operators, and the records do not
+        # depend on the cap
+        lockstep, sizes = numrad.radius.omega_many, []
+
+        def counting(mats, tols):
+            sizes.append(len(mats))
+            return lockstep(mats, tols)
+
+        cfg = self.cfg(dims=((1, 1),), trials=4, n_operators_values=(4,))
+        monkeypatch.setattr(numrad.harness, "omega_many", counting)
+        capped = run_campaign(cfg)
+        monkeypatch.setattr(numrad.harness, "OMEGA_MANY_CAP", 5)
+        sizes.clear()
+        small = run_campaign(cfg)
+        assert max(sizes) == 5 and len(sizes) > 2
+        assert report_to_json(small) == report_to_json(capped)
+        assert report_to_csv(small) == report_to_csv(capped)
+        assert OMEGA_MANY_CAP == 256

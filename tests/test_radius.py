@@ -7,8 +7,8 @@ import numrad.radius
 from numrad.errors import (DimensionMismatchError, NotSquareError, OutOfRangeError,
                            ToleranceUnreachableError)
 from numrad.linalg import adjoint, embed_offdiag, spectral_norm
-from numrad.radius import (_bipartition, _cell_majorant, _rotated_tops, omega, omega_many,
-                           omega_offdiag_symmetric_check)
+from numrad.radius import _bipartition, _cell_majorant, _rotated_tops, omega, omega_many
+from reference import fn_of_psd, omega_offdiag_symmetric_check
 
 U = np.finfo(float).eps / 2
 
@@ -358,8 +358,6 @@ class TestInnerProductProperties:
     def test_psd_power_inner_products(self):
         # <Tx, x>**r <= <T**r x, x> for r >= 1 and ||x|| <= 1; reversed for r <= 1
         g = np.random.default_rng(20)
-        from numrad.linalg import fn_of_psd
-
         for k in range(50):
             n = 2 + k % 4
             z = rand_complex(g, n)
