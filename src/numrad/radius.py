@@ -22,7 +22,12 @@ M) permutes to 1/2 [[0, K], [K*, 0]] with K = e^{i theta} M[A][:, B] +
 e^{-i theta} M[B][:, A]*, so h(theta) = h(theta + pi) = sigma_max(K) / 2,
 one SVD of the |A| x |B| block per angle in place of an eigensolve of
 side n (Hirzallah, Kittaneh & Shebrawi, Integral Equations Operator
-Theory 71, 2011).
+Theory 71, 2011). Such an operator's cells also get a cap: 4 h(theta)^2
+is a maximum over unit x of c + d cos(2 theta + phi) with d = 2 |<Xx,
+Y*x>| <= 2 ||X|| ||Y||, and a term peaking inside a cell of width w rises
+above the cell's larger end by at most d (1 - cos w). So h <= sqrt(max(u,
+v)^2 + amp sin^2(w/2)) with amp = ||X||_F ||Y*||_F, and a zero block
+(amp = 0) closes [[0, X], [0, 0]] on the initial grid.
 
 The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants give the upper
@@ -155,7 +160,7 @@ def _rotated_tops(kernels: list, thetas: np.ndarray,
     return out
 
 
-def _cell_majorant(u, v, w, nrm):
+def _cell_majorant(u, v, w, nrm, amp):
     """Majorant of h on cells of width w < pi/2 with end values u and v.
 
     It is the supremum over the cell of every sinusoid r cos(theta - psi)
@@ -165,14 +170,24 @@ def _cell_majorant(u, v, w, nrm):
     r cos t <= u and r cos(w - t) <= v. When min(u, v) >= max(u, v) cos w
     (u, v > 0 with v >= u cos w and u >= v cos w, or u = v = 0), the
     largest such r has both equal: r = sqrt((u - v)^2 + 4 u v sin^2(w/2))
-    / sin w. Otherwise it peaks at an end, at most max(u, v). Arrays
-    broadcast elementwise.
+    / sin w. Otherwise it peaks at an end, at most max(u, v).
+
+    For a bipartite operator the result is capped at
+    sqrt(max(u, v)^2 + amp sin^2(w/2)), amp = ||X||_F ||Y*||_F (inf for
+    any other operator). There 4 h^2 is a maximum of c + d cos(2 theta +
+    phi) with d <= 2 ||X|| ||Y||, and such a term peaking inside the cell,
+    at most w from its larger end in theta, rises above that end by at
+    most d (1 - cos w) = 2 d sin^2(w/2). The sinusoid bound is that
+    class's c >= d half and the cap its d <= 2 ||X|| ||Y|| half, so their
+    minimum is a majorant too. Arrays broadcast elementwise.
     """
     top = np.maximum(u, v)
     peak = np.minimum(u, v) >= top * np.cos(w)
+    half = np.sin(0.5 * w) ** 2
     # the radicand is u^2 + v^2 - 2 u v cos w >= (|u| - |v|)^2 for all signs
-    s = np.sqrt((u - v) ** 2 + 4.0 * u * v * np.sin(0.5 * w) ** 2) / np.sin(w)
-    return np.where(peak, np.maximum(top, np.minimum(s, nrm)), top)
+    s = np.sqrt((u - v) ** 2 + 4.0 * u * v * half) / np.sin(w)
+    return np.minimum(np.where(peak, np.maximum(top, np.minimum(s, nrm)), top),
+                      np.sqrt(top * top + amp * half))
 
 
 def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> CertifiedRadius:
@@ -251,13 +266,18 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
                 groups.setdefault((a.size, b.size), []).append(
                     (i, m[a[:, None], b], np.conj(m[b[:, None], a]).T, nrm, tol))
     if groups:
-        kernels, live = [], []
+        kernels, live, amps = [], [], []
         for key, group in groups.items():
             _, xs, ys, _, _ = zip(*group)
-            kernels.append((len(live), np.stack(xs), None if key is None else np.stack(ys)))
+            xs, ys = np.stack(xs), None if key is None else np.stack(ys)
+            # the `_cell_majorant` caps ||X||_F ||Y*||_F, none for an eigensolve
+            amps.append(np.full(len(group), np.inf) if ys is None else
+                        np.linalg.norm(xs, axis=(1, 2)) * np.linalg.norm(ys, axis=(1, 2)))
+            kernels.append((len(live), xs, ys))
             live += group
         index, _, _, norms, widths = zip(*live)
-        done = _branch_and_bound(kernels, np.array(norms), np.array(widths), max_evals)
+        done = _branch_and_bound(kernels, np.array(norms), np.concatenate(amps),
+                                 np.array(widths), max_evals)
         for i, res in zip(index, done):
             out[i] = res
     return out
@@ -314,10 +334,11 @@ def _raise_lo(lo: np.ndarray, witness: np.ndarray, h_mid: np.ndarray, mids: np.n
     lo[up], witness[up] = value[up], mids[col[up]] + track[up] * np.pi
 
 
-def _branch_and_bound(kernels: list, nrm: np.ndarray, tol: np.ndarray,
+def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.ndarray,
                       max_evals: int) -> list:
     """The rounds of :func:`omega_many` over nonzero operators, given as
-    `_rotated_tops` kernels, with their norms and checked tolerances.
+    `_rotated_tops` kernels, with their norms, `_cell_majorant` caps and
+    checked tolerances.
 
     Each cell has a left and a right end, h at both ends on both tracks
     and a majorant, and `own` names its operator. Cells are kept in owner
@@ -342,7 +363,8 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, tol: np.ndarray,
     h = _rotated_tops(kernels, lefts, None if one else own).reshape(2, -1, g)
     h_left = h.reshape(2, -1)
     h_right = np.concatenate([h[:, :, 1:], h[::-1, :, :1]], axis=2).reshape(2, -1)
-    ub = _cell_majorant(h_left, h_right, rights - lefts, nrm if one else nrm[own]).max(axis=0)
+    cells = slice(None) if one else own
+    ub = _cell_majorant(h_left, h_right, rights - lefts, nrm[cells], amp[cells]).max(axis=0)
     # eigensolves each operator may still make
     room0 = (max_evals - 2 * g) // 2
     room = np.full(ids.size, room0)
@@ -385,8 +407,8 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, tol: np.ndarray,
             split, own = split[kept], (np.cumsum(keep) - 1)[own[kept]]
             lefts, rights, ub = lefts[kept], rights[kept], ub[kept]
             h_left, h_right = h_left[:, kept], h_right[:, kept]
-            ids, nrm, tol, lo, witness, room, splits = (
-                a[keep] for a in (ids, nrm, tol, lo, witness, room, splits))
+            ids, nrm, amp, tol, lo, witness, room, splits = (
+                a[keep] for a in (ids, nrm, amp, tol, lo, witness, room, splits))
             if ids.size == 1 and not one:
                 one, starts, k = True, starts[:1], ids[0]
                 kernels = [(0, ms[k - first:][:1], None if adjs is None else adjs[k - first:][:1])
@@ -409,11 +431,12 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, tol: np.ndarray,
         h_right = np.concatenate([h_right[:, hold], h_mid, h_right[:, split]], axis=1)
         # held cells keep their majorants; only the new halves get one
         held = np.count_nonzero(hold)
+        new = slice(None) if one else np.concatenate([own_mid, own_mid])
         ub = np.concatenate([ub[hold], _cell_majorant(
             h_left[:, held:], h_right[:, held:], rights[held:] - lefts[held:],
-            nrm if one else nrm[np.concatenate([own_mid, own_mid])]).max(axis=0)])
+            nrm[new], amp[new]).max(axis=0)])
         if not one:
-            own = np.concatenate([own[hold], own_mid, own_mid])
+            own = np.concatenate([own[hold], new])
             order = np.argsort(own, kind="stable")
             own, lefts, rights, ub = own[order], lefts[order], rights[order], ub[order]
             h_left, h_right = h_left[:, order], h_right[:, order]

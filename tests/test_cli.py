@@ -75,7 +75,8 @@ class TestOmegaCommand:
         assert kv["evals"] == "0" and kv["rounds"] == "0"
 
     def test_prints_rounds(self, tmp_path, capsys):
-        m = [[0, 1], [0, 0]]
+        # the 3x3 shift takes 9 splitting rounds at tol 1e-8
+        m = np.eye(3, k=1).tolist()
         path = write_mat(tmp_path, "n.json", m)
         assert main(["omega", path, "--tol", "1e-8"]) == 0
         _, kv = parse_kv(capsys.readouterr().out.strip())

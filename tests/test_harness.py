@@ -550,6 +550,9 @@ class TestStagedShare:
     one lockstep call), every record finished."""
 
     IDS = ("main1.v1", "product_xy", "sum_norm", "main11.young.v2", "main4.v1", "th1")
+    # N^2 = 0 and N is not bipartite (nonzero diagonal): its field of values
+    # is the disk of radius 1/2, and omega certifies it by eigensolves
+    NILPOTENT = np.array([[1.0, -1.0], [1.0, -1.0]]) / 2
 
     def cfg(self, **overrides):
         kw = dict(bound_ids=self.IDS, dims=((1, 1), (2, 3), (8, 8)), trials=1,
@@ -572,11 +575,13 @@ class TestStagedShare:
             assert self.fields(replay_trial(cfg, rec.index)) == self.fields(rec)
 
     def test_failing_trial_is_its_own_record(self, monkeypatch):
-        # the [[0, 1], [0, 0]] extra trial shares its side-2 lockstep call with
+        # the extra product_xy trial's contract side XY = N, the rotated
+        # nilpotent, has a disk as its field of values and a nonzero diagonal
+        # (so the eigensolve kernel); it shares its side-2 lockstep call with
         # the grid's (1, 1) trials but needs far more than 4096 angles at
         # omega_tol 1e-10; the r = 0.5 one fails while its bound is evaluated
-        disk = ("main1.v1", {"m": 1, "n": 1, "r": 1.0, "alpha": 0.5},
-                {"x": [[1.0]], "y": [[0.0]]})
+        disk = ("product_xy", {"m": 2, "n": 2, "r": 1.0, "alpha": 0.5},
+                {"x": self.NILPOTENT.tolist(), "y": np.eye(2).tolist()})
         bad_r = ("main1.v1", {"m": 1, "n": 1, "r": 0.5, "alpha": 0.5},
                  {"x": [[1.0]], "y": [[1.0]]})
         cfg = self.cfg(omega_tol=1e-10, extra_trials=(disk, bad_r))
@@ -651,11 +656,11 @@ class TestStagedShare:
             assert bound_th1(blocks, params["p"], cfg.omega_tol * scale).value == rec.value
 
     def test_failing_block_radius_is_its_own_record(self, monkeypatch):
-        # an extra th1 trial whose D_1 and A_2, 2x2 shifts, need far more than
-        # 4096 angles at omega_tol 1e-10 shares its lockstep calls with the
-        # grid's radii and sides; A_1 = 0 certifies at once, so the record's
-        # error is D_1's, and the grid's records equal a clean run's
-        zero, eye, shift = np.zeros((2, 2)), np.eye(2), np.eye(2, k=1)
+        # an extra th1 trial whose D_1 and A_2, rotated nilpotents, need far
+        # more than 4096 angles at omega_tol 1e-10 shares its lockstep calls
+        # with the grid's radii and sides; A_1 = 0 certifies at once, so the
+        # record's error is D_1's, and the grid's records equal a clean run's
+        zero, eye, shift = np.zeros((2, 2)), np.eye(2), self.NILPOTENT
         blocks = [(zero, eye, eye, shift), (3.0 * shift, eye, eye, zero)]
         hard = ("th1", {"m": 2, "n": 2, "p": 2.0}, {"blocks": blocks})
         cfg = self.cfg(omega_tol=1e-10, extra_trials=(hard,))

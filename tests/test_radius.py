@@ -197,8 +197,8 @@ class TestTwoTracks:
 
     def test_eigensolve_count_on_offdiag_disk(self, monkeypatch):
         # [[0, X], [0, 0]] has the disk of radius ||X|| / 2 as its field of
-        # values, so h is flat at half of ||M||: the sinusoid majorant
-        # allows cells sqrt(2) times wider than the curvature bound did
+        # values, so h is flat at half of ||M||; its zero block caps every
+        # cell's majorant at its larger end, so the initial grid certifies
         g = np.random.default_rng(32)
         x = rand_complex(g, 4)
         x /= spectral_norm(x)
@@ -209,7 +209,7 @@ class TestTwoTracks:
         cert = omega(m, tol=1e-8)
         assert cert.hi - cert.lo <= 1e-8
         assert cert.lo - slack <= 0.5 <= cert.hi + slack
-        assert solved[0] <= 8192 + 32
+        assert solved[0] == 33 and cert.rounds == 0
         # every solve but the norm's evaluates two angles; this operand is
         # bipartite, so they are SVDs of its 4x4 block
         assert cert.evals == 2 * (solved[0] - 1)
@@ -333,7 +333,7 @@ class TestCellMajorant:
         if nrm == 0.0:
             return
         u, v = h_direct(m, [left, left + width])
-        ub = float(_cell_majorant(u, v, width, nrm))
+        ub = float(_cell_majorant(u, v, width, nrm, np.inf))
         slack = 32 * side * U * nrm
         inside = h_direct(m, np.linspace(left, left + width, 66)[1:-1])
         assert ub >= inside.max() - slack
@@ -344,12 +344,79 @@ class TestCellMajorant:
         # with equal ends c the highest admissible sinusoid peaks mid-cell
         # and passes through both ends: its height is c / cos(w/2)
         c, w = 0.5, 1e-2
-        assert _cell_majorant(c, c, w, 1.0) == pytest.approx(c / np.cos(w / 2), rel=1e-14)
+        assert _cell_majorant(c, c, w, 1.0, np.inf) == pytest.approx(c / np.cos(w / 2), rel=1e-14)
 
     def test_steep_or_negative_ends_give_larger_end(self):
         w = 0.1
-        assert _cell_majorant(1.0, 0.5, w, 2.0) == 1.0  # v < u cos w
-        assert _cell_majorant(-0.2, 0.3, w, 2.0) == 0.3
+        assert _cell_majorant(1.0, 0.5, w, 2.0, np.inf) == 1.0  # v < u cos w
+        assert _cell_majorant(-0.2, 0.3, w, 2.0, np.inf) == 0.3
+
+
+class TestCappedMajorant:
+    """The cap sqrt(max(u, v)^2 + amp sin^2(w/2)), amp = ||X||_F ||Y*||_F,
+    bounds h on a cell of a bipartite operand [[0, X], [Y, 0]], and with a
+    zero block it closes [[0, X], [0, 0]] on the initial grid."""
+
+    @staticmethod
+    def block(g, rows, cols, kind, log_scale):
+        if kind == "zero":
+            return np.zeros((rows, cols), dtype=complex)
+        if kind == "rank_one":
+            return 10.0 ** log_scale * np.outer(rand_complex(g, rows, 1), rand_complex(g, 1, cols))
+        return 10.0 ** log_scale * rand_complex(g, rows, cols)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5), cols=st.integers(1, 5),
+           kinds=st.tuples(*[st.sampled_from(["ginibre", "zero", "rank_one"])] * 2),
+           scales=st.tuples(*[st.sampled_from([-3.0, 0.0, 3.0])] * 2),
+           left=st.floats(0.0, 2.0 * np.pi),
+           width=st.floats(1e-6, 0.5 * np.pi, exclude_max=True))
+    def test_bounds_h_and_never_loosens(self, seed, rows, cols, kinds, scales, left, width):
+        g = np.random.default_rng(seed)
+        x = self.block(g, rows, cols, kinds[0], scales[0])
+        y = self.block(g, cols, rows, kinds[1], scales[1])
+        m = embed_offdiag(x, y)
+        nrm = spectral_norm(m)
+        if nrm == 0.0:
+            return
+        amp = np.linalg.norm(x) * np.linalg.norm(y)
+        u, v = h_direct(m, [left, left + width])
+        capped = float(_cell_majorant(u, v, width, nrm, amp))
+        inside = h_direct(m, np.linspace(left, left + width, 66)[1:-1])
+        assert capped >= inside.max() - 32 * m.shape[0] * U * nrm
+        assert capped <= float(_cell_majorant(u, v, width, nrm, np.inf))
+
+    @pytest.mark.parametrize("width", [1e-4, 0.1, 1.0])
+    def test_cap_is_sharp_on_a_scalar_pair(self, width):
+        # [[0, 2], [1, 0]] has 4 h^2 = 5 + 4 cos 2 theta, one sinusoid of the
+        # largest amplitude the cap allows; on a cell centred on its peak the
+        # cap is the peak 3/2 itself, below the sinusoid bound
+        m = np.array([[0.0, 2.0], [1.0, 0.0]])
+        u, v = h_direct(m, [-0.5 * width, 0.5 * width])
+        capped = float(_cell_majorant(u, v, width, 2.0, 2.0))
+        assert capped == pytest.approx(1.5, rel=1e-14)
+        assert capped < float(_cell_majorant(u, v, width, 2.0, np.inf))
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 2), (2, 3), (4, 4), (5, 11),
+                                           (8, 8), (16, 16)])
+    def test_zero_block_disk_at_tightest_tol(self, rows, cols):
+        g = np.random.default_rng(rows * 17 + cols)
+        x = rand_complex(g, rows, cols)
+        m = embed_offdiag(x, np.zeros((cols, rows)))
+        nrm = spectral_norm(m)
+        cert = omega(m, 1e-12 * max(1.0, nrm))
+        slack = rounding_slack(m)
+        assert cert.lo - slack <= spectral_norm(x) / 2 <= cert.hi + slack
+        assert cert.hi - cert.lo <= 1e-12 * max(1.0, nrm)
+        assert (cert.evals, cert.rounds) == (64, 0)
+
+    @pytest.mark.parametrize("x,y", [(1.0, 2.0), (3j, -1.0), (0.5, 0.5), (1e-3, 1e3),
+                                     (1 + 1j, 2 - 0.5j), (0.0, 2.5)])
+    def test_scalar_pair_at_tightest_tol(self, x, y):
+        m = np.array([[0.0, x], [y, 0.0]], dtype=complex)
+        cert = omega(m, 1e-12 * max(1.0, spectral_norm(m)))
+        slack = rounding_slack(m)
+        assert cert.lo - slack <= (abs(x) + abs(y)) / 2 <= cert.hi + slack
 
 
 class TestInnerProductProperties:
