@@ -27,11 +27,25 @@ is a maximum over unit x of c + d cos(2 theta + phi) with d = 2 |<Xx,
 Y*x>| <= 2 ||X|| ||Y||, and a term peaking inside a cell of width w rises
 above the cell's larger end by at most d (1 - cos w). So h <= sqrt(max(u,
 v)^2 + amp sin^2(w/2)) with amp = ||X||_F ||Y*||_F, and a zero block
-(amp = 0) closes [[0, X], [0, 0]] on the initial grid.
+(amp = 0) closes [[0, X], [0, 0]] on the initial grid. The majorants are
+taken at a power-of-two scale near 1/||M||, so tiny norms do not
+underflow their squares.
+
+Where the field of values is a disk, h is flat at the radius and the cells
+would have to shrink to a width of about sqrt(8 tol / omega). Such an
+operator closes by a PSD certificate instead (`_ando_bound`, after Ando's
+characterization of the radius): for Hermitian X, H = [[X, -M/2], [-M*/2,
+l I - X]] and w = [x; e^{i theta} x] with x a unit vector, w* H w = l -
+Re(e^{i theta} <Mx, x>) >= 2 lambda_min(H), so omega <= l - 2
+lambda_min(H). X comes from a few doubling steps, and the bound allows for
+the backward error of the eigensolve of H and the rounding of its diagonal.
+An operator tries it at l = lo + tol/4 in a round that splits at least 64
+of its cells, and again only once a round splits twice as many as the last
+failed try did; no default-campaign operator splits more than 16.
 
 The achieved maximum over evaluated angles is the lower endpoint (it is a
-value of h, hence a true lower bound); the cell majorants give the upper
-endpoint.
+value of h, hence a true lower bound); the cell majorants, or the
+certificate where it is smaller, give the upper endpoint.
 
 `omega_many` runs the branch and bound of several operators of one side in
 lockstep: each round makes one batched solve per kernel and block shape
@@ -69,7 +83,7 @@ from .errors import (
     OutOfRangeError,
     ToleranceUnreachableError,
 )
-from .linalg import as_matrix, hermitian_part, spectral_norm
+from .linalg import as_matrix, embed_offdiag, hermitian_part, spectral_norm
 
 # Default cap on angles evaluated certifying one radius (two per eigensolve).
 DEFAULT_EVAL_BUDGET = 2_000_000
@@ -85,6 +99,13 @@ _EIG_CHUNK_ENTRIES = 2 ** 12
 # The initial cells' left and right ends.
 _GRID = np.linspace(0.0, np.pi, _INITIAL_CELLS // 2, endpoint=False)
 _GRID_RIGHTS = np.append(_GRID[1:], np.pi)
+# An operator tries the `_ando_bound` certificate in a round that splits at
+# least this many of its cells; after a failed try it waits until a round
+# splits twice as many as that one did.
+_CERTIFY_SPLITS = 64
+# Doubling steps allowed to build the certificate.
+_DOUBLING_STEPS = 60
+_EPS = np.finfo(np.float64).eps
 # |z|^(p-2) z is treated as 0 below this relative magnitude (p < 2 kink guard).
 _PHASE_ZERO_TOL = 1e-14
 # Angles tried by the great-circle line search of `_sphere_ascent`: a
@@ -99,9 +120,11 @@ _LADDER_COS, _LADDER_SIN = np.cos(2.0 * _LADDER), np.sin(2.0 * _LADDER)
 class CertifiedRadius:
     """Enclosure lo <= omega <= hi with hi - lo <= tol.
 
-    lo is h(witness_theta), an attained value; hi is a rigorous majorant.
-    evals counts the angles evaluated, two per eigensolve; rounds counts
-    the splitting rounds after the initial grid.
+    lo is h(witness_theta), an attained value; hi is a rigorous majorant,
+    the largest cell majorant or, where smaller, a PSD certificate
+    (`_ando_bound`). evals counts the angles evaluated, two per
+    eigensolve; rounds counts the splitting rounds after the initial grid.
+    Both count the branch and bound's work only, not the certificate's.
     """
 
     lo: float
@@ -180,14 +203,76 @@ def _cell_majorant(u, v, w, nrm, amp):
     most d (1 - cos w) = 2 d sin^2(w/2). The sinusoid bound is that
     class's c >= d half and the cap its d <= 2 ||X|| ||Y|| half, so their
     minimum is a majorant too. Arrays broadcast elementwise.
+
+    The squares are taken of u, v, nrm and amp scaled by a power of two
+    near 1/nrm (amp by its square), so they cannot underflow for an
+    operator of tiny norm; scaling by a power of two is exact, so the
+    result has the bits it has unscaled wherever nothing underflows.
     """
+    e = np.frexp(nrm)[1]
+    u, v, nrm, amp = np.ldexp(u, -e), np.ldexp(v, -e), np.ldexp(nrm, -e), np.ldexp(amp, -2 * e)
     top = np.maximum(u, v)
     peak = np.minimum(u, v) >= top * np.cos(w)
     half = np.sin(0.5 * w) ** 2
     # the radicand is u^2 + v^2 - 2 u v cos w >= (|u| - |v|)^2 for all signs
     s = np.sqrt((u - v) ** 2 + 4.0 * u * v * half) / np.sin(w)
-    return np.minimum(np.where(peak, np.maximum(top, np.minimum(s, nrm)), top),
-                      np.sqrt(top * top + amp * half))
+    return np.ldexp(np.minimum(np.where(peak, np.maximum(top, np.minimum(s, nrm)), top),
+                               np.sqrt(top * top + amp * half)), e)
+
+
+def _ando_bound(m: np.ndarray, level: float, nrm: float) -> float:
+    """Upper bound on the numerical radius of m, of spectral norm nrm,
+    from one PSD test at `level`; inf where the test cannot be built.
+
+    For Hermitian X let H = [[X, -m/2], [-m*/2, level I - X]]. A unit x
+    and w = [x; e^{i theta} x] give w* H w = level - Re(e^{i theta} <m x,
+    x>) >= |w|^2 lambda_min(H) = 2 lambda_min(H), so omega(m) <= level -
+    2 lambda_min(H) for every Hermitian X (Ando's characterization). H is
+    PSD and singular when X solves X + A* X^{-1} A = level I, A = m/2, its
+    Schur complement being 0; such an X exists exactly when level >=
+    omega(m). X is the Q_k of the structure-preserving doubling algorithm
+    (Lin & Xu, SIAM J. Matrix Anal. Appl. 28, 2006), which decreases to
+    the equation's largest solution; a Q_k - P_k whose Cholesky
+    factorization fails means level is below the radius, and the bound is
+    inf. An X that solves the equation only roughly still gives a valid,
+    looser bound.
+
+    Rounding: m is scaled by a power of two to norm in [1/2, 1), exactly
+    (else inf), and the bound scaled back. lambda_min(H) is taken err =
+    2n u' ||H||_F lower than eigvalsh gives it, a backward-error allowance
+    for the 2n x 2n solve (u' = 2^-52, twice the unit roundoff), and the
+    only rounded entries of H, the diagonal level - X_ii, add u' max
+    |level - X_ii| once, as (e^{i theta} x)* E (e^{i theta} x) <= max |E_ii|.
+    The last sum is rounded up.
+    """
+    n = m.shape[0]
+    e = int(np.frexp(nrm)[1])
+    down, up = np.ldexp(1.0, -e), np.ldexp(1.0, e)
+    a = 0.5 * (m * down)
+    if abs(e) > 1000 or not np.array_equal(2.0 * a * up, m):
+        return math.inf
+    level = level * down
+    q, p, ak = level * np.eye(n, dtype=np.complex128), np.zeros((n, n), np.complex128), a
+    for _ in range(_DOUBLING_STEPS):
+        d = q - p
+        try:
+            np.linalg.cholesky(d)
+        except np.linalg.LinAlgError:
+            return math.inf
+        w = np.linalg.solve(d, np.concatenate([ak, np.conj(ak).T], axis=1))
+        step = np.conj(ak).T @ w[:, :n]
+        q, p, ak = q - step, p + ak @ w[:, n:], ak @ w[:, :n]
+        if not np.abs(step).max() > _EPS * level:
+            break
+    x = 0.5 * (q + np.conj(q).T)
+    if not np.isfinite(x).all():
+        return math.inf
+    h = np.block([[x, -a], [-np.conj(a).T, level * np.eye(n) - x]])
+    low = float(np.linalg.eigvalsh(h)[0])
+    err = 2 * n * _EPS * float(np.linalg.norm(h))
+    hi = (level + 2.0 * max(0.0, err - low)
+          + _EPS * float(np.abs(level - x.diagonal().real).max())) * (1.0 + 4.0 * _EPS)
+    return float(hi * up) if math.isfinite(hi) else math.inf
 
 
 def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> CertifiedRadius:
@@ -268,11 +353,11 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
     if groups:
         kernels, live, amps = [], [], []
         for key, group in groups.items():
-            _, xs, ys, _, _ = zip(*group)
+            _, xs, ys, norms, _ = zip(*group)
             xs, ys = np.stack(xs), None if key is None else np.stack(ys)
-            # the `_cell_majorant` caps ||X||_F ||Y*||_F, none for an eigensolve
+            # the `_cell_majorant` caps, none for an eigensolve
             amps.append(np.full(len(group), np.inf) if ys is None else
-                        np.linalg.norm(xs, axis=(1, 2)) * np.linalg.norm(ys, axis=(1, 2)))
+                        _amplitudes(xs, ys, np.array(norms)))
             kernels.append((len(live), xs, ys))
             live += group
         index, _, _, norms, widths = zip(*live)
@@ -281,6 +366,22 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
         for i, res in zip(index, done):
             out[i] = res
     return out
+
+
+def _amplitudes(xs: np.ndarray, ys: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+    """||X||_F ||Y*||_F of each operator, from (b, |A|, |B|) stacks of its
+    blocks and its norm nrm. The blocks are scaled by a power of two near
+    1/nrm before their entries are squared, so that the squares cannot
+    underflow; the scaling is exact, so where nothing underflows the
+    product has its unscaled bits. A product that underflows is rounded up,
+    and one that overflows is inf, no cap.
+    """
+    e = np.clip(np.frexp(nrm)[1], -1000, 1000)
+    scale = np.ldexp(1.0, -e)[:, None, None]
+    amp = np.linalg.norm(xs * scale, axis=(1, 2)) * np.linalg.norm(ys * scale, axis=(1, 2))
+    with np.errstate(over="ignore"):
+        out = np.ldexp(amp, 2 * e)
+    return np.where((out < np.finfo(np.float64).tiny) & (amp > 0.0), np.nextafter(out, np.inf), out)
 
 
 def _bipartition(nz: np.ndarray):
@@ -307,6 +408,15 @@ def _bipartition(nz: np.ndarray):
             front = np.flatnonzero(near & (colour == 0))
             colour[front] = c
     return np.flatnonzero(colour == 1), np.flatnonzero(colour == 2)
+
+
+def _operator(kernels: list, k: int) -> np.ndarray:
+    """Operator k of `_rotated_tops` kernels as a matrix: M, or [[0, X],
+    [Y, 0]] for a bipartite one, which is M permuted and stripped of zero
+    rows and columns, so it has M's numerical radius and norm."""
+    first, ms, adjs = next(kern for kern in kernels if kern[0] <= k < kern[0] + kern[1].shape[0])
+    return ms[k - first] if adjs is None else \
+        embed_offdiag(ms[k - first], np.conj(adjs[k - first]).T)
 
 
 def _raise_lo(lo: np.ndarray, witness: np.ndarray, h_mid: np.ndarray, mids: np.ndarray,
@@ -349,7 +459,16 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
     owner left has a run; each left splits in every round, so all share
     one round count. The `one` fork, a lone operator without owner arrays,
     stays: lone `omega` calls ran slower and larger without it (ROADMAP).
+
+    An operator whose round splits at least `retry` of its cells (first
+    _CERTIFY_SPLITS) tries `_ando_bound` at lo + tol/4 and ends if the
+    smaller upper end closes it; a failed try doubles `retry` past that
+    round's count. The try reads only the operator's own state, looked up
+    by its original index in the original `stacks`, so it keeps every
+    result equal to a lone run's; its work is not counted in evals or
+    rounds.
     """
+    stacks = kernels
     ids = np.arange(nrm.size)
     out: list = [None] * ids.size
     one = ids.size == 1
@@ -368,6 +487,7 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
     # eigensolves each operator may still make
     room0 = (max_evals - 2 * g) // 2
     room = np.full(ids.size, room0)
+    retry = np.full(ids.size, _CERTIFY_SPLITS)
 
     flat = h.transpose(1, 0, 2).reshape(ids.size, -1)
     best = flat.argmax(axis=1)
@@ -381,6 +501,12 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
         split = ub > (bar if one else bar[own])
         splits = np.count_nonzero(split, axis=0, keepdims=True) if one else \
             np.bincount(own[split], minlength=ids.size)
+        done = top - lo <= tol
+        for k in np.flatnonzero(~done & (splits >= retry)):
+            op = _operator(stacks, ids[k])
+            top[k] = min(top[k], _ando_bound(op, lo[k] + 0.25 * tol[k], nrm[k]))
+            done[k] = top[k] - lo[k] <= tol[k]
+            retry[k] = 2 * splits[k]
         if splits.max() > _MAX_SPLITS_PER_ROUND:
             for k in np.flatnonzero(splits > _MAX_SPLITS_PER_ROUND):
                 # the cap's worth of highest majorants, all above lo + tol
@@ -389,7 +515,6 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
                 split[run] = False
                 split[starts[k] + chosen] = True
             splits = np.minimum(splits, _MAX_SPLITS_PER_ROUND)
-        done = top - lo <= tol
         gone = done | (splits > room)
         if gone.any():
             for k in np.flatnonzero(gone):
@@ -407,8 +532,8 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
             split, own = split[kept], (np.cumsum(keep) - 1)[own[kept]]
             lefts, rights, ub = lefts[kept], rights[kept], ub[kept]
             h_left, h_right = h_left[:, kept], h_right[:, kept]
-            ids, nrm, amp, tol, lo, witness, room, splits = (
-                a[keep] for a in (ids, nrm, amp, tol, lo, witness, room, splits))
+            ids, nrm, amp, tol, lo, witness, room, splits, retry = (
+                a[keep] for a in (ids, nrm, amp, tol, lo, witness, room, splits, retry))
             if ids.size == 1 and not one:
                 one, starts, k = True, starts[:1], ids[0]
                 kernels = [(0, ms[k - first:][:1], None if adjs is None else adjs[k - first:][:1])

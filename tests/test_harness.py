@@ -553,6 +553,10 @@ class TestStagedShare:
     # N^2 = 0 and N is not bipartite (nonzero diagonal): its field of values
     # is the disk of radius 1/2, and omega certifies it by eigensolves
     NILPOTENT = np.array([[1.0, -1.0], [1.0, -1.0]]) / 2
+    # At omega_tol 1e-10 the radii and sides of the `cfg` grid need at most
+    # 116 angles. A disk's first round splits all 32 initial cells, 128
+    # angles with the grid's 64, before the certificate can close it.
+    BUDGET = 126
 
     def cfg(self, **overrides):
         kw = dict(bound_ids=self.IDS, dims=((1, 1), (2, 3), (8, 8)), trials=1,
@@ -578,7 +582,7 @@ class TestStagedShare:
         # the extra product_xy trial's contract side XY = N, the rotated
         # nilpotent, has a disk as its field of values and a nonzero diagonal
         # (so the eigensolve kernel); it shares its side-2 lockstep call with
-        # the grid's (1, 1) trials but needs far more than 4096 angles at
+        # the grid's (1, 1) trials but needs more than BUDGET angles at
         # omega_tol 1e-10; the r = 0.5 one fails while its bound is evaluated
         disk = ("product_xy", {"m": 2, "n": 2, "r": 1.0, "alpha": 0.5},
                 {"x": self.NILPOTENT.tolist(), "y": np.eye(2).tolist()})
@@ -587,10 +591,10 @@ class TestStagedShare:
         cfg = self.cfg(omega_tol=1e-10, extra_trials=(disk, bad_r))
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
-                            lambda mats, tols: lockstep(mats, tols, max_evals=4096))
+                            lambda mats, tols: lockstep(mats, tols, max_evals=self.BUDGET))
         report = run_campaign(cfg)
         *grid, failed, rejected = report.records
-        assert failed.error.startswith("ToleranceUnreachableError: angle budget 4096")
+        assert failed.error.startswith(f"ToleranceUnreachableError: angle budget {self.BUDGET} ")
         assert rejected.error.startswith("OutOfRangeError: r must be >= 1")
         assert failed.value is None and failed.digests == ()
         monkeypatch.undo()
@@ -656,8 +660,8 @@ class TestStagedShare:
             assert bound_th1(blocks, params["p"], cfg.omega_tol * scale).value == rec.value
 
     def test_failing_block_radius_is_its_own_record(self, monkeypatch):
-        # an extra th1 trial whose D_1 and A_2, rotated nilpotents, need far
-        # more than 4096 angles at omega_tol 1e-10 shares its lockstep calls
+        # an extra th1 trial whose D_1 and A_2, rotated nilpotents, need more
+        # than BUDGET angles at omega_tol 1e-10 shares its lockstep calls
         # with the grid's radii and sides; A_1 = 0 certifies at once, so the
         # record's error is D_1's, and the grid's records equal a clean run's
         zero, eye, shift = np.zeros((2, 2)), np.eye(2), self.NILPOTENT
@@ -666,14 +670,14 @@ class TestStagedShare:
         cfg = self.cfg(omega_tol=1e-10, extra_trials=(hard,))
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
-                            lambda mats, tols: lockstep(mats, tols, max_evals=4096))
+                            lambda mats, tols: lockstep(mats, tols, max_evals=self.BUDGET))
         report = run_campaign(cfg)
         *grid, failed = report.records
         tol = 1e-10 * max(spectral_norm(embed_block(*blk)) for blk in blocks)
         errors = []
         for radius in (shift, 3.0 * shift):
             with pytest.raises(ToleranceUnreachableError) as info:
-                omega(radius, tol, max_evals=4096)
+                omega(radius, tol, max_evals=self.BUDGET)
             errors.append(f"ToleranceUnreachableError: {info.value}")
         assert errors[0] != errors[1]
         assert failed.error == errors[0]

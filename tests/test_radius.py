@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ import numrad.radius
 from numrad.errors import (DimensionMismatchError, NotSquareError, OutOfRangeError,
                            ToleranceUnreachableError)
 from numrad.linalg import adjoint, embed_offdiag, spectral_norm
-from numrad.radius import _bipartition, _cell_majorant, _rotated_tops, omega, omega_many
+from numrad.radius import (_ando_bound, _bipartition, _cell_majorant, _rotated_tops, omega,
+                           omega_many)
 from reference import fn_of_psd, omega_offdiag_symmetric_check
 
 U = np.finfo(float).eps / 2
@@ -215,11 +218,13 @@ class TestTwoTracks:
         assert cert.evals == 2 * (solved[0] - 1)
 
     def test_budget_counts_angles(self):
-        # the side-8 shift at tol 1e-6 takes 2048 eigensolves, 4096 angles
+        # the side-8 shift at tol 1e-6 splits all 32 initial cells in its
+        # first round, 32 solves and 64 angles past the grid's 64; its
+        # second round splits 64 and tries the certificate, which closes it
         shift = np.eye(8, k=1, dtype=complex)
-        assert omega(shift, tol=1e-6, max_evals=4096).hi - np.cos(np.pi / 9) <= 1e-6
+        assert omega(shift, tol=1e-6, max_evals=128).hi - np.cos(np.pi / 9) <= 1e-6
         with pytest.raises(ToleranceUnreachableError):
-            omega(shift, tol=1e-6, max_evals=4094)
+            omega(shift, tol=1e-6, max_evals=126)
 
     @pytest.mark.parametrize("kind,side", [("offdiag", 2), ("offdiag", 4),
                                            ("near_disk", 3), ("near_disk", 5)])
@@ -419,6 +424,122 @@ class TestCappedMajorant:
         assert cert.lo - slack <= (abs(x) + abs(y)) / 2 <= cert.hi + slack
 
 
+class TestTinyNorms:
+    """The majorant's squares are taken at a scale near 1/||M||, so they do
+    not underflow for operators of tiny norm."""
+
+    @pytest.mark.parametrize("s", [1e-150, 1e-170, 1e-200, 1e-300])
+    def test_scalar_pair_encloses_its_radius(self, s):
+        # (|x| + |y|) / 2 = 1.5 s; the squares of values near s underflow
+        # below about 1e-154, where the majorant fell to the larger end
+        m = s * np.array([[0.0, 2.0 * np.exp(1j * np.pi / 64)], [1.0, 0.0]])
+        cert = omega(m)
+        assert cert.lo <= 1.5 * s * (1.0 + 64 * U) and 1.5 * s <= cert.hi
+
+    @pytest.mark.parametrize("k", [-500, -300, -1, 1, 300, 500])
+    def test_majorant_scales_exactly(self, k):
+        g = np.random.default_rng(60)
+        u, v = g.uniform(0.1, 1.0, (2, 50))
+        w = g.uniform(1e-6, 0.5, 50)
+        nrm, amp = 2.0, np.where(np.arange(50) % 2 == 0, np.inf, g.uniform(0.0, 2.0, 50))
+        base = _cell_majorant(u, v, w, nrm, amp)
+        scaled = _cell_majorant(np.ldexp(u, k), np.ldexp(v, k), w, np.ldexp(nrm, k),
+                                np.ldexp(amp, 2 * k))
+        np.testing.assert_array_equal(scaled, np.ldexp(base, k))
+
+
+def shift_plus(g, n, eps):
+    return np.eye(n, k=1, dtype=complex) + eps * rand_complex(g, n)
+
+
+class TestAndoCertificate:
+    """`_ando_bound` closes flat enclosures: omega(M) <= level - 2
+    lambda_min([[X, -M/2], [-M*/2, level I - X]]) for any Hermitian X."""
+
+    @pytest.mark.parametrize("side", [3, 4, 5, 8, 16, 32])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_shift_encloses_its_radius(self, side, tol):
+        m = np.eye(side, k=1, dtype=complex)
+        radius = np.cos(np.pi / (side + 1))
+        cert = omega(m, tol)
+        assert radius <= cert.hi and cert.lo <= radius + rounding_slack(m)
+        assert cert.hi - cert.lo <= tol
+        # the first round splits all 32 cells and the second tries the certificate
+        assert (cert.rounds, cert.evals) == (1, 128)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (4, 4), (8, 8), (16, 16)])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_zero_block_disk(self, rows, cols, tol):
+        # [[0, X], [0, 0]] closes on the initial grid, so the certificate is
+        # tried here directly at the level omega would give it
+        g = np.random.default_rng(rows * 31 + cols)
+        x = rand_complex(g, rows, cols)
+        m = embed_offdiag(x, np.zeros((cols, rows)))
+        nrm = spectral_norm(m)
+        lo = omega(m, tol * max(1.0, nrm)).lo
+        hi = _ando_bound(m, lo + 0.25 * tol * max(1.0, nrm), nrm)
+        assert spectral_norm(x) / 2 <= hi and hi - lo <= tol * max(1.0, nrm)
+        # a unitary similarity is no longer bipartite, so omega itself needs it
+        u = rand_unitary(g, m.shape[0])
+        rot = adjoint(u) @ m @ u
+        cert = omega(rot, tol * max(1.0, nrm))
+        assert spectral_norm(x) / 2 <= cert.hi + rounding_slack(rot)
+        assert cert.hi - cert.lo <= tol * max(1.0, nrm) and cert.rounds <= 2
+
+    @pytest.mark.parametrize("side", [4, 8, 16])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_near_disk_matches_angle_scan(self, side, eps):
+        g = np.random.default_rng(side * 7 + int(-np.log10(eps)))
+        m = shift_plus(g, side, eps)
+        scan = h_direct(m, np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)).max()
+        for tol in (1e-8, 1e-10, 1e-12):
+            cert = omega(m, tol * max(1.0, spectral_norm(m)))
+            assert cert.hi >= scan - rounding_slack(m)
+            assert cert.hi - cert.lo <= cert.tol
+            assert abs(cert.lo - float(h_direct(m, [cert.witness_theta])[0])) <= rounding_slack(m)
+
+    @pytest.mark.parametrize("kind", ["shift", "near_disk", "ginibre", "hermitian"])
+    def test_low_level_never_undercuts(self, kind):
+        g = np.random.default_rng(61)
+        m = {"shift": np.eye(6, k=1, dtype=complex), "near_disk": shift_plus(g, 6, 1e-3),
+             "ginibre": rand_complex(g, 6), "hermitian": np.diag([2.0, -1.0, 0.5])}[kind]
+        nrm = spectral_norm(m)
+        cert = omega(m, 1e-12 * max(1.0, nrm))
+        for delta in (0.5, 1e-2, 1e-4, 1e-8, 1e-11, 1e-13, 0.0, -1e-13, -1e-9):
+            assert _ando_bound(m, cert.lo * (1.0 - delta), nrm) >= cert.lo
+            assert _ando_bound(m, cert.hi * (1.0 - delta), nrm) >= cert.lo
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_any_hermitian_x_gives_a_bound(self, monkeypatch, steps):
+        # cut short, the doubling hands over an X far from a solution even at
+        # levels below the radius, and the bound must still hold
+        monkeypatch.setattr(numrad.radius, "_DOUBLING_STEPS", steps)
+        m = np.eye(6, k=1, dtype=complex)
+        radius = np.cos(np.pi / 7)
+        bounds = [_ando_bound(m, radius * (1.0 - delta), 1.0) for delta in (1e-2, 1e-8, 0.0)]
+        assert all(radius <= b < np.inf for b in bounds)
+
+    def test_ginibre_calls_do_not_try_it(self, monkeypatch):
+        # no round of these splits 64 cells, so the certificate is never tried
+        tried = []
+        monkeypatch.setattr(numrad.radius, "_ando_bound", lambda *a: tried.append(a) or np.inf)
+        g = np.random.default_rng(64)
+        for side in (2, 8, 16):
+            omega_many([rand_complex(g, side) for _ in range(4)], [1e-10] * 4)
+        assert not tried
+        # where it always fails, the side-8 shift at 1e-6 splits 64, 128,
+        # ..., 1024 cells in its rounds 1-5 and tries once in each: every
+        # count has doubled since the last try
+        omega(np.eye(8, k=1, dtype=complex), 1e-6)
+        assert len(tried) == 5
+
+    def test_unbuildable_scaling_is_inf(self):
+        # a subnormal entry that the scaling to norm ~1 would round
+        m = np.array([[0.0, 4.0], [5e-324, 0.0]], dtype=complex)
+        assert _ando_bound(m, 2.5, spectral_norm(m)) == np.inf
+        assert _ando_bound(m, 0.5, spectral_norm(m)) == np.inf
+
+
 class TestInnerProductProperties:
     """Numerical forms of the convexity and splitting facts the bounds rest on."""
 
@@ -562,8 +683,8 @@ class TestOmegaMany:
 
     def test_failure_stays_with_its_operator(self):
         mats = omega_cases(8)
-        shift = 2  # needs 32768 angles at tol 1e-8
-        budget = 4096
+        shift = 2  # needs 128 angles: its first round splits all 32 cells
+        budget = 126  # the others need at most 80 at tol 1e-6
         tols = [1e-8 if i == shift else 1e-6 for i in range(len(mats))]
         got = omega_many(mats + [np.ones((8, 8)), np.eye(8)], tols + [1e-14, float("inf")],
                          max_evals=budget)
@@ -574,6 +695,30 @@ class TestOmegaMany:
         for i, m in enumerate(mats):
             if i != shift:
                 assert got[i] == omega(m, tols[i], max_evals=budget)
+
+    def test_certified_shifts_match_single_calls(self):
+        # shifts close by the certificate after one round, Ginibre operands
+        # by bisection; any of them may be the last live operator
+        g = np.random.default_rng(62)
+        mats = [np.eye(8, k=1, dtype=complex), rand_complex(g, 8), shift_plus(g, 8, 1e-4),
+                rand_complex(g, 8), np.eye(8, k=1, dtype=complex) * 3.0]
+        tols = [1e-12, 1e-9, 1e-10, 1e-2, 1e-8]
+        alone = [omega(m, tol) for m, tol in zip(mats, tols)]
+        assert omega_many(mats, tols) == alone
+        for batch in itertools.permutations(range(len(mats)), 3):
+            assert omega_many([mats[i] for i in batch], [tols[i] for i in batch]) == \
+                [alone[i] for i in batch]
+
+    def test_shift_as_last_live_operator(self):
+        # the Ginibre operand ends on the initial grid, and the lone-owner
+        # fork keeps the shift, which then certifies in its second round
+        g = np.random.default_rng(63)
+        mats = [rand_complex(g, 8), np.eye(8, k=1, dtype=complex)]
+        tols = [1.0, 1e-12]
+        alone = [omega(m, tol) for m, tol in zip(mats, tols)]
+        assert alone[0].rounds == 0 and alone[1].rounds == 1
+        assert omega_many(mats, tols) == alone
+        assert omega_many(mats[::-1], tols[::-1]) == alone[::-1]
 
     def test_rejects_mixed_sides_and_tolerance_count(self):
         assert isinstance(omega_many([np.ones((2, 3))], [None])[0], NotSquareError)
