@@ -27,21 +27,18 @@ is a maximum over unit x of c + d cos(2 theta + phi) with d = 2 |<Xx,
 Y*x>| <= 2 ||X|| ||Y||, and a term peaking inside a cell of width w rises
 above the cell's larger end by at most d (1 - cos w). So h <= sqrt(max(u,
 v)^2 + amp sin^2(w/2)) with amp = ||X||_F ||Y*||_F, and a zero block
-(amp = 0) closes [[0, X], [0, 0]] on the initial grid. The majorants are
-taken at a power-of-two scale near 1/||M||, so tiny norms do not
-underflow their squares.
+(amp = 0) closes [[0, X], [0, 0]] on the initial grid.
 
 Where the field of values is a disk, h is flat at the radius and the cells
 would have to shrink to a width of about sqrt(8 tol / omega). Such an
 operator closes by a PSD certificate instead (`_ando_bound`, after Ando's
-characterization of the radius): for Hermitian X, H = [[X, -M/2], [-M*/2,
-l I - X]] and w = [x; e^{i theta} x] with x a unit vector, w* H w = l -
-Re(e^{i theta} <Mx, x>) >= 2 lambda_min(H), so omega <= l - 2
+characterization of the radius): for Hermitian X, H = [[X, -M], [-M*,
+2l I - X]] and w = [x; e^{i theta} x] with x a unit vector, w* H w = 2l -
+2 Re(e^{i theta} <Mx, x>) >= 2 lambda_min(H), so omega <= l -
 lambda_min(H). X comes from a few doubling steps, and the bound allows for
 the backward error of the eigensolve of H and the rounding of its diagonal.
-An operator tries it at l = lo + tol/4 in a round that splits at least 64
-of its cells, and again only once a round splits twice as many as the last
-failed try did; no default-campaign operator splits more than 16.
+An operator tries it at l = lo + tol/4 in every round that splits at least
+64 of its cells; no default-campaign operator splits more than 16.
 
 The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants, or the
@@ -54,7 +51,11 @@ budget, the lower end and witness, and termination stay per operator. An
 operator's kernel depends on it alone, its cells keep the order they would
 have alone and each angle's matrix is built the same way whatever else
 shares its batch, so every result equals a lone run to the bit; `omega` is
-the lockstep run of one operator.
+the lockstep run of one operator. An operator of norm outside [2^-401,
+2^400] runs as M 2^-e, of norm about 1, with its tol scaled alike, and its
+ends are scaled back, so that the majorants' squares neither underflow
+nor overflow. The scaling is exact (an operator whose entries it would
+round is refused), and operators of other norms keep their bits.
 
 omega_p, the generalized radius, is estimated from below by projected-
 gradient ascent of F(x) = sum_i |<T_i x, x>|^p over unit vectors, with all
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,10 +100,12 @@ _EIG_CHUNK_ENTRIES = 2 ** 12
 # The initial cells' left and right ends.
 _GRID = np.linspace(0.0, np.pi, _INITIAL_CELLS // 2, endpoint=False)
 _GRID_RIGHTS = np.append(_GRID[1:], np.pi)
-# An operator tries the `_ando_bound` certificate in a round that splits at
-# least this many of its cells; after a failed try it waits until a round
-# splits twice as many as that one did.
+# An operator tries the `_ando_bound` certificate in every round that splits
+# at least this many of its cells.
 _CERTIFY_SPLITS = 64
+# An operator of norm outside [2^-401, 2^400] runs scaled to norm about 1,
+# so that the squares of the majorants and the certificate stay in range.
+_SAFE_EXPONENT = 400
 # Doubling steps allowed to build the certificate.
 _DOUBLING_STEPS = 60
 _EPS = np.finfo(np.float64).eps
@@ -203,56 +206,45 @@ def _cell_majorant(u, v, w, nrm, amp):
     most d (1 - cos w) = 2 d sin^2(w/2). The sinusoid bound is that
     class's c >= d half and the cap its d <= 2 ||X|| ||Y|| half, so their
     minimum is a majorant too. Arrays broadcast elementwise.
-
-    The squares are taken of u, v, nrm and amp scaled by a power of two
-    near 1/nrm (amp by its square), so they cannot underflow for an
-    operator of tiny norm; scaling by a power of two is exact, so the
-    result has the bits it has unscaled wherever nothing underflows.
     """
-    e = np.frexp(nrm)[1]
-    u, v, nrm, amp = np.ldexp(u, -e), np.ldexp(v, -e), np.ldexp(nrm, -e), np.ldexp(amp, -2 * e)
     top = np.maximum(u, v)
     peak = np.minimum(u, v) >= top * np.cos(w)
     half = np.sin(0.5 * w) ** 2
     # the radicand is u^2 + v^2 - 2 u v cos w >= (|u| - |v|)^2 for all signs
     s = np.sqrt((u - v) ** 2 + 4.0 * u * v * half) / np.sin(w)
-    return np.ldexp(np.minimum(np.where(peak, np.maximum(top, np.minimum(s, nrm)), top),
-                               np.sqrt(top * top + amp * half)), e)
+    return np.minimum(np.where(peak, np.maximum(top, np.minimum(s, nrm)), top),
+                      np.sqrt(top * top + amp * half))
 
 
-def _ando_bound(m: np.ndarray, level: float, nrm: float) -> float:
-    """Upper bound on the numerical radius of m, of spectral norm nrm,
-    from one PSD test at `level`; inf where the test cannot be built.
+def _ando_bound(m: np.ndarray, level: float) -> float:
+    """Upper bound on the numerical radius of m from one PSD test at
+    `level`; inf where the test overflows.
 
-    For Hermitian X let H = [[X, -m/2], [-m*/2, level I - X]]. A unit x
-    and w = [x; e^{i theta} x] give w* H w = level - Re(e^{i theta} <m x,
+    For Hermitian X let H = [[X, -m], [-m*, 2 level I - X]]. A unit x and
+    w = [x; e^{i theta} x] give w* H w = 2 level - 2 Re(e^{i theta} <m x,
     x>) >= |w|^2 lambda_min(H) = 2 lambda_min(H), so omega(m) <= level -
-    2 lambda_min(H) for every Hermitian X (Ando's characterization). H is
-    PSD and singular when X solves X + A* X^{-1} A = level I, A = m/2, its
-    Schur complement being 0; such an X exists exactly when level >=
-    omega(m). X is the Q_k of the structure-preserving doubling algorithm
-    (Lin & Xu, SIAM J. Matrix Anal. Appl. 28, 2006), which decreases to
-    the equation's largest solution; a Q_k - P_k whose Cholesky
-    factorization fails means level is below the radius, and the bound is
-    inf. An X that solves the equation only roughly still gives a valid,
-    looser bound.
+    lambda_min(H) for every Hermitian X (Ando's characterization, doubled
+    so that the off-diagonal blocks are m itself). H is PSD and singular
+    when X solves X + m* X^{-1} m = 2 level I, its Schur complement being
+    0; such an X exists exactly when level >= omega(m). X is the Q_k of
+    the structure-preserving doubling algorithm (Lin & Xu, SIAM J. Matrix
+    Anal. Appl. 28, 2006), which decreases to the equation's largest
+    solution; a Q_k - P_k whose Cholesky factorization fails means level
+    is below the radius, and the bound is inf. An X that solves the
+    equation only roughly still gives a valid, looser bound.
 
-    Rounding: m is scaled by a power of two to norm in [1/2, 1), exactly
-    (else inf), and the bound scaled back. lambda_min(H) is taken err =
-    2n u' ||H||_F lower than eigvalsh gives it, a backward-error allowance
-    for the 2n x 2n solve (u' = 2^-52, twice the unit roundoff), and the
-    only rounded entries of H, the diagonal level - X_ii, add u' max
-    |level - X_ii| once, as (e^{i theta} x)* E (e^{i theta} x) <= max |E_ii|.
-    The last sum is rounded up.
+    Rounding: lambda_min(H) is taken err = 2n u' ||H||_F lower than
+    eigvalsh gives it, a backward-error allowance for the 2n x 2n solve
+    (u' = 2^-52, twice the unit roundoff). The only rounded entries of H,
+    the diagonal 2 level - X_ii, add u'/2 max |2 level - X_ii|, at least
+    half of max |E_ii| as (e^{i theta} x)* E (e^{i theta} x) <= max |E_ii|.
+    The last sum is rounded up. `omega_many` scales m's norm into
+    [2^-401, 2^400], so no square overflows and what underflows lies far
+    below err.
     """
     n = m.shape[0]
-    e = int(np.frexp(nrm)[1])
-    down, up = np.ldexp(1.0, -e), np.ldexp(1.0, e)
-    a = 0.5 * (m * down)
-    if abs(e) > 1000 or not np.array_equal(2.0 * a * up, m):
-        return math.inf
-    level = level * down
-    q, p, ak = level * np.eye(n, dtype=np.complex128), np.zeros((n, n), np.complex128), a
+    level = 2.0 * level
+    q, p, ak = level * np.eye(n, dtype=np.complex128), np.zeros((n, n), np.complex128), m
     for _ in range(_DOUBLING_STEPS):
         d = q - p
         try:
@@ -267,12 +259,12 @@ def _ando_bound(m: np.ndarray, level: float, nrm: float) -> float:
     x = 0.5 * (q + np.conj(q).T)
     if not np.isfinite(x).all():
         return math.inf
-    h = np.block([[x, -a], [-np.conj(a).T, level * np.eye(n) - x]])
+    h = np.block([[x, -m], [-np.conj(m).T, level * np.eye(n) - x]])
     low = float(np.linalg.eigvalsh(h)[0])
     err = 2 * n * _EPS * float(np.linalg.norm(h))
-    hi = (level + 2.0 * max(0.0, err - low)
-          + _EPS * float(np.abs(level - x.diagonal().real).max())) * (1.0 + 4.0 * _EPS)
-    return float(hi * up) if math.isfinite(hi) else math.inf
+    hi = (0.5 * level + max(0.0, err - low)
+          + 0.5 * _EPS * float(np.abs(level - x.diagonal().real).max())) * (1.0 + 4.0 * _EPS)
+    return hi if math.isfinite(hi) else math.inf
 
 
 def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> CertifiedRadius:
@@ -288,7 +280,9 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
 
     Raises:
         NotSquareError: m is not square.
-        OutOfRangeError: tol is not finite or is too small.
+        OutOfRangeError: tol is not finite or is too small, or ||M|| >
+            2^400 and scaling M to norm about 1 would round entries that
+            fall among the subnormals.
         ToleranceUnreachableError: budget exhausted before hi - lo <= tol.
     """
     (out,) = omega_many([m], [tol], max_evals)
@@ -316,6 +310,7 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
         raise DimensionMismatchError(f"{len(mats)} operators but {len(tols)} tolerances")
     out: list = [None] * len(mats)
     groups: dict = {}  # None or block shape -> (index, X or M, Y* or None, norm, tol)
+    rescale: dict = {}  # index -> (e, tol) of an operator run as M 2^-e
     # operators of one call often share a nonzero pattern; each is 2-coloured once
     patterns: dict = {}
     side = None
@@ -331,6 +326,8 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
         nrm = spectral_norm(m)
         scale = max(1.0, nrm)
         tol = 1e-8 * scale if tol is None else float(tol)
+        e = math.frexp(nrm)[1]
+        e = 0 if abs(e) <= _SAFE_EXPONENT else min(max(e, -1000), 1000)
         if not math.isfinite(tol):
             out[i] = OutOfRangeError(f"tolerance must be finite, got {tol}")
         elif tol < 1e-12 * scale:
@@ -338,7 +335,14 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
         elif nrm == 0.0:
             out[i] = CertifiedRadius(lo=0.0, hi=0.0, witness_theta=0.0, tol=tol,
                                      evals=0, rounds=0)
+        elif e and not np.array_equal(m * 2.0 ** -e * 2.0 ** e, m):
+            out[i] = OutOfRangeError(f"M 2^{-e}, of norm about 1, rounds entries of M "
+                                     f"among the subnormals")
         else:
+            if e:
+                # a tol that overflows closes at once
+                rescale[i] = (e, tol)
+                m, nrm, tol = m * 2.0 ** -e, nrm * 2.0 ** -e, tol * 2.0 ** -e
             nz = m != 0
             key = nz.tobytes()
             if key not in patterns:
@@ -353,35 +357,32 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
     if groups:
         kernels, live, amps = [], [], []
         for key, group in groups.items():
-            _, xs, ys, norms, _ = zip(*group)
+            _, xs, ys, _, _ = zip(*group)
             xs, ys = np.stack(xs), None if key is None else np.stack(ys)
-            # the `_cell_majorant` caps, none for an eigensolve
+            # the `_cell_majorant` caps ||X||_F ||Y*||_F, none for an eigensolve
             amps.append(np.full(len(group), np.inf) if ys is None else
-                        _amplitudes(xs, ys, np.array(norms)))
+                        np.linalg.norm(xs, axis=(1, 2)) * np.linalg.norm(ys, axis=(1, 2)))
             kernels.append((len(live), xs, ys))
             live += group
         index, _, _, norms, widths = zip(*live)
         done = _branch_and_bound(kernels, np.array(norms), np.concatenate(amps),
                                  np.array(widths), max_evals)
         for i, res in zip(index, done):
-            out[i] = res
+            out[i] = res if i not in rescale else _rescaled(res, *rescale[i])
     return out
 
 
-def _amplitudes(xs: np.ndarray, ys: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-    """||X||_F ||Y*||_F of each operator, from (b, |A|, |B|) stacks of its
-    blocks and its norm nrm. The blocks are scaled by a power of two near
-    1/nrm before their entries are squared, so that the squares cannot
-    underflow; the scaling is exact, so where nothing underflows the
-    product has its unscaled bits. A product that underflows is rounded up,
-    and one that overflows is inf, no cap.
-    """
-    e = np.clip(np.frexp(nrm)[1], -1000, 1000)
-    scale = np.ldexp(1.0, -e)[:, None, None]
-    amp = np.linalg.norm(xs * scale, axis=(1, 2)) * np.linalg.norm(ys * scale, axis=(1, 2))
+def _rescaled(res, e: int, tol: float):
+    """A result of `_branch_and_bound` for M 2^-e as one for M, at the
+    caller's tol. An end that scales back among the subnormals rounds
+    outward."""
+    if not isinstance(res, CertifiedRadius):
+        return ToleranceUnreachableError(f"{res}, of M scaled by 2^{-e}")
     with np.errstate(over="ignore"):
-        out = np.ldexp(amp, 2 * e)
-    return np.where((out < np.finfo(np.float64).tiny) & (amp > 0.0), np.nextafter(out, np.inf), out)
+        lo, hi = float(np.ldexp(res.lo, e)), float(np.ldexp(res.hi, e))
+    return replace(res, tol=tol,
+                   lo=lo if math.ldexp(lo, -e) == res.lo else math.nextafter(lo, -math.inf),
+                   hi=hi if math.ldexp(hi, -e) == res.hi else math.nextafter(hi, math.inf))
 
 
 def _bipartition(nz: np.ndarray):
@@ -460,13 +461,11 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
     one round count. The `one` fork, a lone operator without owner arrays,
     stays: lone `omega` calls ran slower and larger without it (ROADMAP).
 
-    An operator whose round splits at least `retry` of its cells (first
-    _CERTIFY_SPLITS) tries `_ando_bound` at lo + tol/4 and ends if the
-    smaller upper end closes it; a failed try doubles `retry` past that
-    round's count. The try reads only the operator's own state, looked up
-    by its original index in the original `stacks`, so it keeps every
-    result equal to a lone run's; its work is not counted in evals or
-    rounds.
+    An operator whose round splits at least _CERTIFY_SPLITS of its cells
+    tries `_ando_bound` at lo + tol/4 and ends if the smaller upper end
+    closes it. The try reads only the operator's own state, looked up by
+    its original index in the original `stacks`, so it keeps every result
+    equal to a lone run's; its work is not counted in evals or rounds.
     """
     stacks = kernels
     ids = np.arange(nrm.size)
@@ -487,7 +486,6 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
     # eigensolves each operator may still make
     room0 = (max_evals - 2 * g) // 2
     room = np.full(ids.size, room0)
-    retry = np.full(ids.size, _CERTIFY_SPLITS)
 
     flat = h.transpose(1, 0, 2).reshape(ids.size, -1)
     best = flat.argmax(axis=1)
@@ -502,11 +500,9 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
         splits = np.count_nonzero(split, axis=0, keepdims=True) if one else \
             np.bincount(own[split], minlength=ids.size)
         done = top - lo <= tol
-        for k in np.flatnonzero(~done & (splits >= retry)):
-            op = _operator(stacks, ids[k])
-            top[k] = min(top[k], _ando_bound(op, lo[k] + 0.25 * tol[k], nrm[k]))
+        for k in np.flatnonzero(~done & (splits >= _CERTIFY_SPLITS)):
+            top[k] = min(top[k], _ando_bound(_operator(stacks, ids[k]), lo[k] + 0.25 * tol[k]))
             done[k] = top[k] - lo[k] <= tol[k]
-            retry[k] = 2 * splits[k]
         if splits.max() > _MAX_SPLITS_PER_ROUND:
             for k in np.flatnonzero(splits > _MAX_SPLITS_PER_ROUND):
                 # the cap's worth of highest majorants, all above lo + tol
@@ -532,8 +528,8 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
             split, own = split[kept], (np.cumsum(keep) - 1)[own[kept]]
             lefts, rights, ub = lefts[kept], rights[kept], ub[kept]
             h_left, h_right = h_left[:, kept], h_right[:, kept]
-            ids, nrm, amp, tol, lo, witness, room, splits, retry = (
-                a[keep] for a in (ids, nrm, amp, tol, lo, witness, room, splits, retry))
+            ids, nrm, amp, tol, lo, witness, room, splits = (
+                a[keep] for a in (ids, nrm, amp, tol, lo, witness, room, splits))
             if ids.size == 1 and not one:
                 one, starts, k = True, starts[:1], ids[0]
                 kernels = [(0, ms[k - first:][:1], None if adjs is None else adjs[k - first:][:1])

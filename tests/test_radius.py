@@ -9,8 +9,8 @@ import numrad.radius
 from numrad.errors import (DimensionMismatchError, NotSquareError, OutOfRangeError,
                            ToleranceUnreachableError)
 from numrad.linalg import adjoint, embed_offdiag, spectral_norm
-from numrad.radius import (_ando_bound, _bipartition, _cell_majorant, _rotated_tops, omega,
-                           omega_many)
+from numrad.radius import (CertifiedRadius, _ando_bound, _bipartition, _cell_majorant, _rescaled,
+                           _rotated_tops, omega, omega_many)
 from reference import fn_of_psd, omega_offdiag_symmetric_check
 
 U = np.finfo(float).eps / 2
@@ -424,28 +424,74 @@ class TestCappedMajorant:
         assert cert.lo - slack <= (abs(x) + abs(y)) / 2 <= cert.hi + slack
 
 
-class TestTinyNorms:
-    """The majorant's squares are taken at a scale near 1/||M||, so they do
-    not underflow for operators of tiny norm."""
+class TestExtremeNorms:
+    """An operator of norm outside [2^-401, 2^400] runs scaled by a power
+    of two to norm about 1, so the majorants' squares do not underflow or
+    overflow, and its ends are scaled back."""
 
-    @pytest.mark.parametrize("s", [1e-150, 1e-170, 1e-200, 1e-300])
+    @pytest.mark.parametrize("s", [1e-150, 1e-170, 1e-200, 1e-300, 1e150, 1e300])
     def test_scalar_pair_encloses_its_radius(self, s):
-        # (|x| + |y|) / 2 = 1.5 s; the squares of values near s underflow
-        # below about 1e-154, where the majorant fell to the larger end
+        # (|x| + |y|) / 2 = 1.5 s; unscaled, the squares of values near s
+        # underflow below about 1e-154, where the majorant fell to the
+        # larger end
         m = s * np.array([[0.0, 2.0 * np.exp(1j * np.pi / 64)], [1.0, 0.0]])
         cert = omega(m)
         assert cert.lo <= 1.5 * s * (1.0 + 64 * U) and 1.5 * s <= cert.hi
+        assert cert.hi - cert.lo <= cert.tol
 
-    @pytest.mark.parametrize("k", [-500, -300, -1, 1, 300, 500])
-    def test_majorant_scales_exactly(self, k):
-        g = np.random.default_rng(60)
-        u, v = g.uniform(0.1, 1.0, (2, 50))
-        w = g.uniform(1e-6, 0.5, 50)
-        nrm, amp = 2.0, np.where(np.arange(50) % 2 == 0, np.inf, g.uniform(0.0, 2.0, 50))
-        base = _cell_majorant(u, v, w, nrm, amp)
-        scaled = _cell_majorant(np.ldexp(u, k), np.ldexp(v, k), w, np.ldexp(nrm, k),
-                                np.ldexp(amp, 2 * k))
-        np.testing.assert_array_equal(scaled, np.ldexp(base, k))
+    @pytest.mark.parametrize("kind", ["ginibre", "pair", "shift"])
+    @pytest.mark.parametrize("k", [-1000, -600, -402, 402, 600, 1000])
+    def test_ends_scale_with_the_operator(self, kind, k):
+        # m has norm in (1/2, 1), so M 2^k runs as m itself: the same
+        # angles, the same lo and witness, and hi up to the norm's rounding
+        g = np.random.default_rng(65)
+        m = {"ginibre": rand_complex(g, 5), "pair": embed_offdiag(rand_complex(g, 2, 3),
+                                                                  rand_complex(g, 3, 2)),
+             "shift": np.eye(6, k=1, dtype=complex)}[kind]
+        m = m * (0.75 / spectral_norm(m))
+        # below norm 1 the tol floor is 1e-12, which a tiny operator meets
+        # on the initial grid
+        tol = 1e-10 if k > 0 else 1.0
+        base = omega(m, tol)
+        cert = omega(m * 2.0 ** k, tol * 2.0 ** k if k > 0 else None)
+        assert (cert.witness_theta, cert.evals, cert.rounds) == \
+            (base.witness_theta, base.evals, base.rounds)
+        assert cert.lo == np.ldexp(base.lo, k)
+        assert abs(cert.hi - np.ldexp(base.hi, k)) <= 4 * U * np.ldexp(base.hi, k)
+        assert cert.hi - cert.lo <= cert.tol
+
+    def test_mixed_norms_match_single_calls(self):
+        g = np.random.default_rng(66)
+        mats = [rand_complex(g, 4) * 2.0 ** k for k in (-700, 0, 700, -300, 500)]
+        mats.append(np.eye(4, k=1, dtype=complex) * 2.0 ** -900)
+        tols = [None] * len(mats)
+        assert omega_many(mats, tols) == [omega(m) for m in mats]
+
+    def test_subnormal_norm_rounds_outward(self):
+        m = 5e-322 * np.array([[0.0, 2.0 * np.exp(1j * np.pi / 64)], [1.0, 0.0]])
+        cert = omega(m)
+        x, y = abs(m[0, 1]), abs(m[1, 0])
+        assert cert.lo <= (x + y) / 2 <= cert.hi
+
+    def test_ends_round_outward_among_subnormals(self):
+        # 2^-1060 (1 + 3 2^-16) lies 3/4 of the way to the next subnormal,
+        # and 2^-1060 (1 + 2^-16) 1/4: the nearest ones would cross the radius
+        res = CertifiedRadius(lo=1.0 + 3 * 2.0 ** -16, hi=1.0 + 2.0 ** -16, witness_theta=0.0,
+                              tol=1.0, evals=64, rounds=0)
+        out = _rescaled(res, -1060, 1e-12)
+        assert np.ldexp(out.lo, 1060) < res.lo and res.hi < np.ldexp(out.hi, 1060)
+        assert out.tol == 1e-12
+
+    def test_budget_error_names_the_scale(self):
+        with pytest.raises(ToleranceUnreachableError, match=r"exhausted at width .*2\^-601"):
+            omega(2.0 ** 600 * np.eye(8, k=1, dtype=complex), 1e-12 * 2.0 ** 600, max_evals=100)
+
+    def test_inexact_scaling_is_refused(self):
+        # 5e-324 2^-601 is 0, so M cannot run at norm about 1
+        m = np.array([[0.0, 2.0 ** 600], [5e-324, 0.0]], dtype=complex)
+        with pytest.raises(OutOfRangeError, match="subnormals"):
+            omega(m)
+        assert isinstance(omega_many([m, np.eye(2)], [None] * 2)[0], OutOfRangeError)
 
 
 def shift_plus(g, n, eps):
@@ -453,8 +499,8 @@ def shift_plus(g, n, eps):
 
 
 class TestAndoCertificate:
-    """`_ando_bound` closes flat enclosures: omega(M) <= level - 2
-    lambda_min([[X, -M/2], [-M*/2, level I - X]]) for any Hermitian X."""
+    """`_ando_bound` closes flat enclosures: omega(M) <= level -
+    lambda_min([[X, -M], [-M*, 2 level I - X]]) for any Hermitian X."""
 
     @pytest.mark.parametrize("side", [3, 4, 5, 8, 16, 32])
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
@@ -477,7 +523,7 @@ class TestAndoCertificate:
         m = embed_offdiag(x, np.zeros((cols, rows)))
         nrm = spectral_norm(m)
         lo = omega(m, tol * max(1.0, nrm)).lo
-        hi = _ando_bound(m, lo + 0.25 * tol * max(1.0, nrm), nrm)
+        hi = _ando_bound(m, lo + 0.25 * tol * max(1.0, nrm))
         assert spectral_norm(x) / 2 <= hi and hi - lo <= tol * max(1.0, nrm)
         # a unitary similarity is no longer bipartite, so omega itself needs it
         u = rand_unitary(g, m.shape[0])
@@ -506,8 +552,8 @@ class TestAndoCertificate:
         nrm = spectral_norm(m)
         cert = omega(m, 1e-12 * max(1.0, nrm))
         for delta in (0.5, 1e-2, 1e-4, 1e-8, 1e-11, 1e-13, 0.0, -1e-13, -1e-9):
-            assert _ando_bound(m, cert.lo * (1.0 - delta), nrm) >= cert.lo
-            assert _ando_bound(m, cert.hi * (1.0 - delta), nrm) >= cert.lo
+            assert _ando_bound(m, cert.lo * (1.0 - delta)) >= cert.lo
+            assert _ando_bound(m, cert.hi * (1.0 - delta)) >= cert.lo
 
     @pytest.mark.parametrize("steps", [1, 2])
     def test_any_hermitian_x_gives_a_bound(self, monkeypatch, steps):
@@ -516,7 +562,7 @@ class TestAndoCertificate:
         monkeypatch.setattr(numrad.radius, "_DOUBLING_STEPS", steps)
         m = np.eye(6, k=1, dtype=complex)
         radius = np.cos(np.pi / 7)
-        bounds = [_ando_bound(m, radius * (1.0 - delta), 1.0) for delta in (1e-2, 1e-8, 0.0)]
+        bounds = [_ando_bound(m, radius * (1.0 - delta)) for delta in (1e-2, 1e-8, 0.0)]
         assert all(radius <= b < np.inf for b in bounds)
 
     def test_ginibre_calls_do_not_try_it(self, monkeypatch):
@@ -528,16 +574,19 @@ class TestAndoCertificate:
             omega_many([rand_complex(g, side) for _ in range(4)], [1e-10] * 4)
         assert not tried
         # where it always fails, the side-8 shift at 1e-6 splits 64, 128,
-        # ..., 1024 cells in its rounds 1-5 and tries once in each: every
-        # count has doubled since the last try
+        # ..., 1024 cells in its rounds 1-5 and tries once in each
         omega(np.eye(8, k=1, dtype=complex), 1e-6)
         assert len(tried) == 5
 
-    def test_unbuildable_scaling_is_inf(self):
-        # a subnormal entry that the scaling to norm ~1 would round
+    def test_subnormal_entry_bounds_the_radius(self):
+        # the blocks of H are m itself, so no entry is rounded in forming it
         m = np.array([[0.0, 4.0], [5e-324, 0.0]], dtype=complex)
-        assert _ando_bound(m, 2.5, spectral_norm(m)) == np.inf
-        assert _ando_bound(m, 0.5, spectral_norm(m)) == np.inf
+        assert all(2.0 <= _ando_bound(m, level) for level in (0.5, 2.0, 2.5))
+
+    def test_overflow_is_inf(self):
+        # outside omega_many's scaling the squares in ||H||_F overflow
+        with np.errstate(over="ignore"):
+            assert _ando_bound(2.0 ** 600 * np.eye(4, k=1, dtype=complex), 2.0 ** 600) == np.inf
 
 
 class TestInnerProductProperties:
