@@ -10,9 +10,10 @@ against a radius themselves; validity checking lives in the harness.
 axes, how inputs are drawn and checked (and so how many matrix files the
 CLI reads), the evaluator call and the contract-side measure. An
 evaluator whose value needs certified radii names them in a
-:class:`PendingOutcome`. The harness and the CLI dispatch on this table only
-and name no input key, so adding a bound over existing grid axes means
-writing its evaluator and adding one entry.
+:class:`Pending`, and every contract side is one
+(`BoundSpec.contract_side`). The harness and the CLI dispatch on this
+table only and name no input key or measure, so adding a bound over
+existing grid axes means writing its evaluator and adding one entry.
 
 The two-exponent (Holder) bound carries a documented constant discrepancy:
 its printed prefactor 4**(r-2) is falsified by the scalar case X = Y = [1]
@@ -60,7 +61,7 @@ from .linalg import (
     polar_eigen,
     spectral_norm,
 )
-from .radius import CertifiedRadius, OmegaPEstimate, omega_many, omega_p
+from .radius import omega_many, omega_p
 
 # Normality check: ||M*M - MM*|| <= NORMALITY_TOL * ||M||^2.
 NORMALITY_TOL = 1e-9
@@ -89,10 +90,11 @@ class BoundOutcome:
 
 
 @dataclass(frozen=True)
-class PendingOutcome:
-    """A bound value that waits on certified radii: `radii` lists the
-    (operator, absolute tol) pairs to certify, and `finish(certs)` makes
-    the BoundOutcome from their :func:`omega_many` results, in that order."""
+class Pending:
+    """A result that waits on certified radii: `radii` lists the (operator,
+    absolute tol) pairs to certify, possibly none, and `finish(certs)` makes
+    the result from their :func:`omega_many` results, in that order. A
+    campaign keeps a bound's value and its contract side as one each."""
 
     radii: list
     finish: Callable
@@ -580,13 +582,12 @@ class BoundSpec:
 
     `axes` names the campaign grid axes, outermost first. `evaluate(mats,
     params, settings)` checks the inputs and returns the BoundOutcome, or,
-    when the value needs certified radii (`th1`), a PendingOutcome naming
-    them, which a campaign certifies with the contract sides. The
-    contract side takes `measure` ("omega", "norm" or "omega_p") of
-    `operand(mats, params)`; an "omega_p" operand list of one operator is
-    measured by `omega`, its certified enclosure, and longer lists by the
-    ascent's lower estimate. `extras` names the campaign settings each
-    trial adds to its params.
+    when the value needs certified radii (`th1`), a Pending naming them.
+    The contract side takes `measure` ("omega", "norm" or "omega_p") of
+    `operand(mats, params)`, and `contract_side` states it as a Pending
+    too, so a campaign certifies the radii of values and sides together
+    and then runs their finishes. `extras` names the campaign settings
+    each trial adds to its params.
     """
 
     bound_id: str
@@ -602,48 +603,52 @@ class BoundSpec:
         """Matrix files one CLI evaluation reads."""
         return len(self.sampler.slots)
 
-    def contract_target(self, mats: dict, params: dict,
-                        settings: EvalSettings) -> tuple[str, object, float | None]:
-        """(measure, target, tol): what the contract side measures, and how.
+    def contract_side(self, mats: dict, params: dict, settings: EvalSettings) -> Pending:
+        """The contract side as a Pending whose finish returns (lhs, upper
+        end or None, extras).
 
-        The generalized radius of one operator is its numerical radius for
-        every p, so an "omega_p" side with a single operand is measured by
-        `omega`, certified; with two or more it is the restarted ascent's
-        lower estimate. tol is the absolute `omega` tolerance, None for
-        the other measures. An `omega` target is checked here, so that a
-        bad one fails its own trial and not a lockstep :func:`omega_many`
-        batch; :func:`measure_contract` measures the others.
+        An "omega" side is one radius at `omega_tol` relative to
+        max(1, ||T||), finished as the ends of its certified enclosure. The
+        generalized radius of one operator is its numerical radius for
+        every p, so an "omega_p" side of one operand is that radius too. A
+        "norm" side has no radii and is the exact norm twice. An "omega_p"
+        side of two or more operands has no radii; its finish runs the
+        restarted ascent, whose lower estimate has no upper end, and adds
+        its `estimate_converged` flag to extras. A radius's operand is
+        checked here, so that a bad one fails its own trial and not a
+        lockstep :func:`omega_many` batch.
         """
         target = self.operand(mats, params)
-        measure = self.measure
-        if measure == "omega_p" and len(target) == 1:
-            measure, target = "omega", target[0]
-        if measure != "omega":
-            return measure, target, None
+        if self.measure == "norm":
+            return Pending([], partial(_norm_ends, target))
+        if self.measure == "omega_p":
+            if len(target) > 1:
+                return Pending([], partial(_ascent_ends, target, params, settings))
+            (target,) = target
         tol = settings.omega_tol * max(1.0, spectral_norm(target))
-        return measure, as_matrix(target), tol
+        return Pending([(as_matrix(target), tol)], _enclosure_ends)
 
 
-def measure_contract(measure: str, target, params: dict, settings: EvalSettings):
-    """A "norm" or "omega_p" contract side measured: the exact norm, or
-    `omega_p`'s OmegaPEstimate."""
-    if measure == "norm":
-        return spectral_norm(target)
-    return omega_p(target, float(params.get("p", 1.0)),
-                   restarts=settings.omega_p_restarts,
-                   stream=derive(settings.stream, 102),
-                   max_iter=settings.omega_p_max_iter)
+def _enclosure_ends(certs) -> tuple[float, float, dict]:
+    """The ends of a lone certified radius, or the error it raised."""
+    (cert,) = certs
+    if isinstance(cert, NumradError):
+        raise cert
+    return cert.lo, cert.hi, {}
 
 
-def contract_ends(result) -> tuple[float, float | None, dict]:
-    """(lhs, upper end or None, extras) of a measured contract side: the
-    ends of a certified enclosure, a norm twice, or a lower estimate with
-    no upper end and its `estimate_converged` flag."""
-    if isinstance(result, CertifiedRadius):
-        return result.lo, result.hi, {}
-    if isinstance(result, OmegaPEstimate):
-        return result.value, None, {"estimate_converged": result.converged}
-    return result, result, {}
+def _norm_ends(target, certs) -> tuple[float, float, dict]:
+    norm = spectral_norm(target)
+    return norm, norm, {}
+
+
+def _ascent_ends(targets, params: dict, settings: EvalSettings,
+                 certs) -> tuple[float, None, dict]:
+    est = omega_p(targets, float(params.get("p", 1.0)),
+                  restarts=settings.omega_p_restarts,
+                  stream=derive(settings.stream, 102),
+                  max_iter=settings.omega_p_max_iter)
+    return est.value, None, {"estimate_converged": est.converged}
 
 
 def _pair_arg(params: dict) -> FunctionPair:
@@ -705,7 +710,7 @@ def _th1(m, prm, s):
     scale = max([1.0] + [spectral_norm(embed_block(*blk)) for blk in m["blocks"]])
     ops, norms, p = _th1_inputs(m["blocks"], p)
     tol = s.omega_tol * scale
-    return PendingOutcome([(op, tol) for op in ops], partial(_th1_value, norms, p))
+    return Pending([(op, tol) for op in ops], partial(_th1_value, norms, p))
 
 
 def _sign(params: dict) -> float:

@@ -1,41 +1,38 @@
 """Seeded verification campaigns over the bound evaluators.
 
 A campaign draws random inputs per bound, evaluates the bound, measures
-the contract side once, and records tightness ratios and violations. The
-contract side is the certified radius enclosure, the exact norm, or, for
-the generalized-radius bounds, the certified enclosure of `omega` when the
-trial has one operator (whose generalized radius is its numerical radius,
-so the record's `omega_hi` is filled) and the ascent's lower estimate of
-`omega_p` when it has two or more (`omega_hi` stays None). Which grid, inputs,
-evaluator and contract side a bound id has comes from its entry in the
-bound table (`numrad.bounds.BOUNDS`), whose sampler draws and checks the
-inputs; nothing here tests an id or names an input key. Every
-evaluation takes its settings from one `numrad.bounds.EvalSettings`, and
-every contract check, in campaigns, the counterexample suite and
-`numrad bound`, goes through `contract_verdict`.
+the contract side once, and records tightness ratios and violations.
+Which grid, inputs, evaluator and contract side a bound id has comes from
+its entry in the bound table (`numrad.bounds.BOUNDS`), whose sampler
+draws and checks the inputs and whose `contract_side` says how the side
+is measured; nothing here tests an id or names an input key or a
+measure. Every evaluation takes its settings from one
+`numrad.bounds.EvalSettings`, and every contract check, in campaigns, the
+counterexample suite and `numrad bound`, goes through `contract_verdict`.
 
 Each process runs its share of the plan in three stages. `_start_trial`
-draws (or checks) every trial's inputs, evaluates its bound and names its
-contract side (`BoundSpec.contract_target`); `th1`'s evaluator instead
-names the block radii its value needs (a `PendingOutcome`).
-`_measure_sides` measures every side and certifies those radii: the
-`omega` sides and the radii of one operand shape are certified together
-by `numrad.radius.omega_many`, in calls of at most OMEGA_MANY_CAP
-operators, while norms and the ascents of two or more operators are
-measured one trial at a time; then each pending value is finished from
-its certificates. `_finish_trial` reads the ends off each measurement
-(`numrad.bounds.contract_ends`) and makes the record through
-`contract_verdict`. A trial that raises at any stage becomes its own error
-record; the others go on. `_run_single`, behind `replay_trial` and the
-counterexample suite, is a share of one trial; `omega_many` results do not
-depend on their batch-mates, so a replay gives back the campaign record.
-`evaluate_bound`, behind `numrad bound`, runs stage 1's evaluation and
-`_measure_sides` on one trial of given inputs with its caller's settings,
-and raises that trial's error; so one path measures every contract side
-and certifies every radius. A record's `wall_time` is its own time in the
-first and last stages plus its own measurement and finish, and its share
-of each `omega_many` call it took part in split by the angles each
-operator evaluated, so the records of a share add up to the share's time.
+draws (or checks) every trial's inputs and keeps two
+`numrad.bounds.Pending`s: the bound's value (an evaluator's outcome is a
+Pending of no radii, while `th1`'s names the block radii its value
+needs) and the contract side (`BoundSpec.contract_side`). Each is a list
+of (operator, tol) radii plus a finish over their certificates.
+`_measure_sides` certifies the radii of every pending of the share
+together, by one `numrad.radius.omega_many` per operand shape in calls of
+at most OMEGA_MANY_CAP operators, and then runs each trial's finishes,
+its value's first: the value's finish gives the outcome and the side's
+gives (lhs, upper end or None, extras). `_finish_trial` makes the record
+from these through `contract_verdict`. A trial that raises at any stage
+becomes its own error record; the others go on. `_run_single`, behind
+`replay_trial` and the counterexample suite, is a share of one trial;
+`omega_many` results do not depend on their batch-mates, so a replay
+gives back the campaign record. `evaluate_bound`, behind `numrad bound`,
+runs stage 1's evaluation with its caller's settings and `_measure_sides`
+on one trial of given inputs, and raises that trial's error; so one path
+measures every contract side and certifies every radius. A record's
+`wall_time` is its own time in the first and last stages plus its own
+finishes, and its share of each `omega_many` call it took part in split
+by the angles each operator evaluated, so the records of a share add up
+to the share's time.
 
 Everything is deterministic in the master seed: each trial derives its own
 stream from its plan index, so trials can run in any order and in any
@@ -62,15 +59,12 @@ import pickle
 import signal
 import traceback
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from time import perf_counter
-from typing import Callable
 
 import numpy as np
 
 from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, BoundOutcome, BoundSpec,
-                     EvalSettings, PendingOutcome, bound_spec, contract_ends,
-                     measure_contract)
+                     EvalSettings, Pending, bound_spec)
 from .ensembles import KINDS, RngStream, derive, sample
 from .errors import NumradError, OutOfRangeError
 from .linalg import fn_of_abs, spectral_norm
@@ -284,15 +278,9 @@ class _Trial:
     params: dict
     wall: float = 0.0
     digests: tuple = ()
-    value: float | None = None       # the bound's value and contract exponent
-    exponent: float | None = None
-    # a PendingOutcome's (operator, tol) pairs, replaced by their certificates
-    # in stage 2, its finish, and the outcome it finishes
-    radii: list | tuple = ()
-    finish: Callable | None = None
+    pendings: tuple = ()  # the value's and the contract side's Pending
     outcome: BoundOutcome | None = None
-    side: tuple = ()     # (measure, target, tol) of BoundSpec.contract_target
-    result: object = None
+    ends: tuple = ()      # (lhs, upper end or None, extras) of the side
     error: Exception | None = None
 
 
@@ -304,8 +292,8 @@ def _settings(config: CampaignConfig, index: int) -> EvalSettings:
 
 def _start_trial(config: CampaignConfig, index: int, bound_id: str,
                  params: dict, mats: dict | None) -> _Trial:
-    """Stage 1: draw (or check) the inputs, evaluate the bound and name the
-    contract side to measure."""
+    """Stage 1: draw (or check) the inputs, evaluate the bound and state
+    its contract side."""
     t0 = perf_counter()
     trial = _Trial(index, bound_id, params)
     try:
@@ -324,76 +312,49 @@ def _start_trial(config: CampaignConfig, index: int, bound_id: str,
     return trial
 
 
-def _evaluate(trial: _Trial, spec: BoundSpec, mats: dict,
-              settings: EvalSettings) -> BoundOutcome | None:
-    """Stage 1's evaluation of checked inputs: the bound's outcome, whose
-    value and exponent `trial` keeps with the contract side to measure. A
-    value that needs certified radii is left to stage 2: `trial` keeps the
-    radii and the finish, and None is returned."""
+def _evaluate(trial: _Trial, spec: BoundSpec, mats: dict, settings: EvalSettings) -> None:
+    """Stage 1's evaluation of checked inputs: `trial` keeps the bound's
+    value and its contract side as Pendings for stage 2. A value that
+    needs no radii is a Pending of none that finishes as itself."""
     outcome = spec.evaluate(mats, trial.params, settings)
-    if isinstance(outcome, PendingOutcome):
-        trial.radii, trial.finish = outcome.radii, outcome.finish
-        outcome = None
-    else:
-        trial.value, trial.exponent = outcome.value, outcome.exponent
-    trial.side = spec.contract_target(mats, trial.params, settings)
-    return outcome
+    value = outcome if isinstance(outcome, Pending) else Pending([], lambda certs: outcome)
+    trial.pendings = (value, spec.contract_side(mats, trial.params, settings))
 
 
-def _measure_sides(trials: list, settings) -> None:
-    """Stage 2: measure the contract sides and certify the radii each
-    value needs, then finish those values. The `omega` sides and the
-    radii are certified by one `omega_many` per operand shape, in calls
-    of at most OMEGA_MANY_CAP operators whose time is split by the angles
-    each operator evaluated (evenly when none were); the other sides are
-    measured one trial at a time with the EvalSettings
-    `settings(trial.index)`. A failed radius, the first in its trial's
-    order, is that trial's error."""
-    batches: dict = {}  # shape -> [(trial, radius slot or None for the side, operator, tol)]
+def _measure_sides(trials: list) -> None:
+    """Stage 2: certify the radii of every trial's value and contract side,
+    then finish both, the value first, so that a failed value is its
+    trial's error and its side is never measured. The radii are certified
+    by one `omega_many` per operand shape, in calls of at most
+    OMEGA_MANY_CAP operators whose time is split by the angles each
+    operator evaluated (evenly when none were); a trial's finishes are its
+    own time."""
+    batches: dict = {}  # shape -> [(trial, radii, slot, operator, tol)]
     t = perf_counter()
     for trial in trials:
-        for slot, (op, tol) in enumerate(trial.radii):
-            batches.setdefault(op.shape, []).append((trial, slot, op, tol))
-        measure, target, tol = trial.side
-        if measure == "omega":
-            batches.setdefault(target.shape, []).append((trial, None, target, tol))
-            continue
-        try:
-            trial.result = measure_contract(measure, target, trial.params,
-                                            settings(trial.index))
-        except _TRIAL_ERRORS as exc:
-            trial.error = exc
-        trial.side = ()
-        now = perf_counter()
-        trial.wall += now - t
-        t = now
+        for pending in trial.pendings:
+            for slot, (op, tol) in enumerate(pending.radii):
+                batches.setdefault(op.shape, []).append((trial, pending.radii, slot, op, tol))
     for shape in sorted(batches):
         batch = batches.pop(shape)  # frees its operands once certified
         for start in range(0, len(batch), OMEGA_MANY_CAP):
             chunk = batch[start:start + OMEGA_MANY_CAP]
-            results = omega_many([op for _, _, op, _ in chunk], [tol for *_, tol in chunk])
+            results = omega_many([op for *_, op, _ in chunk], [tol for *_, tol in chunk])
             now = perf_counter()
             weights = [getattr(res, "evals", 0) for res in results]
             total = sum(weights)
-            for (trial, slot, _, _), res, weight in zip(chunk, results, weights):
-                if slot is not None:
-                    trial.radii[slot] = res
-                elif isinstance(res, NumradError):
-                    trial.error = res
-                else:
-                    trial.result = res
-                trial.side = ()
+            for (trial, radii, slot, _, _), res, weight in zip(chunk, results, weights):
+                radii[slot] = res  # the certificate, or the error it raised
                 trial.wall += (now - t) * (weight / total if total else 1.0 / len(chunk))
             t = now
     for trial in trials:
-        if trial.finish is None:
-            continue
+        value, side = trial.pendings
         try:
-            trial.outcome = trial.finish(trial.radii)
-            trial.value, trial.exponent = trial.outcome.value, trial.outcome.exponent
+            trial.outcome = value.finish(value.radii)
+            trial.ends = side.finish(side.radii)
         except _TRIAL_ERRORS as exc:
             trial.error = exc
-        trial.radii, trial.finish = (), None
+        trial.pendings = ()
         now = perf_counter()
         trial.wall += now - t
         t = now
@@ -405,16 +366,16 @@ def _finish_trial(config: CampaignConfig, trial: _Trial) -> TrialRecord:
     seed_path = f"{config.master_seed}/{trial.index}"
     if trial.error is None:
         try:
-            lhs, omega_hi, extras = contract_ends(trial.result)
-            ratio, violation = contract_verdict(
-                trial.value, lhs ** trial.exponent, config.slack)
+            lhs, omega_hi, extras = trial.ends
+            value, exponent = trial.outcome.value, trial.outcome.exponent
+            ratio, violation = contract_verdict(value, lhs ** exponent, config.slack)
             record = TrialRecord(
                 index=trial.index,
                 bound_id=trial.bound_id,
                 params=_clean_params(dict(trial.params, **extras)),
                 digests=trial.digests,
-                value=trial.value,
-                exponent=trial.exponent,
+                value=value,
+                exponent=exponent,
                 omega_lo=lhs,
                 omega_hi=omega_hi,
                 ratio=ratio,
@@ -440,8 +401,7 @@ def _run_share(config: CampaignConfig, entries: list) -> list[TrialRecord]:
     contract side measured, every record finished. A trial that fails
     becomes its own error record; the others go on."""
     trials = [_start_trial(config, *entry) for entry in entries]
-    _measure_sides([trial for trial in trials if trial.error is None],
-                   partial(_settings, config))
+    _measure_sides([trial for trial in trials if trial.error is None])
     return [_finish_trial(config, trial) for trial in trials]
 
 
@@ -463,17 +423,17 @@ def evaluate_bound(bound_id: str, mats: dict, params: dict,
     is valid. `extras` holds what the contract side adds to a record's
     params: `estimate_converged` for a generalized-radius estimate.
 
-    This is a campaign trial on given inputs: stage 1's evaluation, then
-    `_measure_sides` over the one trial with `settings`. A failure is
+    This is a campaign trial on given inputs: stage 1's evaluation with
+    `settings`, then `_measure_sides` over the one trial. A failure is
     raised, not recorded.
     """
     spec = bound_spec(bound_id)
     trial = _Trial(0, bound_id, params)
-    outcome = _evaluate(trial, spec, spec.sampler.coerce(mats), settings)
-    _measure_sides([trial], lambda index: settings)
+    _evaluate(trial, spec, spec.sampler.coerce(mats), settings)
+    _measure_sides([trial])
     if trial.error is not None:
         raise trial.error
-    return (trial.outcome if outcome is None else outcome, *contract_ends(trial.result))
+    return (trial.outcome, *trial.ends)
 
 
 def _clean_params(params: dict) -> dict:

@@ -612,9 +612,9 @@ class TestStagedShare:
 
         measure, spans = numrad.harness._measure_sides, []
 
-        def measured(trials, settings):
+        def measured(trials):
             before, start = sum(t.wall for t in trials), clock[0]
-            measure(trials, settings)
+            measure(trials)
             # the stage reads the clock first at start + 1 and last at clock[0]
             spans.append((sum(t.wall for t in trials) - before, clock[0] - (start + 1)))
 
@@ -640,6 +640,19 @@ class TestStagedShare:
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
         assert record.error.startswith("ToleranceUnreachableError: angle budget 64")
+
+    def test_failed_value_leaves_its_side_unmeasured(self, monkeypatch):
+        # the value's finish runs before the side's, so a th1 value whose
+        # block radius fails costs no omega_p ascent
+        lockstep = numrad.radius.omega_many
+        monkeypatch.setattr(numrad.harness, "omega_many",
+                            lambda mats, tols: lockstep(mats, tols, max_evals=64))
+        calls = []
+        patch_everywhere(monkeypatch, numrad.radius.omega_p, calls, "omega_p")
+        cfg, params, _ = first_trial("th1", n_operators_values=(2,))
+        record = _run_single(cfg, 0, "th1", params, None)
+        assert record.error.startswith("ToleranceUnreachableError: angle budget 64")
+        assert calls == []
 
     def test_th1_records_equal_bound_th1(self):
         # one finish path: bound_th1 on a record's drawn inputs, at the
