@@ -351,7 +351,6 @@ def _estimate_zeta(a_mat: np.ndarray, b_mat: np.ndarray) -> ZetaEstimate:
 
 
 def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
-                stream: RngStream | None = None,
                 ) -> tuple[BoundOutcome, BoundOutcome, ZetaEstimate]:
     """Norm-sum bound with a subtracted gap term.
 
@@ -359,8 +358,7 @@ def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
     omega(T)**r <= guaranteed.value is safe. refined subtracts the gap at
     the closed-form witness of `_estimate_zeta`; the gap on the joint
     sphere is vacuous (inf zeta = 0), so refined equals guaranteed up to
-    rounding. stream is accepted for compatibility and does not affect
-    the result.
+    rounding.
     """
     r, first, second, n1, n2 = _offdiag_groups(p, pair, r, variant)
     base = 2.0 ** (r - 2.0) * (n1 + n2)

@@ -4,7 +4,8 @@ Schema: {"rows": r, "cols": c, "data": [[re, im], ...]} with data in
 row-major order; r and c are JSON integers >= 1 and re, im JSON numbers
 (booleans are neither). Floats are serialized with shortest round-trip decimal
 representation (up to 17 significant digits), so write followed by read
-reproduces every entry bit-exactly.
+reproduces every entry bit-exactly. `write_matrix` refuses what
+`read_matrix` would: a matrix with an empty side or a non-finite entry.
 """
 
 from __future__ import annotations
@@ -56,11 +57,13 @@ def read_matrix(path) -> np.ndarray:
 
 def write_matrix(path, m) -> None:
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise MatrixFileError(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim != 2 or 0 in m.shape:
+        raise MatrixFileError(f"expected a 2-d matrix with sides >= 1, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise MatrixFileError("entries must be finite")
     payload = {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
         "data": [[float(v.real), float(v.imag)] for v in m.ravel()],
     }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    Path(path).write_text(json.dumps(payload, allow_nan=False) + "\n")

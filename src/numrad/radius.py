@@ -93,8 +93,7 @@ DEFAULT_EVAL_BUDGET = 2_000_000
 _INITIAL_CELLS = 64
 _MAX_SPLITS_PER_ROUND = 8192
 # Angles per batched solve; bounds the (chunk, n, n) stack and its
-# temporaries. A lockstep batch gathers one operator per angle, so its
-# chunks also stay within 2^12 matrix (or block) entries.
+# temporaries, which also stay within 2^12 matrix (or block) entries.
 _EIG_CHUNK = 256
 _EIG_CHUNK_ENTRIES = 2 ** 12
 # The initial cells' left and right ends.
@@ -138,12 +137,10 @@ class CertifiedRadius:
     rounds: int
 
 
-def _rotated_tops(kernels: list, thetas: np.ndarray,
-                  owner: np.ndarray | None = None) -> np.ndarray:
+def _rotated_tops(kernels: list, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """h(theta) and h(theta + pi) of operator owner[j] at angle thetas[j],
     shape (2, c). `kernels` holds (first, ms, adjs) stacks of the
-    operators first, first + 1, ...; `owner` is nondecreasing, and None
-    when the kernels hold one operator.
+    operators first, first + 1, ...; `owner` is nondecreasing.
 
     Where adjs is None, ms is a (b, n, n) stack and both come from one
     eigensolve of Re(e^{i theta} M) per angle: its lambda_max is h(theta)
@@ -151,29 +148,29 @@ def _rotated_tops(kernels: list, thetas: np.ndarray,
     the (b, |A|, |B|) blocks X and Y* of bipartite operators
     (`_bipartition`), and both are sigma_max(e^{i theta} X + e^{-i theta}
     Y*) / 2, from one SVD per angle (|k| / 2 for cheaper 1x1 blocks).
-    Angles are solved in chunks of at most _EIG_CHUNK. A chunk of one
-    owner broadcasts that operator as a 3-d slice and any other gathers
-    one operator per angle. Both are 3-d operands, which round alike, so
-    an angle's bits do not depend on its chunk-mates.
+    Angles are solved in chunks of at most _EIG_CHUNK angles and
+    _EIG_CHUNK_ENTRIES matrix (or block) entries, one angle at least,
+    however many operators the kernels hold. A chunk of one owner
+    broadcasts that operator as a 3-d slice and any other gathers one
+    operator per angle. Both are 3-d operands, which round alike, so an
+    angle's bits do not depend on its chunk-mates.
     """
     out = np.empty((2, thetas.shape[0]))
     for first, ms, adjs in kernels:
+        lo, hi = np.searchsorted(owner, [first, first + ms.shape[0]])
+        if lo == hi:
+            continue
         svd = adjs is not None
         if not svd:
             adjs = np.conj(ms).transpose(0, 2, 1).copy()
-        ops, ops_adj, lo, hi, step = ms, adjs, 0, thetas.shape[0], _EIG_CHUNK
-        if owner is not None:
-            lo, hi = np.searchsorted(owner, [first, first + ms.shape[0]])
-            step = min(_EIG_CHUNK, max(1, _EIG_CHUNK_ENTRIES // ms[0].size))
+        step = min(_EIG_CHUNK, max(1, _EIG_CHUNK_ENTRIES // ms[0].size))
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
-            if owner is not None:
-                own = owner[start:stop] - first
-                pick = slice(own[0], own[0] + 1) if own[0] == own[-1] else own
-                ops, ops_adj = ms[pick], adjs[pick]
+            own = owner[start:stop] - first
+            pick = slice(own[0], own[0] + 1) if own[0] == own[-1] else own
             phase = np.exp(1j * thetas[start:stop])
-            stack = phase[:, None, None] * ops
-            stack += np.conj(phase)[:, None, None] * ops_adj
+            stack = phase[:, None, None] * ms[pick]
+            stack += np.conj(phase)[:, None, None] * adjs[pick]
             stack *= 0.5
             if not svd:
                 spectra = np.linalg.eigvalsh(stack)
@@ -412,9 +409,10 @@ def _bipartition(nz: np.ndarray):
 
 
 def _operator(kernels: list, k: int) -> np.ndarray:
-    """Operator k of `_rotated_tops` kernels as a matrix: M, or [[0, X],
-    [Y, 0]] for a bipartite one, which is M permuted and stripped of zero
-    rows and columns, so it has M's numerical radius and norm."""
+    """Operator k, by its index across all of `_rotated_tops` kernels, as
+    a matrix: M, or [[0, X], [Y, 0]] for a bipartite one, which is M
+    permuted and stripped of zero rows and columns, so it has M's
+    numerical radius and norm."""
     first, ms, adjs = next(kern for kern in kernels if kern[0] <= k < kern[0] + kern[1].shape[0])
     return ms[k - first] if adjs is None else \
         embed_offdiag(ms[k - first], np.conj(adjs[k - first]).T)
@@ -458,19 +456,18 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
     maxima are taken over each owner's run of cells, ties going to its
     first, as they would alone. An operator leaves when it ends, so every
     owner left has a run; each left splits in every round, so all share
-    one round count. The `one` fork, a lone operator without owner arrays,
-    stays: lone `omega` calls ran slower and larger without it (ROADMAP).
+    one round count. A lone operator is a batch of one: it runs these
+    same steps, so its place in a larger batch differs only in its
+    chunk-mates.
 
     An operator whose round splits at least _CERTIFY_SPLITS of its cells
     tries `_ando_bound` at lo + tol/4 and ends if the smaller upper end
-    closes it. The try reads only the operator's own state, looked up by
-    its original index in the original `stacks`, so it keeps every result
-    equal to a lone run's; its work is not counted in evals or rounds.
+    closes it. The try reads only the operator's own state, looked up in
+    `kernels` by its original index, so it keeps every result equal to a
+    lone run's; its work is not counted in evals or rounds.
     """
-    stacks = kernels
     ids = np.arange(nrm.size)
     out: list = [None] * ids.size
-    one = ids.size == 1
 
     # Cells cover [0, pi); row 0 of each value array tracks h(theta), row 1
     # tracks h(theta + pi). At pi the two tracks meet each other's start.
@@ -478,11 +475,10 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
     own = ids.repeat(g)
     starts = ids * g
     lefts, rights = np.tile(_GRID, ids.size), np.tile(_GRID_RIGHTS, ids.size)
-    h = _rotated_tops(kernels, lefts, None if one else own).reshape(2, -1, g)
+    h = _rotated_tops(kernels, lefts, own).reshape(2, -1, g)
     h_left = h.reshape(2, -1)
     h_right = np.concatenate([h[:, :, 1:], h[::-1, :, :1]], axis=2).reshape(2, -1)
-    cells = slice(None) if one else own
-    ub = _cell_majorant(h_left, h_right, rights - lefts, nrm[cells], amp[cells]).max(axis=0)
+    ub = _cell_majorant(h_left, h_right, rights - lefts, nrm[own], amp[own]).max(axis=0)
     # eigensolves each operator may still make
     room0 = (max_evals - 2 * g) // 2
     room = np.full(ids.size, room0)
@@ -495,13 +491,11 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
 
     for rounds in itertools.count():
         top = np.maximum.reduceat(ub, starts)
-        bar = lo + tol
-        split = ub > (bar if one else bar[own])
-        splits = np.count_nonzero(split, axis=0, keepdims=True) if one else \
-            np.bincount(own[split], minlength=ids.size)
+        split = ub > (lo + tol)[own]
+        splits = np.bincount(own[split], minlength=ids.size)
         done = top - lo <= tol
         for k in np.flatnonzero(~done & (splits >= _CERTIFY_SPLITS)):
-            top[k] = min(top[k], _ando_bound(_operator(stacks, ids[k]), lo[k] + 0.25 * tol[k]))
+            top[k] = min(top[k], _ando_bound(_operator(kernels, ids[k]), lo[k] + 0.25 * tol[k]))
             done[k] = top[k] - lo[k] <= tol[k]
         if splits.max() > _MAX_SPLITS_PER_ROUND:
             for k in np.flatnonzero(splits > _MAX_SPLITS_PER_ROUND):
@@ -530,19 +524,12 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
             h_left, h_right = h_left[:, kept], h_right[:, kept]
             ids, nrm, amp, tol, lo, witness, room, splits = (
                 a[keep] for a in (ids, nrm, amp, tol, lo, witness, room, splits))
-            if ids.size == 1 and not one:
-                one, starts, k = True, starts[:1], ids[0]
-                kernels = [(0, ms[k - first:][:1], None if adjs is None else adjs[k - first:][:1])
-                           for first, ms, adjs in kernels if first <= k < first + ms.shape[0]]
-        hold = (ub > (lo if one else lo[own])) & ~split
+        hold = (ub > lo[own]) & ~split
 
         mids = 0.5 * (lefts[split] + rights[split])
-        if one:
-            h_mid = _rotated_tops(kernels, mids)
-        else:
-            own_mid = own[split]
-            h_mid = _rotated_tops(kernels, mids, ids[own_mid])
-            starts = np.cumsum(splits) - splits
+        own_mid = own[split]
+        h_mid = _rotated_tops(kernels, mids, ids[own_mid])
+        starts = np.cumsum(splits) - splits
         room -= splits
         _raise_lo(lo, witness, h_mid, mids, starts, splits)
 
@@ -552,17 +539,16 @@ def _branch_and_bound(kernels: list, nrm: np.ndarray, amp: np.ndarray, tol: np.n
         h_right = np.concatenate([h_right[:, hold], h_mid, h_right[:, split]], axis=1)
         # held cells keep their majorants; only the new halves get one
         held = np.count_nonzero(hold)
-        new = slice(None) if one else np.concatenate([own_mid, own_mid])
+        new = np.concatenate([own_mid, own_mid])
         ub = np.concatenate([ub[hold], _cell_majorant(
             h_left[:, held:], h_right[:, held:], rights[held:] - lefts[held:],
             nrm[new], amp[new]).max(axis=0)])
-        if not one:
-            own = np.concatenate([own[hold], new])
-            order = np.argsort(own, kind="stable")
-            own, lefts, rights, ub = own[order], lefts[order], rights[order], ub[order]
-            h_left, h_right = h_left[:, order], h_right[:, order]
-            counts = np.bincount(own)
-            starts = np.cumsum(counts) - counts
+        own = np.concatenate([own[hold], new])
+        order = np.argsort(own, kind="stable")
+        own, lefts, rights, ub = own[order], lefts[order], rights[order], ub[order]
+        h_left, h_right = h_left[:, order], h_right[:, order]
+        counts = np.bincount(own)
+        starts = np.cumsum(counts) - counts
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,25 @@ class TestMatrixIO:
         with pytest.raises(MatrixFileError):
             read_matrix(path)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
+                                     complex(math.inf, 0.0)])
+    def test_write_refuses_nonfinite(self, tmp_path, bad):
+        from numrad.errors import MatrixFileError
+        path = tmp_path / "bad.json"
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = bad
+        with pytest.raises(MatrixFileError, match="finite"):
+            write_matrix(path, m)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)])
+    def test_write_refuses_empty_sides(self, tmp_path, shape):
+        from numrad.errors import MatrixFileError
+        path = tmp_path / "empty.json"
+        with pytest.raises(MatrixFileError, match="sides >= 1"):
+            write_matrix(path, np.zeros(shape, dtype=complex))
+        assert not path.exists()
+
 
 class TestOmegaCommand:
     def test_nilpotent(self, tmp_path, capsys):

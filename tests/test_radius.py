@@ -173,7 +173,7 @@ class TestTwoTracks:
         m = two_track_cases()[kind]
         thetas = np.concatenate([np.linspace(0.0, np.pi, 97, endpoint=False),
                                  [np.nextafter(np.pi, 0.0)]])
-        tops = _rotated_tops([(0, m[None], None)], thetas)
+        tops = _rotated_tops([(0, m[None], None)], thetas, np.zeros(thetas.size, int))
         assert tops.shape == (2, thetas.size)
         slack = rounding_slack(m)
         np.testing.assert_allclose(tops[0], h_direct(m, thetas), rtol=0, atol=slack)
@@ -280,7 +280,8 @@ def bipartite_cases(seed):
 def svd_tracks(m, thetas):
     """`_rotated_tops` through the bipartite kernel, from M's blocks."""
     a, b = _bipartition(m != 0)
-    return _rotated_tops([(0, m[np.ix_(a, b)][None], np.conj(m[np.ix_(b, a)]).T[None])], thetas)
+    return _rotated_tops([(0, m[np.ix_(a, b)][None], np.conj(m[np.ix_(b, a)]).T[None])], thetas,
+                         np.zeros(thetas.size, int))
 
 
 class TestBipartiteKernel:
@@ -295,7 +296,7 @@ class TestBipartiteKernel:
         assert np.union1d(a, b).size == m.shape[0]
         thetas = np.linspace(0.0, np.pi, 97, endpoint=False)
         slack = 32 * m.shape[0] * U * spectral_norm(m)
-        general = _rotated_tops([(0, m[None], None)], thetas)
+        general = _rotated_tops([(0, m[None], None)], thetas, np.zeros(thetas.size, int))
         np.testing.assert_allclose(svd_tracks(m, thetas), general, rtol=0, atol=slack)
 
     def test_not_bipartite(self):
@@ -759,8 +760,8 @@ class TestOmegaMany:
                 [alone[i] for i in batch]
 
     def test_shift_as_last_live_operator(self):
-        # the Ginibre operand ends on the initial grid, and the lone-owner
-        # fork keeps the shift, which then certifies in its second round
+        # the Ginibre operand ends on the initial grid, and the shift,
+        # left alone in the batch, then certifies in its second round
         g = np.random.default_rng(63)
         mats = [rand_complex(g, 8), np.eye(8, k=1, dtype=complex)]
         tols = [1.0, 1e-12]
@@ -768,6 +769,25 @@ class TestOmegaMany:
         assert alone[0].rounds == 0 and alone[1].rounds == 1
         assert omega_many(mats, tols) == alone
         assert omega_many(mats[::-1], tols[::-1]) == alone[::-1]
+
+    @pytest.mark.parametrize("entries, chunk", [(1, 256), (64, 256), (2 ** 12, 3), (2 ** 20, 256)])
+    def test_chunk_size_keeps_every_bit(self, monkeypatch, entries, chunk):
+        # lone and batched calls are cut into chunks by one rule, so how
+        # many angles share a solve must not change any result
+        g = np.random.default_rng(64)
+        mats = {side: [rand_complex(g, side), rand_complex(g, side)] for side in (2, 8, 16, 32)}
+        mats[8] += [np.eye(8, k=1, dtype=complex), embed_offdiag(rand_complex(g, 4),
+                                                                  rand_complex(g, 4))]
+        tols = {side: [1e-8, 1e-6, 1e-10, 1e-8][:len(ms)] for side, ms in mats.items()}
+        alone = {side: [omega(m, tol) for m, tol in zip(ms, tols[side])]
+                 for side, ms in mats.items()}
+        for side, ms in mats.items():
+            assert omega_many(ms, tols[side]) == alone[side]
+        monkeypatch.setattr(numrad.radius, "_EIG_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(numrad.radius, "_EIG_CHUNK", chunk)
+        for side, ms in mats.items():
+            assert [omega(m, tol) for m, tol in zip(ms, tols[side])] == alone[side]
+            assert omega_many(ms, tols[side]) == alone[side]
 
     def test_rejects_mixed_sides_and_tolerance_count(self):
         assert isinstance(omega_many([np.ones((2, 3))], [None])[0], NotSquareError)
