@@ -5,7 +5,14 @@ of dense complex matrices, estimates the generalized Euclidean operator
 radius of operator tuples, evaluates a family of upper bounds for radii of
 2x2 operator matrices and their off-diagonal parts, and runs seeded
 verification campaigns over random matrix ensembles.
+
+Importing it sets OPENBLAS_NUM_THREADS=1 unless set (its small LAPACK calls
+run slower threaded); this does nothing if numpy was imported first.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bounds import (
     BOUND_IDS,

@@ -92,9 +92,10 @@ class BoundOutcome:
 @dataclass(frozen=True)
 class Pending:
     """A result that waits on certified radii: `radii` lists the (operator,
-    absolute tol) pairs to certify, possibly none, and `finish(certs)` makes
-    the result from their :func:`omega_many` results, in that order. A
-    campaign keeps a bound's value and its contract side as one each."""
+    absolute tol, ``spectral_norm(operator)``) requests to certify, possibly
+    none, and `finish(certs)` makes the result from their :func:`omega_many`
+    results, in that order. A campaign keeps a bound's value and its
+    contract side as one each."""
 
     radii: list
     finish: Callable
@@ -441,13 +442,14 @@ def bound_main4(items, pair: FunctionPair, p: float, variant: int = 1) -> BoundO
     )
 
 
-def _th1_inputs(blocks, p: float) -> tuple[list, list, float]:
-    """th1's inputs checked: [A_1, D_1, A_2, ...], [(||B_i||, ||C_i||)] and p."""
+def _th1_inputs(blocks, p: float) -> tuple[list, list, list, float]:
+    """th1's inputs checked: the Block2x2 of each block, [A_1, D_1, A_2, ...],
+    [(||B_i||, ||C_i||)] and p."""
     p = _require_r(p, "p")
     blocks = [blk if isinstance(blk, Block2x2) else Block2x2(*blk) for blk in blocks]
     if not blocks:
         raise OutOfRangeError("at least one block is required")
-    return ([op for blk in blocks for op in (blk.a, blk.d)],
+    return (blocks, [op for blk in blocks for op in (blk.a, blk.d)],
             [(spectral_norm(blk.b), spectral_norm(blk.c)) for blk in blocks], p)
 
 
@@ -487,7 +489,7 @@ def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
     certifies these radii in its measuring stage instead and finishes the
     value the same way.
     """
-    ops, norms, p = _th1_inputs(blocks, p)
+    _, ops, norms, p = _th1_inputs(blocks, p)
     a_certs, d_certs = (omega_many(ops[i::2], [omega_tol] * len(norms)) for i in (0, 1))
     return _th1_value(norms, p, [cert for pair in zip(a_certs, d_certs) for cert in pair])
 
@@ -606,14 +608,14 @@ class BoundSpec:
         end or None, extras).
 
         An "omega" side is one radius at `omega_tol` relative to
-        max(1, ||T||), finished as the ends of its certified enclosure. The
-        generalized radius of one operator is its numerical radius for
-        every p, so an "omega_p" side of one operand is that radius too. A
-        "norm" side has no radii and is the exact norm twice. An "omega_p"
-        side of two or more operands has no radii; its finish runs the
-        restarted ascent, whose lower estimate has no upper end, and adds
-        its `estimate_converged` flag to extras. A radius's operand is
-        checked here, so that a bad one fails its own trial and not a
+        max(1, ||T||), with that norm, finished as the ends of its certified
+        enclosure. The generalized radius of one operator is its numerical
+        radius for every p, so an "omega_p" side of one operand is that
+        radius too. A "norm" side has no radii and is the exact norm twice.
+        An "omega_p" side of two or more operands has no radii; its finish
+        runs the restarted ascent, whose lower estimate has no upper end,
+        and adds its `estimate_converged` flag to extras. A radius's operand
+        is checked here, so that a bad one fails its own trial and not a
         lockstep :func:`omega_many` batch.
         """
         target = self.operand(mats, params)
@@ -623,8 +625,9 @@ class BoundSpec:
             if len(target) > 1:
                 return Pending([], partial(_ascent_ends, target, params, settings))
             (target,) = target
-        tol = settings.omega_tol * max(1.0, spectral_norm(target))
-        return Pending([(as_matrix(target), tol)], _enclosure_ends)
+        target = as_matrix(target)
+        norm = spectral_norm(target)
+        return Pending([(target, settings.omega_tol * max(1.0, norm), norm)], _enclosure_ends)
 
 
 def _enclosure_ends(certs) -> tuple[float, float, dict]:
@@ -702,13 +705,11 @@ def _sum_norm(normal_mode, m, prm, s):
 
 
 def _th1(m, prm, s):
-    """th1's radii A_1, D_1, A_2, ..., at omega_tol relative to the largest
-    block operator's norm, and the finish that takes their certificates."""
-    p = float(prm.get("p", 1.0))
-    scale = max([1.0] + [spectral_norm(embed_block(*blk)) for blk in m["blocks"]])
-    ops, norms, p = _th1_inputs(m["blocks"], p)
-    tol = s.omega_tol * scale
-    return Pending([(op, tol) for op in ops], partial(_th1_value, norms, p))
+    """th1's radii A_1, D_1, A_2, ... with their norms, at omega_tol relative
+    to the largest block operator's norm, and the finish over their results."""
+    blocks, ops, norms, p = _th1_inputs(m["blocks"], float(prm.get("p", 1.0)))
+    tol = s.omega_tol * max([1.0] + [spectral_norm(blk.matrix()) for blk in blocks])
+    return Pending([(op, tol, spectral_norm(op)) for op in ops], partial(_th1_value, norms, p))
 
 
 def _sign(params: dict) -> float:

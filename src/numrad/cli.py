@@ -17,21 +17,16 @@ from pathlib import Path
 from .bounds import CONSTANT_MODES, EvalSettings, bound_spec
 from .ensembles import RngStream
 from .errors import (
-    ConvergenceError,
     DimensionMismatchError,
     DimensionTooLargeError,
     EmptyListError,
-    InvalidFunctionError,
     MatrixFileError,
-    NegativeSpectrumError,
     NotContractionError,
-    NotHermitianError,
     NotNormalError,
     NotSquareError,
     NumradError,
     OutOfRangeError,
     ShapeUnsupportedError,
-    ToleranceUnreachableError,
     UnknownBoundError,
 )
 from .harness import (
@@ -58,13 +53,6 @@ _PARAM_ERRORS = (
     DimensionTooLargeError,
     ValueError,
 )
-_NUMERIC_ERRORS = (
-    ToleranceUnreachableError,
-    ConvergenceError,
-    NegativeSpectrumError,
-    NotHermitianError,
-    InvalidFunctionError,
-)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -74,8 +62,6 @@ def _exit_code(exc: Exception) -> int:
         return 5
     if isinstance(exc, _PARAM_ERRORS):
         return 3
-    if isinstance(exc, _NUMERIC_ERRORS):
-        return 4
     return 4 if isinstance(exc, NumradError) else 3
 
 

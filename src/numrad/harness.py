@@ -15,13 +15,14 @@ draws (or checks) every trial's inputs and keeps two
 `numrad.bounds.Pending`s: the bound's value (an evaluator's outcome is a
 Pending of no radii, while `th1`'s names the block radii its value
 needs) and the contract side (`BoundSpec.contract_side`). Each is a list
-of (operator, tol) radii plus a finish over their certificates.
-`_measure_sides` certifies the radii of every pending of the share
+of (operator, tol, norm) radii plus a finish over their certificates; the
+norm is the operator's spectral norm, taken once where the radius is
+stated. `_measure_sides` certifies the radii of every pending of the share
 together, by one `numrad.radius.omega_many` per operand shape in calls of
-at most OMEGA_MANY_CAP operators, and then runs each trial's finishes,
-its value's first: the value's finish gives the outcome and the side's
-gives (lhs, upper end or None, extras). `_finish_trial` makes the record
-from these through `contract_verdict`. A trial that raises at any stage
+at most OMEGA_MANY_CAP operators that take those norms, and then runs each
+trial's finishes, its value's first: the value's finish gives the outcome
+and the side's gives (lhs, upper end or None, extras). `_finish_trial`
+makes the record from these through `contract_verdict`. A trial that raises at any stage
 becomes its own error record; the others go on. `_run_single`, behind
 `replay_trial` and the counterexample suite, is a share of one trial;
 `omega_many` results do not depend on their batch-mates, so a replay
@@ -324,26 +325,27 @@ def _evaluate(trial: _Trial, spec: BoundSpec, mats: dict, settings: EvalSettings
 def _measure_sides(trials: list) -> None:
     """Stage 2: certify the radii of every trial's value and contract side,
     then finish both, the value first, so that a failed value is its
-    trial's error and its side is never measured. The radii are certified
-    by one `omega_many` per operand shape, in calls of at most
-    OMEGA_MANY_CAP operators whose time is split by the angles each
-    operator evaluated (evenly when none were); a trial's finishes are its
-    own time."""
-    batches: dict = {}  # shape -> [(trial, radii, slot, operator, tol)]
+    trial's error and its side is never measured. The radii are certified,
+    with the norms their requests carry, by one `omega_many` per operand
+    shape, in calls of at most OMEGA_MANY_CAP operators whose time is split
+    by the angles each operator evaluated (evenly when none were); a
+    trial's finishes are its own time."""
+    batches: dict = {}  # shape -> [(trial, radii, slot, operator, tol, norm)]
     t = perf_counter()
     for trial in trials:
         for pending in trial.pendings:
-            for slot, (op, tol) in enumerate(pending.radii):
-                batches.setdefault(op.shape, []).append((trial, pending.radii, slot, op, tol))
+            for slot, req in enumerate(pending.radii):
+                batches.setdefault(req[0].shape, []).append((trial, pending.radii, slot, *req))
     for shape in sorted(batches):
         batch = batches.pop(shape)  # frees its operands once certified
         for start in range(0, len(batch), OMEGA_MANY_CAP):
             chunk = batch[start:start + OMEGA_MANY_CAP]
-            results = omega_many([op for *_, op, _ in chunk], [tol for *_, tol in chunk])
+            ops, tols, norms = zip(*(req[3:] for req in chunk))
+            results = omega_many(ops, tols, norms=norms)
             now = perf_counter()
             weights = [getattr(res, "evals", 0) for res in results]
             total = sum(weights)
-            for (trial, radii, slot, _, _), res, weight in zip(chunk, results, weights):
+            for (trial, radii, slot, *_), res, weight in zip(chunk, results, weights):
                 radii[slot] = res  # the certificate, or the error it raised
                 trial.wall += (now - t) * (weight / total if total else 1.0 / len(chunk))
             t = now

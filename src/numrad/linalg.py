@@ -135,6 +135,10 @@ class Block2x2:
                 f"{self.a.shape}, {self.b.shape}, {self.c.shape}, {self.d.shape}"
             )
 
+    def matrix(self) -> np.ndarray:
+        """The assembled [[A, B], [C, D]] of side m+n."""
+        return np.block([[self.a, self.b], [self.c, self.d]])
+
 
 def embed_offdiag(x, y) -> np.ndarray:
     """Assemble [[0, X], [Y, 0]] of side m+n."""
@@ -147,6 +151,5 @@ def embed_offdiag(x, y) -> np.ndarray:
 
 def embed_block(a, b, c, d) -> np.ndarray:
     """Assemble [[A, B], [C, D]] of side m+n."""
-    blk = Block2x2(a, b, c, d)
-    return np.block([[blk.a, blk.b], [blk.c, blk.d]])
+    return Block2x2(a, b, c, d).matrix()
 

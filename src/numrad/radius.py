@@ -288,7 +288,7 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
     return out
 
 
-def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
+def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> list:
     """:func:`omega` of operators of one side, certified in lockstep.
 
     tols[i] (None for the default) and the budget apply to mats[i] alone,
@@ -298,20 +298,25 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
     the NumradError :func:`omega` would raise, per operator; each equals
     :func:`omega` of that operator alone to the bit.
 
+    norms[i], when given, is ``spectral_norm(mats[i])`` as the caller took
+    it, and stands in for that SVD here; the results keep their bits.
+
     Raises:
         DimensionMismatchError: the square operators differ in side, or
-            tols has another length.
+            tols or norms has another length.
     """
     mats, tols = list(mats), list(tols)
-    if len(tols) != len(mats):
-        raise DimensionMismatchError(f"{len(mats)} operators but {len(tols)} tolerances")
+    norms = [None] * len(mats) if norms is None else list(norms)
+    if not len(tols) == len(norms) == len(mats):
+        raise DimensionMismatchError(f"{len(mats)} operators, {len(tols)} tolerances "
+                                     f"and {len(norms)} norms")
     out: list = [None] * len(mats)
     groups: dict = {}  # None or block shape -> (index, X or M, Y* or None, norm, tol)
     rescale: dict = {}  # index -> (e, tol) of an operator run as M 2^-e
     # operators of one call often share a nonzero pattern; each is 2-coloured once
     patterns: dict = {}
     side = None
-    for i, (m, tol) in enumerate(zip(mats, tols)):
+    for i, (m, tol, nrm) in enumerate(zip(mats, tols, norms)):
         m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
             out[i] = NotSquareError(f"omega requires a square matrix, got {m.shape}")
@@ -320,7 +325,7 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET) -> list:
         if m.shape[0] != side:
             raise DimensionMismatchError(f"operators must share one side, got "
                                          f"{side} and {m.shape[0]}")
-        nrm = spectral_norm(m)
+        nrm = spectral_norm(m) if nrm is None else nrm
         scale = max(1.0, nrm)
         tol = 1e-8 * scale if tol is None else float(tol)
         e = math.frexp(nrm)[1]
@@ -428,11 +433,6 @@ def _raise_lo(lo: np.ndarray, witness: np.ndarray, h_mid: np.ndarray, mids: np.n
     over one owner's flattened values lands, and lo moves only on a
     strict rise.
     """
-    if starts.size == 1:
-        track, col = divmod(int(h_mid.argmax()), h_mid.shape[1])
-        if h_mid[track, col] > lo[0]:
-            lo[0], witness[0] = h_mid[track, col], mids[col] + track * np.pi
-        return
     peak = np.maximum.reduceat(h_mid, starts, axis=1)
     track = (peak[1] > peak[0]).astype(int)
     runs = np.arange(starts.size)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import numrad
+import numrad.cli
 import numrad.harness
 from numrad.bounds import BOUND_IDS, bound_spec
 from numrad.cli import _load_config, build_parser, main
+from numrad.errors import InvalidFunctionError, ToleranceUnreachableError
 from numrad.matrixio import read_matrix, write_matrix
 
 
@@ -140,6 +142,34 @@ class TestOmegaCommand:
                               text=True, timeout=60)
         assert done.returncode == 3
         assert "tolerance" in done.stderr
+
+    @pytest.mark.parametrize("error", (ToleranceUnreachableError, InvalidFunctionError))
+    def test_numerical_failure_exit_4(self, tmp_path, capsys, monkeypatch, error):
+        path = write_mat(tmp_path, "n.json", [[0, 1], [0, 0]])
+
+        def failing(*args, **kwargs):
+            raise error("planted failure")
+
+        monkeypatch.setattr(numrad.cli, "omega", failing)
+        assert main(["omega", path]) == 4
+        assert "planted failure" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    """Importing numrad pins OpenBLAS to one thread unless the variable is set."""
+
+    @pytest.mark.parametrize("preset,expected", ((None, "1"), ("3", "3")))
+    def test_default_and_opt_out(self, preset, expected):
+        src = str(Path(numrad.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, numrad; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expected
 
 
 class TestOmegaPCommand:

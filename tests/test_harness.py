@@ -359,9 +359,10 @@ def first_trial(bound_id, **overrides):
 
 def patch_everywhere(monkeypatch, orig, calls, key):
     """Count calls of `orig` under every numrad module name bound to it, the
-    way the benchmark tracer and its omega_p capture patch the package."""
+    way the benchmark tracer and its omega_p capture patch the package.
+    Each call appends `key`, or `key(*args)` for a callable key."""
     def wrapper(*args, **kwargs):
-        calls.append(key)
+        calls.append(key(*args) if callable(key) else key)
         return orig(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -484,9 +485,47 @@ class TestSamplerInputs:
         evaluate_bound("main4.v1", mats, params)
         # per item: four contraction checks and two group norms in bound_main4;
         # main4_operands adds none. The contract side adds one scale norm per
-        # operand in omega_p, or at k = 1 the omega tolerance's scale norm and
-        # omega's own
-        assert len(calls) == 6 * k + (2 if k == 1 else k)
+        # operand in omega_p, or at k = 1 the omega tolerance's scale norm,
+        # which omega_many takes from the request instead of its own
+        assert len(calls) == 6 * k + (1 if k == 1 else k)
+
+
+def norm_calls_of(monkeypatch, bound_id, n_operators):
+    """The operand list of `bound_id`'s first trial at `n_operators`, its
+    block radii when it has some, and every matrix `spectral_norm` took
+    while `evaluate_bound` ran it."""
+    _, params, mats = first_trial(bound_id, n_operators_values=(n_operators,))
+    spec = bound_spec(bound_id)
+    coerced = spec.sampler.coerce(mats)
+    operands = spec.operand(coerced, params)
+    operands = operands if isinstance(operands, list) else [operands]
+    blocks = coerced.get("blocks", [])
+    seen = []
+    patch_everywhere(monkeypatch, numrad.linalg.spectral_norm, seen,
+                     lambda m: np.array(m, dtype=complex))
+    evaluate_bound(bound_id, mats, params)
+    return operands, [op for a, _, _, d in blocks for op in (a, d)], seen
+
+
+def times_taken(seen, m):
+    return sum(s.shape == m.shape and np.array_equal(s, m) for s in seen)
+
+
+class TestNormsTakenOnce:
+    """A radius request carries the norm its stater took, so stage 2 takes
+    no second norm of its operator."""
+
+    @pytest.mark.parametrize("bound_id", [bid for bid in BOUND_IDS
+                                          if bound_spec(bid).measure == "omega"]
+                             + ["main4.v1", "main4.v2"])
+    def test_omega_side_norm_once(self, monkeypatch, bound_id):
+        (operand,), _, seen = norm_calls_of(monkeypatch, bound_id, 1)
+        assert times_taken(seen, operand) == 1
+
+    def test_th1_block_radii_norm_once(self, monkeypatch):
+        _, radii, seen = norm_calls_of(monkeypatch, "th1", 2)
+        assert len(radii) == 4
+        assert [times_taken(seen, op) for op in radii] == [1] * 4
 
 
 class TestOneOperatorContract:
@@ -591,7 +630,7 @@ class TestStagedShare:
         cfg = self.cfg(omega_tol=1e-10, extra_trials=(disk, bad_r))
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
-                            lambda mats, tols: lockstep(mats, tols, max_evals=self.BUDGET))
+                            lambda mats, tols, norms: lockstep(mats, tols, self.BUDGET, norms))
         report = run_campaign(cfg)
         *grid, failed, rejected = report.records
         assert failed.error.startswith(f"ToleranceUnreachableError: angle budget {self.BUDGET} ")
@@ -636,7 +675,7 @@ class TestStagedShare:
         # th1's block radii are certified in the measuring stage
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
-                            lambda mats, tols: lockstep(mats, tols, max_evals=64))
+                            lambda mats, tols, norms: lockstep(mats, tols, 64, norms))
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
         assert record.error.startswith("ToleranceUnreachableError: angle budget 64")
@@ -646,7 +685,7 @@ class TestStagedShare:
         # block radius fails costs no omega_p ascent
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
-                            lambda mats, tols: lockstep(mats, tols, max_evals=64))
+                            lambda mats, tols, norms: lockstep(mats, tols, 64, norms))
         calls = []
         patch_everywhere(monkeypatch, numrad.radius.omega_p, calls, "omega_p")
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
@@ -683,7 +722,7 @@ class TestStagedShare:
         cfg = self.cfg(omega_tol=1e-10, extra_trials=(hard,))
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
-                            lambda mats, tols: lockstep(mats, tols, max_evals=self.BUDGET))
+                            lambda mats, tols, norms: lockstep(mats, tols, self.BUDGET, norms))
         report = run_campaign(cfg)
         *grid, failed = report.records
         tol = 1e-10 * max(spectral_norm(embed_block(*blk)) for blk in blocks)
@@ -705,9 +744,9 @@ class TestStagedShare:
         # depend on the cap
         lockstep, sizes = numrad.radius.omega_many, []
 
-        def counting(mats, tols):
+        def counting(mats, tols, norms):
             sizes.append(len(mats))
-            return lockstep(mats, tols)
+            return lockstep(mats, tols, norms=norms)
 
         cfg = self.cfg(dims=((1, 1),), trials=4, n_operators_values=(4,))
         monkeypatch.setattr(numrad.harness, "omega_many", counting)

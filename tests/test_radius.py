@@ -789,6 +789,28 @@ class TestOmegaMany:
             assert [omega(m, tol) for m, tol in zip(ms, tols[side])] == alone[side]
             assert omega_many(ms, tols[side]) == alone[side]
 
+    def test_given_norms_keep_every_bit(self, monkeypatch):
+        # a caller's norms stand in for omega_many's own, which it then
+        # never takes; the results equal those without them to the bit
+        g = np.random.default_rng(65)
+        mats = {side: [rand_complex(g, side), rand_complex(g, side)] for side in (2, 4, 8, 16, 32)}
+        mats[8] += [np.eye(8, k=1, dtype=complex), embed_offdiag(rand_complex(g, 5, 3),
+                                                                  rand_complex(g, 3, 5)),
+                    np.zeros((8, 8), dtype=complex)]
+        mats[4] += [rand_complex(g, 4) * 1e-200, rand_complex(g, 4) * 1e200,
+                    embed_offdiag(rand_complex(g, 2), rand_complex(g, 2)) * 1e-200]
+        for side, ms in mats.items():
+            tols = [[1e-8, None, 1e-6][i % 3] for i in range(len(ms))]
+            tols = [t if t is None else t * max(1.0, spectral_norm(m)) for t, m in zip(tols, ms)]
+            norms = [spectral_norm(m) for m in ms]
+            want = omega_many(ms, tols)
+            with monkeypatch.context() as patch:
+                patch.setattr(numrad.radius, "spectral_norm", None)
+                assert omega_many(ms, tols, norms=norms) == want
+                assert omega_many(ms[::-1], tols[::-1], norms=norms[::-1]) == want[::-1]
+        assert all(isinstance(c, CertifiedRadius) for ms in mats.values()
+                   for c in omega_many(ms, [None] * len(ms)))
+
     def test_rejects_mixed_sides_and_tolerance_count(self):
         assert isinstance(omega_many([np.ones((2, 3))], [None])[0], NotSquareError)
         with pytest.raises(DimensionMismatchError, match="share one side"):
@@ -802,3 +824,5 @@ class TestOmegaMany:
                 omega_many(mats, tols)
         with pytest.raises(DimensionMismatchError, match="tolerances"):
             omega_many([np.eye(2)], [])
+        with pytest.raises(DimensionMismatchError, match="0 norms"):
+            omega_many([np.eye(2)], [None], norms=[])
