@@ -12,9 +12,10 @@ majorant is the highest such sinusoid that stays below h at both ends
 
 Since Re(e^{i(theta + pi)} M) = -Re(e^{i theta} M), one eigensolve gives h
 at two antipodal angles: h(theta + pi) = -lambda_min(Re(e^{i theta} M)).
-The cells therefore cover [0, pi) and carry two value tracks, theta and
-theta + pi; a cell's majorant is the larger of the two tracks'. The
-evaluation budget counts angles, two per eigensolve.
+The cells therefore cover [0, pi), starting as 8 cells pi/8 wide, and
+carry two value tracks, theta and theta + pi; a cell's majorant is the
+larger of the two tracks'. The evaluation budget counts angles, two per
+eigensolve, so the initial grid costs 16.
 
 An operator whose graph of nonzero entries is bipartite (`_bipartition`),
 such as [[0, X], [Y, 0]] or a shift, takes a cheaper kernel: Re(e^{i theta}
@@ -38,7 +39,8 @@ characterization of the radius): for Hermitian X, H = [[X, -M], [-M*,
 lambda_min(H). X comes from a few doubling steps, and the bound allows for
 the backward error of the eigensolve of H and the rounding of its diagonal.
 An operator tries it at l = lo + tol/4 in every round that splits at least
-64 of its cells; no default-campaign operator splits more than 16.
+16 of its cells; over both default seeds, the default campaign never tries
+it.
 
 The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants, or the
@@ -89,8 +91,9 @@ from .linalg import as_matrix, embed_offdiag, hermitian_part, spectral_norm
 # Default cap on angles evaluated certifying one radius (two per eigensolve).
 DEFAULT_EVAL_BUDGET = 2_000_000
 # Grid angles on the full circle: half as many cells on [0, pi), two tracks.
-# Cells start pi/32 wide, inside the w < pi/2 that `_cell_majorant` needs.
-_INITIAL_CELLS = 64
+# Cells start pi/8 wide, inside the w < pi/2 that `_cell_majorant` and its
+# bipartite cap need.
+_INITIAL_CELLS = 16
 _MAX_SPLITS_PER_ROUND = 8192
 # Angles per batched solve; bounds the (chunk, n, n) stack and its
 # temporaries, which also stay within 2^12 matrix (or block) entries.
@@ -100,8 +103,9 @@ _EIG_CHUNK_ENTRIES = 2 ** 12
 _GRID = np.linspace(0.0, np.pi, _INITIAL_CELLS // 2, endpoint=False)
 _GRID_RIGHTS = np.append(_GRID[1:], np.pi)
 # An operator tries the `_ando_bound` certificate in every round that splits
-# at least this many of its cells.
-_CERTIFY_SPLITS = 64
+# at least this many of its cells: a disk, whose first round splits all 8
+# initial cells, tries it in its second.
+_CERTIFY_SPLITS = 16
 # An operator of norm outside [2^-401, 2^400] runs scaled to norm about 1,
 # so that the squares of the majorants and the certificate stay in range.
 _SAFE_EXPONENT = 400
@@ -139,15 +143,16 @@ class CertifiedRadius:
 
 def _rotated_tops(kernels: list, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """h(theta) and h(theta + pi) of operator owner[j] at angle thetas[j],
-    shape (2, c). `kernels` holds (first, ms, adjs) stacks of the
+    shape (2, c). `kernels` holds (first, ms, adjs, svd) stacks of the
     operators first, first + 1, ...; `owner` is nondecreasing.
 
-    Where adjs is None, ms is a (b, n, n) stack and both come from one
-    eigensolve of Re(e^{i theta} M) per angle: its lambda_max is h(theta)
-    and minus its lambda_min is h(theta + pi). Otherwise ms and adjs are
-    the (b, |A|, |B|) blocks X and Y* of bipartite operators
-    (`_bipartition`), and both are sigma_max(e^{i theta} X + e^{-i theta}
-    Y*) / 2, from one SVD per angle (|k| / 2 for cheaper 1x1 blocks).
+    Where svd is False, ms is a (b, n, n) stack, adjs its adjoints, and
+    both come from one eigensolve of Re(e^{i theta} M) per angle: its
+    lambda_max is h(theta) and minus its lambda_min is h(theta + pi).
+    Otherwise ms and adjs are the (b, |A|, |B|) blocks X and Y* of
+    bipartite operators (`_bipartition`), and both are sigma_max(e^{i
+    theta} X + e^{-i theta} Y*) / 2, from one SVD per angle (|k| / 2 for
+    cheaper 1x1 blocks).
     Angles are solved in chunks of at most _EIG_CHUNK angles and
     _EIG_CHUNK_ENTRIES matrix (or block) entries, one angle at least,
     however many operators the kernels hold. A chunk of one owner
@@ -156,13 +161,10 @@ def _rotated_tops(kernels: list, thetas: np.ndarray, owner: np.ndarray) -> np.nd
     angle's bits do not depend on its chunk-mates.
     """
     out = np.empty((2, thetas.shape[0]))
-    for first, ms, adjs in kernels:
+    for first, ms, adjs, svd in kernels:
         lo, hi = np.searchsorted(owner, [first, first + ms.shape[0]])
         if lo == hi:
             continue
-        svd = adjs is not None
-        if not svd:
-            adjs = np.conj(ms).transpose(0, 2, 1).copy()
         step = min(_EIG_CHUNK, max(1, _EIG_CHUNK_ENTRIES // ms[0].size))
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
@@ -311,7 +313,7 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> 
         raise DimensionMismatchError(f"{len(mats)} operators, {len(tols)} tolerances "
                                      f"and {len(norms)} norms")
     out: list = [None] * len(mats)
-    groups: dict = {}  # None or block shape -> (index, X or M, Y* or None, norm, tol)
+    groups: dict = {}  # None or block shape -> (index, X or M, Y* or M*, norm, tol)
     rescale: dict = {}  # index -> (e, tol) of an operator run as M 2^-e
     # operators of one call often share a nonzero pattern; each is 2-coloured once
     patterns: dict = {}
@@ -351,7 +353,7 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> 
                 patterns[key] = _bipartition(nz)
             parts = patterns[key]
             if parts is None:
-                groups.setdefault(None, []).append((i, m, None, nrm, tol))
+                groups.setdefault(None, []).append((i, m, np.conj(m).T, nrm, tol))
             else:
                 a, b = parts
                 groups.setdefault((a.size, b.size), []).append(
@@ -360,11 +362,11 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> 
         kernels, live, amps = [], [], []
         for key, group in groups.items():
             _, xs, ys, _, _ = zip(*group)
-            xs, ys = np.stack(xs), None if key is None else np.stack(ys)
+            xs, ys = np.stack(xs), np.stack(ys)
             # the `_cell_majorant` caps ||X||_F ||Y*||_F, none for an eigensolve
-            amps.append(np.full(len(group), np.inf) if ys is None else
+            amps.append(np.full(len(group), np.inf) if key is None else
                         np.linalg.norm(xs, axis=(1, 2)) * np.linalg.norm(ys, axis=(1, 2)))
-            kernels.append((len(live), xs, ys))
+            kernels.append((len(live), xs, ys, key is not None))
             live += group
         index, _, _, norms, widths = zip(*live)
         done = _branch_and_bound(kernels, np.array(norms), np.concatenate(amps),
@@ -418,9 +420,9 @@ def _operator(kernels: list, k: int) -> np.ndarray:
     a matrix: M, or [[0, X], [Y, 0]] for a bipartite one, which is M
     permuted and stripped of zero rows and columns, so it has M's
     numerical radius and norm."""
-    first, ms, adjs = next(kern for kern in kernels if kern[0] <= k < kern[0] + kern[1].shape[0])
-    return ms[k - first] if adjs is None else \
-        embed_offdiag(ms[k - first], np.conj(adjs[k - first]).T)
+    first, ms, adjs, svd = next(kern for kern in kernels
+                                if kern[0] <= k < kern[0] + kern[1].shape[0])
+    return embed_offdiag(ms[k - first], np.conj(adjs[k - first]).T) if svd else ms[k - first]
 
 
 def _raise_lo(lo: np.ndarray, witness: np.ndarray, h_mid: np.ndarray, mids: np.ndarray,

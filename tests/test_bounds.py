@@ -554,10 +554,10 @@ class TestTh1:
         assert out.value == 2.0 ** (-p) * total
 
     def test_first_failing_block_radius_is_raised(self, monkeypatch):
-        # with 64 angles only the initial grid fits: a zero A_1 certifies,
+        # with 16 angles only the initial grid fits: a zero A_1 certifies,
         # so D_1 is the first radius to run out of budget
         def short(mats, tols):
-            return omega_many(mats, tols, max_evals=64)
+            return omega_many(mats, tols, max_evals=16)
 
         monkeypatch.setattr(numrad.bounds, "omega_many", short)
         g = np.random.default_rng(23)
@@ -567,5 +567,5 @@ class TestTh1:
         with pytest.raises(ToleranceUnreachableError) as info:
             bound_th1(blocks, 1.0, 1e-8)
         with pytest.raises(ToleranceUnreachableError) as first:
-            omega(d1, 1e-8, max_evals=64)
+            omega(d1, 1e-8, max_evals=16)
         assert str(info.value) == str(first.value)

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -85,8 +86,8 @@ class TestOmegaCommand:
         assert prefix == "omega"
         assert float(kv["lo"]) == pytest.approx(0.5, abs=1e-8)
         assert float(kv["hi"]) == pytest.approx(0.5, abs=1e-8)
-        # 64 grid angles at least, two per eigensolve
-        assert int(kv["evals"]) >= 64 and int(kv["evals"]) % 2 == 0
+        # 16 grid angles at least, two per eigensolve
+        assert int(kv["evals"]) >= 16 and int(kv["evals"]) % 2 == 0
 
     def test_zero_matrix(self, tmp_path, capsys):
         path = write_mat(tmp_path, "z.json", np.zeros((2, 2)))
@@ -96,7 +97,8 @@ class TestOmegaCommand:
         assert kv["evals"] == "0" and kv["rounds"] == "0"
 
     def test_prints_rounds(self, tmp_path, capsys):
-        # the 3x3 shift takes 9 splitting rounds at tol 1e-8
+        # the 3x3 shift takes one splitting round at tol 1e-8, then the
+        # certificate closes it
         m = np.eye(3, k=1).tolist()
         path = write_mat(tmp_path, "n.json", m)
         assert main(["omega", path, "--tol", "1e-8"]) == 0
@@ -170,6 +172,31 @@ class TestBlasThreads:
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == expected
+
+    def test_suite_process_is_pinned(self):
+        # tests/conftest.py sets the variable before numpy loads, so every
+        # OpenBLAS in this process, numpy's and scipy's, runs one thread
+        if os.environ["OPENBLAS_NUM_THREADS"] != "1":
+            pytest.skip("OPENBLAS_NUM_THREADS was set before the suite ran")
+        import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+        try:
+            with open("/proc/self/maps") as maps:
+                paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+        except OSError:
+            pytest.skip("no /proc/self/maps to find the loaded OpenBLAS in")
+        threads = {}
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+                get = getattr(lib, name, None)
+                if get is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    threads[path] = get()
+                    break
+        if not threads:
+            pytest.skip("numpy and scipy are not linked against OpenBLAS")
+        assert set(threads.values()) == {1}, threads
 
 
 class TestOmegaPCommand:

@@ -592,10 +592,10 @@ class TestStagedShare:
     # N^2 = 0 and N is not bipartite (nonzero diagonal): its field of values
     # is the disk of radius 1/2, and omega certifies it by eigensolves
     NILPOTENT = np.array([[1.0, -1.0], [1.0, -1.0]]) / 2
-    # At omega_tol 1e-10 the radii and sides of the `cfg` grid need at most
-    # 116 angles. A disk's first round splits all 32 initial cells, 128
-    # angles with the grid's 64, before the certificate can close it.
-    BUDGET = 126
+    # At omega_tol 1e-3 the radii and sides of the `cfg` grid need at most
+    # 24 angles. A disk's first round splits all 8 initial cells, 32 angles
+    # with the grid's 16, before the certificate can close it.
+    BUDGET = 30
 
     def cfg(self, **overrides):
         kw = dict(bound_ids=self.IDS, dims=((1, 1), (2, 3), (8, 8)), trials=1,
@@ -622,12 +622,12 @@ class TestStagedShare:
         # nilpotent, has a disk as its field of values and a nonzero diagonal
         # (so the eigensolve kernel); it shares its side-2 lockstep call with
         # the grid's (1, 1) trials but needs more than BUDGET angles at
-        # omega_tol 1e-10; the r = 0.5 one fails while its bound is evaluated
+        # omega_tol 1e-3; the r = 0.5 one fails while its bound is evaluated
         disk = ("product_xy", {"m": 2, "n": 2, "r": 1.0, "alpha": 0.5},
                 {"x": self.NILPOTENT.tolist(), "y": np.eye(2).tolist()})
         bad_r = ("main1.v1", {"m": 1, "n": 1, "r": 0.5, "alpha": 0.5},
                  {"x": [[1.0]], "y": [[1.0]]})
-        cfg = self.cfg(omega_tol=1e-10, extra_trials=(disk, bad_r))
+        cfg = self.cfg(omega_tol=1e-3, extra_trials=(disk, bad_r))
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
                             lambda mats, tols, norms: lockstep(mats, tols, self.BUDGET, norms))
@@ -675,22 +675,22 @@ class TestStagedShare:
         # th1's block radii are certified in the measuring stage
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
-                            lambda mats, tols, norms: lockstep(mats, tols, 64, norms))
+                            lambda mats, tols, norms: lockstep(mats, tols, 16, norms))
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
-        assert record.error.startswith("ToleranceUnreachableError: angle budget 64")
+        assert record.error.startswith("ToleranceUnreachableError: angle budget 16")
 
     def test_failed_value_leaves_its_side_unmeasured(self, monkeypatch):
         # the value's finish runs before the side's, so a th1 value whose
         # block radius fails costs no omega_p ascent
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
-                            lambda mats, tols, norms: lockstep(mats, tols, 64, norms))
+                            lambda mats, tols, norms: lockstep(mats, tols, 16, norms))
         calls = []
         patch_everywhere(monkeypatch, numrad.radius.omega_p, calls, "omega_p")
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
-        assert record.error.startswith("ToleranceUnreachableError: angle budget 64")
+        assert record.error.startswith("ToleranceUnreachableError: angle budget 16")
         assert calls == []
 
     def test_th1_records_equal_bound_th1(self):
@@ -713,19 +713,19 @@ class TestStagedShare:
 
     def test_failing_block_radius_is_its_own_record(self, monkeypatch):
         # an extra th1 trial whose D_1 and A_2, rotated nilpotents, need more
-        # than BUDGET angles at omega_tol 1e-10 shares its lockstep calls
+        # than BUDGET angles at omega_tol 1e-3 shares its lockstep calls
         # with the grid's radii and sides; A_1 = 0 certifies at once, so the
         # record's error is D_1's, and the grid's records equal a clean run's
         zero, eye, shift = np.zeros((2, 2)), np.eye(2), self.NILPOTENT
         blocks = [(zero, eye, eye, shift), (3.0 * shift, eye, eye, zero)]
         hard = ("th1", {"m": 2, "n": 2, "p": 2.0}, {"blocks": blocks})
-        cfg = self.cfg(omega_tol=1e-10, extra_trials=(hard,))
+        cfg = self.cfg(omega_tol=1e-3, extra_trials=(hard,))
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
                             lambda mats, tols, norms: lockstep(mats, tols, self.BUDGET, norms))
         report = run_campaign(cfg)
         *grid, failed = report.records
-        tol = 1e-10 * max(spectral_norm(embed_block(*blk)) for blk in blocks)
+        tol = 1e-3 * max(spectral_norm(embed_block(*blk)) for blk in blocks)
         errors = []
         for radius in (shift, 3.0 * shift):
             with pytest.raises(ToleranceUnreachableError) as info:

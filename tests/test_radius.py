@@ -33,6 +33,11 @@ def h_direct(m, thetas):
     return np.linalg.eigvalsh(0.5 * (phase * m + np.conj(phase) * adjoint(m)))[:, -1]
 
 
+def eig_kernel(stack):
+    """A general `_rotated_tops` kernel of a (b, n, n) stack, first index 0."""
+    return 0, stack, np.conj(stack).transpose(0, 2, 1).copy(), False
+
+
 def rounding_slack(m):
     return 32 * m.shape[0] * U * max(1.0, spectral_norm(m))
 
@@ -146,7 +151,7 @@ class TestOmega:
         g = np.random.default_rng(8)
         m = rand_complex(g, 4)
         with pytest.raises(ToleranceUnreachableError):
-            omega(m, tol=1e-11, max_evals=80)
+            omega(m, tol=1e-11, max_evals=32)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_tolerance(self, tol):
@@ -173,7 +178,7 @@ class TestTwoTracks:
         m = two_track_cases()[kind]
         thetas = np.concatenate([np.linspace(0.0, np.pi, 97, endpoint=False),
                                  [np.nextafter(np.pi, 0.0)]])
-        tops = _rotated_tops([(0, m[None], None)], thetas, np.zeros(thetas.size, int))
+        tops = _rotated_tops([eig_kernel(m[None])], thetas, np.zeros(thetas.size, int))
         assert tops.shape == (2, thetas.size)
         slack = rounding_slack(m)
         np.testing.assert_allclose(tops[0], h_direct(m, thetas), rtol=0, atol=slack)
@@ -182,7 +187,7 @@ class TestTwoTracks:
         other = np.eye(m.shape[0], dtype=complex)
         stack = np.stack([other, m])
         owner = np.repeat([0, 1], [3, thetas.size])
-        both = _rotated_tops([(0, stack, None)], np.concatenate([thetas[:3], thetas]), owner)
+        both = _rotated_tops([eig_kernel(stack)], np.concatenate([thetas[:3], thetas]), owner)
         np.testing.assert_array_equal(both[:, 3:], tops)
 
     def test_second_track_witness(self):
@@ -212,19 +217,19 @@ class TestTwoTracks:
         cert = omega(m, tol=1e-8)
         assert cert.hi - cert.lo <= 1e-8
         assert cert.lo - slack <= 0.5 <= cert.hi + slack
-        assert solved[0] == 33 and cert.rounds == 0
+        assert solved[0] == 9 and cert.rounds == 0
         # every solve but the norm's evaluates two angles; this operand is
         # bipartite, so they are SVDs of its 4x4 block
         assert cert.evals == 2 * (solved[0] - 1)
 
     def test_budget_counts_angles(self):
-        # the side-8 shift at tol 1e-6 splits all 32 initial cells in its
-        # first round, 32 solves and 64 angles past the grid's 64; its
-        # second round splits 64 and tries the certificate, which closes it
+        # the side-8 shift at tol 1e-6 splits all 8 initial cells in its
+        # first round, 8 solves and 16 angles past the grid's 16; its
+        # second round splits 16 and tries the certificate, which closes it
         shift = np.eye(8, k=1, dtype=complex)
-        assert omega(shift, tol=1e-6, max_evals=128).hi - np.cos(np.pi / 9) <= 1e-6
+        assert omega(shift, tol=1e-6, max_evals=32).hi - np.cos(np.pi / 9) <= 1e-6
         with pytest.raises(ToleranceUnreachableError):
-            omega(shift, tol=1e-6, max_evals=126)
+            omega(shift, tol=1e-6, max_evals=30)
 
     @pytest.mark.parametrize("kind,side", [("offdiag", 2), ("offdiag", 4),
                                            ("near_disk", 3), ("near_disk", 5)])
@@ -280,8 +285,8 @@ def bipartite_cases(seed):
 def svd_tracks(m, thetas):
     """`_rotated_tops` through the bipartite kernel, from M's blocks."""
     a, b = _bipartition(m != 0)
-    return _rotated_tops([(0, m[np.ix_(a, b)][None], np.conj(m[np.ix_(b, a)]).T[None])], thetas,
-                         np.zeros(thetas.size, int))
+    return _rotated_tops([(0, m[np.ix_(a, b)][None], np.conj(m[np.ix_(b, a)]).T[None], True)],
+                         thetas, np.zeros(thetas.size, int))
 
 
 class TestBipartiteKernel:
@@ -296,7 +301,7 @@ class TestBipartiteKernel:
         assert np.union1d(a, b).size == m.shape[0]
         thetas = np.linspace(0.0, np.pi, 97, endpoint=False)
         slack = 32 * m.shape[0] * U * spectral_norm(m)
-        general = _rotated_tops([(0, m[None], None)], thetas, np.zeros(thetas.size, int))
+        general = _rotated_tops([eig_kernel(m[None])], thetas, np.zeros(thetas.size, int))
         np.testing.assert_allclose(svd_tracks(m, thetas), general, rtol=0, atol=slack)
 
     def test_not_bipartite(self):
@@ -414,7 +419,7 @@ class TestCappedMajorant:
         slack = rounding_slack(m)
         assert cert.lo - slack <= spectral_norm(x) / 2 <= cert.hi + slack
         assert cert.hi - cert.lo <= 1e-12 * max(1.0, nrm)
-        assert (cert.evals, cert.rounds) == (64, 0)
+        assert (cert.evals, cert.rounds) == (16, 0)
 
     @pytest.mark.parametrize("x,y", [(1.0, 2.0), (3j, -1.0), (0.5, 0.5), (1e-3, 1e3),
                                      (1 + 1j, 2 - 0.5j), (0.0, 2.5)])
@@ -485,7 +490,7 @@ class TestExtremeNorms:
 
     def test_budget_error_names_the_scale(self):
         with pytest.raises(ToleranceUnreachableError, match=r"exhausted at width .*2\^-601"):
-            omega(2.0 ** 600 * np.eye(8, k=1, dtype=complex), 1e-12 * 2.0 ** 600, max_evals=100)
+            omega(2.0 ** 600 * np.eye(8, k=1, dtype=complex), 1e-12 * 2.0 ** 600, max_evals=30)
 
     def test_inexact_scaling_is_refused(self):
         # 5e-324 2^-601 is 0, so M cannot run at norm about 1
@@ -511,8 +516,8 @@ class TestAndoCertificate:
         cert = omega(m, tol)
         assert radius <= cert.hi and cert.lo <= radius + rounding_slack(m)
         assert cert.hi - cert.lo <= tol
-        # the first round splits all 32 cells and the second tries the certificate
-        assert (cert.rounds, cert.evals) == (1, 128)
+        # the first round splits all 8 cells and the second tries the certificate
+        assert (cert.rounds, cert.evals) == (1, 32)
 
     @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (4, 4), (8, 8), (16, 16)])
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
@@ -567,17 +572,37 @@ class TestAndoCertificate:
         assert all(radius <= b < np.inf for b in bounds)
 
     def test_ginibre_calls_do_not_try_it(self, monkeypatch):
-        # no round of these splits 64 cells, so the certificate is never tried
+        # no round of these splits 16 cells, so the certificate is never tried
         tried = []
         monkeypatch.setattr(numrad.radius, "_ando_bound", lambda *a: tried.append(a) or np.inf)
         g = np.random.default_rng(64)
         for side in (2, 8, 16):
             omega_many([rand_complex(g, side) for _ in range(4)], [1e-10] * 4)
         assert not tried
-        # where it always fails, the side-8 shift at 1e-6 splits 64, 128,
-        # ..., 1024 cells in its rounds 1-5 and tries once in each
+        # where it always fails, the side-8 shift at 1e-6 splits 16, 32,
+        # ..., 1024 cells in its rounds 1-7 and tries once in each
         omega(np.eye(8, k=1, dtype=complex), 1e-6)
-        assert len(tried) == 5
+        assert len(tried) == 7
+
+    @pytest.mark.parametrize("side", [2, 3, 5, 8, 16, 32])
+    @pytest.mark.parametrize("kind", ["ginibre", "shift", "jordan", "offdiag"])
+    def test_upper_end_checks_out(self, kind, side):
+        # two checks of hi apart from the cells that gave it: a certificate
+        # at a level above the radius comes back below hi + tol, and no angle
+        # of a dense grid rises above hi past the rounding allowance
+        g = np.random.default_rng(70 + side)
+        a = side // 2
+        m = {"ginibre": rand_complex(g, side), "shift": np.eye(side, k=1, dtype=complex),
+             "jordan": (0.3 + 0.4j) * np.eye(side) + np.eye(side, k=1),
+             "offdiag": embed_offdiag(rand_complex(g, a, side - a),
+                                      rand_complex(g, side - a, a))}[kind]
+        nrm = spectral_norm(m)
+        top = h_direct(m, np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)).max()
+        for tol in (1e-6, 1e-8, 1e-10):
+            tol *= max(1.0, nrm)
+            hi = omega(m, tol).hi
+            assert _ando_bound(m, hi + 0.25 * tol) <= hi + tol
+            assert hi >= top - 32 * side * U * nrm
 
     def test_subnormal_entry_bounds_the_radius(self):
         # the blocks of H are m itself, so no entry is rounded in forming it
@@ -733,9 +758,9 @@ class TestOmegaMany:
 
     def test_failure_stays_with_its_operator(self):
         mats = omega_cases(8)
-        shift = 2  # needs 128 angles: its first round splits all 32 cells
-        budget = 126  # the others need at most 80 at tol 1e-6
-        tols = [1e-8 if i == shift else 1e-6 for i in range(len(mats))]
+        shift = 2  # needs 32 angles: its first round splits all 8 cells
+        budget = 30  # the others need at most 24 at tol 1e-3
+        tols = [1e-8 if i == shift else 1e-3 for i in range(len(mats))]
         got = omega_many(mats + [np.ones((8, 8)), np.eye(8)], tols + [1e-14, float("inf")],
                          max_evals=budget)
         assert isinstance(got[shift], ToleranceUnreachableError)
