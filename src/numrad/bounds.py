@@ -483,15 +483,13 @@ def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
 
     value = 2**(-p) sum_i (w(A_i) + w(D_i)
     + sqrt((w(A_i) - w(D_i))**2 + (||B_i|| + ||C_i||)**2))**p, with the
-    certified radii taken at their upper endpoints. The A_i are certified
-    together by one :func:`omega_many`, and so are the D_i; the first
-    failure, in the order A_1, D_1, A_2, ..., is raised. A campaign
-    certifies these radii in its measuring stage instead and finishes the
-    value the same way.
+    certified radii taken at their upper endpoints. A_1, D_1, A_2, ...
+    are certified together by one :func:`omega_many`, and the first
+    failure in that order is raised. A campaign certifies these radii in
+    its measuring stage instead and finishes the value the same way.
     """
     _, ops, norms, p = _th1_inputs(blocks, p)
-    a_certs, d_certs = (omega_many(ops[i::2], [omega_tol] * len(norms)) for i in (0, 1))
-    return _th1_value(norms, p, [cert for pair in zip(a_certs, d_certs) for cert in pair])
+    return _th1_value(norms, p, omega_many(ops, [omega_tol] * len(ops)))
 
 
 # -- the bound table ---------------------------------------------------------

@@ -10,30 +10,32 @@ measure. Every evaluation takes its settings from one
 `numrad.bounds.EvalSettings`, and every contract check, in campaigns, the
 counterexample suite and `numrad bound`, goes through `contract_verdict`.
 
-Each process runs its share of the plan in three stages. `_start_trial`
-draws (or checks) every trial's inputs and keeps two
-`numrad.bounds.Pending`s: the bound's value (an evaluator's outcome is a
-Pending of no radii, while `th1`'s names the block radii its value
-needs) and the contract side (`BoundSpec.contract_side`). Each is a list
-of (operator, tol, norm) radii plus a finish over their certificates; the
-norm is the operator's spectral norm, taken once where the radius is
-stated. `_measure_sides` certifies the radii of every pending of the share
-together, by one `numrad.radius.omega_many` per operand shape in calls of
-at most OMEGA_MANY_CAP operators that take those norms, and then runs each
-trial's finishes, its value's first: the value's finish gives the outcome
-and the side's gives (lhs, upper end or None, extras). `_finish_trial`
-makes the record from these through `contract_verdict`. A trial that raises at any stage
-becomes its own error record; the others go on. `_run_single`, behind
-`replay_trial` and the counterexample suite, is a share of one trial;
-`omega_many` results do not depend on their batch-mates, so a replay
-gives back the campaign record. `evaluate_bound`, behind `numrad bound`,
-runs stage 1's evaluation with its caller's settings and `_measure_sides`
-on one trial of given inputs, and raises that trial's error; so one path
-measures every contract side and certifies every radius. A record's
-`wall_time` is its own time in the first and last stages plus its own
-finishes, and its share of each `omega_many` call it took part in split
-by the angles each operator evaluated, so the records of a share add up
-to the share's time.
+Each process runs its share of the plan in blocks of BLOCK_TRIALS
+consecutive trials, and each block in three stages, so a process holds
+one block's trials at a time. `_start_trial` draws (or checks) every
+trial's inputs and keeps two `numrad.bounds.Pending`s: the bound's value
+(an evaluator's outcome is a Pending of no radii, while `th1`'s names the
+block radii its value needs) and the contract side
+(`BoundSpec.contract_side`). Each is a list of (operator, tol, norm) radii
+plus a finish over their certificates; the norm is the operator's
+spectral norm, taken once where the radius is stated. `_measure_sides`
+certifies the radii of every pending of the block together, by one
+`numrad.radius.omega_many` call over operators of every side that takes
+those norms, and then runs each trial's finishes, its value's first: the
+value's finish gives the outcome and the side's gives (lhs, upper end or
+None, extras). `_finish_trial` makes the record from these through
+`contract_verdict`. A trial that raises at any stage becomes its own
+error record; the others go on. `_run_single`, behind `replay_trial` and
+the counterexample suite, is a share of one trial; `omega_many` results
+do not depend on their batch-mates, so a replay gives back the campaign
+record. `evaluate_bound`, behind `numrad bound`, runs stage 1's
+evaluation with its caller's settings and `_measure_sides` on one trial
+of given inputs, and raises that trial's error; so one path measures
+every contract side and certifies every radius. A record's `wall_time`
+is its own time in the first and last stages plus its own finishes, and
+its share of its block's `omega_many` call split by the angles each
+operator evaluated, so the records of a share add up to the share's
+time.
 
 Everything is deterministic in the master seed: each trial derives its own
 stream from its plan index, so trials can run in any order and in any
@@ -185,10 +187,11 @@ class TrialRecord:
     violation: bool
     seed_path: str
     error: str | None = None
-    # In-memory only; reports must be byte-identical. A batched omega_many
-    # call's time is split by angles, and a bipartite operand's angle (an SVD
-    # of its off-diagonal block) is cheaper than an eigensolve, so a call that
-    # mixes the kernels overcharges bipartite operands.
+    # In-memory only; reports must be byte-identical. A block's omega_many
+    # call's time is split by angles, and an angle's cost depends on its
+    # operator's side and kernel (a bipartite operand's SVD of its
+    # off-diagonal block is cheaper than an eigensolve), so the call
+    # overcharges small and bipartite operands.
     wall_time: float = 0.0
 
 
@@ -265,9 +268,9 @@ def contract_verdict(value: float, lhs_pow: float,
 # The exceptions that turn one trial into an error record.
 _TRIAL_ERRORS = (NumradError, ValueError, TypeError)
 
-# Most operators per stage-2 `omega_many` call, whose working arrays grow
-# with its batch; results do not depend on batch-mates, so no report moves.
-OMEGA_MANY_CAP = 256
+# Trials per block of `_run_share`, which holds one block's trials between
+# its stages; results do not depend on batch-mates, so no report moves.
+BLOCK_TRIALS = 512
 
 
 @dataclass(slots=True)
@@ -326,29 +329,22 @@ def _measure_sides(trials: list) -> None:
     """Stage 2: certify the radii of every trial's value and contract side,
     then finish both, the value first, so that a failed value is its
     trial's error and its side is never measured. The radii are certified,
-    with the norms their requests carry, by one `omega_many` per operand
-    shape, in calls of at most OMEGA_MANY_CAP operators whose time is split
-    by the angles each operator evaluated (evenly when none were); a
-    trial's finishes are its own time."""
-    batches: dict = {}  # shape -> [(trial, radii, slot, operator, tol, norm)]
+    with the norms their requests carry, by one `omega_many` call whose
+    time is split by the angles each operator evaluated (evenly when none
+    were); a trial's finishes are its own time."""
+    batch = [(trial, pending.radii, slot, *req) for trial in trials
+             for pending in trial.pendings for slot, req in enumerate(pending.radii)]
     t = perf_counter()
-    for trial in trials:
-        for pending in trial.pendings:
-            for slot, req in enumerate(pending.radii):
-                batches.setdefault(req[0].shape, []).append((trial, pending.radii, slot, *req))
-    for shape in sorted(batches):
-        batch = batches.pop(shape)  # frees its operands once certified
-        for start in range(0, len(batch), OMEGA_MANY_CAP):
-            chunk = batch[start:start + OMEGA_MANY_CAP]
-            ops, tols, norms = zip(*(req[3:] for req in chunk))
-            results = omega_many(ops, tols, norms=norms)
-            now = perf_counter()
-            weights = [getattr(res, "evals", 0) for res in results]
-            total = sum(weights)
-            for (trial, radii, slot, *_), res, weight in zip(chunk, results, weights):
-                radii[slot] = res  # the certificate, or the error it raised
-                trial.wall += (now - t) * (weight / total if total else 1.0 / len(chunk))
-            t = now
+    if batch:
+        ops, tols, norms = zip(*(req[3:] for req in batch))
+        results = omega_many(ops, tols, norms=norms)
+        now = perf_counter()
+        weights = [getattr(res, "evals", 0) for res in results]
+        total = sum(weights)
+        for (trial, radii, slot, *_), res, weight in zip(batch, results, weights):
+            radii[slot] = res  # the certificate, or the error it raised
+            trial.wall += (now - t) * (weight / total if total else 1.0 / len(batch))
+        t = now
     for trial in trials:
         value, side = trial.pendings
         try:
@@ -398,13 +394,17 @@ def _finish_trial(config: CampaignConfig, trial: _Trial) -> TrialRecord:
 
 
 def _run_share(config: CampaignConfig, entries: list) -> list[TrialRecord]:
-    """The records of plan entries (index, bound id, params, mats), run as
-    one share in three stages: every trial drawn and evaluated, every
-    contract side measured, every record finished. A trial that fails
-    becomes its own error record; the others go on."""
-    trials = [_start_trial(config, *entry) for entry in entries]
-    _measure_sides([trial for trial in trials if trial.error is None])
-    return [_finish_trial(config, trial) for trial in trials]
+    """The records of plan entries (index, bound id, params, mats), run in
+    consecutive blocks of BLOCK_TRIALS entries, each in three stages: every
+    trial drawn and evaluated, every contract side measured, every record
+    finished. A trial that fails becomes its own error record; the others
+    go on."""
+    records = []
+    for start in range(0, len(entries), BLOCK_TRIALS):
+        trials = [_start_trial(config, *entry) for entry in entries[start:start + BLOCK_TRIALS]]
+        _measure_sides([trial for trial in trials if trial.error is None])
+        records += [_finish_trial(config, trial) for trial in trials]
+    return records
 
 
 def _run_single(config: CampaignConfig, index: int, bound_id: str,
@@ -534,6 +534,7 @@ def replay_trial(config: CampaignConfig, index: int) -> TrialRecord:
 
 def build_report(config: CampaignConfig, records: list) -> CampaignReport:
     summary: dict = {}
+    ratios: dict = {}  # bound id -> its records' ratios
     for rec in records:
         entry = summary.setdefault(rec.bound_id, {
             "count": 0, "violations": 0, "errors": 0,
@@ -544,13 +545,11 @@ def build_report(config: CampaignConfig, records: list) -> CampaignReport:
             entry["errors"] += 1
         if rec.violation:
             entry["violations"] += 1
-    for bound_id, entry in summary.items():
-        ratios = [rec.ratio for rec in records
-                  if rec.bound_id == bound_id and rec.ratio is not None]
-        if ratios:
-            entry["ratio_min"] = float(min(ratios))
-            entry["ratio_median"] = float(np.median(ratios))
-            entry["ratio_max"] = float(max(ratios))
+        if rec.ratio is not None:
+            ratios.setdefault(rec.bound_id, []).append(rec.ratio)
+    for bound_id, found in ratios.items():
+        summary[bound_id].update(ratio_min=float(min(found)), ratio_median=float(np.median(found)),
+                                 ratio_max=float(max(found)))
     return CampaignReport(
         format_version=FORMAT_VERSION,
         config=_config_echo(config),

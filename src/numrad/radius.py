@@ -46,18 +46,19 @@ The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants, or the
 certificate where it is smaller, give the upper endpoint.
 
-`omega_many` runs the branch and bound of several operators of one side in
-lockstep: each round makes one batched solve per kernel and block shape
-over the live cells of its operators, while the split cap, the angle
-budget, the lower end and witness, and termination stay per operator. An
-operator's kernel depends on it alone, its cells keep the order they would
-have alone and each angle's matrix is built the same way whatever else
-shares its batch, so every result equals a lone run to the bit; `omega` is
-the lockstep run of one operator. An operator of norm outside [2^-401,
-2^400] runs as M 2^-e, of norm about 1, with its tol scaled alike, and its
-ends are scaled back, so that the majorants' squares neither underflow
-nor overflow. The scaling is exact (an operator whose entries it would
-round is refused), and operators of other norms keep their bits.
+`omega_many` runs the branch and bound of several operators, of any sides,
+in lockstep: each round makes one batched solve per kernel and side (or
+block shape) over the live cells of its operators, while the split cap,
+the angle budget, the lower end and witness, and termination stay per
+operator. An operator's kernel depends on it alone, its cells keep the
+order they would have alone and each angle's matrix is built the same way
+whatever else shares its batch, so every result equals a lone run to the
+bit; `omega` is the lockstep run of one operator. An operator of norm
+outside [2^-401, 2^400] runs as M 2^-e, of norm about 1, with its tol
+scaled alike, and its ends are scaled back, so that the majorants'
+squares neither underflow nor overflow. The scaling is exact (an operator
+whose entries it would round is refused), and operators of other norms
+keep their bits.
 
 omega_p, the generalized radius, is estimated from below by projected-
 gradient ascent of F(x) = sum_i |<T_i x, x>|^p over unit vectors, with all
@@ -291,21 +292,21 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
 
 
 def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> list:
-    """:func:`omega` of operators of one side, certified in lockstep.
+    """:func:`omega` of operators of any sides, certified in lockstep.
 
     tols[i] (None for the default) and the budget apply to mats[i] alone,
     and so do the split cap, the witness updates and termination; only the
-    solves of each round are shared, one batch per kernel and block shape
-    over the live cells of its operators. Returns one CertifiedRadius, or
-    the NumradError :func:`omega` would raise, per operator; each equals
-    :func:`omega` of that operator alone to the bit.
+    solves of each round are shared, one batch per kernel and side (or
+    block shape) over the live cells of its operators. Returns one
+    CertifiedRadius, or the NumradError :func:`omega` would raise, per
+    operator; each equals :func:`omega` of that operator alone to the bit.
 
     norms[i], when given, is ``spectral_norm(mats[i])`` as the caller took
     it, and stands in for that SVD here; the results keep their bits.
 
     Raises:
-        DimensionMismatchError: the square operators differ in side, or
-            tols or norms has another length.
+        DimensionMismatchError: tols or norms has another length than
+            mats.
     """
     mats, tols = list(mats), list(tols)
     norms = [None] * len(mats) if norms is None else list(norms)
@@ -313,20 +314,16 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> 
         raise DimensionMismatchError(f"{len(mats)} operators, {len(tols)} tolerances "
                                      f"and {len(norms)} norms")
     out: list = [None] * len(mats)
-    groups: dict = {}  # None or block shape -> (index, X or M, Y* or M*, norm, tol)
+    # (svd, shape of X or M) -> (index, X or M, Y* or M*, norm, tol)
+    groups: dict = {}
     rescale: dict = {}  # index -> (e, tol) of an operator run as M 2^-e
     # operators of one call often share a nonzero pattern; each is 2-coloured once
     patterns: dict = {}
-    side = None
     for i, (m, tol, nrm) in enumerate(zip(mats, tols, norms)):
         m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
             out[i] = NotSquareError(f"omega requires a square matrix, got {m.shape}")
             continue
-        side = m.shape[0] if side is None else side
-        if m.shape[0] != side:
-            raise DimensionMismatchError(f"operators must share one side, got "
-                                         f"{side} and {m.shape[0]}")
         nrm = spectral_norm(m) if nrm is None else nrm
         scale = max(1.0, nrm)
         tol = 1e-8 * scale if tol is None else float(tol)
@@ -353,20 +350,20 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> 
                 patterns[key] = _bipartition(nz)
             parts = patterns[key]
             if parts is None:
-                groups.setdefault(None, []).append((i, m, np.conj(m).T, nrm, tol))
+                x, y = m, np.conj(m).T
             else:
                 a, b = parts
-                groups.setdefault((a.size, b.size), []).append(
-                    (i, m[a[:, None], b], np.conj(m[b[:, None], a]).T, nrm, tol))
+                x, y = m[a[:, None], b], np.conj(m[b[:, None], a]).T
+            groups.setdefault((parts is not None, x.shape), []).append((i, x, y, nrm, tol))
     if groups:
         kernels, live, amps = [], [], []
-        for key, group in groups.items():
+        for (svd, _), group in groups.items():
             _, xs, ys, _, _ = zip(*group)
             xs, ys = np.stack(xs), np.stack(ys)
             # the `_cell_majorant` caps ||X||_F ||Y*||_F, none for an eigensolve
-            amps.append(np.full(len(group), np.inf) if key is None else
-                        np.linalg.norm(xs, axis=(1, 2)) * np.linalg.norm(ys, axis=(1, 2)))
-            kernels.append((len(live), xs, ys, key is not None))
+            amps.append(np.linalg.norm(xs, axis=(1, 2)) * np.linalg.norm(ys, axis=(1, 2))
+                        if svd else np.full(len(group), np.inf))
+            kernels.append((len(live), xs, ys, svd))
             live += group
         index, _, _, norms, widths = zip(*live)
         done = _branch_and_bound(kernels, np.array(norms), np.concatenate(amps),

@@ -537,11 +537,12 @@ class TestTh1:
 
     @pytest.mark.parametrize("k,p", [(1, 1.0), (2, 3.0), (4, 2.0)])
     def test_block_radii_equal_single_calls(self, k, p):
-        # the A_i and the D_i are certified in two lockstep calls; each term
-        # equals the one made from a lone omega per block, to the bit
+        # A_1, D_1, A_2, ... are certified in one lockstep call, whatever
+        # their sides; each term equals the one made from a lone omega per
+        # block, to the bit
         g = np.random.default_rng(19 + k)
-        blocks = [(rand_complex(g, 3), rand_complex(g, 3, 2), rand_complex(g, 2, 3),
-                   rand_complex(g, 2)) for _ in range(k)]
+        blocks = [(rand_complex(g, m), rand_complex(g, m, n), rand_complex(g, n, m),
+                   rand_complex(g, n)) for m, n in ((3, 2), (1, 4), (2, 2), (4, 1))[:k]]
         tol = 1e-7
         out = bound_th1(blocks, p, tol)
         total = 0.0

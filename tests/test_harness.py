@@ -18,7 +18,7 @@ from numrad.errors import (DimensionMismatchError, NotContractionError,
                            ToleranceUnreachableError, UnknownBoundError)
 from numrad.harness import (
     CONTRACT_SLACK,
-    OMEGA_MANY_CAP,
+    BLOCK_TRIALS,
     CampaignConfig,
     TrialRecord,
     _build_plan,
@@ -584,9 +584,9 @@ class TestOneOperatorContract:
 
 
 class TestStagedShare:
-    """A process's share runs in stages: every trial drawn and evaluated,
-    every contract side measured (the omega sides of one operand side in
-    one lockstep call), every record finished."""
+    """A process's share runs in blocks of trials, each in stages: every
+    trial drawn and evaluated, every contract side measured (every radius
+    of the block in one lockstep call), every record finished."""
 
     IDS = ("main1.v1", "product_xy", "sum_norm", "main11.young.v2", "main4.v1", "th1")
     # N^2 = 0 and N is not bipartite (nonzero diagonal): its field of values
@@ -738,23 +738,27 @@ class TestStagedShare:
         clean = run_campaign(dataclasses.replace(cfg, extra_trials=()))
         assert [self.fields(r) for r in grid] == [self.fields(r) for r in clean.records]
 
-    def test_lockstep_calls_are_capped(self, monkeypatch):
-        # a share's radii and omega sides of one shape go to omega_many in
-        # calls of at most OMEGA_MANY_CAP operators, and the records do not
-        # depend on the cap
-        lockstep, sizes = numrad.radius.omega_many, []
+    def test_block_size_keeps_reports(self, monkeypatch):
+        # a share runs in blocks of BLOCK_TRIALS trials, one omega_many call
+        # each; a block boundary inside a bound's grid moves no byte
+        cfg = self.cfg(dims=((1, 1), (2, 3)), trials=4, n_operators_values=(4,))
+        plan = _build_plan(cfg)
+        assert plan[6][0] == plan[7][0]
+        lockstep, calls = numrad.radius.omega_many, []
 
         def counting(mats, tols, norms):
-            sizes.append(len(mats))
+            calls.append(len(mats))
             return lockstep(mats, tols, norms=norms)
 
-        cfg = self.cfg(dims=((1, 1),), trials=4, n_operators_values=(4,))
         monkeypatch.setattr(numrad.harness, "omega_many", counting)
-        capped = run_campaign(cfg)
-        monkeypatch.setattr(numrad.harness, "OMEGA_MANY_CAP", 5)
-        sizes.clear()
-        small = run_campaign(cfg)
-        assert max(sizes) == 5 and len(sizes) > 2
-        assert report_to_json(small) == report_to_json(capped)
-        assert report_to_csv(small) == report_to_csv(capped)
-        assert OMEGA_MANY_CAP == 256
+        reports, counts = [], []
+        for block in (1, 7, BLOCK_TRIALS):
+            monkeypatch.setattr(numrad.harness, "BLOCK_TRIALS", block)
+            calls.clear()
+            report = run_campaign(cfg)
+            reports.append((report_to_json(report), report_to_csv(report)))
+            counts.append(len(calls))
+        # a block of norm sides alone makes no call
+        assert len(plan) > counts[0] > counts[1] > counts[2] == 1
+        assert len(plan) <= BLOCK_TRIALS == 512
+        assert reports[0] == reports[1] == reports[2]

@@ -836,17 +836,37 @@ class TestOmegaMany:
         assert all(isinstance(c, CertifiedRadius) for ms in mats.values()
                    for c in omega_many(ms, [None] * len(ms)))
 
-    def test_rejects_mixed_sides_and_tolerance_count(self):
-        assert isinstance(omega_many([np.ones((2, 3))], [None])[0], NotSquareError)
-        with pytest.raises(DimensionMismatchError, match="share one side"):
-            omega_many([np.eye(2), np.eye(3)], [None, None])
-        # the side is checked before the zero and tolerance shortcuts
-        for mats, tols in (([np.zeros((3, 3)), np.eye(2)], [None, None]),
-                           ([np.eye(2), np.zeros((3, 3))], [None, None]),
-                           ([np.eye(3), np.eye(2)], [float("inf"), None]),
-                           ([np.ones((2, 3)), np.eye(3), np.eye(2)], [None, 1e-14, None])):
-            with pytest.raises(DimensionMismatchError, match="share one side"):
-                omega_many(mats, tols)
+    def test_mixed_sides_match_single_calls(self):
+        # general operators of sides 1-5, bipartite ones of block shapes
+        # (2, 3) and (4, 4), a zero operator and a non-square input share
+        # one call, in any order and any sub-batch
+        g = np.random.default_rng(66)
+        mats = [rand_complex(g, side) for side in (1, 2, 3, 4, 5, 3, 1)]
+        mats += [embed_offdiag(rand_complex(g, 2, 3), rand_complex(g, 3, 2)) for _ in range(2)]
+        mats += [embed_offdiag(rand_complex(g, 4), rand_complex(g, 4)) for _ in range(2)]
+        mats.append(np.zeros((4, 4), dtype=complex))
+        tols = [(1e-6, None, 1e-9)[i % 3] for i in range(len(mats))]
+        alone = [omega(m, tol) for m, tol in zip(mats, tols)]
+        assert {_bipartition(m != 0) is None for m in mats[:-1]} == {True, False}
+        mats.append(np.ones((2, 3)))
+        tols.append(None)
+
+        def check(batch):
+            got = omega_many([mats[i] for i in batch], [tols[i] for i in batch])
+            for i, res in zip(batch, got):
+                if i < len(alone):
+                    assert res == alone[i]
+                else:
+                    assert isinstance(res, NotSquareError)
+
+        check(range(len(mats)))
+        for _ in range(4):
+            order = g.permutation(len(mats))
+            cut = int(g.integers(1, len(mats)))
+            for batch in (order[:cut], order[cut:], order):
+                check(batch)
+
+    def test_rejects_tolerance_and_norm_count(self):
         with pytest.raises(DimensionMismatchError, match="tolerances"):
             omega_many([np.eye(2)], [])
         with pytest.raises(DimensionMismatchError, match="0 norms"):
