@@ -61,7 +61,7 @@ from .linalg import (
     polar_eigen,
     spectral_norm,
 )
-from .radius import omega_many, omega_p
+from .radius import ascent_request, omega_many, omega_p
 
 # Normality check: ||M*M - MM*|| <= NORMALITY_TOL * ||M||^2.
 NORMALITY_TOL = 1e-9
@@ -91,14 +91,18 @@ class BoundOutcome:
 
 @dataclass(frozen=True)
 class Pending:
-    """A result that waits on certified radii: `radii` lists the (operator,
-    absolute tol, ``spectral_norm(operator)``) requests to certify, possibly
-    none, and `finish(certs)` makes the result from their :func:`omega_many`
-    results, in that order. A campaign keeps a bound's value and its
-    contract side as one each."""
+    """A result that waits on certified radii and ascents: `radii` lists
+    the (operator, absolute tol, ``spectral_norm(operator)``) requests to
+    certify and `ascents` the :class:`~numrad.radius.AscentRequest`s to
+    run, either possibly none, and `finish(certs)` makes the result from
+    the :func:`omega_many` results of the radii followed by the
+    :func:`ascend_many` ends of the ascents, in that order. A campaign
+    keeps a bound's value and its contract side as one each; only a
+    contract side names ascents."""
 
     radii: list
     finish: Callable
+    ascents: list = field(default_factory=list)
 
 
 @dataclass
@@ -610,18 +614,24 @@ class BoundSpec:
         enclosure. The generalized radius of one operator is its numerical
         radius for every p, so an "omega_p" side of one operand is that
         radius too. A "norm" side has no radii and is the exact norm twice.
-        An "omega_p" side of two or more operands has no radii; its finish
-        runs the restarted ascent, whose lower estimate has no upper end,
-        and adds its `estimate_converged` flag to extras. A radius's operand
-        is checked here, so that a bad one fails its own trial and not a
-        lockstep :func:`omega_many` batch.
+        An "omega_p" side of two or more operands has no radii but one
+        ascent of them at `omega_p_restarts` and `omega_p_max_iter`; its
+        finish takes the estimate from the ascent's ends through
+        :func:`omega_p`, a lower estimate with no upper end, and adds its
+        `estimate_converged` flag to extras. A radius's or an ascent's
+        operands are checked here, so that bad ones fail their own trial
+        and not a lockstep batch.
         """
         target = self.operand(mats, params)
         if self.measure == "norm":
             return Pending([], partial(_norm_ends, target))
         if self.measure == "omega_p":
             if len(target) > 1:
-                return Pending([], partial(_ascent_ends, target, params, settings))
+                ascent = ascent_request(target, float(params.get("p", 1.0)),
+                                        settings.omega_p_restarts,
+                                        stream=derive(settings.stream, 102),
+                                        max_iter=settings.omega_p_max_iter)
+                return Pending([], partial(_ascent_ends, target, params, settings), [ascent])
             (target,) = target
         target = as_matrix(target)
         norm = spectral_norm(target)
@@ -643,10 +653,10 @@ def _norm_ends(target, certs) -> tuple[float, float, dict]:
 
 def _ascent_ends(targets, params: dict, settings: EvalSettings,
                  certs) -> tuple[float, None, dict]:
-    est = omega_p(targets, float(params.get("p", 1.0)),
-                  restarts=settings.omega_p_restarts,
-                  stream=derive(settings.stream, 102),
-                  max_iter=settings.omega_p_max_iter)
+    """The estimate of a side's ascent, from its ends."""
+    (ends,) = certs
+    est = omega_p(targets, float(params.get("p", 1.0)), restarts=settings.omega_p_restarts,
+                  max_iter=settings.omega_p_max_iter, ends=ends)
     return est.value, None, {"estimate_converged": est.converged}
 
 

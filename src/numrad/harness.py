@@ -17,25 +17,31 @@ trial's inputs and keeps two `numrad.bounds.Pending`s: the bound's value
 (an evaluator's outcome is a Pending of no radii, while `th1`'s names the
 block radii its value needs) and the contract side
 (`BoundSpec.contract_side`). Each is a list of (operator, tol, norm) radii
-plus a finish over their certificates; the norm is the operator's
-spectral norm, taken once where the radius is stated. `_measure_sides`
-certifies the radii of every pending of the block together, by one
+and a list of `numrad.radius.AscentRequest`s, plus a finish over their
+results; the norm is the operator's spectral norm, taken once where the
+radius is stated, and only an `omega_p` side of two or more operands
+names an ascent. `_measure_sides` works in four steps over the block:
+it certifies the radii of every pending together, by one
 `numrad.radius.omega_many` call over operators of every side that takes
-those norms, and then runs each trial's finishes, its value's first: the
-value's finish gives the outcome and the side's gives (lhs, upper end or
-None, extras). `_finish_trial` makes the record from these through
-`contract_verdict`. A trial that raises at any stage becomes its own
-error record; the others go on. `_run_single`, behind `replay_trial` and
-the counterexample suite, is a share of one trial; `omega_many` results
-do not depend on their batch-mates, so a replay gives back the campaign
-record. `evaluate_bound`, behind `numrad bound`, runs stage 1's
-evaluation with its caller's settings and `_measure_sides` on one trial
-of given inputs, and raises that trial's error; so one path measures
-every contract side and certifies every radius. A record's `wall_time`
-is its own time in the first and last stages plus its own finishes, and
-its share of its block's `omega_many` call split by the angles each
-operator evaluated, so the records of a share add up to the share's
-time.
+those norms; it runs every value's finish, which gives the outcome; it
+runs the ascents of the sides whose value succeeded, by one
+`numrad.radius.ascend_many` call that advances the restarts of every
+ascent of one (operator count, side, p) in lockstep; and it runs those
+sides' finishes, which give (lhs, upper end or None, extras), an
+ascent's through `numrad.radius.omega_p` on its ends. `_finish_trial`
+makes the record from these through `contract_verdict`. A trial that
+raises at any stage becomes its own error record; the others go on.
+`_run_single`, behind `replay_trial` and the counterexample suite, is a
+share of one trial; `omega_many` and `ascend_many` results do not depend
+on their batch-mates, so a replay gives back the campaign record.
+`evaluate_bound`, behind `numrad bound`, runs stage 1's evaluation with
+its caller's settings and `_measure_sides` on one trial of given inputs,
+and raises that trial's error; so one path measures every contract side
+and certifies every radius. A record's `wall_time` is its own time in the
+first and last stages plus its own finishes, its share of its block's
+`omega_many` call split by the angles each operator evaluated, and its
+share of the block's `ascend_many` call split by the iterations its
+restarts ran, so the records of a share add up to the share's time.
 
 Everything is deterministic in the master seed: each trial derives its own
 stream from its plan index, so trials can run in any order and in any
@@ -71,7 +77,7 @@ from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, BoundOutcome, Bou
 from .ensembles import KINDS, RngStream, derive, sample
 from .errors import NumradError, OutOfRangeError
 from .linalg import fn_of_abs, spectral_norm
-from .radius import omega_many
+from .radius import ascend_many, omega_many
 
 FORMAT_VERSION = "numrad-report/1"
 
@@ -191,7 +197,9 @@ class TrialRecord:
     # call's time is split by angles, and an angle's cost depends on its
     # operator's side and kernel (a bipartite operand's SVD of its
     # off-diagonal block is cheaper than an eigensolve), so the call
-    # overcharges small and bipartite operands.
+    # overcharges small and bipartite operands. Its ascend_many call's time
+    # is split by row iterations, whose cost grows with the operator count
+    # and side, so that call overcharges small ascents.
     wall_time: float = 0.0
 
 
@@ -327,35 +335,64 @@ def _evaluate(trial: _Trial, spec: BoundSpec, mats: dict, settings: EvalSettings
 
 def _measure_sides(trials: list) -> None:
     """Stage 2: certify the radii of every trial's value and contract side,
-    then finish both, the value first, so that a failed value is its
-    trial's error and its side is never measured. The radii are certified,
-    with the norms their requests carry, by one `omega_many` call whose
-    time is split by the angles each operator evaluated (evenly when none
-    were); a trial's finishes are its own time."""
-    batch = [(trial, pending.radii, slot, *req) for trial in trials
-             for pending in trial.pendings for slot, req in enumerate(pending.radii)]
+    finish the values, then run the ascents of the sides whose value
+    succeeded and finish those sides, so that a failed value is its
+    trial's error and its side is never measured. The radii are
+    certified, with the norms their requests carry, by one `omega_many`
+    call whose time is split by the angles each operator evaluated, and
+    the ascents run in one `ascend_many` call whose time is split by the
+    iterations each request's restarts ran; a trial's finishes are its
+    own time."""
     t = perf_counter()
-    if batch:
-        ops, tols, norms = zip(*(req[3:] for req in batch))
-        results = omega_many(ops, tols, norms=norms)
-        now = perf_counter()
-        weights = [getattr(res, "evals", 0) for res in results]
-        total = sum(weights)
-        for (trial, radii, slot, *_), res, weight in zip(batch, results, weights):
-            radii[slot] = res  # the certificate, or the error it raised
-            trial.wall += (now - t) * (weight / total if total else 1.0 / len(batch))
-        t = now
+    radii = [(pending.radii, slot, trial, req) for trial in trials
+             for pending in trial.pendings for slot, req in enumerate(pending.radii)]
+    if radii:
+        ops, tols, norms = zip(*(req for *_, req in radii))
+        t = _share(radii, omega_many(ops, tols, norms=norms), t,
+                   lambda res: getattr(res, "evals", 0))
     for trial in trials:
-        value, side = trial.pendings
+        value = trial.pendings[0]
         try:
             trial.outcome = value.finish(value.radii)
-            trial.ends = side.finish(side.radii)
         except _TRIAL_ERRORS as exc:
             trial.error = exc
+        t = _charge(trial, t)
+    measured = [trial for trial in trials if trial.error is None]
+    ascents = [(trial.pendings[1].ascents, slot, trial, req) for trial in measured
+               for slot, req in enumerate(trial.pendings[1].ascents)]
+    if ascents:
+        t = _share(ascents, ascend_many([req for *_, req in ascents]), t,
+                   lambda ends: ends.steps)
+    for trial in measured:
+        side = trial.pendings[1]
+        try:
+            trial.ends = side.finish(side.radii + side.ascents)
+        except _TRIAL_ERRORS as exc:
+            trial.error = exc
+        t = _charge(trial, t)
+    for trial in trials:
         trial.pendings = ()
-        now = perf_counter()
-        trial.wall += now - t
-        t = now
+
+
+def _share(batch: list, results: list, t: float, weight) -> float:
+    """Put each result of a batch of (slots, slot, trial, request) entries
+    in its slot (a certificate, the error it raised, or an ascent's ends),
+    and split the time since t over the entries' trials by weight, evenly
+    when all weigh 0; returns the time now."""
+    now = perf_counter()
+    weights = [weight(res) for res in results]
+    total = sum(weights)
+    for (slots, slot, trial, _), res, w in zip(batch, results, weights):
+        slots[slot] = res
+        trial.wall += (now - t) * (w / total if total else 1.0 / len(batch))
+    return now
+
+
+def _charge(trial: _Trial, t: float) -> float:
+    """Charge the time since t to the trial; returns the time now."""
+    now = perf_counter()
+    trial.wall += now - t
+    return now
 
 
 def _finish_trial(config: CampaignConfig, trial: _Trial) -> TrialRecord:

@@ -61,19 +61,31 @@ whose entries it would round is refused), and operators of other norms
 keep their bits.
 
 omega_p, the generalized radius, is estimated from below by projected-
-gradient ascent of F(x) = sum_i |<T_i x, x>|^p over unit vectors, with all
-seeded restarts advancing together as one batch. Along the great circle
-x cos t + u sin t every <T_i x, x> is alpha + beta cos 2t + gamma sin 2t,
-so the line search evaluates F in closed form over a fixed ladder of
-angles. A brute-force quasi-uniform sphere scan serves as an oracle for
-omega_p at tiny sizes.
+gradient ascent of F(x) = sum_i |<T_i x, x>|^p over unit vectors from
+seeded restarts. Along the great circle x cos t + u sin t every
+<T_i x, x> is alpha + beta cos 2t + gamma sin 2t, so the line search
+evaluates F in closed form over a fixed ladder of angles. An ascent is a
+request (`ascent_request`), and `ascend_many` advances the restarts of
+every request of one operator count, side and p in lockstep: each
+product is one batched call of every request's rows with its own stack,
+and each other step one call over all rows, while the stopping gradient,
+the kink guard, the iteration budget and the exits stay per request, so
+every request ends as it would alone, to the bit. `omega_p` runs its own
+request as a batch of one, or takes the ends of one that ran in a larger
+batch, and picks the witness, recomputes the value and judges
+convergence itself. Operators whose F or gradient would leave the float
+range run as T 2^-e, of norm about 1, with the tol scaled alike, and the
+value is scaled back, as `omega_many` does for a radius. A brute-force
+quasi-uniform sphere scan serves as an oracle for omega_p at tiny sizes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,7 +127,11 @@ _DOUBLING_STEPS = 60
 _EPS = np.finfo(np.float64).eps
 # |z|^(p-2) z is treated as 0 below this relative magnitude (p < 2 kink guard).
 _PHASE_ZERO_TOL = 1e-14
-# Angles tried by the great-circle line search of `_sphere_ascent`: a
+# An ascent whose F and gradient, of scale max_i ||T_i||^p, would pass
+# 2^+-450 runs on the operators scaled to norm about 1 (`_ascent_setup`), so
+# that the squares in the gradient's norm stay in range too.
+_SAFE_POWER = 450
+# Angles tried by the great-circle line search of `_lockstep_ascent`: a
 # geometric ladder pi/2 * 2^-j down to about 1e-15 for short steps and a
 # uniform grid over the half circle (x and -x give the same form values)
 # for long ones, with cos 2t and sin 2t precomputed.
@@ -575,18 +591,19 @@ def _prepare_ops(ops) -> np.ndarray:
 
 
 def _rows_times(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """x @ mats for one vector x (n,) or a (b, n) batch.
+    """x @ mats for one vector x (n,) or rows x (..., b, n).
 
     numpy hands a one-row product to gemv, which rounds differently from
     the gemm it uses for two rows or more, so a lone row is doubled: each
     row's products then come out the same to the bit however many rows
-    share the batch, and the restarts of `_sphere_ascent` cannot couple
-    through rounding.
+    share its matrix, and the restarts of one ascent, or of ascents run in
+    lockstep (`_lockstep_ascent`), cannot couple through rounding.
     """
-    if x.ndim == 2 and x.shape[0] != 1:
+    if x.ndim >= 2 and x.shape[-2] != 1:
         return x @ mats
-    out = np.concatenate([x, x]).reshape(2, -1) @ mats
-    return out[..., 0, :] if x.ndim == 1 else out[..., :1, :]
+    if x.ndim == 1:
+        return (np.concatenate([x, x]).reshape(2, -1) @ mats)[..., 0, :]
+    return (np.concatenate([x, x], axis=-2) @ mats)[..., :1, :]
 
 
 def form_values(stack: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -600,15 +617,15 @@ def form_values(stack: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _doubled(stack: np.ndarray) -> np.ndarray:
-    """[T_i^T; conj(T_i)], shape (2k, n, n): x @ it is [T_i x; T_i* x]."""
+    """[T_i^T; conj(T_i)], shape (2k, ...): x @ it is [T_i x; T_i* x]."""
     return np.concatenate([np.swapaxes(stack, -1, -2), np.conj(stack)])
 
 
-def _products(doubled: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _products(doubled: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
     """W = [T_i x; T_i* x] and z_i = <T_i x, x> from one product with the
-    `_doubled` stack; x is one vector (n,) or a (b, n) batch."""
-    w = _rows_times(x, doubled)
-    return w, (w[:doubled.shape[0] // 2] * np.conj(x)).sum(axis=-1)
+    `_doubled` stack, and conj(x); x is one vector (n,) or rows (..., b, n)."""
+    w, cx = _rows_times(x, doubled), np.conj(x)
+    return w, (w[:doubled.shape[0] // 2] * cx).sum(axis=-1), cx
 
 
 def omega_p_objective(ops, p: float, x: np.ndarray, z: np.ndarray | None = None):
@@ -623,7 +640,7 @@ def omega_p_objective(ops, p: float, x: np.ndarray, z: np.ndarray | None = None)
     return float(f) if f.ndim == 0 else f
 
 
-def omega_p_gradient(ops, p: float, x: np.ndarray, zero_tol: float = 0.0,
+def omega_p_gradient(ops, p: float, x: np.ndarray, zero_tol: float | np.ndarray = 0.0,
                      products: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Euclidean ascent direction of F at x (complex vector, real pairing).
 
@@ -631,11 +648,12 @@ def omega_p_gradient(ops, p: float, x: np.ndarray, zero_tol: float = 0.0,
     G = sum_i c_i T_i x + conj(c_i) T_i* x, c_i = p |z_i|^(p-2) conj(z_i);
     terms with |z_i| below zero_tol are dropped (the p < 2 kink guard).
     x is one vector or a (b, n) batch, giving G of the same shape.
-    `products`, when given, is the pair (W, z) of `_products` at x.
+    `products`, when given, is the pair (W, z) of `_products` at x, and
+    zero_tol may then be an array that broadcasts against z.
     """
     if products is None:
         products = _products(_doubled(np.asarray(ops, dtype=np.complex128)),
-                             np.asarray(x, dtype=np.complex128))
+                             np.asarray(x, dtype=np.complex128))[:2]
     w, z = products
     az = np.abs(z)
     c = np.power(az, p - 2.0, out=np.zeros_like(az), where=az > zero_tol) * (p * np.conj(z))
@@ -645,80 +663,268 @@ def omega_p_gradient(ops, p: float, x: np.ndarray, zero_tol: float = 0.0,
 
 
 def _great_circle(stack: np.ndarray, x: np.ndarray, u: np.ndarray,
-                  at_x: tuple[np.ndarray, np.ndarray] | None = None):
+                  at_x: tuple[np.ndarray, ...] | None = None):
     """Coefficients of <T_i y, y> along the great circles y = x cos t + u sin t.
 
-    x and u are (b, n) batches of unit vectors with Re <x, u> = 0. Along
+    x and u are (..., b, n) rows of unit vectors with Re <x, u> = 0. Along
     each circle every value is alpha + beta cos 2t + gamma sin 2t; the
-    three (k, b) coefficient arrays come from the products of the stack
-    with x and u. `at_x`, when given, is (T_i x, <T_i x, x>) already
-    computed, so only T_i u is formed.
+    three (k, ..., b) coefficient arrays come from the products of the
+    stack with x and u. `at_x`, when given, is (T_i x, <T_i x, x>,
+    conj(x)) already computed, so only T_i u is formed.
     """
-    tx, zx = form_values(stack, x) if at_x is None else at_x
+    tx, zx, cx = (*form_values(stack, x), np.conj(x)) if at_x is None else at_x
     tu = _rows_times(u, np.swapaxes(stack, -1, -2))
     cu = np.conj(u)
     zu = (tu * cu).sum(axis=-1)
-    cross = (tx * cu + tu * np.conj(x)).sum(axis=-1)
+    cross = (tx * cu + tu * cx).sum(axis=-1)
     return (zx + zu) / 2, (zx - zu) / 2, cross / 2
 
 
-def _sphere_ascent(stack, p, x0, max_iter, grad_tol, zero_tol):
-    """Projected-gradient ascent of F on the unit sphere, advancing a
-    (b, n) batch of starts x0 in lockstep.
+@dataclass(frozen=True, eq=False)
+class AscentRequest:
+    """One restarted ascent of F(x) = sum_i |<T_i x, x>|^p, as
+    :func:`ascent_request` states it for :func:`ascend_many`.
+
+    `stack` holds the (k, n, n) operators, scaled by 2^-e where
+    `_ascent_setup` scales them, and `starts` the (restarts, n) starting
+    points. grad_tol (the stopping tangent gradient) and zero_tol (the
+    p < 2 kink guard) are in the scaled objective's units. `norms` are the
+    spectral norms of the operators as given, which :func:`omega_p` takes
+    back with the ends instead of taking them again.
+    """
+
+    stack: np.ndarray
+    p: float
+    starts: np.ndarray
+    max_iter: int
+    grad_tol: float
+    zero_tol: float
+    norms: tuple
+
+
+class AscentEnds(NamedTuple):
+    """Where a request's restarts ended: x (restarts, n), F(x) of the
+    request's stack (restarts,), the iterations its restarts ran in all,
+    and the request's `norms`."""
+
+    x: np.ndarray
+    f: np.ndarray
+    steps: int
+    norms: tuple
+
+
+def _ascent_setup(ops, p, restarts, tol, max_iter, norms=None) -> tuple:
+    """The checked arguments of :func:`omega_p`, as (stack, p, restarts,
+    norms, tol, e): the ascent runs on stack = T 2^-e at tol 2^-e.
+
+    norms, when given, are the spectral norms of ops and stand in for
+    those SVDs. e is 0 unless max_i ||T_i||^p, the scale of F and its
+    gradient, lies outside about [2^-_SAFE_POWER, 2^_SAFE_POWER]; then
+    T 2^-e has norm about 1, so operators of ordinary norm keep their bits
+    (at p <= 4, norms from about 1e-34 to 1e34 run as given). The
+    scaling is exact but for entries it takes among the subnormals, far
+    below the value's own rounding; a scaled tol that overflows stops
+    every restart at its start.
+    """
+    stack = _prepare_ops(ops)
+    p = float(p)
+    if not math.isfinite(p) or p < 1.0:
+        raise OutOfRangeError(f"p must be >= 1, got {p}")
+    if restarts is None:
+        restarts = 8 * stack.shape[1]
+    for name, val, low in (("restarts", restarts, 1), ("max_iter", max_iter, 0)):
+        if not (isinstance(val, numbers.Integral) and not isinstance(val, bool) and val >= low):
+            raise OutOfRangeError(f"{name} must be an integer >= {low}, got {val!r}")
+    norms = tuple(spectral_norm(t) for t in stack) if norms is None else tuple(norms)
+    if len(norms) != stack.shape[0]:
+        raise DimensionMismatchError(f"{len(norms)} norms for {stack.shape[0]} operators")
+    if tol is None:
+        tol = 1e-8 * max(1.0, max(norms))
+    tol = float(tol)
+    if not math.isfinite(tol) or tol < 0.0:
+        # an infinite tol would stop every restart at its start and call it
+        # converged; a negative one could never be met
+        raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
+    e = math.frexp(max(norms))[1]
+    e = 0 if p * abs(e) <= _SAFE_POWER else min(max(e, -1000), 1000)
+    if e:
+        stack, tol = stack * 2.0 ** -e, tol * 2.0 ** -e
+    return stack, p, int(restarts), norms, tol, e
+
+
+def ascent_request(ops, p: float, restarts: int | None = None, tol: float | None = None,
+                   stream: RngStream | None = None, max_iter: int = 300) -> AscentRequest:
+    """The ascent :func:`omega_p` runs for these arguments, checked as it
+    checks them, for :func:`ascend_many`: restart k starts from a draw of
+    derive(stream, k)."""
+    stack, p, restarts, norms, tol, e = _ascent_setup(ops, p, restarts, tol, max_iter)
+    if stream is None:
+        stream = RngStream(master_seed=0)
+    side = stack.shape[1]
+    starts = np.empty((restarts, side), dtype=np.complex128)
+    for k in range(restarts):
+        g = derive(stream, k).generator()
+        x0 = g.standard_normal(side) + 1j * g.standard_normal(side)
+        starts[k] = x0 if x0.any() else 1.0
+    # stop a restart once the tangent gradient falls to a tenth of the
+    # requested relative tolerance, in the objective's own units
+    norms_run = [nv * 2.0 ** -e for nv in norms] if e else norms
+    scale = max(1.0, max(norms_run))
+    f_cap = sum(nv ** p for nv in norms_run)
+    grad_tol = 0.1 * (tol / scale) * p * max(1.0, f_cap)
+    return AscentRequest(stack, p, starts, max_iter, grad_tol, _PHASE_ZERO_TOL * scale, norms)
+
+
+def ascend_many(requests) -> list:
+    """Run :class:`AscentRequest`s, those of one operator count, side and
+    p in lockstep (`_lockstep_ascent`). Returns one :class:`AscentEnds`
+    per request, equal to the bit to that request run alone."""
+    requests = list(requests)
+    out: list = [None] * len(requests)
+    groups: dict = {}
+    for i, req in enumerate(requests):
+        groups.setdefault((req.stack.shape, req.p), []).append(i)
+    for (_, p), index in groups.items():
+        for i, ends in zip(index, _lockstep_ascent([requests[i] for i in index], p)):
+            out[i] = ends
+    return out
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) of complex rows, to the bit, without its
+    argument handling."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
+
+
+def _lockstep_ascent(reqs: list, p: float) -> list:
+    """Projected-gradient ascent of F on the unit sphere for requests of
+    one (k, n) and p, every restart of every request advancing together.
 
     Each iteration evaluates F in closed form along the great circle
     through x in the direction of the tangent gradient, at every angle of
     `_LADDER`, moves to the best one, and keeps the move only if the
-    recomputed F(x) does not decrease. A row leaves the batch when its
-    tangent gradient drops below grad_tol, when a move is refused (it
-    would repeat exactly) or after three moves in a row that gain nothing.
-    Each row carries W = [T_i x; T_i* x] and z = <T_i x, x> with F(x), so
-    an iteration forms T_i u for the line search and one product of the
+    recomputed F(x) does not decrease. A row leaves when its tangent
+    gradient drops below its request's grad_tol, when a move is refused
+    (it would repeat exactly), after three moves in a row that gain
+    nothing, or when its request has run max_iter iterations. Each row
+    carries W = [T_i x; T_i* x] and z = <T_i x, x> with F(x), so an
+    iteration forms T_i u for the line search and one product of the
     doubled stack with the candidate, which gives its z and F and, once
-    the move is kept, the next W. Returns the final x (b, n) and F(x) (b,).
+    the move is kept, the next W.
+
+    Rows live in a (T, b, n) array, one line per request, so each product
+    is one batched call of every request's rows with its own stack and
+    every other step one call over all rows. A request with fewer live
+    rows than b repeats them to fill its line: a repeat rounds as its
+    original does (`_rows_times`), so it leaves with it, and the lines are
+    re-gathered only when rows leave. A lone line drops the line axis and
+    runs as (b, n) rows against its (k, n, n) stack, the calls of a
+    request run alone. No step mixes rows, so each request ends as it
+    would alone.
     """
-    doubled = _doubled(stack)
-    k = stack.shape[0]
-    x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
-    w, z = _products(doubled, x)
-    f = omega_p_objective(stack, p, x, z)
-    out_x, out_f = np.empty_like(x), np.empty_like(f)
-    rows = np.arange(x.shape[0])
-    stall = np.zeros(x.shape[0], dtype=int)
-    for _ in range(max_iter):
-        g = omega_p_gradient(stack, p, x, zero_tol, (w, z))
-        gt = g - (np.conj(x) * g).sum(axis=1).real[:, None] * x
-        gn = np.linalg.norm(gt, axis=1)
+    k, side = reqs[0].stack.shape[:2]
+    sizes = np.array([req.starts.shape[0] for req in reqs])
+    first = np.cumsum(sizes) - sizes
+    out_x = np.empty((int(sizes.sum()), side), dtype=np.complex128)
+    out_f = np.empty(out_x.shape[0])
+    out_steps = np.zeros(out_x.shape[0], dtype=int)
+    # slot: the output row of each place; own: which places are not
+    # repeats, None where no line holds repeats
+    own = None
+    if len(reqs) == 1:
+        (req,) = reqs
+        stacks, x = req.stack, req.starts
+        slot = np.arange(sizes[0])
+        grad_tol, zero_tol = req.grad_tol, req.zero_tol
+    else:
+        stacks = np.stack([req.stack for req in reqs], axis=1)  # (k, T, n, n)
+        width = np.arange(sizes.max())
+        slot = first[:, None] + width % sizes[:, None]
+        if not (sizes == width.size).all():
+            own = width < sizes[:, None]
+        x = np.stack([req.starts[width % req.starts.shape[0]] for req in reqs])
+        grad_tol = np.array([req.grad_tol for req in reqs])[:, None]
+        zero_tol = np.array([req.zero_tol for req in reqs])[:, None]
+    max_iter = np.array([req.max_iter for req in reqs])
+    stop = int(max_iter.min())
+    doubled = _doubled(stacks)
+    x = x / _row_norms(x)[..., None]
+    w, z, cx = _products(doubled, x)
+    f = omega_p_objective(stacks, p, x, z)
+    stall = np.zeros(f.shape, dtype=int)
+
+    def drop(gone, steps, *extra):
+        """Write out the rows `gone` after `steps` iterations and gather the
+        rest, with the row arrays `extra`; None when no row is left, else
+        the gathered `extra`."""
+        nonlocal x, cx, f, stall, slot, w, z, own, stacks, doubled, grad_tol, zero_tol, \
+            max_iter, stop
+        sel = slot[gone]
+        out_x[sel], out_f[sel], out_steps[sel] = x[gone], f[gone], steps
+        stay = ~gone if own is None else own & ~gone
+        if stay.ndim == 1:
+            at = (np.flatnonzero(stay),)
+            if not at[0].size:
+                return None
+        else:
+            counts = stay.sum(axis=1)
+            lines = np.flatnonzero(counts)
+            if not lines.size:
+                return None
+            if lines.size < counts.size:
+                counts, stay = counts[lines], stay[lines]
+                stacks, doubled = stacks[:, lines], doubled[:, lines]
+                grad_tol, zero_tol, max_iter = grad_tol[lines], zero_tol[lines], max_iter[lines]
+                stop = int(max_iter.min())
+            if lines.size == 1:
+                at = (lines[0], np.flatnonzero(stay[0]))
+                stacks, doubled = stacks[:, 0], doubled[:, 0]
+                grad_tol, zero_tol, own = grad_tol[0, 0], zero_tol[0, 0], None
+            else:
+                # each kept line's staying places first, in order, then repeated
+                places = np.arange(counts.max())
+                order = np.argsort(~stay, axis=1, kind="stable")
+                at = (lines[:, None], np.take_along_axis(order, places % counts[:, None], axis=1))
+                own = None if (counts == places.size).all() else places < counts[:, None]
+        x, cx, f, stall, slot = x[at], cx[at], f[at], stall[at], slot[at]
+        w, z = w[(slice(None), *at)], z[(slice(None), *at)]
+        return [a[at] for a in extra]
+
+    for it in itertools.count():
+        if it >= stop and drop(np.repeat(max_iter <= it, f.shape[-1]).reshape(f.shape),
+                               it) is None:
+            break
+        g = omega_p_gradient(stacks, p, x, zero_tol, (w, z))
+        gt = g - (cx * g).sum(axis=-1).real[..., None] * x
+        gn = _row_norms(gt)
         live = gn > grad_tol
-        if not live.all():
-            out_x[rows[~live]], out_f[rows[~live]] = x[~live], f[~live]
-            rows, x, f, stall, w, z = rows[live], x[live], f[live], stall[live], w[:, live], z[:, live]
-            gt, gn = gt[live], gn[live]
-            if not rows.size:
+        # count_nonzero is the cheapest whole-mask test on these few rows
+        if np.count_nonzero(live) < live.size:
+            kept = drop(~live, it + 1, gt, gn)
+            if kept is None:
                 break
-        u = gt / gn[:, None]
-        alpha, beta, gamma = _great_circle(stack, x, u, (w[:k], z))
+            gt, gn = kept
+        u = gt / gn[..., None]
+        alpha, beta, gamma = _great_circle(stacks, x, u, (w[:k], z, cx))
         curve = (np.abs(alpha[..., None] + beta[..., None] * _LADDER_COS
                         + gamma[..., None] * _LADDER_SIN) ** p).sum(axis=0)
-        t = _LADDER[curve.argmax(axis=1)][:, None]
+        t = _LADDER[curve.argmax(axis=-1)][..., None]
         cand = x * np.cos(t) + u * np.sin(t)
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        wc, zc = _products(doubled, cand)
-        fc = omega_p_objective(stack, p, cand, zc)
+        cand /= _row_norms(cand)[..., None]
+        wc, zc, cc = _products(doubled, cand)
+        fc = omega_p_objective(stacks, p, cand, zc)
         up = fc >= f
         stall = np.where(fc - f <= 1e-16 * np.maximum(1.0, fc), stall + 1, 0)
-        if not up.all():
+        if np.count_nonzero(up) < up.size:
             # a refused move would repeat exactly, so the row leaves at x
-            cand[~up], fc[~up], stall[~up] = x[~up], f[~up], 3
-        x, f, w, z = cand, fc, wc, zc
+            cand[~up], cc[~up], fc[~up], stall[~up] = x[~up], cx[~up], f[~up], 3
+        x, cx, f, w, z = cand, cc, fc, wc, zc
         live = stall < 3
-        if not live.all():
-            out_x[rows[~live]], out_f[rows[~live]] = x[~live], f[~live]
-            rows, x, f, stall, w, z = rows[live], x[live], f[live], stall[live], w[:, live], z[:, live]
-            if not rows.size:
-                break
-    out_x[rows], out_f[rows] = x, f
-    return out_x, out_f
+        if np.count_nonzero(live) < live.size and drop(~live, it + 1) is None:
+            break
+    return [AscentEnds(out_x[lo:lo + size], out_f[lo:lo + size],
+                       int(out_steps[lo:lo + size].sum()), req.norms)
+            for req, lo, size in zip(reqs, first, sizes)]
 
 
 def _dual_gap(stack: np.ndarray, p: float, x: np.ndarray) -> float:
@@ -745,53 +951,44 @@ def omega_p(
     tol: float | None = None,
     stream: RngStream | None = None,
     max_iter: int = 300,
+    ends: AscentEnds | None = None,
 ) -> OmegaPEstimate:
     """Estimate the generalized Euclidean operator radius from below.
 
-    Runs :func:`_sphere_ascent` on F(x) = sum_i |<T_i x, x>|^p from
+    Runs the projected-gradient ascent of F(x) = sum_i |<T_i x, x>|^p from
     `restarts` (default 8n) starts, restart k drawn from derive(stream, k),
-    and keeps the best; the value is recomputed from the witness, so it is
-    a true lower bound. `tol` (absolute, finite and >= 0, default
-    1e-8 * max(1, max ||T_i||)) sets the ascent's stopping gradient, and
-    `converged` means the :func:`_dual_gap` at the witness is <= tol: a
-    first-order certificate, not a global one (with all <T_i x, x> = 0,
-    True only for zero T_i).
-    """
-    stack = _prepare_ops(ops)
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise OutOfRangeError(f"p must be >= 1, got {p}")
-    side = stack.shape[1]
-    if restarts is None:
-        restarts = 8 * side
-    if restarts < 1:
-        raise OutOfRangeError(f"restarts must be >= 1, got {restarts}")
-    if stream is None:
-        stream = RngStream(master_seed=0)
-    norms = [spectral_norm(t) for t in stack]
-    scale = max(1.0, max(norms))
-    if tol is None:
-        tol = 1e-8 * scale
-    tol = float(tol)
-    if not math.isfinite(tol) or tol < 0.0:
-        # an infinite tol would stop every restart at its start and call it
-        # converged; a negative one could never be met
-        raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
-    # stop a restart once the tangent gradient falls to a tenth of the
-    # requested relative tolerance, in the objective's own units
-    f_cap = sum(nv ** p for nv in norms)
-    grad_tol = 0.1 * (tol / scale) * p * max(1.0, f_cap)
+    as a batch of one of :func:`ascend_many`, and keeps the best; the value
+    is recomputed from the witness, so it is a true lower bound. `tol`
+    (absolute, finite and >= 0, default 1e-8 * max(1, max ||T_i||)) sets
+    the ascent's stopping gradient, and `converged` means the
+    :func:`_dual_gap` at the witness is <= tol: a first-order certificate,
+    not a global one (with all <T_i x, x> = 0, True only for zero T_i).
+    Operators whose F would leave the float range run scaled by a power
+    of 2 (`_ascent_setup`), and the value and gap are scaled back.
 
-    starts = np.empty((restarts, side), dtype=np.complex128)
-    for k in range(restarts):
-        g = derive(stream, k).generator()
-        x0 = g.standard_normal(side) + 1j * g.standard_normal(side)
-        starts[k] = x0 if x0.any() else 1.0
-    x, f = _sphere_ascent(stack, p, starts, max_iter, grad_tol, _PHASE_ZERO_TOL * scale)
-    best = int(np.argmax(f))
-    witness = x[best] / np.linalg.norm(x[best])
+    `ends`, when given, is what :func:`ascend_many` returned for
+    ``ascent_request`` of the same arguments: it replaces the starts and
+    the ascent, and its norms stand in for those SVDs. The witness, the
+    value and `converged` are still taken here from `ops`, so ends can
+    change how good the estimate is but not that it is a lower bound.
+
+    Raises:
+        OutOfRangeError: p < 1 or not finite; restarts not an integer
+            >= 1 or max_iter not an integer >= 0; tol not finite or < 0.
+        DimensionMismatchError: ends do not hold `restarts` points of
+            the operators' side, or one norm per operator.
+    """
+    if ends is None:
+        (ends,) = ascend_many([ascent_request(ops, p, restarts, tol, stream, max_iter)])
+    stack, p, restarts, norms, tol, e = _ascent_setup(ops, p, restarts, tol, max_iter, ends.norms)
+    if ends.x.shape != (restarts, stack.shape[1]):
+        raise DimensionMismatchError(f"ends of shape {ends.x.shape} for {restarts} restarts "
+                                     f"of side {stack.shape[1]}")
+    best = int(np.argmax(ends.f))
+    witness = ends.x[best] / np.linalg.norm(ends.x[best])
+    value = float(omega_p_objective(stack, p, witness) ** (1.0 / p))
     return OmegaPEstimate(
-        value=float(omega_p_objective(stack, p, witness) ** (1.0 / p)),
+        value=value * 2.0 ** e if e else value,
         witness=witness,
         p=p,
         converged=max(norms) == 0.0 or _dual_gap(stack, p, witness) <= tol,

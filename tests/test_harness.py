@@ -357,13 +357,17 @@ def first_trial(bound_id, **overrides):
     return cfg, params, bound_spec(bound_id).sampler.draw(params, cfg.ensembles, RngStream(0))
 
 
-def patch_everywhere(monkeypatch, orig, calls, key):
+def patch_everywhere(monkeypatch, orig, calls, key, results=None):
     """Count calls of `orig` under every numrad module name bound to it, the
     way the benchmark tracer and its omega_p capture patch the package.
-    Each call appends `key`, or `key(*args)` for a callable key."""
+    Each call appends `key`, or `key(*args)` for a callable key, and its
+    return value to `results` when that is a list."""
     def wrapper(*args, **kwargs):
         calls.append(key(*args) if callable(key) else key)
-        return orig(*args, **kwargs)
+        out = orig(*args, **kwargs)
+        if results is not None:
+            results.append(out)
+        return out
 
     for name, mod in list(sys.modules.items()):
         if mod is not None and (name == "numrad" or name.startswith("numrad.")):
@@ -686,12 +690,31 @@ class TestStagedShare:
         lockstep = numrad.radius.omega_many
         monkeypatch.setattr(numrad.harness, "omega_many",
                             lambda mats, tols, norms: lockstep(mats, tols, 16, norms))
-        calls = []
+        calls, requests = [], []
         patch_everywhere(monkeypatch, numrad.radius.omega_p, calls, "omega_p")
+        patch_everywhere(monkeypatch, numrad.radius.ascend_many, requests, list)
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
         assert record.error.startswith("ToleranceUnreachableError: angle budget 16")
-        assert calls == []
+        assert calls == [] and all(batch == [] for batch in requests)
+
+    def test_every_ascent_estimate_passes_through_omega_p(self, monkeypatch):
+        # the benchmark's norm-cap gate wraps radius.omega_p: every row of
+        # two or more operands makes one call, which returns its omega_lo
+        calls, estimates, batches = [], [], []
+        patch_everywhere(monkeypatch, numrad.radius.omega_p, calls,
+                         lambda ops, p: (len(ops), p), estimates)
+        patch_everywhere(monkeypatch, numrad.radius.ascend_many, batches, len)
+        cfg = self.cfg(bound_ids=("main4.v1", "main4.v2", "th1"), dims=((2, 2), (3, 3)),
+                       omega_p_p_values=(1.0, 3.0), n_operators_values=(1, 2, 4))
+        report = run_campaign(cfg)
+        assert not report.errors
+        rows = [rec for rec in report.records if rec.params["n_operators"] > 1]
+        assert {rec.params["n_operators"] for rec in rows} == {2, 4}
+        assert calls == [(rec.params["n_operators"], rec.params["p"]) for rec in rows]
+        assert [est.value for est in estimates] == [rec.omega_lo for rec in rows]
+        # one lockstep call ran every ascent of the block
+        assert batches == [len(rows)]
 
     def test_th1_records_equal_bound_th1(self):
         # one finish path: bound_th1 on a record's drawn inputs, at the

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +16,11 @@ from numrad.errors import (
     OutOfRangeError,
 )
 from numrad.radius import (
+    AscentEnds,
     _dual_gap,
     _great_circle,
-    _sphere_ascent,
+    ascend_many,
+    ascent_request,
     omega,
     omega_p,
     omega_p_bruteforce,
@@ -225,17 +230,21 @@ class TestLockstep:
         stream = RngStream(17)
         batched = omega_p(ops, p, restarts=restarts, stream=stream)
 
-        lockstep = numrad.radius._sphere_ascent
+        lockstep = numrad.radius.ascend_many
         starts, row_values = [], []
 
-        def one_row_at_a_time(stack, p, x0, *args):
-            runs = [lockstep(stack, p, x0[k:k + 1], *args) for k in range(len(x0))]
-            together = lockstep(stack, p, x0, *args)
-            starts.append(x0)
-            row_values.append((together[1], np.concatenate([run[1] for run in runs])))
-            return tuple(np.concatenate(parts) for parts in zip(*runs))
+        def one_row_at_a_time(requests):
+            (req,) = requests
+            runs = lockstep([dataclasses.replace(req, starts=req.starts[k:k + 1])
+                             for k in range(len(req.starts))])
+            (together,) = lockstep([req])
+            starts.append(req.starts)
+            row_values.append((together.f, np.concatenate([run.f for run in runs])))
+            return [AscentEnds(np.concatenate([run.x for run in runs]),
+                               np.concatenate([run.f for run in runs]),
+                               sum(run.steps for run in runs), req.norms)]
 
-        monkeypatch.setattr(numrad.radius, "_sphere_ascent", one_row_at_a_time)
+        monkeypatch.setattr(numrad.radius, "ascend_many", one_row_at_a_time)
         one_by_one = omega_p(ops, p, restarts=restarts, stream=stream)
         assert one_by_one.value == pytest.approx(batched.value, rel=1e-12)
         for k in range(restarts):
@@ -247,7 +256,7 @@ class TestLockstep:
 
 
 def three_call_ascent(stack, p, x0, max_iter, grad_tol, zero_tol):
-    """Reference for `_sphere_ascent`: the same iteration written as three
+    """Reference for the lockstep ascent: the same iteration written as three
     calls (gradient, great circle, objective) that each form the products
     of the stack with x afresh, with every live row written out each
     iteration."""
@@ -287,18 +296,20 @@ def three_call_ascent(stack, p, x0, max_iter, grad_tol, zero_tol):
 
 
 class TestCarriedProducts:
-    """`_sphere_ascent` carries T_i x, T_i* x, <T_i x, x> and F between
+    """The lockstep ascent carries T_i x, T_i* x, <T_i x, x> and F between
     iterations; every row must end where the three-call reference ends."""
 
     def run_both(self, monkeypatch, ops, p, restarts):
         pairs = []
 
-        def both(*args):
-            carried = _sphere_ascent(*args)
-            pairs.append((carried[1], three_call_ascent(*args)[1]))
+        def both(requests):
+            carried = ascend_many(requests)
+            for req, ends in zip(requests, carried):
+                pairs.append((ends.f, three_call_ascent(req.stack, req.p, req.starts, req.max_iter,
+                                                        req.grad_tol, req.zero_tol)[1]))
             return carried
 
-        monkeypatch.setattr(numrad.radius, "_sphere_ascent", both)
+        monkeypatch.setattr(numrad.radius, "ascend_many", both)
         omega_p(ops, p, restarts=restarts, stream=RngStream(23))
         (carried, reference), = pairs
         np.testing.assert_allclose(carried, reference, rtol=1e-12)
@@ -318,6 +329,144 @@ class TestCarriedProducts:
         for side in range(1, 9):
             ops = [rand_complex(g, side) for _ in range(n_ops - 1)] + [np.zeros((side, side))]
             self.run_both(monkeypatch, ops, 1.0, restarts=6)
+
+
+def ascent_case(g, side, n_ops, p, restarts, max_iter, zero=False):
+    """omega_p arguments of one request; with `zero`, the last operator is 0."""
+    ops = [rand_complex(g, side) for _ in range(n_ops)]
+    if zero:
+        ops[-1] = np.zeros((side, side))
+    return dict(ops=ops, p=p, restarts=restarts, stream=RngStream(int(g.integers(2 ** 32))),
+                max_iter=max_iter)
+
+
+def assert_same_ends(a, b):
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.f, b.f)
+    assert a.steps == b.steps and a.norms == b.norms
+
+
+class TestAscendMany:
+    """`ascend_many` runs the ascents of one (k, side, p) in lockstep; each
+    request ends as it would alone, and omega_p on its ends gives the lone
+    omega_p estimate, to the bit."""
+
+    @staticmethod
+    def cases():
+        # sides 1-16 at k = 1, 2 and 4 and p = 1, 2 and 3, three requests a
+        # key; one restart (a lone row, doubled), max_iter 0 and 7, and a
+        # zero operand at p = 1 (the kink guard) among them
+        g = np.random.default_rng(29)
+        cases = []
+        for side in range(1, 17):
+            n_ops, p = (1, 2, 4)[side % 3], (1.0, 2.0, 3.0)[side // 3 % 3]
+            for restarts, max_iter in ((1, 60), (3, (0, 7, 60)[side % 3]), (4, 60)):
+                cases.append(ascent_case(g, side, n_ops, p, restarts, max_iter,
+                                         zero=p == 1.0 and n_ops > 1 and restarts == 4))
+        return cases
+
+    def test_lockstep_equals_lone_requests(self):
+        cases = self.cases()
+        requests = [ascent_request(**case) for case in cases]
+        alone = [ascend_many([req])[0] for req in requests]
+        g = np.random.default_rng(7)
+        order = g.permutation(len(requests))
+        for i, ends in zip(order, ascend_many([requests[i] for i in order])):
+            assert_same_ends(ends, alone[i])
+        # sub-batches, each of mixed keys
+        for part in np.array_split(g.permutation(len(requests)), 5):
+            for i, ends in zip(part, ascend_many([requests[i] for i in part])):
+                assert_same_ends(ends, alone[i])
+        for case, ends in zip(cases, alone):
+            lone = omega_p(**case)
+            est = omega_p(**case, ends=ends)
+            assert est.value == lone.value and est.converged == lone.converged
+            np.testing.assert_array_equal(est.witness, lone.witness)
+
+    def test_steps_count_row_iterations(self):
+        g = np.random.default_rng(3)
+        idle = ascend_many([ascent_request(**ascent_case(g, 3, 2, 2.0, 4, 0))])[0]
+        assert idle.steps == 0
+        ends = ascend_many([ascent_request(**ascent_case(g, 3, 2, 2.0, 4, 5))])[0]
+        assert 4 <= ends.steps <= 4 * 5
+
+    def test_ends_of_another_shape_are_refused(self):
+        g = np.random.default_rng(4)
+        case = ascent_case(g, 3, 2, 2.0, 4, 20)
+        ends = ascend_many([ascent_request(**case)])[0]
+        with pytest.raises(DimensionMismatchError, match="ends"):
+            omega_p(**dict(case, restarts=3), ends=ends)
+        with pytest.raises(DimensionMismatchError, match="1 norms for 2 operators"):
+            omega_p(**case, ends=ends._replace(norms=ends.norms[:1]))
+
+    def test_any_ends_give_a_lower_bound(self):
+        # the value comes from the ops at the best end point, whatever the
+        # ends say F is there
+        g = np.random.default_rng(5)
+        case = ascent_case(g, 3, 2, 3.0, 4, 20)
+        points = np.stack([unit_vector(g, 3) for _ in range(4)])
+        ends = AscentEnds(points, np.array([0.0, 1e9, 0.0, 0.0]), 0,
+                          tuple(np.linalg.norm(t, 2) for t in case["ops"]))
+        est = omega_p(**case, ends=ends)
+        np.testing.assert_array_equal(est.witness, points[1])
+        assert est.value == omega_p_objective(case["ops"], 3.0, points[1]) ** (1 / 3)
+        assert est.value <= omega_p(**case).value + 1e-12
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"restarts": 4.0}, "restarts"),
+        ({"restarts": True}, "restarts"),
+        ({"restarts": 0}, "restarts"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"max_iter": -3}, "max_iter"),
+        ({"max_iter": False}, "max_iter"),
+    ])
+    def test_rejects_bad_counts(self, kwargs, name):
+        with pytest.raises(OutOfRangeError, match=name):
+            omega_p([np.eye(2, k=1)] * 2, 2.0, **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        a = omega_p([np.eye(2, k=1)] * 2, 2.0, restarts=np.int64(3), max_iter=np.int32(20))
+        b = omega_p([np.eye(2, k=1)] * 2, 2.0, restarts=3, max_iter=20)
+        assert a.value == b.value
+
+
+class TestExtremeNorms:
+    """Operators whose F would leave the float range run scaled by a power
+    of 2, and their value and tol are scaled back."""
+
+    @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
+    @pytest.mark.parametrize("s", (1e-300, 1e-160, 1e-100, 1e100, 1e160, 1e300))
+    def test_value_scales_with_the_operators(self, s, p):
+        g = np.random.default_rng(8)
+        ops = [rand_complex(g, 3) for _ in range(2)]
+        ops = [t / max(np.linalg.norm(u, 2) for u in ops) for t in ops]
+        unit = omega_p(ops, p, restarts=6, stream=RngStream(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = omega_p([s * t for t in ops], p, restarts=6, stream=RngStream(2))
+        assert 0.0 < est.value and est.converged
+        assert abs(est.value - s * unit.value) <= 1e-8 * max(1.0, s)
+
+    @pytest.mark.parametrize("s", (1e100, 1e160))
+    def test_shift_pair_at_p3(self, s):
+        # omega_p of the shift given twice is 2^(1/p) omega(shift) = 2^(1/3) s / 2
+        shift = np.array([[0.0, s], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = omega_p([shift, shift], 3.0)
+        assert est.converged
+        assert est.value == pytest.approx(2.0 ** (1 / 3) * 0.5 * s, rel=1e-6)
+
+    def test_ordinary_norms_run_unscaled(self):
+        # at norm about 1e30 and p = 4, F stays near 1e120 and the operators
+        # run as given; at p = 5 they run scaled to norm about 1
+        g = np.random.default_rng(9)
+        ops = [1e30 * rand_complex(g, 3) for _ in range(2)]
+        np.testing.assert_array_equal(ascent_request(ops, 4.0, 2).stack, np.stack(ops))
+        scaled = ascent_request(ops, 5.0, 2).stack
+        assert 0.5 <= max(np.linalg.norm(t, 2) for t in scaled) < 1.0
 
 
 class TestBruteForce:
