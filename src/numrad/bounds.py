@@ -6,14 +6,21 @@ value, the exponent e of its contract (radius**e <= value), the named
 intermediate norms, and the parameters used. The evaluators never compare
 against a radius themselves; validity checking lives in the harness.
 
+No evaluator takes a decomposition itself. It states the SVDs and
+compositions its closed form needs as a :class:`Pending`, whose finish may
+state the next ones, and :func:`settle` solves those of many pendings in
+rounds, one stacked call per (kind, shape) and round for each
+SETTLE_STEPS pendings. A public bound_* function
+settles its own as a batch of one; a campaign settles a block's together.
+
 `BOUNDS` maps every bound id to its :class:`BoundSpec`: the campaign grid
 axes, how inputs are drawn and checked (and so how many matrix files the
 CLI reads), the evaluator call and the contract-side measure. An
-evaluator whose value needs certified radii names them in a
-:class:`Pending`, and every contract side is one
-(`BoundSpec.contract_side`). The harness and the CLI dispatch on this
-table only and name no input key or measure, so adding a bound over
-existing grid axes means writing its evaluator and adding one entry.
+evaluator whose value needs certified radii names them in its pending,
+and every contract side is one (`BoundSpec.contract_side`). The harness
+and the CLI dispatch on this table only and name no input key or
+measure, so adding a bound over existing grid axes means writing its
+evaluator and adding one entry.
 
 The two-exponent (Holder) bound carries a documented constant discrepancy:
 its printed prefactor 4**(r-2) is falsified by the scalar case X = Y = [1]
@@ -28,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter, itemgetter
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -56,10 +65,12 @@ from .linalg import (
     as_matrix,
     embed_block,
     embed_offdiag,
-    fn_of_abs,
-    fn_of_spectrum,
     polar_eigen,
+    polar_eigens,
+    recompose_many,
     spectral_norm,
+    spectral_norms,
+    spectrum_values,
 )
 from .radius import ascent_request, omega_many, omega_p
 
@@ -89,20 +100,156 @@ class BoundOutcome:
                 raise OutOfRangeError(f"term {name} must be finite and >= 0, got {term}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Pending:
-    """A result that waits on certified radii and ascents: `radii` lists
-    the (operator, absolute tol, ``spectral_norm(operator)``) requests to
-    certify and `ascents` the :class:`~numrad.radius.AscentRequest`s to
-    run, either possibly none, and `finish(certs)` makes the result from
-    the :func:`omega_many` results of the radii followed by the
-    :func:`ascend_many` ends of the ascents, in that order. A campaign
-    keeps a bound's value and its contract side as one each; only a
-    contract side names ascents."""
+    """A result that waits on decompositions, certified radii or ascents.
 
-    radii: list
+    `norms` and `polars` list matrices whose :func:`spectral_norm` and
+    :func:`polar_eigen` are wanted, `compositions` (values, vectors) pairs
+    to :func:`recompose`, `radii` (operator, absolute tol,
+    ``spectral_norm(operator)``) requests to certify and `ascents`
+    :class:`~numrad.radius.AscentRequest`s to run, any of them possibly
+    none. `finish(results)` takes their results in that order and gives the
+    result, or a further Pending. :func:`settle` solves the decompositions
+    of many pendings together in rounds. A pending that names radii or
+    ascents names no decompositions, and its finish takes the
+    :func:`omega_many` results of its radii (a certificate or the
+    NumradError it raised) followed by the :func:`ascend_many` ends of its
+    ascents and gives the result. A campaign keeps a bound's value and its
+    contract side as one each; only a contract side names ascents.
+    """
+
     finish: Callable
-    ascents: list = field(default_factory=list)
+    norms: list = ()
+    polars: list = ()
+    compositions: list = ()
+    radii: list = ()
+    ascents: list = ()
+
+
+# Steps `settle` takes through all their rounds at a time. A campaign
+# block's 1024 steps (a value and a side per trial) settled at once held
+# every trial's intermediates together, and a campaign_bounds unit's peak
+# RSS rose 4.5 MB over 43.7 MB; 128 at a time, 0.8 MB, at the same speed.
+SETTLE_STEPS = 128
+
+# The exceptions that fail one pending and not the batch it is settled in;
+# in a campaign, the ones that turn a trial into an error record.
+FAILURES = (NumradError, ValueError, TypeError)
+
+
+# The decompositions a Pending may name, each with the shape of a request:
+# requests of one kind and shape are solved in one stacked call.
+_KINDS = {"norms": attrgetter("shape"), "polars": attrgetter("shape"),
+          "compositions": lambda pair: pair[1].shape}
+
+
+def _solve(kind: str, requests: list) -> tuple[list, dict]:
+    """The results of one (kind, shape) group of requests, and {position:
+    error} of those whose lone call raised. A norm or polar request with a
+    non-finite entry, and every request of a stack whose SVD raised, gets
+    what the lone function gives it: its result or its error."""
+    if kind == "compositions":
+        values, vectors = zip(*requests)
+        return list(recompose_many(np.stack(values), np.stack(vectors))), {}
+    stack = np.stack(requests)
+    lone = spectral_norm if kind == "norms" else polar_eigen
+    try:
+        results = spectral_norms(stack).tolist() if kind == "norms" else polar_eigens(stack)
+        redo = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    except np.linalg.LinAlgError:
+        results, redo = [None] * len(requests), range(len(requests))
+    errors = {}
+    for k in redo:
+        try:
+            results[k] = lone(requests[k])
+        except FAILURES as exc:
+            errors[k] = exc
+    return results, errors
+
+
+def settle(steps: list, clock=perf_counter) -> tuple[list, list, float]:
+    """Solve the decompositions the pendings among `steps` name, in rounds.
+
+    Each round gathers the norm, polar and composition requests of every
+    pending that names some, solves each (kind, shape) in one stacked
+    call (`linalg.spectral_norms`, `polar_eigens`, `recompose_many`) and
+    runs those pendings' finishes, whose results may name the next round's
+    requests. A step that is no Pending is a result and stays as it is.
+    Steps are taken through their rounds SETTLE_STEPS at a time. Returns
+    (steps, spent, now): each step's outcome (a result, a Pending of radii
+    and ascents or of nothing, or the error in FAILURES that its finish
+    or, first in request order, one of its requests raised), the `clock`
+    time charged to it, and the clock's last reading. A stacked call's
+    time is split evenly over its requests and a finish's time is its
+    own, so the charges add up to the time since the first reading.
+    """
+    steps, spent = list(steps), [0.0] * len(steps)
+    now = clock()
+    for start in range(0, len(steps), SETTLE_STEPS):
+        now = _rounds(steps, range(start, min(start + SETTLE_STEPS, len(steps))), spent,
+                      clock, now)
+    return steps, spent, now
+
+
+def _rounds(steps: list, chunk: range, spent: list, clock, now: float) -> float:
+    """Run the rounds of the steps at the positions in `chunk`, in place;
+    returns the clock's last reading."""
+    while True:
+        live = [i for i in chunk if isinstance(steps[i], Pending)
+                and (steps[i].norms or steps[i].polars or steps[i].compositions)]
+        if not live:
+            return now
+        results = {i: [] for i in live}
+        groups: dict = {}
+        for i in live:
+            slots = results[i]
+            for kind, shape in _KINDS.items():
+                for req in getattr(steps[i], kind):
+                    groups.setdefault((kind, shape(req)), []).append((i, len(slots), req))
+                    slots.append(None)
+        failed: dict = {}  # step -> (slot, error) of its first failed request
+        for (kind, _), group in groups.items():
+            answers, errors = _solve(kind, [req for _, _, req in group])
+            for k, exc in errors.items():
+                i, slot, _ = group[k]
+                if slot < failed.get(i, (math.inf,))[0]:
+                    failed[i] = (slot, exc)
+            before, now = now, clock()
+            share = (now - before) / len(group)
+            for (i, slot, _), res in zip(group, answers):
+                results[i][slot] = res
+                spent[i] += share
+        for i in live:
+            try:
+                steps[i] = failed[i][1] if i in failed else steps[i].finish(results[i])
+            except FAILURES as exc:
+                steps[i] = exc
+            before, now = now, clock()
+            spent[i] += now - before
+
+
+def _settled(step):
+    """A step settled as a batch of one: its result, or the error raised."""
+    (out,), _, _ = settle([step])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _result(step, pending: bool):
+    """What a bound_* function returns: its step, or with `pending` False
+    the step settled."""
+    return step if pending else _settled(step)
+
+
+def _then(step, fn):
+    """A step whose result is fn of the result of `step` (a Pending or a
+    result); fn may return a step itself."""
+    if not isinstance(step, Pending):
+        return fn(step)
+    return Pending(lambda results: _then(step.finish(results), fn), step.norms, step.polars,
+                   step.compositions, step.radii, step.ascents)
 
 
 @dataclass
@@ -130,36 +277,48 @@ def _require_variant(variant: int) -> int:
     return variant
 
 
-def _pair_terms(pair: FunctionPair, r: float, variant: int,
-                x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """The four PSD terms feeding every off-diagonal bound.
+def _pair_terms(pair: FunctionPair, r: float, variant: int, polar_x, polar_y) -> list:
+    """The four PSD terms feeding every off-diagonal bound, as composition
+    requests (values, vectors).
 
     They are f**(2r) or g**(2r) applied to |X|, |Y*|, |Y| and |X*|; the
     first two make up the first group and the last two the second.
-    One SVD per block gives both |X| and |X*| (and |Y| and |Y*|).
-    Variant 1 mixes f and g inside each group; variant 2 keeps f with the
-    first group and g with the second. The pair is validated on the four
-    spectra and the probes 0 and 1.
+    One SVD per block, given as its `polar_eigen`, gives both |X| and |X*|
+    (and |Y| and |Y*|). Variant 1 mixes f and g inside each group; variant
+    2 keeps f with the first group and g with the second. The pair is
+    validated on the four spectra and the probes 0 and 1.
     """
-    (abs_x, abs_xs), (abs_y, abs_ys) = polar_eigen(x), polar_eigen(y)
+    (abs_x, abs_xs), (abs_y, abs_ys) = polar_x, polar_y
     eigs = [abs_x, abs_ys, abs_y, abs_xs]
     validate_pair(pair, np.concatenate([s for s, _ in eigs] + [np.array([0.0, 1.0])]))
     fe, ge = pow_of_pair(pair, 2.0 * r)
     fns = (fe, ge, fe, ge) if variant == 1 else (fe, fe, ge, ge)
-    return [fn_of_spectrum(fn, s, v) for fn, (s, v) in zip(fns, eigs)]
+    return [(spectrum_values(fn, s), v) for fn, (s, v) in zip(fns, eigs)]
 
 
-def _offdiag_groups(p, pair: FunctionPair, r: float, variant: int) -> tuple:
-    """(r, first, second, ||first||, ||second||) for the pair p = (X, Y).
+def _summed_norms(mats: list, terms: Callable) -> Pending:
+    """The pending of (sums, their norms) in three rounds: the polar pairs
+    of `mats`, the composition requests terms(polar pairs), and the norms
+    of the sums of those compositions taken two at a time."""
+    def norms(compositions):
+        sums = [a + b for a, b in zip(compositions[::2], compositions[1::2])]
+        return Pending(lambda n: (sums, n), norms=sums)
 
-    Validates r and the variant; the groups are the two sums of
+    return Pending(lambda polars: Pending(norms, compositions=terms(polars)), polars=mats)
+
+
+def _offdiag_bound(p, pair: FunctionPair, r: float, variant: int, pending: bool,
+                   outcome: Callable):
+    """outcome(r, first, second, ||first||, ||second||) for the pair
+    p = (X, Y), as `_result` gives it: the groups are the two sums of
     :func:`_pair_terms`, which the four off-diagonal bounds share.
+
+    Validates r and the variant.
     """
     p = p if isinstance(p, OffDiagPair) else OffDiagPair(*p)
-    r = _require_r(r)
-    t1, t2, t3, t4 = _pair_terms(pair, r, _require_variant(variant), p.x, p.y)
-    first, second = t1 + t2, t3 + t4
-    return r, first, second, spectral_norm(first), spectral_norm(second)
+    r, variant = _require_r(r), _require_variant(variant)
+    groups = _summed_norms([p.x, p.y], lambda polars: _pair_terms(pair, r, variant, *polars))
+    return _result(_then(groups, lambda sums: outcome(r, *sums[0], *sums[1])), pending)
 
 
 def refined_young(a: float, b: float, m: int) -> tuple[float, float]:
@@ -181,26 +340,32 @@ def refined_young(a: float, b: float, m: int) -> tuple[float, float]:
     return lhs, rhs
 
 
+# Each bound_* function below settles its decompositions as a batch of one
+# (`settle`). With `pending` it returns its step instead, a Pending that
+# finishes into what it would return, for a caller that settles many.
+
 def bound_main1(p: OffDiagPair, pair: FunctionPair, r: float,
-                variant: int = 1) -> BoundOutcome:
+                variant: int = 1, pending: bool = False) -> BoundOutcome:
     """Two-norm product bound for the off-diagonal matrix [[0, X], [Y, 0]].
 
     value = 2**(r-2) ||group1||^(1/2) ||group2||^(1/2) with the groups of
     f**(2r), g**(2r) applied to |X|, |Y*|, |Y|, |X*|; contract
     omega(T)**r <= value.
     """
-    r, _, _, n1, n2 = _offdiag_groups(p, pair, r, variant)
-    value = 2.0 ** (r - 2.0) * math.sqrt(n1) * math.sqrt(n2)
-    return BoundOutcome(
-        bound_id=f"main1.v{variant}",
-        value=value,
-        exponent=r,
-        terms={"norm_first": n1, "norm_second": n2},
-        params={"r": r, "variant": variant, "pair": pair.tag},
-    )
+    def outcome(r, first, second, n1, n2):
+        return BoundOutcome(
+            bound_id=f"main1.v{variant}",
+            value=2.0 ** (r - 2.0) * math.sqrt(n1) * math.sqrt(n2),
+            exponent=r,
+            terms={"norm_first": n1, "norm_second": n2},
+            params={"r": r, "variant": variant, "pair": pair.tag},
+        )
+
+    return _offdiag_bound(p, pair, r, variant, pending, outcome)
 
 
-def bound_product_xy(x, y, alpha: float, r: float, variant: int = 1) -> BoundOutcome:
+def bound_product_xy(x, y, alpha: float, r: float, variant: int = 1,
+                     pending: bool = False) -> BoundOutcome:
     """Bound on omega(XY)**(r/2) via the off-diagonal power-pair bound.
 
     The right-hand side equals bound_main1 on the pair (X, Y) with
@@ -213,32 +378,38 @@ def bound_product_xy(x, y, alpha: float, r: float, variant: int = 1) -> BoundOut
             f"product bound needs two square matrices of one side, "
             f"got {x.shape} and {y.shape}"
         )
-    base = bound_main1(OffDiagPair(x, y), power_pair(alpha), r, variant)
-    return BoundOutcome(
-        bound_id="product_xy",
-        value=base.value,
-        exponent=r / 2.0,
-        terms=base.terms,
-        params={"r": r, "alpha": float(alpha), "variant": variant},
-    )
+
+    def outcome(base):
+        return BoundOutcome(
+            bound_id="product_xy",
+            value=base.value,
+            exponent=r / 2.0,
+            terms=base.terms,
+            params={"r": r, "alpha": float(alpha), "variant": variant},
+        )
+
+    base = bound_main1(OffDiagPair(x, y), power_pair(alpha), r, variant, pending=True)
+    return _result(_then(base, outcome), pending)
 
 
-def is_normal(m, tol: float = NORMALITY_TOL) -> bool:
+def is_normal(m, tol: float = NORMALITY_TOL, pending: bool = False) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    nrm = spectral_norm(m)
     comm = adjoint(m) @ m - m @ adjoint(m)
-    return spectral_norm(comm) <= tol * max(nrm * nrm, 1e-300)
+    return _result(Pending(lambda n: n[1] <= tol * max(n[0] * n[0], 1e-300), norms=[m, comm]),
+                   pending)
 
 
-def bound_sum_norm(x, y, r: float, sign: str = "+",
-                   normal_mode: bool = False) -> BoundOutcome:
+def bound_sum_norm(x, y, r: float, sign: str = "+", normal_mode: bool = False,
+                   pending: bool = False) -> BoundOutcome:
     """Norm bound ||X +/- Y*||**r <= 2**(2r-2) ||...||^(1/2) ||...||^(1/2).
 
     With normal_mode (X, Y square and normal) the contract tightens to
     ||X +/- Y||**r <= 2**(2r-2) || |X|**r + |Y|**r ||. The value does not
     depend on the sign; the sign is recorded for the contract side only.
+    Normality is checked for X before Y, and the powers |M|**r come from
+    one SVD of each M.
     """
     x = as_matrix(x)
     y = as_matrix(y)
@@ -250,35 +421,49 @@ def bound_sum_norm(x, y, r: float, sign: str = "+",
             f"need X m-by-n and Y n-by-m, got {x.shape} and {y.shape}"
         )
 
-    def pow_abs(m):
-        return fn_of_abs(m, lambda t: np.asarray(t) ** r)
+    def power_norms(mats):
+        """The step of the norms of |M|**r + |M'|**r for the matrices M, M'
+        of `mats` taken two at a time."""
+        def terms(polars):
+            return [(spectrum_values(lambda t: np.asarray(t) ** r, s), v) for (s, v), _ in polars]
+
+        return _then(_summed_norms(mats, terms), itemgetter(1))
+
+    def checked(normal):
+        if not normal:
+            raise NotNormalError("normal mode requires normal operators")
+        return power_norms([x, y])
+
+    def outcome(norms):
+        if normal_mode:
+            (n1,) = norms
+            value = 2.0 ** (2.0 * r - 2.0) * n1
+            terms = {"norm_sum": n1}
+        else:
+            n1, n2 = norms
+            value = 2.0 ** (2.0 * r - 2.0) * math.sqrt(n1) * math.sqrt(n2)
+            terms = {"norm_first": n1, "norm_second": n2}
+        return BoundOutcome(
+            bound_id="sum_norm.normal" if normal_mode else "sum_norm",
+            value=value,
+            exponent=r,
+            terms=terms,
+            params={"r": r, "sign": sign, "normal_mode": normal_mode},
+        )
 
     if normal_mode:
         if x.shape[0] != x.shape[1]:
             raise NotNormalError("normal mode requires square matrices")
-        if not (is_normal(x) and is_normal(y)):
-            raise NotNormalError("normal mode requires normal operators")
-        n1 = spectral_norm(pow_abs(x) + pow_abs(y))
-        value = 2.0 ** (2.0 * r - 2.0) * n1
-        terms = {"norm_sum": n1}
-        bound_id = "sum_norm.normal"
+        normal = _then(is_normal(x, pending=True), lambda ok: ok and is_normal(y, pending=True))
+        norms = _then(normal, checked)
     else:
-        n1 = spectral_norm(pow_abs(x) + pow_abs(adjoint(y)))
-        n2 = spectral_norm(pow_abs(y) + pow_abs(adjoint(x)))
-        value = 2.0 ** (2.0 * r - 2.0) * math.sqrt(n1) * math.sqrt(n2)
-        terms = {"norm_first": n1, "norm_second": n2}
-        bound_id = "sum_norm"
-    return BoundOutcome(
-        bound_id=bound_id,
-        value=value,
-        exponent=r,
-        terms=terms,
-        params={"r": r, "sign": sign, "normal_mode": normal_mode},
-    )
+        norms = power_norms([x, adjoint(y), y, adjoint(x)])
+    return _result(_then(norms, outcome), pending)
 
 
 def bound_main11(p: OffDiagPair, pair: FunctionPair, r: float, hp: HolderPair,
-                 variant: int = 1, constant_mode: str = "as_proved") -> BoundOutcome:
+                 variant: int = 1, constant_mode: str = "as_proved",
+                 pending: bool = False) -> BoundOutcome:
     """Holder-exponent bound with contract omega(T)**(2r) <= value.
 
     value = C (alpha_sq + beta_sq) with alpha_sq = ||group1**p|| / p**2 and
@@ -290,36 +475,40 @@ def bound_main11(p: OffDiagPair, pair: FunctionPair, r: float, hp: HolderPair,
     if constant_mode not in CONSTANT_MODES:
         raise OutOfRangeError(f"constant_mode must be {' or '.join(CONSTANT_MODES)}, "
                               f"got {constant_mode!r}")
-    r, _, _, n1, n2 = _offdiag_groups(p, pair, r, variant)
-    pw, qw = hp.p, hp.q
-    alpha_sq = n1 ** pw / pw ** 2
-    beta_sq = n2 ** qw / qw ** 2
-    const = 4.0 ** (r - 2.0) if constant_mode == "as_stated" else 4.0 ** (r - 1.0)
-    value = const * (alpha_sq + beta_sq)
-    return BoundOutcome(
-        bound_id=f"main11.v{variant}",
-        value=value,
-        exponent=2.0 * r,
-        terms={"alpha_sq": alpha_sq, "beta_sq": beta_sq, "constant": const},
-        params={"r": r, "variant": variant, "p": pw, "q": qw,
-                "constant_mode": constant_mode, "pair": pair.tag},
-    )
+
+    def outcome(r, first, second, n1, n2):
+        pw, qw = hp.p, hp.q
+        alpha_sq = n1 ** pw / pw ** 2
+        beta_sq = n2 ** qw / qw ** 2
+        const = 4.0 ** (r - 2.0) if constant_mode == "as_stated" else 4.0 ** (r - 1.0)
+        return BoundOutcome(
+            bound_id=f"main11.v{variant}",
+            value=const * (alpha_sq + beta_sq),
+            exponent=2.0 * r,
+            terms={"alpha_sq": alpha_sq, "beta_sq": beta_sq, "constant": const},
+            params={"r": r, "variant": variant, "p": pw, "q": qw,
+                    "constant_mode": constant_mode, "pair": pair.tag},
+        )
+
+    return _offdiag_bound(p, pair, r, variant, pending, outcome)
 
 
 def bound_main11_young(p: OffDiagPair, pair: FunctionPair, r: float,
-                       hp: HolderPair, variant: int = 1) -> BoundOutcome:
+                       hp: HolderPair, variant: int = 1,
+                       pending: bool = False) -> BoundOutcome:
     """Young-split variant: value = 2**(r-2) (||g1||^(p/2)/p + ||g2||^(q/2)/q),
     contract omega(T)**r <= value."""
-    r, _, _, n1, n2 = _offdiag_groups(p, pair, r, variant)
-    pw, qw = hp.p, hp.q
-    value = 2.0 ** (r - 2.0) * (n1 ** (pw / 2.0) / pw + n2 ** (qw / 2.0) / qw)
-    return BoundOutcome(
-        bound_id=f"main11.young.v{variant}",
-        value=value,
-        exponent=r,
-        terms={"norm_first": n1, "norm_second": n2},
-        params={"r": r, "variant": variant, "p": pw, "q": qw, "pair": pair.tag},
-    )
+    def outcome(r, first, second, n1, n2):
+        pw, qw = hp.p, hp.q
+        return BoundOutcome(
+            bound_id=f"main11.young.v{variant}",
+            value=2.0 ** (r - 2.0) * (n1 ** (pw / 2.0) / pw + n2 ** (qw / 2.0) / qw),
+            exponent=r,
+            terms={"norm_first": n1, "norm_second": n2},
+            params={"r": r, "variant": variant, "p": pw, "q": qw, "pair": pair.tag},
+        )
+
+    return _offdiag_bound(p, pair, r, variant, pending, outcome)
 
 
 def zeta_value(a_mat, b_mat, x1, x2):
@@ -356,7 +545,7 @@ def _estimate_zeta(a_mat: np.ndarray, b_mat: np.ndarray) -> ZetaEstimate:
 
 
 def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
-                ) -> tuple[BoundOutcome, BoundOutcome, ZetaEstimate]:
+                pending: bool = False) -> tuple[BoundOutcome, BoundOutcome, ZetaEstimate]:
     """Norm-sum bound with a subtracted gap term.
 
     guaranteed uses the lower bound inf zeta >= 0, so
@@ -365,30 +554,33 @@ def bound_main3(p: OffDiagPair, pair: FunctionPair, r: float, variant: int = 1,
     sphere is vacuous (inf zeta = 0), so refined equals guaranteed up to
     rounding.
     """
-    r, first, second, n1, n2 = _offdiag_groups(p, pair, r, variant)
-    base = 2.0 ** (r - 2.0) * (n1 + n2)
-    zeta = _estimate_zeta(first, second)
-    bound_id = f"main3.v{variant}"
-    shared_terms = {"norm_first": n1, "norm_second": n2}
-    guaranteed = BoundOutcome(
-        bound_id=bound_id,
-        value=base,
-        exponent=r,
-        terms=dict(shared_terms, zeta_lower=0.0),
-        params={"r": r, "variant": variant, "pair": pair.tag, "mode": "guaranteed"},
-    )
-    refined = BoundOutcome(
-        bound_id=bound_id,
-        value=max(base - 2.0 ** (r - 2.0) * zeta.value, 0.0),
-        exponent=r,
-        terms=dict(shared_terms, zeta=zeta.value),
-        params={"r": r, "variant": variant, "pair": pair.tag,
-                "mode": "refined_heuristic"},
-    )
-    return guaranteed, refined, zeta
+    def outcomes(r, first, second, n1, n2):
+        base = 2.0 ** (r - 2.0) * (n1 + n2)
+        zeta = _estimate_zeta(first, second)
+        bound_id = f"main3.v{variant}"
+        shared_terms = {"norm_first": n1, "norm_second": n2}
+        guaranteed = BoundOutcome(
+            bound_id=bound_id,
+            value=base,
+            exponent=r,
+            terms=dict(shared_terms, zeta_lower=0.0),
+            params={"r": r, "variant": variant, "pair": pair.tag, "mode": "guaranteed"},
+        )
+        refined = BoundOutcome(
+            bound_id=bound_id,
+            value=max(base - 2.0 ** (r - 2.0) * zeta.value, 0.0),
+            exponent=r,
+            terms=dict(shared_terms, zeta=zeta.value),
+            params={"r": r, "variant": variant, "pair": pair.tag,
+                    "mode": "refined_heuristic"},
+        )
+        return guaranteed, refined, zeta
+
+    return _offdiag_bound(p, pair, r, variant, pending, outcomes)
 
 
-def _as_contraction_item(item) -> tuple[np.ndarray, ...]:
+def _contraction_item(item) -> tuple[np.ndarray, ...]:
+    """An item (A, B, C, D, X, Y) of `bound_main4` with its shapes checked."""
     a, b, c, d, x, y = (as_matrix(t) for t in item)
     m, n = x.shape
     ok = (a.shape == (m, m) and c.shape == (m, m)
@@ -397,9 +589,6 @@ def _as_contraction_item(item) -> tuple[np.ndarray, ...]:
         raise DimensionMismatchError(
             "item needs A, C m-by-m; B, D n-by-n; X m-by-n; Y n-by-m"
         )
-    for name, t in zip("ABCD", (a, b, c, d)):
-        if spectral_norm(t) > 1.0 + CONTRACTION_SLACK:
-            raise NotContractionError(f"{name} has spectral norm > 1")
     return a, b, c, d, x, y
 
 
@@ -414,61 +603,78 @@ def main4_operands(items) -> list[np.ndarray]:
             for a, b, c, d, x, y in items]
 
 
-def bound_main4(items, pair: FunctionPair, p: float, variant: int = 1) -> BoundOutcome:
+def bound_main4(items, pair: FunctionPair, p: float, variant: int = 1,
+                pending: bool = False) -> BoundOutcome:
     """Contraction-compressed bound on omega_p**p of the products.
 
     value = 2**(p-2) * sum_i ||D* f^{2p}(|X|) D + B* g^{2p}(|Y*|) B||^(1/2)
     * ||C* f^{2p}(|Y|) C + A* g^{2p}(|X*|) A||^(1/2) (variant 2 groups f
-    with f and g with g).
+    with f and g with g). Every item's shapes are checked first, then, in
+    the first round with the polar pairs of the X_i and Y_i, the norms of
+    A_1, B_1, C_1, D_1, A_2, ..., each at most 1 + CONTRACTION_SLACK.
     """
     p = _require_r(p, "p")
     variant = _require_variant(variant)
-    norm_items = [_as_contraction_item(item) for item in items]
-    if not norm_items:
+    items = [_contraction_item(item) for item in items]
+    if not items:
         raise OutOfRangeError("at least one item is required")
-    total = 0.0
-    per_item = []
-    for a, b, c, d, x, y in norm_items:
-        t1, t2, t3, t4 = _pair_terms(pair, p, variant, x, y)
-        g1 = adjoint(d) @ t1 @ d + adjoint(b) @ t2 @ b
-        g2 = adjoint(c) @ t3 @ c + adjoint(a) @ t4 @ a
-        term = math.sqrt(spectral_norm(g1)) * math.sqrt(spectral_norm(g2))
-        per_item.append(term)
-        total += term
-    value = 2.0 ** (p - 2.0) * total
-    return BoundOutcome(
-        bound_id=f"main4.v{variant}",
-        value=value,
-        exponent=p,
-        terms={f"item_{i}": t for i, t in enumerate(per_item)},
-        params={"p": p, "variant": variant, "n_operators": len(per_item),
-                "pair": pair.tag},
-    )
+
+    def terms(results):
+        contractions, polars = results[:4 * len(items)], results[4 * len(items):]
+        for name, nrm in zip("ABCD" * len(items), contractions):
+            if nrm > 1.0 + CONTRACTION_SLACK:
+                raise NotContractionError(f"{name} has spectral norm > 1")
+        return Pending(groups, compositions=[
+            term for i in range(len(items))
+            for term in _pair_terms(pair, p, variant, *polars[2 * i:2 * i + 2])])
+
+    def groups(terms):
+        mats = []
+        for (a, b, c, d, _, _), i in zip(items, range(0, len(terms), 4)):
+            t1, t2, t3, t4 = terms[i:i + 4]
+            mats += [adjoint(d) @ t1 @ d + adjoint(b) @ t2 @ b,
+                     adjoint(c) @ t3 @ c + adjoint(a) @ t4 @ a]
+        return Pending(outcome, norms=mats)
+
+    def outcome(norms):
+        per_item = [math.sqrt(n1) * math.sqrt(n2) for n1, n2 in zip(norms[::2], norms[1::2])]
+        return BoundOutcome(
+            bound_id=f"main4.v{variant}",
+            value=2.0 ** (p - 2.0) * sum(per_item),
+            exponent=p,
+            terms={f"item_{i}": t for i, t in enumerate(per_item)},
+            params={"p": p, "variant": variant, "n_operators": len(per_item),
+                    "pair": pair.tag},
+        )
+
+    return _result(Pending(terms, norms=[t for item in items for t in item[:4]],
+                           polars=[t for item in items for t in item[4:]]), pending)
 
 
 def _th1_inputs(blocks, p: float) -> tuple[list, list, list, float]:
-    """th1's inputs checked: the Block2x2 of each block, [A_1, D_1, A_2, ...],
-    [(||B_i||, ||C_i||)] and p."""
+    """th1's inputs checked: the Block2x2 of each block, [A_1, D_1, A_2,
+    ...], [B_1, C_1, B_2, ...] and p."""
     p = _require_r(p, "p")
     blocks = [blk if isinstance(blk, Block2x2) else Block2x2(*blk) for blk in blocks]
     if not blocks:
         raise OutOfRangeError("at least one block is required")
     return (blocks, [op for blk in blocks for op in (blk.a, blk.d)],
-            [(spectral_norm(blk.b), spectral_norm(blk.c)) for blk in blocks], p)
+            [op for blk in blocks for op in (blk.b, blk.c)], p)
 
 
 def _th1_value(offdiag_norms, p: float, certs) -> BoundOutcome:
-    """th1's outcome from the norms [(||B_i||, ||C_i||)] and the certified
-    radii [w(A_1), w(D_1), w(A_2), ...]: CertifiedRadius results, or the
-    NumradError each raised, of which the first is raised. The radii are
-    taken at their upper endpoints, the conservative side for an upper
-    bound, and `omega_tol` is the tol they were certified at."""
+    """th1's outcome from the norms [||B_1||, ||C_1||, ||B_2||, ...] and
+    the certified radii [w(A_1), w(D_1), w(A_2), ...]: CertifiedRadius
+    results, or the NumradError each raised, of which the first is raised.
+    The radii are taken at their upper endpoints, the conservative side
+    for an upper bound, and `omega_tol` is the tol they were certified at."""
     for cert in certs:
         if isinstance(cert, NumradError):
             raise cert
     total = 0.0
     per_item = []
-    for (nb, nc), cert_a, cert_d in zip(offdiag_norms, certs[::2], certs[1::2]):
+    for nb, nc, cert_a, cert_d in zip(offdiag_norms[::2], offdiag_norms[1::2],
+                                      certs[::2], certs[1::2]):
         wa, wd = cert_a.hi, cert_d.hi
         term = (wa + wd + math.sqrt((wa - wd) ** 2 + (nb + nc) ** 2)) ** p
         per_item.append(term)
@@ -492,7 +698,8 @@ def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
     failure in that order is raised. A campaign certifies these radii in
     its measuring stage instead and finishes the value the same way.
     """
-    _, ops, norms, p = _th1_inputs(blocks, p)
+    _, ops, offdiag, p = _th1_inputs(blocks, p)
+    norms = _settled(Pending(list, norms=offdiag))
     return _th1_value(norms, p, omega_many(ops, [omega_tol] * len(ops)))
 
 
@@ -583,13 +790,14 @@ class BoundSpec:
     """One bound id: how to sample, evaluate and check it.
 
     `axes` names the campaign grid axes, outermost first. `evaluate(mats,
-    params, settings)` checks the inputs and returns the BoundOutcome, or,
-    when the value needs certified radii (`th1`), a Pending naming them.
-    The contract side takes `measure` ("omega", "norm" or "omega_p") of
-    `operand(mats, params)`, and `contract_side` states it as a Pending
-    too, so a campaign certifies the radii of values and sides together
-    and then runs their finishes. `extras` names the campaign settings
-    each trial adds to its params.
+    params, settings)` checks the inputs and returns the Pending that
+    finishes into the BoundOutcome, after certified radii too when the
+    value needs them (`th1`). The contract side takes `measure` ("omega",
+    "norm" or "omega_p") of `operand(mats, params)`, and `contract_side`
+    states it as a Pending too, so a campaign settles the decompositions
+    of values and sides together, certifies their radii together and then
+    runs their finishes. `extras` names the campaign settings each trial
+    adds to its params.
     """
 
     bound_id: str
@@ -606,36 +814,40 @@ class BoundSpec:
         return len(self.sampler.slots)
 
     def contract_side(self, mats: dict, params: dict, settings: EvalSettings) -> Pending:
-        """The contract side as a Pending whose finish returns (lhs, upper
+        """The contract side as a Pending that finishes into (lhs, upper
         end or None, extras).
 
-        An "omega" side is one radius at `omega_tol` relative to
-        max(1, ||T||), with that norm, finished as the ends of its certified
-        enclosure. The generalized radius of one operator is its numerical
-        radius for every p, so an "omega_p" side of one operand is that
-        radius too. A "norm" side has no radii and is the exact norm twice.
-        An "omega_p" side of two or more operands has no radii but one
-        ascent of them at `omega_p_restarts` and `omega_p_max_iter`; its
-        finish takes the estimate from the ascent's ends through
-        :func:`omega_p`, a lower estimate with no upper end, and adds its
+        Every side first takes the norms of its operands. An "omega" side
+        is then one radius at `omega_tol` relative to max(1, ||T||), with
+        that norm, finished as the ends of its certified enclosure. The
+        generalized radius of one operator is its numerical radius for
+        every p, so an "omega_p" side of one operand is that radius too. A
+        "norm" side is the exact norm twice. An "omega_p" side of two or
+        more operands is then one ascent of them at `omega_p_restarts` and
+        `omega_p_max_iter`, whose request takes those norms; its finish
+        takes the estimate from the ascent's ends through :func:`omega_p`,
+        a lower estimate with no upper end, and adds its
         `estimate_converged` flag to extras. A radius's or an ascent's
-        operands are checked here, so that bad ones fail their own trial
-        and not a lockstep batch.
+        operands are checked before their norms are taken and the ascent's
+        arguments when it is stated, so that bad ones fail their own trial
+        and not a stacked or lockstep batch.
         """
         target = self.operand(mats, params)
         if self.measure == "norm":
-            return Pending([], partial(_norm_ends, target))
+            return Pending(_norm_ends, norms=[target])
         if self.measure == "omega_p":
             if len(target) > 1:
-                ascent = ascent_request(target, float(params.get("p", 1.0)),
-                                        settings.omega_p_restarts,
-                                        stream=derive(settings.stream, 102),
-                                        max_iter=settings.omega_p_max_iter)
-                return Pending([], partial(_ascent_ends, target, params, settings), [ascent])
+                targets = [as_matrix(t) for t in target]
+                return Pending(partial(_ascent, targets, params, settings), norms=targets)
             (target,) = target
         target = as_matrix(target)
-        norm = spectral_norm(target)
-        return Pending([(target, settings.omega_tol * max(1.0, norm), norm)], _enclosure_ends)
+        return Pending(partial(_radius, target, settings.omega_tol), norms=[target])
+
+
+def _radius(target, omega_tol: float, norms) -> Pending:
+    """An "omega" side's radius, at omega_tol relative to max(1, its norm)."""
+    (norm,) = norms
+    return Pending(_enclosure_ends, radii=[(target, omega_tol * max(1.0, norm), norm)])
 
 
 def _enclosure_ends(certs) -> tuple[float, float, dict]:
@@ -646,9 +858,17 @@ def _enclosure_ends(certs) -> tuple[float, float, dict]:
     return cert.lo, cert.hi, {}
 
 
-def _norm_ends(target, certs) -> tuple[float, float, dict]:
-    norm = spectral_norm(target)
+def _norm_ends(norms) -> tuple[float, float, dict]:
+    (norm,) = norms
     return norm, norm, {}
+
+
+def _ascent(targets, params: dict, settings: EvalSettings, norms) -> Pending:
+    """An "omega_p" side's ascent request, with the operands' norms."""
+    ascent = ascent_request(targets, float(params.get("p", 1.0)), settings.omega_p_restarts,
+                            stream=derive(settings.stream, 102),
+                            max_iter=settings.omega_p_max_iter, norms=norms)
+    return Pending(partial(_ascent_ends, targets, params, settings), ascents=[ascent])
 
 
 def _ascent_ends(targets, params: dict, settings: EvalSettings,
@@ -679,45 +899,56 @@ def _holder(params: dict) -> HolderPair:
 # Evaluators, bound to a variant with functools.partial in the table. Each
 # looks its bound_* (th1: `_th1_value`) up by name when called, never when
 # the table is built, so a function patched onto this module is the one
-# that runs.
+# that runs, and returns its step for the harness to settle.
 
 def _main1(variant, m, prm, s):
-    return bound_main1(*_offdiag(m, prm), variant)
+    return bound_main1(*_offdiag(m, prm), variant, pending=True)
 
 
 def _main11(variant, m, prm, s):
     mode = prm.get("constant_mode", "as_proved")
-    return bound_main11(*_offdiag(m, prm), _holder(prm), variant, constant_mode=mode)
+    return bound_main11(*_offdiag(m, prm), _holder(prm), variant, constant_mode=mode,
+                        pending=True)
 
 
 def _main11_young(variant, m, prm, s):
-    return bound_main11_young(*_offdiag(m, prm), _holder(prm), variant)
+    return bound_main11_young(*_offdiag(m, prm), _holder(prm), variant, pending=True)
 
 
 def _main3(variant, m, prm, s):
-    return bound_main3(*_offdiag(m, prm), variant)[0]
+    return _then(bound_main3(*_offdiag(m, prm), variant, pending=True), itemgetter(0))
 
 
 def _main4(variant, m, prm, s):
-    return bound_main4(m["items"], _pair_arg(prm), float(prm.get("p", 1.0)), variant)
+    return bound_main4(m["items"], _pair_arg(prm), float(prm.get("p", 1.0)), variant,
+                       pending=True)
 
 
 def _product_xy(m, prm, s):
     return bound_product_xy(m["x"], m["y"], float(prm.get("alpha", 0.5)),
-                            float(prm.get("r", 1.0)), int(prm.get("variant", 1)))
+                            float(prm.get("r", 1.0)), int(prm.get("variant", 1)),
+                            pending=True)
 
 
 def _sum_norm(normal_mode, m, prm, s):
     return bound_sum_norm(m["x"], m["y"], float(prm.get("r", 1.0)),
-                          sign=prm.get("sign", "+"), normal_mode=normal_mode)
+                          sign=prm.get("sign", "+"), normal_mode=normal_mode, pending=True)
 
 
 def _th1(m, prm, s):
     """th1's radii A_1, D_1, A_2, ... with their norms, at omega_tol relative
-    to the largest block operator's norm, and the finish over their results."""
-    blocks, ops, norms, p = _th1_inputs(m["blocks"], float(prm.get("p", 1.0)))
-    tol = s.omega_tol * max([1.0] + [spectral_norm(blk.matrix()) for blk in blocks])
-    return Pending([(op, tol, spectral_norm(op)) for op in ops], partial(_th1_value, norms, p))
+    to the largest block operator's norm, and the finish over their results;
+    one round takes the norms of B_1, C_1, B_2, ..., of the block operators
+    and of the radii."""
+    blocks, ops, offdiag, p = _th1_inputs(m["blocks"], float(prm.get("p", 1.0)))
+    k = len(blocks)
+
+    def radii(norms):
+        tol = s.omega_tol * max([1.0] + norms[2 * k:3 * k])
+        return Pending(partial(_th1_value, norms[:2 * k], p),
+                       radii=[(op, tol, nrm) for op, nrm in zip(ops, norms[3 * k:])])
+
+    return Pending(radii, norms=offdiag + [blk.matrix() for blk in blocks] + ops)
 
 
 def _sign(params: dict) -> float:

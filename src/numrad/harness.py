@@ -13,15 +13,21 @@ counterexample suite and `numrad bound`, goes through `contract_verdict`.
 Each process runs its share of the plan in blocks of BLOCK_TRIALS
 consecutive trials, and each block in three stages, so a process holds
 one block's trials at a time. `_start_trial` draws (or checks) every
-trial's inputs and keeps two `numrad.bounds.Pending`s: the bound's value
-(an evaluator's outcome is a Pending of no radii, while `th1`'s names the
-block radii its value needs) and the contract side
-(`BoundSpec.contract_side`). Each is a list of (operator, tol, norm) radii
-and a list of `numrad.radius.AscentRequest`s, plus a finish over their
-results; the norm is the operator's spectral norm, taken once where the
-radius is stated, and only an `omega_p` side of two or more operands
-names an ascent. `_measure_sides` works in four steps over the block:
-it certifies the radii of every pending together, by one
+trial's inputs and keeps two steps, each a `numrad.bounds.Pending`: the
+bound's value (the evaluator's pending, which `th1`'s ends in the block
+radii its value needs) and the contract side (`BoundSpec.contract_side`).
+A pending names norm, polar and composition requests, (operator, tol,
+norm) radii and `numrad.radius.AscentRequest`s, and a finish over their
+results that may name the next requests; the norm of a radius is the
+operator's spectral norm, taken once as a request of the stater, and
+only an `omega_p` side of two or more operands names an ascent.
+`_measure_sides` works in five steps over the block: it settles the
+decompositions of every pending in rounds (`numrad.bounds.settle`, which
+takes `SETTLE_STEPS` pendings through their rounds at a time), each round
+solving each (kind, shape) of requests in one stacked call
+(`numrad.linalg.spectral_norms`, `polar_eigens`, `recompose_many`) and
+running the finishes, while pair validation and phi(s) stay per trial in
+those finishes; it certifies the radii of every pending together, by one
 `numrad.radius.omega_many` call over operators of every side that takes
 those norms; it runs every value's finish, which gives the outcome; it
 runs the ascents of the sides whose value succeeded, by one
@@ -30,18 +36,22 @@ ascent of one (operator count, side, p) in lockstep; and it runs those
 sides' finishes, which give (lhs, upper end or None, extras), an
 ascent's through `numrad.radius.omega_p` on its ends. `_finish_trial`
 makes the record from these through `contract_verdict`. A trial that
-raises at any stage becomes its own error record; the others go on.
+raises at any stage becomes its own error record, its value's error
+before its side's; the others go on.
 `_run_single`, behind `replay_trial` and the counterexample suite, is a
-share of one trial; `omega_many` and `ascend_many` results do not depend
-on their batch-mates, so a replay gives back the campaign record.
-`evaluate_bound`, behind `numrad bound`, runs stage 1's evaluation with
-its caller's settings and `_measure_sides` on one trial of given inputs,
-and raises that trial's error; so one path measures every contract side
-and certifies every radius. A record's `wall_time` is its own time in the
-first and last stages plus its own finishes, its share of its block's
-`omega_many` call split by the angles each operator evaluated, and its
-share of the block's `ascend_many` call split by the iterations its
-restarts ran, so the records of a share add up to the share's time.
+share of one trial; stacked, `omega_many` and `ascend_many` results do
+not depend on their batch-mates, so a replay gives back the campaign
+record. `evaluate_bound`, behind `numrad bound`, states one trial of
+given inputs with its caller's settings, runs `_measure_sides` on it and
+raises that trial's error; so one path settles and measures every
+contract side and certifies every radius, and the public bound_*
+functions settle their own pendings through the same `settle`. A
+record's `wall_time` is its own time in the first and last stages plus
+its own finishes, an even share of each stacked call of the rounds per
+request it made, its share of its block's `omega_many` call split by the
+angles each operator evaluated, and its share of the block's
+`ascend_many` call split by the iterations its restarts ran, so the
+records of a share add up to the share's time.
 
 Everything is deterministic in the master seed: each trial derives its own
 stream from its plan index, so trials can run in any order and in any
@@ -72,11 +82,11 @@ from time import perf_counter
 
 import numpy as np
 
-from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, BoundOutcome, BoundSpec,
-                     EvalSettings, Pending, bound_spec)
+from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, FAILURES, BoundOutcome,
+                     BoundSpec, EvalSettings, Pending, bound_spec, settle)
 from .ensembles import KINDS, RngStream, derive, sample
-from .errors import NumradError, OutOfRangeError
-from .linalg import fn_of_abs, spectral_norm
+from .errors import OutOfRangeError
+from .linalg import polar_eigen, recompose, spectral_norm
 from .radius import ascend_many, omega_many
 
 FORMAT_VERSION = "numrad-report/1"
@@ -193,13 +203,15 @@ class TrialRecord:
     violation: bool
     seed_path: str
     error: str | None = None
-    # In-memory only; reports must be byte-identical. A block's omega_many
-    # call's time is split by angles, and an angle's cost depends on its
-    # operator's side and kernel (a bipartite operand's SVD of its
-    # off-diagonal block is cheaper than an eigensolve), so the call
-    # overcharges small and bipartite operands. Its ascend_many call's time
-    # is split by row iterations, whose cost grows with the operator count
-    # and side, so that call overcharges small ascents.
+    # In-memory only; reports must be byte-identical. Each stacked call of
+    # a block's rounds covers one (kind, shape) and its time is split evenly
+    # over its requests, which cost alike. A block's omega_many call's time
+    # is split by angles, and an angle's cost depends on its operator's
+    # side and kernel (a bipartite operand's SVD of its off-diagonal block
+    # is cheaper than an eigensolve), so the call overcharges small and
+    # bipartite operands. Its ascend_many call's time is split by row
+    # iterations, whose cost grows with the operator count and side, so
+    # that call overcharges small ascents.
     wall_time: float = 0.0
 
 
@@ -273,9 +285,6 @@ def contract_verdict(value: float, lhs_pow: float,
     return ratio, bool(violation)
 
 
-# The exceptions that turn one trial into an error record.
-_TRIAL_ERRORS = (NumradError, ValueError, TypeError)
-
 # Trials per block of `_run_share`, which holds one block's trials between
 # its stages; results do not depend on batch-mates, so no report moves.
 BLOCK_TRIALS = 512
@@ -290,7 +299,8 @@ class _Trial:
     params: dict
     wall: float = 0.0
     digests: tuple = ()
-    pendings: tuple = ()  # the value's and the contract side's Pending
+    steps: tuple = ()     # the value's and the contract side's
+    answers: tuple = ()   # the stage-2 results each step's finish takes
     outcome: BoundOutcome | None = None
     ends: tuple = ()      # (lhs, upper end or None, extras) of the side
     error: Exception | None = None
@@ -304,7 +314,7 @@ def _settings(config: CampaignConfig, index: int) -> EvalSettings:
 
 def _start_trial(config: CampaignConfig, index: int, bound_id: str,
                  params: dict, mats: dict | None) -> _Trial:
-    """Stage 1: draw (or check) the inputs, evaluate the bound and state
+    """Stage 1: draw (or check) the inputs and state the bound's value and
     its contract side."""
     t0 = perf_counter()
     trial = _Trial(index, bound_id, params)
@@ -318,72 +328,90 @@ def _start_trial(config: CampaignConfig, index: int, bound_id: str,
             else spec.sampler.coerce(mats)
         trial.digests = tuple(_digest(m) for m in spec.sampler.unpack(mats))
         _evaluate(trial, spec, mats, settings)
-    except _TRIAL_ERRORS as exc:
+    except FAILURES as exc:
         trial.error = exc
     trial.wall = perf_counter() - t0
     return trial
 
 
 def _evaluate(trial: _Trial, spec: BoundSpec, mats: dict, settings: EvalSettings) -> None:
-    """Stage 1's evaluation of checked inputs: `trial` keeps the bound's
-    value and its contract side as Pendings for stage 2. A value that
-    needs no radii is a Pending of none that finishes as itself."""
-    outcome = spec.evaluate(mats, trial.params, settings)
-    value = outcome if isinstance(outcome, Pending) else Pending([], lambda certs: outcome)
-    trial.pendings = (value, spec.contract_side(mats, trial.params, settings))
+    """Stage 1's statement of checked inputs: `trial` keeps the bound's
+    value and its contract side as steps (`numrad.bounds.Pending`s, or
+    results) for stage 2. A side that fails to be stated keeps its error
+    as its step, since a failing value's error comes first."""
+    value = spec.evaluate(mats, trial.params, settings)
+    try:
+        side = spec.contract_side(mats, trial.params, settings)
+    except FAILURES as exc:
+        side = exc
+    trial.steps = (value, side)
 
 
 def _measure_sides(trials: list) -> None:
-    """Stage 2: certify the radii of every trial's value and contract side,
-    finish the values, then run the ascents of the sides whose value
-    succeeded and finish those sides, so that a failed value is its
-    trial's error and its side is never measured. The radii are
-    certified, with the norms their requests carry, by one `omega_many`
-    call whose time is split by the angles each operator evaluated, and
-    the ascents run in one `ascend_many` call whose time is split by the
-    iterations each request's restarts ran; a trial's finishes are its
-    own time."""
-    t = perf_counter()
-    radii = [(pending.radii, slot, trial, req) for trial in trials
-             for pending in trial.pendings for slot, req in enumerate(pending.radii)]
+    """Stage 2: settle the decompositions of every trial's value and
+    contract side in rounds, certify their radii, finish the values, then
+    run the ascents of the sides whose value succeeded and finish those
+    sides, so that a failed value is its trial's error and its side is
+    never measured; a trial whose value settled but whose side failed in
+    the rounds gets the side's error. The rounds (`numrad.bounds.settle`)
+    make one stacked call per (kind, shape) and round, whose time is split
+    evenly over its requests. The radii are certified, with the norms
+    their requests carry, by one `omega_many` call whose time is split by
+    the angles each operator evaluated, and the ascents run in one
+    `ascend_many` call whose time is split by the iterations each
+    request's restarts ran; a trial's finishes are its own time."""
+    steps, spent, t = settle([step for trial in trials for step in trial.steps], perf_counter)
+    for k, trial in enumerate(trials):
+        trial.steps, trial.answers = steps[2 * k:2 * k + 2], ([], [])
+        trial.wall += spent[2 * k] + spent[2 * k + 1]
+        trial.error = next((step for step in trial.steps if isinstance(step, Exception)), None)
+    live = [trial for trial in trials if trial.error is None]
+    radii = [(trial, answers, req) for trial in live
+             for step, answers in zip(trial.steps, trial.answers)
+             if isinstance(step, Pending) for req in step.radii]
     if radii:
         ops, tols, norms = zip(*(req for *_, req in radii))
         t = _share(radii, omega_many(ops, tols, norms=norms), t,
                    lambda res: getattr(res, "evals", 0))
-    for trial in trials:
-        value = trial.pendings[0]
+    for trial in live:
         try:
-            trial.outcome = value.finish(value.radii)
-        except _TRIAL_ERRORS as exc:
+            trial.outcome = _finished(trial, 0)
+        except FAILURES as exc:
             trial.error = exc
         t = _charge(trial, t)
-    measured = [trial for trial in trials if trial.error is None]
-    ascents = [(trial.pendings[1].ascents, slot, trial, req) for trial in measured
-               for slot, req in enumerate(trial.pendings[1].ascents)]
+    measured = [trial for trial in live if trial.error is None]
+    ascents = [(trial, trial.answers[1], req) for trial in measured
+               if isinstance(trial.steps[1], Pending) for req in trial.steps[1].ascents]
     if ascents:
         t = _share(ascents, ascend_many([req for *_, req in ascents]), t,
                    lambda ends: ends.steps)
     for trial in measured:
-        side = trial.pendings[1]
         try:
-            trial.ends = side.finish(side.radii + side.ascents)
-        except _TRIAL_ERRORS as exc:
+            trial.ends = _finished(trial, 1)
+        except FAILURES as exc:
             trial.error = exc
         t = _charge(trial, t)
     for trial in trials:
-        trial.pendings = ()
+        trial.steps, trial.answers = (), ()
+
+
+def _finished(trial: _Trial, k: int):
+    """The result of the trial's step k, finished over its stage-2 answers
+    when it is a Pending."""
+    step = trial.steps[k]
+    return step.finish(trial.answers[k]) if isinstance(step, Pending) else step
 
 
 def _share(batch: list, results: list, t: float, weight) -> float:
-    """Put each result of a batch of (slots, slot, trial, request) entries
-    in its slot (a certificate, the error it raised, or an ascent's ends),
+    """Append each result of a batch of (trial, answers, request) entries to
+    its answers (a certificate, the error it raised, or an ascent's ends),
     and split the time since t over the entries' trials by weight, evenly
     when all weigh 0; returns the time now."""
     now = perf_counter()
     weights = [weight(res) for res in results]
     total = sum(weights)
-    for (slots, slot, trial, _), res, w in zip(batch, results, weights):
-        slots[slot] = res
+    for (trial, answers, _), res, w in zip(batch, results, weights):
+        answers.append(res)
         trial.wall += (now - t) * (w / total if total else 1.0 / len(batch))
     return now
 
@@ -417,7 +445,7 @@ def _finish_trial(config: CampaignConfig, trial: _Trial) -> TrialRecord:
                 violation=violation,
                 seed_path=seed_path,
             )
-        except _TRIAL_ERRORS as exc:
+        except FAILURES as exc:
             trial.error = exc
     if trial.error is not None:
         record = TrialRecord(
@@ -682,7 +710,7 @@ def counterexample_suite(master_seed: int = COUNTEREXAMPLE_SEED,
         x = sample("ginibre", side, side, derive(stream, 1))
         y = sample("ginibre", side, side, derive(stream, 2))
         lhs = spectral_norm(x + y)
-        rhs = spectral_norm(fn_of_abs(x, lambda t: t) + fn_of_abs(y, lambda t: t))
+        rhs = spectral_norm(recompose(*polar_eigen(x)[0]) + recompose(*polar_eigen(y)[0]))
         ratio, violation = contract_verdict(rhs, lhs, config.slack)
         records.append(TrialRecord(
             index=index,

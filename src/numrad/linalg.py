@@ -1,8 +1,10 @@
 """Dense complex-matrix kernel.
 
-Adjoints, spectral norms, functions of operator absolute values, and 2x2
-block assembly. Singular values, and with them |M| and |M*|, come from
-one SVD.
+Adjoints, spectral norms, the spectral data of operator absolute values,
+and 2x2 block assembly. Singular values, and with them |M| and |M*|, come
+from one SVD. Each decomposition has a lone form and a stacked one that
+solves a (B, m, n) stack in one numpy call and gives each member the lone
+result to the bit.
 All matrices are dense ``numpy`` arrays of ``complex128`` at desk scale
 (sides <= 64); every operation is a pure function of its inputs.
 """
@@ -65,30 +67,75 @@ def polar_eigen(m) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.
     return (s[:cols], np.conj(vh).T), (s[:rows], u)
 
 
-def gram_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """(s, V) with |M| = (M*M)^(1/2) = V diag(s) V*: the |M| half of `polar_eigen`."""
-    return polar_eigen(m)[0]
-
-
 def recompose(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """V diag(values) V*, symmetrized."""
     out = (vectors * values) @ np.conj(vectors).T
     return (out + np.conj(out).T) / 2
 
 
-def fn_of_spectrum(phi: Callable, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """V diag(phi(values)) V*; phi is applied to the array of values once and
-    must return a finite, nonnegative array of its shape."""
+def spectrum_values(phi: Callable, values: np.ndarray) -> np.ndarray:
+    """phi(values) as the values of phi(M) = V diag(phi(values)) V*: phi is
+    applied to the array of values once and must return a finite,
+    nonnegative array of its shape."""
     out = np.asarray(phi(values), dtype=np.float64)
     if out.shape != values.shape or not np.isfinite(out).all() or (out < 0).any():
         raise InvalidFunctionError(
             "function must map the spectrum to a finite, nonnegative array of its shape")
-    return recompose(out, vectors)
+    return out
 
 
-def fn_of_abs(m, phi: Callable) -> np.ndarray:
-    """phi(|M|) computed through a single SVD of M."""
-    return fn_of_spectrum(phi, *gram_eigen(m))
+# The stacked helpers below give each member of a (B, m, n) stack what the
+# lone function gives it, to the bit, from one numpy call. numpy raises for
+# a whole stack when one member holds a NaN, so a member with a non-finite
+# entry is left out of the SVD call and comes back NaN.
+
+
+def _finite(stack: np.ndarray) -> np.ndarray:
+    return np.isfinite(stack).all(axis=(1, 2))
+
+
+def spectral_norms(stack) -> np.ndarray:
+    """`spectral_norm` of each matrix of a (B, m, n) stack: exactly 0.0 for
+    a zero member and NaN for one with a non-finite entry."""
+    stack = np.asarray(stack, dtype=np.complex128)
+    out = np.zeros(len(stack))
+    keep = _finite(stack)
+    out[~keep] = np.nan
+    keep &= stack.any(axis=(1, 2))
+    if keep.all():
+        out = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    elif keep.any():
+        out[keep] = np.linalg.svd(stack[keep], compute_uv=False)[:, 0]
+    return out
+
+
+def polar_eigens(stack) -> list:
+    """`polar_eigen` of each matrix of a (B, m, n) stack; every array of a
+    member with a non-finite entry is NaN."""
+    stack = np.asarray(stack, dtype=np.complex128)
+    count, rows, cols = stack.shape
+    keep = _finite(stack)
+    if keep.all():
+        u, sv, vh = np.linalg.svd(stack)
+    else:
+        u = np.full((count, rows, rows), np.nan, dtype=np.complex128)
+        sv = np.full((count, min(rows, cols)), np.nan)
+        vh = np.full((count, cols, cols), np.nan, dtype=np.complex128)
+        if keep.any():
+            u[keep], sv[keep], vh[keep] = np.linalg.svd(stack[keep])
+    s = np.zeros((count, max(rows, cols)))
+    s[:, :sv.shape[1]] = sv
+    s[~keep] = np.nan
+    v = np.conj(vh).transpose(0, 2, 1)
+    return [((s[k, :cols], v[k]), (s[k, :rows], u[k])) for k in range(count)]
+
+
+def recompose_many(values, vectors) -> np.ndarray:
+    """`recompose` of each (values, vectors) pair of a (B, n) and a
+    (B, n, n) stack, by one batched matmul."""
+    vectors = np.asarray(vectors)
+    out = (vectors * np.asarray(values)[:, None, :]) @ np.conj(vectors).transpose(0, 2, 1)
+    return (out + np.conj(out).transpose(0, 2, 1)) / 2
 
 
 @dataclass

@@ -753,11 +753,13 @@ def _ascent_setup(ops, p, restarts, tol, max_iter, norms=None) -> tuple:
 
 
 def ascent_request(ops, p: float, restarts: int | None = None, tol: float | None = None,
-                   stream: RngStream | None = None, max_iter: int = 300) -> AscentRequest:
+                   stream: RngStream | None = None, max_iter: int = 300,
+                   norms=None) -> AscentRequest:
     """The ascent :func:`omega_p` runs for these arguments, checked as it
     checks them, for :func:`ascend_many`: restart k starts from a draw of
-    derive(stream, k)."""
-    stack, p, restarts, norms, tol, e = _ascent_setup(ops, p, restarts, tol, max_iter)
+    derive(stream, k). norms, when given, are the spectral norms of ops
+    and stand in for those SVDs."""
+    stack, p, restarts, norms, tol, e = _ascent_setup(ops, p, restarts, tol, max_iter, norms)
     if stream is None:
         stream = RngStream(master_seed=0)
     side = stack.shape[1]

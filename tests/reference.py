@@ -2,7 +2,9 @@
 
 Nothing in `numrad` calls these. `herm_eig` and `fn_of_psd` reach
 `f(H)` through a Hermitian eigendecomposition instead of the SVD route
-of `numrad.linalg`, `abs_op` assembles `|M|` as a matrix, and
+of `numrad.linalg`, `abs_op` and `fn_of_abs` assemble `|M|` and `phi(|M|)`
+as matrices from one lone SVD, as the bound evaluators did before they
+settled their decompositions in stacked rounds, and
 `omega_offdiag_symmetric_check` certifies X and its symmetric embedding
 `[[0, X], [X, 0]]`, whose radii are equal.
 """
@@ -23,11 +25,11 @@ from numrad.linalg import (
     adjoint,
     as_matrix,
     embed_offdiag,
-    fn_of_spectrum,
-    gram_eigen,
     hermitian_part,
+    polar_eigen,
     recompose,
     spectral_norm,
+    spectrum_values,
 )
 from numrad.radius import CertifiedRadius, omega
 
@@ -70,7 +72,13 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
 def abs_op(m) -> np.ndarray:
     """Operator absolute value (M*M)^(1/2), a PSD matrix of side M.cols."""
-    return recompose(*gram_eigen(m))
+    return recompose(*polar_eigen(m)[0])
+
+
+def fn_of_abs(m, phi: Callable) -> np.ndarray:
+    """phi(|M|) computed through a single SVD of M."""
+    s, v = polar_eigen(m)[0]
+    return recompose(spectrum_values(phi, s), v)
 
 
 def fn_of_psd(h, phi: Callable) -> np.ndarray:
@@ -87,7 +95,7 @@ def fn_of_psd(h, phi: Callable) -> np.ndarray:
         raise NegativeSpectrumError(
             f"eigenvalue {float(w[0]):.3e} of H below clamping floor {floor:.3e}"
         )
-    return fn_of_spectrum(phi, np.clip(w, 0.0, None), v)
+    return recompose(spectrum_values(phi, np.clip(w, 0.0, None)), v)
 
 
 def omega_offdiag_symmetric_check(

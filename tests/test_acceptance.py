@@ -34,7 +34,6 @@ from numrad.linalg import (
     OffDiagPair,
     adjoint,
     embed_offdiag,
-    fn_of_abs,
     spectral_norm,
 )
 from numrad.radius import (
@@ -44,7 +43,7 @@ from numrad.radius import (
     omega_p_gradient,
     omega_p_objective,
 )
-from reference import abs_op, fn_of_psd, omega_offdiag_symmetric_check
+from reference import abs_op, fn_of_abs, fn_of_psd, omega_offdiag_symmetric_check
 
 CAMPAIGN_SEED = 20240819
 

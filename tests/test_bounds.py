@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numrad.bounds import (
     BOUND_IDS,
+    BoundOutcome,
+    Pending,
     _estimate_zeta,
     bound_main1,
     bound_main3,
@@ -14,7 +18,9 @@ from numrad.bounds import (
     bound_product_xy,
     bound_sum_norm,
     bound_th1,
+    is_normal,
     refined_young,
+    settle,
     zeta_value,
 )
 from numrad.errors import (
@@ -29,12 +35,12 @@ from numrad.linalg import (
     OffDiagPair,
     adjoint,
     embed_offdiag,
-    fn_of_abs,
+    polar_eigen,
     spectral_norm,
 )
 import numrad.bounds
 from numrad.radius import omega, omega_many
-from reference import abs_op, fn_of_psd
+from reference import abs_op, fn_of_abs, fn_of_psd
 
 ONE = [[1.0]]
 HALF = power_pair(0.5)
@@ -68,6 +74,46 @@ def test_bound_id_strings():
         "main11.v1", "main11.v2", "main11.young.v1", "main11.young.v2",
         "main3.v1", "main3.v2", "main4.v1", "main4.v2", "th1",
     )
+
+
+# Relative slack of the dominance checks: each is an equality at
+# ||group1|| = ||group2|| (and, for main11, at its Young equality case), so
+# both sides may differ there by a few rounding errors.
+DOMINANCE_ULPS = 16 * 2.0 ** -52
+
+
+class TestDominance:
+    """For one input, main1, main3, main11 and main11.young take the same
+    two group norms n1, n2, so main3 >= 2 main1 (AM-GM), main11.young >=
+    main1 (Young) and main11 (as proved) >= 2 main1^2 (weighted AM-GM).
+    This pins the group norms that the stacked rounds compute."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3), n=st.integers(1, 3),
+           r=st.floats(1.0, 3.0), alpha=st.floats(0.0, 1.0), variant=st.sampled_from((1, 2)),
+           p=st.floats(1.25, 4.0), scale=st.sampled_from((0.1, 1.0, 10.0)))
+    def test_off_diagonal_bounds_dominate_main1(self, seed, m, n, r, alpha, variant, p, scale):
+        g = np.random.default_rng(seed)
+        pair, hp = power_pair(alpha), HolderPair(p, p / (p - 1.0))
+        blocks = OffDiagPair(scale * rand_complex(g, m, n), rand_complex(g, n, m))
+        main1 = bound_main1(blocks, pair, r, variant).value
+        main3 = bound_main3(blocks, pair, r, variant)[0].value
+        young = bound_main11_young(blocks, pair, r, hp, variant).value
+        main11 = bound_main11(blocks, pair, r, hp, variant).value
+        assert main3 >= 2.0 * main1 * (1.0 - DOMINANCE_ULPS)
+        assert young >= main1 * (1.0 - DOMINANCE_ULPS)
+        assert main11 >= 2.0 * main1 ** 2 * (1.0 - DOMINANCE_ULPS)
+
+    @pytest.mark.parametrize("variant", (1, 2))
+    def test_equal_group_norms_are_the_equality_case(self, variant):
+        # X = Y = [1] gives n1 = n2: main3 = 2 main1 and, at p = q = 2,
+        # main11.young = main1, up to the rounding of sqrt(n1) sqrt(n2)
+        one = OffDiagPair(ONE, ONE)
+        main1 = bound_main1(one, HALF, 1.0, variant).value
+        assert bound_main3(one, HALF, 1.0, variant)[0].value == pytest.approx(
+            2.0 * main1, rel=DOMINANCE_ULPS)
+        assert bound_main11_young(one, HALF, 1.0, HP22, variant).value == pytest.approx(
+            main1, rel=DOMINANCE_ULPS)
 
 
 class TestRefinedYoung:
@@ -570,3 +616,140 @@ class TestTh1:
         with pytest.raises(ToleranceUnreachableError) as first:
             omega(d1, 1e-8, max_evals=16)
         assert str(info.value) == str(first.value)
+
+
+def settle_steps():
+    """Pending bound values of several kinds and shapes, as a block states them."""
+    g = np.random.default_rng(50)
+    steps = []
+    for m, n in ((1, 1), (2, 3), (3, 2), (2, 2), (3, 3)):
+        x, y = rand_complex(g, m, n), rand_complex(g, n, m)
+        steps += [bound_main1(OffDiagPair(x, y), HALF, 1.5, 1, pending=True),
+                  bound_main11(OffDiagPair(x, y), power_pair(0.25), 2.0, HP22, 2, pending=True),
+                  bound_sum_norm(x, y, 1.5, pending=True)]
+        if m == n:
+            u = np.linalg.qr(rand_complex(g, m))[0]
+            normal = (u * rand_complex(g, 1, m)) @ u.conj().T
+            steps += [bound_product_xy(x, y, 0.75, 2.0, pending=True),
+                      bound_sum_norm(normal, normal.T, 2.0, normal_mode=True, pending=True),
+                      is_normal(x, pending=True)]
+    items = [tuple(c / max(1.0, spectral_norm(c)) for c in (rand_complex(g, 2), rand_complex(g, 3),
+                                                          rand_complex(g, 2), rand_complex(g, 3)))
+             + (rand_complex(g, 2, 3), rand_complex(g, 3, 2)) for _ in range(2)]
+    steps.append(bound_main4(items, HALF, 2.0, 1, pending=True))
+    return steps
+
+
+class TestSettle:
+    """`settle` solves the decompositions of many pendings in rounds, one
+    stacked call per (kind, shape) and round, and each pending gets what it
+    gets settled alone, to the bit; the public bound_* functions settle
+    theirs alone."""
+
+    def test_batch_equals_batches_of_one(self, monkeypatch):
+        together, spent, _ = settle(settle_steps())
+        alone = [settle([step])[0][0] for step in settle_steps()]
+        assert together == alone
+        monkeypatch.setattr(numrad.bounds, "SETTLE_STEPS", 5)
+        assert settle(settle_steps())[0] == alone
+        assert all(isinstance(out, (BoundOutcome, bool)) for out in together)
+        assert all(t > 0.0 for t in spent)
+
+    def test_bound_functions_settle_alone(self):
+        g = np.random.default_rng(51)
+        x, y = rand_complex(g, 2, 3), rand_complex(g, 3, 2)
+        step = bound_main1(OffDiagPair(x, y), HALF, 1.5, 2, pending=True)
+        assert isinstance(step, Pending)
+        assert settle([step])[0] == [bound_main1(OffDiagPair(x, y), HALF, 1.5, 2)]
+
+    def test_one_stacked_call_per_kind_and_shape_and_round(self, monkeypatch):
+        # main1 of X m-by-n: its round 1 takes the polar pairs of X and Y,
+        # round 2 composes the four terms (two of side n, two of side m),
+        # round 3 takes the group norms (one of side n, one of side m)
+        calls = []
+        for kind, name in (("polar", "polar_eigens"), ("compose", "recompose_many"),
+                           ("norm", "spectral_norms")):
+            real = getattr(numrad.bounds, name)
+
+            def recording(stack, *rest, _kind=kind, _real=real):
+                calls.append((_kind, np.shape(stack)))
+                return _real(stack, *rest)
+
+            monkeypatch.setattr(numrad.bounds, name, recording)
+        g = np.random.default_rng(52)
+        shapes = [(1, 1), (2, 3), (3, 2), (2, 2), (2, 3), (1, 1)]
+        steps = [bound_main1(OffDiagPair(rand_complex(g, m, n), rand_complex(g, n, m)),
+                             HALF, 1.0, 1, pending=True) for m, n in shapes]
+        settle(steps)
+        assert [kind for kind, _ in calls] == ["polar"] * 4 + ["compose"] * 3 + ["norm"] * 3
+        assert sorted(shape[1:] for kind, shape in calls if kind == "polar") == [
+            (1, 1), (2, 2), (2, 3), (3, 2)]
+        assert sum(shape[0] for kind, shape in calls if kind == "polar") == 2 * len(steps)
+        for kind, per_step in (("compose", 4), ("norm", 2)):
+            sides = [shape[1] for k, shape in calls if k == kind]
+            assert sorted(sides) == [1, 2, 3]
+            assert sum(shape[0] for k, shape in calls if k == kind) == per_step * len(steps)
+
+    def test_charges_add_up_to_the_clock(self):
+        # with a clock that ticks once per reading, the steps are charged
+        # exactly the span from the first reading to the last
+        clock = [0.0]
+
+        def tick():
+            clock[0] += 1.0
+            return clock[0]
+
+        steps = settle_steps()
+        _, spent, now = settle(steps, clock=tick)
+        assert now == clock[0] and sum(spent) == pytest.approx(now - 1.0, rel=1e-12)
+        assert all(t > 0.0 for t in spent)
+
+    def test_failed_request_fails_its_pending_alone(self):
+        # a NaN entry's lone SVD raises and an infinite one's gives NaN; the
+        # pending gets the first failure in request order, and the others
+        # of its stacks keep the lone results
+        g = np.random.default_rng(53)
+        good = [rand_complex(g, 2) for _ in range(3)]
+        with_nan, with_inf = good[0].copy(), good[1].copy()
+        with_nan[0, 1], with_inf[1, 0] = np.nan, np.inf
+        steps = [Pending(list, norms=good[:2]), Pending(list, norms=[good[2], with_inf, with_nan]),
+                 Pending(list, norms=[with_inf], polars=[good[0]]), Pending(list, polars=[with_nan])]
+        out, _, _ = settle(steps)
+        assert out[0] == [spectral_norm(m) for m in good[:2]]
+        with pytest.raises(np.linalg.LinAlgError) as lone:
+            spectral_norm(with_nan)
+        assert type(out[1]) is np.linalg.LinAlgError and str(out[1]) == str(lone.value)
+        assert np.isnan(out[2][0])
+        assert all(np.array_equal(a, b) for a, b in zip(
+            (*out[2][1][0], *out[2][1][1]), (*polar_eigen(good[0])[0], *polar_eigen(good[0])[1])))
+        assert isinstance(out[3], ValueError) and "finite" in str(out[3])
+
+    def test_a_raising_stack_falls_back_to_lone_calls(self, monkeypatch):
+        def raising(stack):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        g = np.random.default_rng(54)
+        mats = [rand_complex(g, 3) for _ in range(4)]
+        monkeypatch.setattr(numrad.bounds, "spectral_norms", raising)
+        (out,), _, _ = settle([Pending(list, norms=mats)])
+        assert out == [spectral_norm(m) for m in mats]
+
+    def test_finish_errors(self):
+        def failing(results):
+            raise OutOfRangeError("failed finish")
+
+        def broken(results):
+            raise ZeroDivisionError("a bug, not a finding")
+
+        eye = np.eye(2)
+        out, _, _ = settle([Pending(failing, norms=[eye]), Pending(list, norms=[eye]), 7])
+        assert isinstance(out[0], OutOfRangeError) and out[1:] == [[1.0], 7]
+        with pytest.raises(ZeroDivisionError):
+            settle([Pending(broken, norms=[eye])])
+
+    def test_further_pendings_run_in_later_rounds(self):
+        eye = np.eye(2)
+        step = Pending(lambda n: Pending(lambda m: (n, m), norms=[3.0 * eye]), norms=[2.0 * eye])
+        out, _, _ = settle([step, Pending(list, radii=[(eye, 1e-8, 1.0)])])
+        assert out[0] == ([2.0], [3.0])
+        assert isinstance(out[1], Pending) and out[1].radii

@@ -485,19 +485,21 @@ class TestSamplerInputs:
     def test_main4_checks_each_contraction_once(self, monkeypatch, k):
         _, params, mats = first_trial("main4.v1", n_operators_values=(k,))
         calls = []
-        patch_everywhere(monkeypatch, numrad.linalg.spectral_norm, calls, "spectral_norm")
+        # a norm is taken lone, or as a member of a stacked call
+        patch_everywhere(monkeypatch, numrad.linalg.spectral_norm, calls, lambda m: 1)
+        patch_everywhere(monkeypatch, numrad.linalg.spectral_norms, calls, len)
         evaluate_bound("main4.v1", mats, params)
         # per item: four contraction checks and two group norms in bound_main4;
         # main4_operands adds none. The contract side adds one scale norm per
-        # operand in omega_p, or at k = 1 the omega tolerance's scale norm,
+        # operand for the ascent, or at k = 1 the omega tolerance's scale norm,
         # which omega_many takes from the request instead of its own
-        assert len(calls) == 6 * k + (1 if k == 1 else k)
+        assert sum(calls) == 6 * k + (1 if k == 1 else k)
 
 
 def norm_calls_of(monkeypatch, bound_id, n_operators):
     """The operand list of `bound_id`'s first trial at `n_operators`, its
-    block radii when it has some, and every matrix `spectral_norm` took
-    while `evaluate_bound` ran it."""
+    block radii when it has some, and every matrix whose norm `spectral_norm`
+    or `spectral_norms` took while `evaluate_bound` ran it."""
     _, params, mats = first_trial(bound_id, n_operators_values=(n_operators,))
     spec = bound_spec(bound_id)
     coerced = spec.sampler.coerce(mats)
@@ -505,10 +507,13 @@ def norm_calls_of(monkeypatch, bound_id, n_operators):
     operands = operands if isinstance(operands, list) else [operands]
     blocks = coerced.get("blocks", [])
     seen = []
+    # a norm is taken lone, or as a member of a stacked call
     patch_everywhere(monkeypatch, numrad.linalg.spectral_norm, seen,
-                     lambda m: np.array(m, dtype=complex))
+                     lambda m: [np.array(m, dtype=complex)])
+    patch_everywhere(monkeypatch, numrad.linalg.spectral_norms, seen, list)
     evaluate_bound(bound_id, mats, params)
-    return operands, [op for a, _, _, d in blocks for op in (a, d)], seen
+    return (operands, [op for a, _, _, d in blocks for op in (a, d)],
+            [m for taken in seen for m in taken])
 
 
 def times_taken(seen, m):
@@ -641,6 +646,24 @@ class TestStagedShare:
         assert rejected.error.startswith("OutOfRangeError: r must be >= 1")
         assert failed.value is None and failed.digests == ()
         monkeypatch.undo()
+        clean = run_campaign(dataclasses.replace(cfg, extra_trials=()))
+        assert [self.fields(r) for r in grid] == [self.fields(r) for r in clean.records]
+
+    def test_non_finite_member_keeps_its_error_record(self):
+        # X = 1.7e308 I overflows each off-diagonal group into infinite
+        # entries, whose norm is NaN, and the commutator that sum_norm.normal
+        # checks into NaN entries, whose lone SVD raises; each trial gets the
+        # record the lone calls gave it, and the grid's records, settled in
+        # the same stacked calls, keep their bits
+        huge = {"x": (1.7e308 * np.eye(2)).tolist(), "y": np.eye(2).tolist()}
+        params = {"m": 2, "n": 2, "r": 1.0, "alpha": 0.5, "p": 2.0, "q": 2.0}
+        ids = ("main1.v1", "product_xy", "sum_norm", "sum_norm.normal", "main11.young.v2")
+        cfg = self.cfg(extra_trials=tuple((bid, dict(params), huge) for bid in ids))
+        report = run_campaign(cfg)
+        grid, failed = report.records[:-len(ids)], report.records[-len(ids):]
+        nan_value = "OutOfRangeError: bound value must be finite and >= 0, got nan"
+        assert [rec.error for rec in failed] == [
+            nan_value, nan_value, nan_value, "LinAlgError: SVD did not converge", nan_value]
         clean = run_campaign(dataclasses.replace(cfg, extra_trials=()))
         assert [self.fields(r) for r in grid] == [self.fields(r) for r in clean.records]
 

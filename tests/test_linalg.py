@@ -15,14 +15,15 @@ from numrad.linalg import (
     as_matrix,
     embed_block,
     embed_offdiag,
-    fn_of_abs,
-    fn_of_spectrum,
-    gram_eigen,
     polar_eigen,
+    polar_eigens,
     recompose,
+    recompose_many,
     spectral_norm,
+    spectral_norms,
+    spectrum_values,
 )
-from reference import abs_op, fn_of_psd, herm_eig
+from reference import abs_op, fn_of_abs, fn_of_psd, herm_eig
 
 U = 2.0 ** -53
 
@@ -183,23 +184,31 @@ class TestFnOfPsd:
 
 
 class TestFnOfSpectrum:
-    def test_fn_of_abs_is_fn_of_gram_spectrum(self):
+    """`spectrum_values` is the one way a function is applied to a
+    spectrum; the matrix V diag(phi(s)) V* is then a composition."""
+
+    def test_stacked_route_is_fn_of_abs(self):
+        # phi(|M|) through polar_eigens, spectrum_values and recompose_many,
+        # as the bound evaluators take it, is the lone route to the bit
         g = np.random.default_rng(11)
-        m = rand_complex(g, 4, 3)
+        ms = np.stack([rand_complex(g, 4, 3) for _ in range(5)])
         phi = lambda t: t ** 0.75
-        assert np.array_equal(fn_of_abs(m, phi), fn_of_spectrum(phi, *gram_eigen(m)))
+        halves = [abs_half for abs_half, _ in polar_eigens(ms)]
+        out = recompose_many(np.stack([spectrum_values(phi, s) for s, _ in halves]),
+                             np.stack([v for _, v in halves]))
+        for m, got in zip(ms, out):
+            assert np.array_equal(got, fn_of_abs(m, phi))
 
     def test_rejects_negative_or_nonfinite_output(self):
-        vectors = np.eye(2, dtype=complex)
         with pytest.raises(InvalidFunctionError):
-            fn_of_spectrum(lambda t: t - 1.5, np.array([1.0, 2.0]), vectors)
+            spectrum_values(lambda t: t - 1.5, np.array([1.0, 2.0]))
         with pytest.raises(InvalidFunctionError):
-            fn_of_spectrum(lambda t: np.full_like(t, np.inf), np.array([1.0, 2.0]), vectors)
+            spectrum_values(lambda t: np.full_like(t, np.inf), np.array([1.0, 2.0]))
 
     def test_rejects_output_of_another_shape(self):
         # phi sees the array of values once; a scalar result is not retried per value
         with pytest.raises(InvalidFunctionError):
-            fn_of_spectrum(lambda t: 1.0, np.array([1.0, 2.0]), np.eye(2, dtype=complex))
+            spectrum_values(lambda t: 1.0, np.array([1.0, 2.0]))
 
 
 def _psd_route(w, monkeypatch):
@@ -212,7 +221,7 @@ def _psd_route(w, monkeypatch):
 @pytest.mark.parametrize("route", (_psd_route,), ids=("fn_of_psd",))
 class TestPsdClamp:
     """fn_of_psd's clamp rule: eigenvalues down to -CLAMP_TOL (1e-12) times
-    the top one are rounding noise and become 0. gram_eigen needs no clamp,
+    the top one are rounding noise and become 0. polar_eigen needs no clamp,
     since singular values are nonnegative by construction."""
 
     top = 4.0
@@ -236,7 +245,7 @@ class TestPolarEigen:
         g = np.random.default_rng(31)
         for _ in range(50):
             x = rand_complex(g, 3, 1) @ rand_complex(g, 1, 3)
-            s = np.sort(gram_eigen(x)[0])
+            s = np.sort(polar_eigen(x)[0][0])
             assert s[:2].max() <= 32 * 3 * U * spectral_norm(x)
 
     def test_abs_of_wide_block_has_zero_singular_value(self):
@@ -244,7 +253,7 @@ class TestPolarEigen:
         g = np.random.default_rng(32)
         for _ in range(50):
             x = rand_complex(g, 2, 3)
-            s = np.sort(gram_eigen(x)[0])
+            s = np.sort(polar_eigen(x)[0][0])
             assert s.shape == (3,)
             assert s[0] <= 32 * 3 * U * spectral_norm(x)
 
@@ -255,7 +264,7 @@ class TestPolarEigen:
         for x in (rand_complex(g, m, n), rand_complex(g, m, 1) @ rand_complex(g, 1, n)):
             (s, v), (t, u) = polar_eigen(x)
             assert s.shape == (n,) and t.shape == (m,)
-            diff = spectral_norm(recompose(t, u) - recompose(*gram_eigen(adjoint(x))))
+            diff = spectral_norm(recompose(t, u) - abs_op(adjoint(x)))
             assert diff <= 32 * max(m, n) * U * spectral_norm(x)
 
 
@@ -302,3 +311,93 @@ class TestEmbeddings:
         with pytest.raises(DimensionMismatchError):
             Block2x2(np.zeros((2, 2)), np.zeros((3, 2)),
                      np.zeros((3, 2)), np.zeros((3, 3)))
+
+
+# The shapes stage 1 decomposes: blocks of sides 1-8, (2, 3) and (3, 2),
+# and sides up to 16 of the off-diagonal embeddings whose norms an omega
+# side takes.
+STACK_SHAPES = [(n, n) for n in range(1, 9)] + [(2, 3), (3, 2), (10, 10), (12, 12), (16, 16)]
+
+
+def stack_members(g, shape, count=9):
+    """A zero member first, then a rank-one one, random ones and, at even
+    square sides, an off-diagonal embedding."""
+    m, n = shape
+    mats = [np.zeros((m, n), dtype=complex), rand_complex(g, m, 1) @ rand_complex(g, 1, n)]
+    mats += [rand_complex(g, m, n) for _ in range(count)]
+    if m == n and m % 2 == 0:
+        a = max(1, m // 2 - 1)
+        mats.append(embed_offdiag(rand_complex(g, a, m - a), rand_complex(g, m - a, a)))
+    return np.stack(mats)
+
+
+def batches(g, count):
+    """Index arrays of the whole stack, reversed, shuffled, and two
+    shuffled sub-batches."""
+    perm = g.permutation(count)
+    return [np.arange(count), np.arange(count)[::-1], perm, perm[:count // 2], perm[-3:]]
+
+
+def same_polar(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip((*a[0], *a[1]), (*b[0], *b[1])))
+
+
+@pytest.mark.parametrize("shape", STACK_SHAPES, ids=str)
+class TestStackedHelpers:
+    """spectral_norms, polar_eigens and recompose_many give each member of a
+    stack what spectral_norm, polar_eigen and recompose give it alone, to
+    the bit, in any order and any sub-batch."""
+
+    def test_norms(self, shape):
+        g = np.random.default_rng(40)
+        mats = stack_members(g, shape)
+        lone = [spectral_norm(m) for m in mats]
+        assert lone[0] == 0.0
+        for index in batches(g, len(mats)):
+            got = spectral_norms(mats[index])
+            assert got.tolist() == [lone[k] for k in index]
+            assert all(type(v) is float for v in got.tolist())
+
+    def test_polars(self, shape):
+        g = np.random.default_rng(41)
+        mats = stack_members(g, shape)
+        lone = [polar_eigen(m) for m in mats]
+        for index in batches(g, len(mats)):
+            for k, got in zip(index, polar_eigens(mats[index])):
+                assert same_polar(got, lone[k])
+
+    def test_compositions(self, shape):
+        # both halves of each polar pair, at a power of the singular values,
+        # as the bound evaluators compose them
+        g = np.random.default_rng(42)
+        for half in (0, 1):
+            pairs = [polar[half] for polar in polar_eigens(stack_members(g, shape))]
+            values = np.stack([s ** 1.3 for s, _ in pairs])
+            vectors = np.stack([v for _, v in pairs])
+            lone = [recompose(s, v) for s, v in zip(values, vectors)]
+            for index in batches(g, len(pairs)):
+                for k, got in zip(index, recompose_many(values[index], vectors[index])):
+                    assert np.array_equal(got, lone[k])
+
+    @pytest.mark.parametrize("bad", (np.inf, np.nan, complex(1.0, -np.inf)), ids=repr)
+    def test_non_finite_member(self, shape, bad):
+        # a lone SVD of a NaN entry raises, and numpy raises for a whole
+        # stack that holds one; the member comes back NaN instead and its
+        # batch-mates keep their bits
+        g = np.random.default_rng(43)
+        mats = stack_members(g, shape)
+        mats[1, 0, -1] = bad
+        norms = spectral_norms(mats)
+        polars = polar_eigens(mats)
+        assert np.isnan(norms[1])
+        assert all(np.isnan(a).all() for a in (*polars[1][0], *polars[1][1]))
+        for k in (0, *range(2, len(mats))):
+            assert norms[k] == spectral_norm(mats[k])
+            assert same_polar(polars[k], polar_eigen(mats[k]))
+        values = np.abs(g.standard_normal((len(mats), shape[1])))
+        values[1, 0] = abs(bad)
+        vectors = np.stack([v for (_, v), _ in polars])
+        with np.errstate(invalid="ignore"):
+            out = recompose_many(values, vectors)
+        for k in (0, *range(2, len(mats))):
+            assert np.array_equal(out[k], recompose(values[k], vectors[k]))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numrad.linalg
 import numrad.radius
 from numrad.bounds import zeta_value
 from numrad.ensembles import RngStream, derive
@@ -398,6 +399,20 @@ class TestAscendMany:
             omega_p(**dict(case, restarts=3), ends=ends)
         with pytest.raises(DimensionMismatchError, match="1 norms for 2 operators"):
             omega_p(**case, ends=ends._replace(norms=ends.norms[:1]))
+
+    def test_given_norms_stand_in_for_the_svds(self):
+        # a contract side takes its operands' norms as stacked requests and
+        # hands them to ascent_request; the request and its ends keep their
+        # bits
+        g = np.random.default_rng(6)
+        case = ascent_case(g, 4, 3, 2.0, 3, 15)
+        norms = tuple(numrad.linalg.spectral_norms(np.stack(case["ops"])).tolist())
+        given, own = ascent_request(**case, norms=norms), ascent_request(**case)
+        for name in ("stack", "starts"):
+            np.testing.assert_array_equal(getattr(given, name), getattr(own, name))
+        assert (given.p, given.max_iter, given.grad_tol, given.zero_tol, given.norms) == (
+            own.p, own.max_iter, own.grad_tol, own.zero_tol, own.norms)
+        assert_same_ends(*ascend_many([given, own]))
 
     def test_any_ends_give_a_lower_bound(self):
         # the value comes from the ops at the best end point, whatever the

@@ -642,7 +642,7 @@ class TestInnerProductProperties:
         # |<Tx, y>|**2 <= <f^2(|T|) x, x> <g^2(|T*|) y, y> for power pairs
         g = np.random.default_rng(21)
         from numrad.funcpair import pow_of_pair, power_pair
-        from numrad.linalg import fn_of_abs
+        from reference import fn_of_abs
 
         for k in range(50):
             n = 2 + k % 4
