@@ -8,10 +8,12 @@ against a radius themselves; validity checking lives in the harness.
 
 No evaluator takes a decomposition itself. It states the SVDs and
 compositions its closed form needs as a :class:`Pending`, whose finish may
-state the next ones, and :func:`settle` solves those of many pendings in
-rounds, one stacked call per (kind, shape) and round for each
-SETTLE_STEPS pendings. A public bound_* function
-settles its own as a batch of one; a campaign settles a block's together.
+state the next ones, and :func:`settle`, the one engine that resolves
+pendings, solves those of many pendings in rounds, one stacked call per
+(kind, shape) and round for each SETTLE_STEPS pendings, and certifies
+their radii and runs their ascents in one batched call each. A public
+bound_* function settles its own as a batch of one; a campaign settles a
+block's together.
 
 `BOUNDS` maps every bound id to its :class:`BoundSpec`: the campaign grid
 axes, how inputs are drawn and checked (and so how many matrix files the
@@ -72,7 +74,7 @@ from .linalg import (
     spectral_norms,
     spectrum_values,
 )
-from .radius import ascent_request, omega_many, omega_p
+from .radius import ascend_many, ascent_request, omega_many, omega_p
 
 # Normality check: ||M*M - MM*|| <= NORMALITY_TOL * ||M||^2.
 NORMALITY_TOL = 1e-9
@@ -110,13 +112,10 @@ class Pending:
     ``spectral_norm(operator)``) requests to certify and `ascents`
     :class:`~numrad.radius.AscentRequest`s to run, any of them possibly
     none. `finish(results)` takes their results in that order and gives the
-    result, or a further Pending. :func:`settle` solves the decompositions
-    of many pendings together in rounds. A pending that names radii or
-    ascents names no decompositions, and its finish takes the
-    :func:`omega_many` results of its radii (a certificate or the
-    NumradError it raised) followed by the :func:`ascend_many` ends of its
-    ascents and gives the result. A campaign keeps a bound's value and its
-    contract side as one each; only a contract side names ascents.
+    result, or a further Pending: a radius's result is the
+    :func:`omega_many` certificate or the NumradError it raised, and an
+    ascent's its :func:`ascend_many` ends. :func:`settle` resolves any mix
+    of them, the decompositions first, then the radii, then the ascents.
     """
 
     finish: Callable
@@ -127,11 +126,12 @@ class Pending:
     ascents: list = ()
 
 
-# Steps `settle` takes through all their rounds at a time. A campaign
-# block's 1024 steps (a value and a side per trial) settled at once held
-# every trial's intermediates together, and a campaign_bounds unit's peak
-# RSS rose 4.5 MB over 43.7 MB; 128 at a time, 0.8 MB, at the same speed.
-SETTLE_STEPS = 128
+# Steps `settle` takes through their decomposition rounds at a time. A
+# campaign block's 1024 steps (then a value and a side per trial) settled at
+# once held every trial's intermediates together, and a campaign_bounds
+# unit's peak RSS rose 4.5 MB over 43.7 MB; 128 at a time, 0.8 MB, at the
+# same speed. A trial is one step, so 64 keeps 64 trials a chunk.
+SETTLE_STEPS = 64
 
 # The exceptions that fail one pending and not the batch it is settled in;
 # in a campaign, the ones that turn a trial into an error record.
@@ -142,6 +142,8 @@ FAILURES = (NumradError, ValueError, TypeError)
 # requests of one kind and shape are solved in one stacked call.
 _KINDS = {"norms": attrgetter("shape"), "polars": attrgetter("shape"),
           "compositions": lambda pair: pair[1].shape}
+# The request kinds in the order `settle` solves them.
+_STAGES = (tuple(_KINDS), ("radii",), ("ascents",))
 
 
 def _solve(kind: str, requests: list) -> tuple[list, dict]:
@@ -168,36 +170,57 @@ def _solve(kind: str, requests: list) -> tuple[list, dict]:
     return results, errors
 
 
-def settle(steps: list, clock=perf_counter) -> tuple[list, list, float]:
-    """Solve the decompositions the pendings among `steps` name, in rounds.
+def settle(steps: list) -> tuple[list, list]:
+    """Resolve every Pending in the list `steps`, in place, so a step's
+    intermediates are freed as it moves on; a step that is no Pending is a
+    result and stays as it is. This is the one engine of stage 2.
 
-    Each round gathers the norm, polar and composition requests of every
-    pending that names some, solves each (kind, shape) in one stacked
-    call (`linalg.spectral_norms`, `polar_eigens`, `recompose_many`) and
-    runs those pendings' finishes, whose results may name the next round's
-    requests. A step that is no Pending is a result and stays as it is.
-    Steps are taken through their rounds SETTLE_STEPS at a time. Returns
-    (steps, spent, now): each step's outcome (a result, a Pending of radii
-    and ascents or of nothing, or the error in FAILURES that its finish
-    or, first in request order, one of its requests raised), the `clock`
-    time charged to it, and the clock's last reading. A stacked call's
-    time is split evenly over its requests and a finish's time is its
-    own, so the charges add up to the time since the first reading.
+    It loops until no pending is left. Each pass first takes the steps
+    through their decomposition rounds, SETTLE_STEPS at a time: each round
+    gathers the norm, polar and composition requests of every pending that
+    names some (or names nothing at all), solves each (kind, shape) in one
+    stacked call (`linalg.spectral_norms`, `polar_eigens`,
+    `recompose_many`) and runs those pendings' finishes, whose results may
+    name the next round's requests. Then, if any pending names radii, one
+    :func:`omega_many` call certifies every radius of every step, with the
+    norms its request carries, and their finishes run; otherwise, if any
+    names ascents, one :func:`ascend_many` call runs every ascent, and
+    their finishes run.
+
+    Returns (steps, spent): each step's outcome (a result, or the error in
+    FAILURES that its finish or, first in request order, one of its
+    decompositions raised; a finish's OverflowError, a value out of the
+    float range, becomes an OutOfRangeError) and the time charged to it. A
+    stacked call's time is split evenly over its requests, omega_many's by
+    the angles each operator evaluated and ascend_many's by the iterations
+    each request's restarts ran (evenly when all are 0), and a finish's
+    time is its own, so the charges add up to the time `settle` took.
     """
-    steps, spent = list(steps), [0.0] * len(steps)
-    now = clock()
-    for start in range(0, len(steps), SETTLE_STEPS):
-        now = _rounds(steps, range(start, min(start + SETTLE_STEPS, len(steps))), spent,
-                      clock, now)
-    return steps, spent, now
+    def certify(requests):
+        ops, tols, norms = zip(*requests)
+        return omega_many(ops, tols, norms=norms)
+
+    spent = [0.0] * len(steps)
+    now = perf_counter()
+    while True:
+        for start in range(0, len(steps), SETTLE_STEPS):
+            now = _rounds(steps, range(start, min(start + SETTLE_STEPS, len(steps))), spent,
+                          now)
+        if any(isinstance(step, Pending) and step.radii for step in steps):
+            now = _batched(steps, spent, now, 1, certify, lambda res: getattr(res, "evals", 0))
+        elif any(isinstance(step, Pending) for step in steps):
+            now = _batched(steps, spent, now, 2, ascend_many, attrgetter("steps"))
+        else:
+            return steps, spent
 
 
-def _rounds(steps: list, chunk: range, spent: list, clock, now: float) -> float:
-    """Run the rounds of the steps at the positions in `chunk`, in place;
-    returns the clock's last reading."""
+def _rounds(steps: list, chunk: range, spent: list, now: float) -> float:
+    """Run the decomposition rounds of the steps at the positions in
+    `chunk`, in place; returns the clock's last reading."""
     while True:
         live = [i for i in chunk if isinstance(steps[i], Pending)
-                and (steps[i].norms or steps[i].polars or steps[i].compositions)]
+                and (steps[i].norms or steps[i].polars or steps[i].compositions
+                     or not (steps[i].radii or steps[i].ascents))]
         if not live:
             return now
         results = {i: [] for i in live}
@@ -215,23 +238,64 @@ def _rounds(steps: list, chunk: range, spent: list, clock, now: float) -> float:
                 i, slot, _ = group[k]
                 if slot < failed.get(i, (math.inf,))[0]:
                     failed[i] = (slot, exc)
-            before, now = now, clock()
+            before, now = now, perf_counter()
             share = (now - before) / len(group)
             for (i, slot, _), res in zip(group, answers):
                 results[i][slot] = res
                 spent[i] += share
-        for i in live:
-            try:
-                steps[i] = failed[i][1] if i in failed else steps[i].finish(results[i])
-            except FAILURES as exc:
-                steps[i] = exc
-            before, now = now, clock()
-            spent[i] += now - before
+        for i, (_, exc) in failed.items():
+            results[i] = exc
+        now = _finish(steps, 0, results, spent, now)
+
+
+def _batched(steps: list, spent: list, now: float, stage: int, solve: Callable,
+             weight: Callable) -> float:
+    """One call solve(requests) over the requests of `_STAGES[stage]` of
+    every pending that names some, its time split by weight(result), and
+    those pendings' finishes; returns the clock's last reading."""
+    (kind,) = _STAGES[stage]
+    live = [i for i, step in enumerate(steps) if isinstance(step, Pending) and getattr(step, kind)]
+    owners = [i for i in live for _ in getattr(steps[i], kind)]
+    answers = solve([req for i in live for req in getattr(steps[i], kind)])
+    before, now = now, perf_counter()
+    weights = [weight(res) for res in answers]
+    total = sum(weights)
+    results = {i: [] for i in live}
+    for i, res, w in zip(owners, answers, weights):
+        results[i].append(res)
+        spent[i] += (now - before) * (w / total if total else 1.0 / len(answers))
+    return _finish(steps, stage, results, spent, now)
+
+
+def _finish(steps: list, stage: int, results: dict, spent: list, now: float) -> float:
+    """Advance each step i of `results` over results[i], the results of its
+    requests of `_STAGES[stage]` or the error one of them raised, charging
+    each its own time; returns the clock's last reading."""
+    for i, res in results.items():
+        try:
+            steps[i] = res if isinstance(res, Exception) else _advance(steps[i], stage, res)
+        except FAILURES as exc:
+            steps[i] = exc
+        except OverflowError as exc:
+            steps[i] = OutOfRangeError(f"result out of the float range: {exc}")
+        before, now = now, perf_counter()
+        spent[i] += now - before
+    return now
+
+
+def _advance(step: Pending, stage: int, results: list):
+    """`step` given the results of its requests of `_STAGES[stage]`: its
+    finish over them, or, while it names requests of later stages, a
+    Pending of those whose finish takes `results` first."""
+    later = {kind: getattr(step, kind) for kinds in _STAGES[stage + 1:] for kind in kinds}
+    if not any(later.values()):
+        return step.finish(results)
+    return Pending(lambda rest: step.finish(results + rest), **later)
 
 
 def _settled(step):
     """A step settled as a batch of one: its result, or the error raised."""
-    (out,), _, _ = settle([step])
+    (out,), _ = settle([step])
     if isinstance(out, Exception):
         raise out
     return out
@@ -688,19 +752,35 @@ def _th1_value(offdiag_norms, p: float, certs) -> BoundOutcome:
     )
 
 
+def _th1_step(blocks, p: float, omega_tol: float, relative: bool) -> Pending:
+    """th1's value as a step: the radii A_1, D_1, A_2, ... with their norms,
+    at omega_tol, relative to max(1, the largest block operator's norm)
+    when `relative`, and the finish over their results. One round takes the
+    norms of B_1, C_1, B_2, ..., of the block operators when `relative`,
+    and of the radii."""
+    blocks, ops, offdiag, p = _th1_inputs(blocks, p)
+    scales = [blk.matrix() for blk in blocks] if relative else []
+    n = len(ops)
+
+    def radii(norms):
+        tol = omega_tol * max([1.0] + norms[n:n + len(scales)])
+        return Pending(partial(_th1_value, norms[:n], p),
+                       radii=[(op, tol, nrm) for op, nrm in zip(ops, norms[n + len(scales):])])
+
+    return Pending(radii, norms=offdiag + scales + ops)
+
+
 def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
     """Full-block bound on omega_p**p of [[A_i, B_i], [C_i, D_i]].
 
     value = 2**(-p) sum_i (w(A_i) + w(D_i)
     + sqrt((w(A_i) - w(D_i))**2 + (||B_i|| + ||C_i||)**2))**p, with the
-    certified radii taken at their upper endpoints. A_1, D_1, A_2, ...
-    are certified together by one :func:`omega_many`, and the first
-    failure in that order is raised. A campaign certifies these radii in
-    its measuring stage instead and finishes the value the same way.
+    radii certified at the absolute `omega_tol` and taken at their upper
+    endpoints. Its step is a campaign's with an absolute tol, settled as a
+    batch of one, so A_1, D_1, A_2, ... are certified by one
+    :func:`omega_many` and the first failure in that order is raised.
     """
-    _, ops, offdiag, p = _th1_inputs(blocks, p)
-    norms = _settled(Pending(list, norms=offdiag))
-    return _th1_value(norms, p, omega_many(ops, [omega_tol] * len(ops)))
+    return _settled(_th1_step(blocks, p, omega_tol, relative=False))
 
 
 # -- the bound table ---------------------------------------------------------
@@ -794,9 +874,8 @@ class BoundSpec:
     finishes into the BoundOutcome, after certified radii too when the
     value needs them (`th1`). The contract side takes `measure` ("omega",
     "norm" or "omega_p") of `operand(mats, params)`, and `contract_side`
-    states it as a Pending too, so a campaign settles the decompositions
-    of values and sides together, certifies their radii together and then
-    runs their finishes. `extras` names the campaign settings each trial
+    states it as a Pending too, so a campaign settles the values and sides
+    of a block together. `extras` names the campaign settings each trial
     adds to its params.
     """
 
@@ -936,19 +1015,8 @@ def _sum_norm(normal_mode, m, prm, s):
 
 
 def _th1(m, prm, s):
-    """th1's radii A_1, D_1, A_2, ... with their norms, at omega_tol relative
-    to the largest block operator's norm, and the finish over their results;
-    one round takes the norms of B_1, C_1, B_2, ..., of the block operators
-    and of the radii."""
-    blocks, ops, offdiag, p = _th1_inputs(m["blocks"], float(prm.get("p", 1.0)))
-    k = len(blocks)
-
-    def radii(norms):
-        tol = s.omega_tol * max([1.0] + norms[2 * k:3 * k])
-        return Pending(partial(_th1_value, norms[:2 * k], p),
-                       radii=[(op, tol, nrm) for op, nrm in zip(ops, norms[3 * k:])])
-
-    return Pending(radii, norms=offdiag + [blk.matrix() for blk in blocks] + ops)
+    """th1's step at omega_tol relative to the largest block operator's norm."""
+    return _th1_step(m["blocks"], float(prm.get("p", 1.0)), s.omega_tol, relative=True)
 
 
 def _sign(params: dict) -> float:

@@ -13,45 +13,36 @@ counterexample suite and `numrad bound`, goes through `contract_verdict`.
 Each process runs its share of the plan in blocks of BLOCK_TRIALS
 consecutive trials, and each block in three stages, so a process holds
 one block's trials at a time. `_start_trial` draws (or checks) every
-trial's inputs and keeps two steps, each a `numrad.bounds.Pending`: the
+trial's inputs and states it as one step, a `numrad.bounds.Pending`: the
 bound's value (the evaluator's pending, which `th1`'s ends in the block
-radii its value needs) and the contract side (`BoundSpec.contract_side`).
-A pending names norm, polar and composition requests, (operator, tol,
-norm) radii and `numrad.radius.AscentRequest`s, and a finish over their
-results that may name the next requests; the norm of a radius is the
-operator's spectral norm, taken once as a request of the stater, and
-only an `omega_p` side of two or more operands names an ascent.
-`_measure_sides` works in five steps over the block: it settles the
-decompositions of every pending in rounds (`numrad.bounds.settle`, which
-takes `SETTLE_STEPS` pendings through their rounds at a time), each round
-solving each (kind, shape) of requests in one stacked call
-(`numrad.linalg.spectral_norms`, `polar_eigens`, `recompose_many`) and
-running the finishes, while pair validation and phi(s) stay per trial in
-those finishes; it certifies the radii of every pending together, by one
-`numrad.radius.omega_many` call over operators of every side that takes
-those norms; it runs every value's finish, which gives the outcome; it
-runs the ascents of the sides whose value succeeded, by one
-`numrad.radius.ascend_many` call that advances the restarts of every
-ascent of one (operator count, side, p) in lockstep; and it runs those
-sides' finishes, which give (lhs, upper end or None, extras), an
-ascent's through `numrad.radius.omega_p` on its ends. `_finish_trial`
-makes the record from these through `contract_verdict`. A trial that
-raises at any stage becomes its own error record, its value's error
-before its side's; the others go on.
+radii its value needs) chained to the contract side
+(`BoundSpec.contract_side`), whose statement starts once the value has
+settled. A pending names norm, polar and composition requests, (operator,
+tol, norm) radii and `numrad.radius.AscentRequest`s, and a finish over
+their results that may name the next requests; the norm of a radius is
+the operator's spectral norm, taken once as a request of the stater, and
+only an `omega_p` side of two or more operands names an ascent. Stage 2
+is one `numrad.bounds.settle` call over the block's steps, the one
+engine that resolves pendings: it loops over decomposition rounds (each
+solving each (kind, shape) in one stacked call), one `omega_many` call
+over every radius the steps name, and, once no radius is left, one
+`ascend_many` call over every ascent. A trial's step settles into its
+outcome and its side's (lhs, upper end or None, extras), an ascent's lhs
+through `numrad.radius.omega_p` on its ends, or into the error of the
+first finish that failed, its value's before its side's, so a trial
+whose value fails runs no ascent. `_finish_trial` makes the record
+through `contract_verdict`. A trial that raises at any stage becomes its
+own error record; the others go on.
 `_run_single`, behind `replay_trial` and the counterexample suite, is a
 share of one trial; stacked, `omega_many` and `ascend_many` results do
 not depend on their batch-mates, so a replay gives back the campaign
 record. `evaluate_bound`, behind `numrad bound`, states one trial of
-given inputs with its caller's settings, runs `_measure_sides` on it and
-raises that trial's error; so one path settles and measures every
-contract side and certifies every radius, and the public bound_*
-functions settle their own pendings through the same `settle`. A
-record's `wall_time` is its own time in the first and last stages plus
-its own finishes, an even share of each stacked call of the rounds per
-request it made, its share of its block's `omega_many` call split by the
-angles each operator evaluated, and its share of the block's
-`ascend_many` call split by the iterations its restarts ran, so the
-records of a share add up to the share's time.
+given inputs with its caller's settings, settles it and raises its
+error; so one path settles and measures every contract side and
+certifies every radius, and the public bound_* functions settle their
+own pendings through the same `settle`. A record's `wall_time` is its
+own time in the first and last stages plus the time `settle` charged to
+its step, so the records of a share add up to the share's time.
 
 Everything is deterministic in the master seed: each trial derives its own
 stream from its plan index, so trials can run in any order and in any
@@ -82,12 +73,11 @@ from time import perf_counter
 
 import numpy as np
 
-from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, FAILURES, BoundOutcome,
-                     BoundSpec, EvalSettings, Pending, bound_spec, settle)
+from .bounds import (BOUND_IDS, CONSTANT_MODES, DEFAULT_ROLES, FAILURES, BoundSpec,
+                     EvalSettings, _then, bound_spec, settle)
 from .ensembles import KINDS, RngStream, derive, sample
 from .errors import OutOfRangeError
 from .linalg import polar_eigen, recompose, spectral_norm
-from .radius import ascend_many, omega_many
 
 FORMAT_VERSION = "numrad-report/1"
 
@@ -203,15 +193,15 @@ class TrialRecord:
     violation: bool
     seed_path: str
     error: str | None = None
-    # In-memory only; reports must be byte-identical. Each stacked call of
-    # a block's rounds covers one (kind, shape) and its time is split evenly
-    # over its requests, which cost alike. A block's omega_many call's time
-    # is split by angles, and an angle's cost depends on its operator's
-    # side and kernel (a bipartite operand's SVD of its off-diagonal block
-    # is cheaper than an eigensolve), so the call overcharges small and
-    # bipartite operands. Its ascend_many call's time is split by row
-    # iterations, whose cost grows with the operator count and side, so
-    # that call overcharges small ascents.
+    # In-memory only; reports must be byte-identical. `settle` splits each
+    # stacked call of a block's rounds evenly over its requests, which cover
+    # one (kind, shape) and cost alike. It splits the block's omega_many
+    # calls by angles, and an angle's cost depends on its operator's side
+    # and kernel (a bipartite operand's SVD of its off-diagonal block is
+    # cheaper than an eigensolve), so they overcharge small and bipartite
+    # operands. It splits the ascend_many call by row iterations, whose
+    # cost grows with the operator count and side, so that call
+    # overcharges small ascents. Each finish is charged its own time.
     wall_time: float = 0.0
 
 
@@ -299,11 +289,6 @@ class _Trial:
     params: dict
     wall: float = 0.0
     digests: tuple = ()
-    steps: tuple = ()     # the value's and the contract side's
-    answers: tuple = ()   # the stage-2 results each step's finish takes
-    outcome: BoundOutcome | None = None
-    ends: tuple = ()      # (lhs, upper end or None, extras) of the side
-    error: Exception | None = None
 
 
 def _settings(config: CampaignConfig, index: int) -> EvalSettings:
@@ -313,9 +298,11 @@ def _settings(config: CampaignConfig, index: int) -> EvalSettings:
 
 
 def _start_trial(config: CampaignConfig, index: int, bound_id: str,
-                 params: dict, mats: dict | None) -> _Trial:
-    """Stage 1: draw (or check) the inputs and state the bound's value and
-    its contract side."""
+                 params: dict, mats: dict | None) -> tuple[_Trial, object]:
+    """Stage 1: draw (or check) the inputs and state the trial as one step;
+    returns the trial and its step, or the error stating it raised. The
+    trial does not keep the step, so stage 2 frees what a step no longer
+    needs."""
     t0 = perf_counter()
     trial = _Trial(index, bound_id, params)
     try:
@@ -327,110 +314,43 @@ def _start_trial(config: CampaignConfig, index: int, bound_id: str,
         mats = spec.sampler.draw(params, config.ensembles, settings.stream) if mats is None \
             else spec.sampler.coerce(mats)
         trial.digests = tuple(_digest(m) for m in spec.sampler.unpack(mats))
-        _evaluate(trial, spec, mats, settings)
+        step = _stated(spec, mats, trial.params, settings)
     except FAILURES as exc:
-        trial.error = exc
+        step = exc
     trial.wall = perf_counter() - t0
-    return trial
+    return trial, step
 
 
-def _evaluate(trial: _Trial, spec: BoundSpec, mats: dict, settings: EvalSettings) -> None:
-    """Stage 1's statement of checked inputs: `trial` keeps the bound's
-    value and its contract side as steps (`numrad.bounds.Pending`s, or
-    results) for stage 2. A side that fails to be stated keeps its error
-    as its step, since a failing value's error comes first."""
-    value = spec.evaluate(mats, trial.params, settings)
+def _stated(spec: BoundSpec, mats: dict, params: dict, settings: EvalSettings):
+    """Stage 1's statement of checked inputs: one step that settles into
+    (outcome, contract side ends), the bound's value and then its contract
+    side, so a failed value is the trial's error and its side is never
+    measured. A side that fails to be stated raises its error once the
+    value has settled."""
+    value = spec.evaluate(mats, params, settings)
     try:
-        side = spec.contract_side(mats, trial.params, settings)
+        side = spec.contract_side(mats, params, settings)
     except FAILURES as exc:
         side = exc
-    trial.steps = (value, side)
+
+    def measured(outcome):
+        if isinstance(side, Exception):
+            raise side
+        return _then(side, lambda ends: (outcome, ends))
+
+    return _then(value, measured)
 
 
-def _measure_sides(trials: list) -> None:
-    """Stage 2: settle the decompositions of every trial's value and
-    contract side in rounds, certify their radii, finish the values, then
-    run the ascents of the sides whose value succeeded and finish those
-    sides, so that a failed value is its trial's error and its side is
-    never measured; a trial whose value settled but whose side failed in
-    the rounds gets the side's error. The rounds (`numrad.bounds.settle`)
-    make one stacked call per (kind, shape) and round, whose time is split
-    evenly over its requests. The radii are certified, with the norms
-    their requests carry, by one `omega_many` call whose time is split by
-    the angles each operator evaluated, and the ascents run in one
-    `ascend_many` call whose time is split by the iterations each
-    request's restarts ran; a trial's finishes are its own time."""
-    steps, spent, t = settle([step for trial in trials for step in trial.steps], perf_counter)
-    for k, trial in enumerate(trials):
-        trial.steps, trial.answers = steps[2 * k:2 * k + 2], ([], [])
-        trial.wall += spent[2 * k] + spent[2 * k + 1]
-        trial.error = next((step for step in trial.steps if isinstance(step, Exception)), None)
-    live = [trial for trial in trials if trial.error is None]
-    radii = [(trial, answers, req) for trial in live
-             for step, answers in zip(trial.steps, trial.answers)
-             if isinstance(step, Pending) for req in step.radii]
-    if radii:
-        ops, tols, norms = zip(*(req for *_, req in radii))
-        t = _share(radii, omega_many(ops, tols, norms=norms), t,
-                   lambda res: getattr(res, "evals", 0))
-    for trial in live:
-        try:
-            trial.outcome = _finished(trial, 0)
-        except FAILURES as exc:
-            trial.error = exc
-        t = _charge(trial, t)
-    measured = [trial for trial in live if trial.error is None]
-    ascents = [(trial, trial.answers[1], req) for trial in measured
-               if isinstance(trial.steps[1], Pending) for req in trial.steps[1].ascents]
-    if ascents:
-        t = _share(ascents, ascend_many([req for *_, req in ascents]), t,
-                   lambda ends: ends.steps)
-    for trial in measured:
-        try:
-            trial.ends = _finished(trial, 1)
-        except FAILURES as exc:
-            trial.error = exc
-        t = _charge(trial, t)
-    for trial in trials:
-        trial.steps, trial.answers = (), ()
-
-
-def _finished(trial: _Trial, k: int):
-    """The result of the trial's step k, finished over its stage-2 answers
-    when it is a Pending."""
-    step = trial.steps[k]
-    return step.finish(trial.answers[k]) if isinstance(step, Pending) else step
-
-
-def _share(batch: list, results: list, t: float, weight) -> float:
-    """Append each result of a batch of (trial, answers, request) entries to
-    its answers (a certificate, the error it raised, or an ascent's ends),
-    and split the time since t over the entries' trials by weight, evenly
-    when all weigh 0; returns the time now."""
-    now = perf_counter()
-    weights = [weight(res) for res in results]
-    total = sum(weights)
-    for (trial, answers, _), res, w in zip(batch, results, weights):
-        answers.append(res)
-        trial.wall += (now - t) * (w / total if total else 1.0 / len(batch))
-    return now
-
-
-def _charge(trial: _Trial, t: float) -> float:
-    """Charge the time since t to the trial; returns the time now."""
-    now = perf_counter()
-    trial.wall += now - t
-    return now
-
-
-def _finish_trial(config: CampaignConfig, trial: _Trial) -> TrialRecord:
-    """Stage 3: the record of a measured trial, through `contract_verdict`."""
+def _finish_trial(config: CampaignConfig, trial: _Trial, step) -> TrialRecord:
+    """Stage 3: the record of a trial from its settled step, (outcome, (lhs,
+    upper end or None, extras)) or an error, through `contract_verdict`."""
     t0 = perf_counter()
     seed_path = f"{config.master_seed}/{trial.index}"
-    if trial.error is None:
+    error = step if isinstance(step, Exception) else None
+    if error is None:
         try:
-            lhs, omega_hi, extras = trial.ends
-            value, exponent = trial.outcome.value, trial.outcome.exponent
+            outcome, (lhs, omega_hi, extras) = step
+            value, exponent = outcome.value, outcome.exponent
             ratio, violation = contract_verdict(value, lhs ** exponent, config.slack)
             record = TrialRecord(
                 index=trial.index,
@@ -446,13 +366,15 @@ def _finish_trial(config: CampaignConfig, trial: _Trial) -> TrialRecord:
                 seed_path=seed_path,
             )
         except FAILURES as exc:
-            trial.error = exc
-    if trial.error is not None:
+            error = exc
+        except OverflowError as exc:
+            error = OutOfRangeError(f"contract side power out of the float range: {exc}")
+    if error is not None:
         record = TrialRecord(
             index=trial.index, bound_id=trial.bound_id,
             params=_clean_params(dict(trial.params)), digests=(), value=None,
             exponent=None, omega_lo=None, omega_hi=None, ratio=None, violation=False,
-            seed_path=seed_path, error=f"{type(trial.error).__name__}: {trial.error}",
+            seed_path=seed_path, error=f"{type(error).__name__}: {error}",
         )
     record.wall_time = trial.wall + perf_counter() - t0
     return record
@@ -461,14 +383,16 @@ def _finish_trial(config: CampaignConfig, trial: _Trial) -> TrialRecord:
 def _run_share(config: CampaignConfig, entries: list) -> list[TrialRecord]:
     """The records of plan entries (index, bound id, params, mats), run in
     consecutive blocks of BLOCK_TRIALS entries, each in three stages: every
-    trial drawn and evaluated, every contract side measured, every record
-    finished. A trial that fails becomes its own error record; the others
-    go on."""
+    trial drawn and stated, every step settled, every record finished. A
+    trial that fails becomes its own error record; the others go on."""
     records = []
     for start in range(0, len(entries), BLOCK_TRIALS):
-        trials = [_start_trial(config, *entry) for entry in entries[start:start + BLOCK_TRIALS]]
-        _measure_sides([trial for trial in trials if trial.error is None])
-        records += [_finish_trial(config, trial) for trial in trials]
+        trials, steps = map(list, zip(*[_start_trial(config, *entry)
+                                        for entry in entries[start:start + BLOCK_TRIALS]]))
+        _, spent = settle(steps)
+        for trial, t in zip(trials, spent):
+            trial.wall += t
+        records += [_finish_trial(config, trial, step) for trial, step in zip(trials, steps)]
     return records
 
 
@@ -490,17 +414,16 @@ def evaluate_bound(bound_id: str, mats: dict, params: dict,
     is valid. `extras` holds what the contract side adds to a record's
     params: `estimate_converged` for a generalized-radius estimate.
 
-    This is a campaign trial on given inputs: stage 1's evaluation with
-    `settings`, then `_measure_sides` over the one trial. A failure is
+    This is a campaign trial on given inputs: stage 1's statement with
+    `settings`, then `numrad.bounds.settle` over its one step. A failure is
     raised, not recorded.
     """
     spec = bound_spec(bound_id)
-    trial = _Trial(0, bound_id, params)
-    _evaluate(trial, spec, spec.sampler.coerce(mats), settings)
-    _measure_sides([trial])
-    if trial.error is not None:
-        raise trial.error
-    return (trial.outcome, *trial.ends)
+    (out,), _ = settle([_stated(spec, spec.sampler.coerce(mats), params, settings)])
+    if isinstance(out, Exception):
+        raise out
+    outcome, ends = out
+    return (outcome, *ends)
 
 
 def _clean_params(params: dict) -> dict:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ from numrad.linalg import (
     spectral_norm,
 )
 import numrad.bounds
-from numrad.radius import omega, omega_many
+from numrad.ensembles import RngStream
+from numrad.radius import ascent_request, omega, omega_many
 from reference import abs_op, fn_of_abs, fn_of_psd
 
 ONE = [[1.0]]
@@ -603,8 +605,8 @@ class TestTh1:
     def test_first_failing_block_radius_is_raised(self, monkeypatch):
         # with 16 angles only the initial grid fits: a zero A_1 certifies,
         # so D_1 is the first radius to run out of budget
-        def short(mats, tols):
-            return omega_many(mats, tols, max_evals=16)
+        def short(mats, tols, norms):
+            return omega_many(mats, tols, max_evals=16, norms=norms)
 
         monkeypatch.setattr(numrad.bounds, "omega_many", short)
         g = np.random.default_rng(23)
@@ -640,6 +642,22 @@ def settle_steps():
     return steps
 
 
+def chained(ops):
+    """The step of the radii of `ops` at tol 1e-4, then their norms, then
+    one ascent of them, then their radii at tol 1e-9; it settles into
+    (loose radii, the ascent's values and iterations, tight radii)."""
+    def radii(tol):
+        return [(op, tol, spectral_norm(op)) for op in ops]
+
+    def ascend(loose, norms):
+        req = ascent_request(ops, 2.0, 2, stream=RngStream(7), max_iter=30, norms=norms)
+        return Pending(lambda ends: Pending(
+            lambda tight: (loose, ends[0].f.tolist(), ends[0].steps, tight), radii=radii(1e-9)),
+            ascents=[req])
+
+    return Pending(lambda loose: Pending(partial(ascend, loose), norms=ops), radii=radii(1e-4))
+
+
 class TestSettle:
     """`settle` solves the decompositions of many pendings in rounds, one
     stacked call per (kind, shape) and round, and each pending gets what it
@@ -647,7 +665,7 @@ class TestSettle:
     theirs alone."""
 
     def test_batch_equals_batches_of_one(self, monkeypatch):
-        together, spent, _ = settle(settle_steps())
+        together, spent = settle(settle_steps())
         alone = [settle([step])[0][0] for step in settle_steps()]
         assert together == alone
         monkeypatch.setattr(numrad.bounds, "SETTLE_STEPS", 5)
@@ -690,7 +708,7 @@ class TestSettle:
             assert sorted(sides) == [1, 2, 3]
             assert sum(shape[0] for k, shape in calls if k == kind) == per_step * len(steps)
 
-    def test_charges_add_up_to_the_clock(self):
+    def test_charges_add_up_to_the_clock(self, monkeypatch):
         # with a clock that ticks once per reading, the steps are charged
         # exactly the span from the first reading to the last
         clock = [0.0]
@@ -700,8 +718,9 @@ class TestSettle:
             return clock[0]
 
         steps = settle_steps()
-        _, spent, now = settle(steps, clock=tick)
-        assert now == clock[0] and sum(spent) == pytest.approx(now - 1.0, rel=1e-12)
+        monkeypatch.setattr(numrad.bounds, "perf_counter", tick)
+        _, spent = settle(steps)
+        assert clock[0] > 1.0 and sum(spent) == pytest.approx(clock[0] - 1.0, rel=1e-12)
         assert all(t > 0.0 for t in spent)
 
     def test_failed_request_fails_its_pending_alone(self):
@@ -714,7 +733,7 @@ class TestSettle:
         with_nan[0, 1], with_inf[1, 0] = np.nan, np.inf
         steps = [Pending(list, norms=good[:2]), Pending(list, norms=[good[2], with_inf, with_nan]),
                  Pending(list, norms=[with_inf], polars=[good[0]]), Pending(list, polars=[with_nan])]
-        out, _, _ = settle(steps)
+        out, _ = settle(steps)
         assert out[0] == [spectral_norm(m) for m in good[:2]]
         with pytest.raises(np.linalg.LinAlgError) as lone:
             spectral_norm(with_nan)
@@ -731,7 +750,7 @@ class TestSettle:
         g = np.random.default_rng(54)
         mats = [rand_complex(g, 3) for _ in range(4)]
         monkeypatch.setattr(numrad.bounds, "spectral_norms", raising)
-        (out,), _, _ = settle([Pending(list, norms=mats)])
+        (out,), _ = settle([Pending(list, norms=mats)])
         assert out == [spectral_norm(m) for m in mats]
 
     def test_finish_errors(self):
@@ -742,14 +761,54 @@ class TestSettle:
             raise ZeroDivisionError("a bug, not a finding")
 
         eye = np.eye(2)
-        out, _, _ = settle([Pending(failing, norms=[eye]), Pending(list, norms=[eye]), 7])
+        out, _ = settle([Pending(failing, norms=[eye]), Pending(list, norms=[eye]), 7])
         assert isinstance(out[0], OutOfRangeError) and out[1:] == [[1.0], 7]
         with pytest.raises(ZeroDivisionError):
             settle([Pending(broken, norms=[eye])])
 
+    def test_chained_stages_batch_across_steps(self, monkeypatch):
+        # each step's finishes chain radii, norms, an ascent and radii at a
+        # tighter tol; each pass makes one batched call over every step, and
+        # each step settles to what it settles to alone, to the bit
+        g = np.random.default_rng(55)
+        groups = [[rand_complex(g, side) for _ in range(2)] for side in (2, 3, 2)]
+        alone = [settle([chained(ops)])[0][0] for ops in groups]
+        calls = []
+        for name in ("omega_many", "ascend_many", "spectral_norms"):
+            real = getattr(numrad.bounds, name)
+
+            def recording(requests, *rest, _name=name, _real=real, **kwargs):
+                calls.append((_name, len(requests)))
+                return _real(requests, *rest, **kwargs)
+
+            monkeypatch.setattr(numrad.bounds, name, recording)
+        together, spent = settle([chained(ops) for ops in groups])
+        assert together == alone and all(t > 0.0 for t in spent)
+        assert all(a.tol == 1e-4 and b.tol == 1e-9
+                   for loose, _, _, tight in together for a, b in zip(loose, tight))
+        assert calls == [("omega_many", 6), ("spectral_norms", 4), ("spectral_norms", 2),
+                         ("ascend_many", 3), ("omega_many", 6)]
+        # the decomposition rounds go SETTLE_STEPS steps at a time, the
+        # radii and ascents of every step in one call still
+        calls.clear()
+        monkeypatch.setattr(numrad.bounds, "SETTLE_STEPS", 1)
+        assert settle([chained(ops) for ops in groups])[0] == alone
+        assert calls == [("omega_many", 6), ("spectral_norms", 2), ("spectral_norms", 2),
+                         ("spectral_norms", 2), ("ascend_many", 3), ("omega_many", 6)]
+
+    def test_mixed_pending_takes_every_result_in_order(self):
+        # a pending may name decompositions, radii and ascents at once; its
+        # finish takes their results in field order
+        eye = np.eye(2)
+        req = ascent_request([eye, 2.0 * eye], 2.0, 2, max_iter=5)
+        (out,), _ = settle([Pending(list, norms=[3.0 * eye], radii=[(eye, 1e-8, 1.0)],
+                                    ascents=[req])])
+        assert out[:2] == [3.0, omega(eye, 1e-8)] and out[2].norms == (1.0, 2.0)
+
     def test_further_pendings_run_in_later_rounds(self):
         eye = np.eye(2)
         step = Pending(lambda n: Pending(lambda m: (n, m), norms=[3.0 * eye]), norms=[2.0 * eye])
-        out, _, _ = settle([step, Pending(list, radii=[(eye, 1e-8, 1.0)])])
+        out, _ = settle([step, Pending(list, radii=[(eye, 1e-8, 1.0)])])
         assert out[0] == ([2.0], [3.0])
-        assert isinstance(out[1], Pending) and out[1].radii
+        # settle also certifies the radii a pending names
+        assert out[1] == [omega(eye, 1e-8)]

@@ -290,6 +290,14 @@ class TestBoundCommand:
             main(["bound", "--seed", "0", "--id", "main1.v1", path, path])
         assert exc.value.code == 2
 
+    def test_power_out_of_range_exit_3(self, tmp_path, capsys):
+        # main11's n2 ** q leaves the float range: an OutOfRangeError, not a crash
+        x = write_mat(tmp_path, "x.json", [[1000.0, 1000.0]])
+        y = write_mat(tmp_path, "y.json", [[1.0], [0.5]])
+        assert main(["bound", "--id", "main11.v1", "--r", "3", "--alpha", "0",
+                     "--p", "1.0546875", x, y]) == 3
+        assert "float range" in capsys.readouterr().err
+
     def test_unknown_id_exit_5(self, tmp_path):
         path = write_mat(tmp_path, "one.json", [[1.0]])
         assert main(["bound", "--id", "main99", path, path]) == 5
@@ -368,6 +376,20 @@ class TestVerifyCommand:
         assert code == 0
         errors = json.loads((tmp_path / "report.json").read_text())["errors"]
         assert errors[0]["error"].startswith("DimensionMismatchError: expected matrices")
+
+    def test_power_out_of_range_is_error_record(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"bound_ids": [], "extra_trials": [
+            ["main11.v1", {"m": 1, "n": 2, "r": 3.0, "alpha": 0.0, "p": 1.0546875},
+             {"x": [[1000.0, 1000.0]], "y": [[1.0], [0.5]]}]]}))
+        code = main(["verify", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "bound_summary id=main11.v1 count=1 violations=0 errors=1" in captured.out
+        assert code == 0
+        errors = json.loads((tmp_path / "report.json").read_text())["errors"]
+        assert errors[0]["error"].startswith("OutOfRangeError: result out of the float range")
 
     def test_extra_trial_group_not_a_list_is_error_record(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numrad.bounds
 import numrad.harness
@@ -594,8 +596,8 @@ class TestOneOperatorContract:
 
 class TestStagedShare:
     """A process's share runs in blocks of trials, each in stages: every
-    trial drawn and evaluated, every contract side measured (every radius
-    of the block in one lockstep call), every record finished."""
+    trial drawn and evaluated, every contract side measured (the radii of
+    the block in lockstep calls), every record finished."""
 
     IDS = ("main1.v1", "product_xy", "sum_norm", "main11.young.v2", "main4.v1", "th1")
     # N^2 = 0 and N is not bipartite (nonzero diagonal): its field of values
@@ -638,7 +640,7 @@ class TestStagedShare:
                  {"x": [[1.0]], "y": [[1.0]]})
         cfg = self.cfg(omega_tol=1e-3, extra_trials=(disk, bad_r))
         lockstep = numrad.radius.omega_many
-        monkeypatch.setattr(numrad.harness, "omega_many",
+        monkeypatch.setattr(numrad.bounds, "omega_many",
                             lambda mats, tols, norms: lockstep(mats, tols, self.BUDGET, norms))
         report = run_campaign(cfg)
         *grid, failed, rejected = report.records
@@ -676,16 +678,18 @@ class TestStagedShare:
             clock[0] += 1.0
             return clock[0]
 
-        measure, spans = numrad.harness._measure_sides, []
+        real_settle, spans = numrad.harness.settle, []
 
-        def measured(trials):
-            before, start = sum(t.wall for t in trials), clock[0]
-            measure(trials)
+        def measured(steps):
+            start = clock[0]
+            steps, spent = real_settle(steps)
             # the stage reads the clock first at start + 1 and last at clock[0]
-            spans.append((sum(t.wall for t in trials) - before, clock[0] - (start + 1)))
+            spans.append((sum(spent), clock[0] - (start + 1)))
+            return steps, spent
 
         monkeypatch.setattr(numrad.harness, "perf_counter", tick)
-        monkeypatch.setattr(numrad.harness, "_measure_sides", measured)
+        monkeypatch.setattr(numrad.bounds, "perf_counter", tick)
+        monkeypatch.setattr(numrad.harness, "settle", measured)
         report = run_campaign(self.cfg())
         assert all(rec.wall_time > 0.0 for rec in report.records)
         ((charged, span),) = spans
@@ -701,7 +705,7 @@ class TestStagedShare:
     def test_th1_budget_error_is_the_trials_error_record(self, monkeypatch):
         # th1's block radii are certified in the measuring stage
         lockstep = numrad.radius.omega_many
-        monkeypatch.setattr(numrad.harness, "omega_many",
+        monkeypatch.setattr(numrad.bounds, "omega_many",
                             lambda mats, tols, norms: lockstep(mats, tols, 16, norms))
         cfg, params, _ = first_trial("th1", n_operators_values=(2,))
         record = _run_single(cfg, 0, "th1", params, None)
@@ -711,7 +715,7 @@ class TestStagedShare:
         # the value's finish runs before the side's, so a th1 value whose
         # block radius fails costs no omega_p ascent
         lockstep = numrad.radius.omega_many
-        monkeypatch.setattr(numrad.harness, "omega_many",
+        monkeypatch.setattr(numrad.bounds, "omega_many",
                             lambda mats, tols, norms: lockstep(mats, tols, 16, norms))
         calls, requests = [], []
         patch_everywhere(monkeypatch, numrad.radius.omega_p, calls, "omega_p")
@@ -767,7 +771,7 @@ class TestStagedShare:
         hard = ("th1", {"m": 2, "n": 2, "p": 2.0}, {"blocks": blocks})
         cfg = self.cfg(omega_tol=1e-3, extra_trials=(hard,))
         lockstep = numrad.radius.omega_many
-        monkeypatch.setattr(numrad.harness, "omega_many",
+        monkeypatch.setattr(numrad.bounds, "omega_many",
                             lambda mats, tols, norms: lockstep(mats, tols, self.BUDGET, norms))
         report = run_campaign(cfg)
         *grid, failed = report.records
@@ -796,7 +800,7 @@ class TestStagedShare:
             calls.append(len(mats))
             return lockstep(mats, tols, norms=norms)
 
-        monkeypatch.setattr(numrad.harness, "omega_many", counting)
+        monkeypatch.setattr(numrad.bounds, "omega_many", counting)
         reports, counts = [], []
         for block in (1, 7, BLOCK_TRIALS):
             monkeypatch.setattr(numrad.harness, "BLOCK_TRIALS", block)
@@ -808,3 +812,57 @@ class TestStagedShare:
         assert len(plan) > counts[0] > counts[1] > counts[2] == 1
         assert len(plan) <= BLOCK_TRIALS == 512
         assert reports[0] == reports[1] == reports[2]
+
+
+def scaled(mats, scale):
+    """An input dict with every matrix multiplied by `scale`."""
+    return {key: [tuple(scale * np.asarray(m) for m in group) for group in val]
+            if isinstance(val, list) else scale * np.asarray(val) for key, val in mats.items()}
+
+
+class TestOutOfFloatRange:
+    """A value that leaves the float range is its trial's OutOfRangeError
+    record, so no input the config accepts aborts a campaign."""
+
+    BIG = (1e120 * np.eye(2)).tolist()
+
+    @pytest.mark.parametrize("entry", [
+        # main11's n2 ** q, with q about 19.3 and n2 about 1e18
+        ("main11.v1", {"m": 1, "n": 2, "r": 3.0, "alpha": 0.0, "p": 1.0546875},
+         {"x": [[1000.0, 1000.0]], "y": [[1.0], [0.5]]}),
+        # main11.young's n2 ** (q / 2)
+        ("main11.young.v1", {"m": 1, "n": 2, "r": 3.0, "alpha": 0.0, "p": 1.0546875},
+         {"x": [[1e30, 1e30]], "y": [[1.0], [0.5]]}),
+        # th1's (...) ** p
+        ("th1", {"m": 2, "n": 2, "p": 3.0}, {"blocks": [(BIG, BIG, BIG, BIG)]}),
+        # the prefactor 2 ** (r - 2)
+        ("main1.v1", {"m": 1, "n": 1, "r": 2000.0, "alpha": 0.5},
+         {"x": [[1.0]], "y": [[1.0]]}),
+    ])
+    def test_power_out_of_range_is_an_error_record(self, entry):
+        report = run_campaign(CampaignConfig(bound_ids=(), extra_trials=(entry,)))
+        (rec,) = report.records
+        assert rec.error.startswith("OutOfRangeError: result out of the float range")
+        assert report.summary[entry[0]]["errors"] == 1
+
+    def test_contract_side_power_out_of_range_is_an_error_record(self):
+        outcome = BoundOutcome(bound_id="main1.v1", value=1.0, exponent=400.0)
+        trial = numrad.harness._Trial(0, "main1.v1", {"r": 400.0})
+        rec = numrad.harness._finish_trial(small_config(), trial, (outcome, (1e10, 1e10, {})))
+        assert rec.error.startswith("OutOfRangeError: contract side power out of the float")
+        assert rec.value is None and not rec.violation
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(j=st.integers(-150, 150))
+    def test_scaled_inputs_give_one_record_each(self, j):
+        # one entry per id, every matrix scaled by 10^j: some records are
+        # errors (a power out of range, a contraction of norm > 1), none
+        # aborts the campaign
+        entries = []
+        for bound_id in BOUND_IDS:
+            _, params, mats = first_trial(bound_id, r_values=(3.0,), holder_p_values=(1.25,),
+                                          omega_p_p_values=(3.0,), n_operators_values=(2,))
+            entries.append((bound_id, params, scaled(mats, 10.0 ** j)))
+        report = run_campaign(CampaignConfig(bound_ids=(), extra_trials=tuple(entries),
+                                             omega_p_restarts=2, omega_p_max_iter=20))
+        assert [rec.bound_id for rec in report.records] == list(BOUND_IDS)
