@@ -260,18 +260,19 @@ def _build_plan(config: CampaignConfig) -> list[tuple[str, dict, dict | None]]:
 
 
 def contract_verdict(value: float, lhs_pow: float,
-                     slack: float = CONTRACT_SLACK) -> tuple[float, bool]:
+                     slack: float = CONTRACT_SLACK) -> tuple[float | None, bool]:
     """(ratio, violation) of the contract lhs_pow <= value.
 
     The contract is violated when value < lhs_pow - slack * max(1, value).
     The tightness ratio is lhs_pow / value, capped at 1e308; at value 0 it
-    is 1 when lhs_pow <= 0 and 1e308 otherwise.
+    is 1e308 when lhs_pow > 0, and None otherwise: 0/0 is no ratio, as
+    when a value and its radius power both underflow.
     """
     violation = value < lhs_pow - slack * max(1.0, value)
     if value > 0.0:
         ratio = min(lhs_pow / value, 1e308)
     else:
-        ratio = 1.0 if lhs_pow <= 0.0 else 1e308
+        ratio = 1e308 if lhs_pow > 0.0 else None
     return ratio, bool(violation)
 
 

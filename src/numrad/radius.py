@@ -69,13 +69,14 @@ request (`ascent_request`), and `ascend_many` advances the restarts of
 every request of one operator count, side and p in lockstep: each
 product is one batched call of every request's rows with its own stack,
 and each other step one call over all rows, while the stopping gradient,
-the kink guard, the iteration budget and the exits stay per request, so
-every request ends as it would alone, to the bit. `omega_p` runs its own
-request as a batch of one, or takes the ends of one that ran in a larger
-batch, and picks the witness, recomputes the value and judges
-convergence itself. Operators whose F or gradient would leave the float
-range run as T 2^-e, of norm about 1, with the tol scaled alike, and the
-value is scaled back, as `omega_many` does for a radius. A brute-force
+the iteration budget and the exits stay per request, so every request
+ends as it would alone, to the bit. `omega_p` runs its own request as a
+batch of one, or takes the ends of one that ran in a larger batch, and
+picks the witness, recomputes the value and judges convergence itself.
+Every ascent runs on T 2^-e, of norm about 1, with its tol scaled alike,
+and the value is scaled back, so the estimate is homogeneous: omega_p of
+2^k T is 2^k omega_p(T) to the bit, and the stopping gradient and the
+kink guard are relative to the operators' norm. A brute-force
 quasi-uniform sphere scan serves as an oracle for omega_p at tiny sizes.
 """
 
@@ -125,12 +126,9 @@ _SAFE_EXPONENT = 400
 # Doubling steps allowed to build the certificate.
 _DOUBLING_STEPS = 60
 _EPS = np.finfo(np.float64).eps
-# |z|^(p-2) z is treated as 0 below this relative magnitude (p < 2 kink guard).
+# |z|^(p-2) z is treated as 0 below this magnitude (p < 2 kink guard); every
+# ascent runs at norm about 1 (`_ascent_setup`), so this is relative.
 _PHASE_ZERO_TOL = 1e-14
-# An ascent whose F and gradient, of scale max_i ||T_i||^p, would pass
-# 2^+-450 runs on the operators scaled to norm about 1 (`_ascent_setup`), so
-# that the squares in the gradient's norm stay in range too.
-_SAFE_POWER = 450
 # Angles tried by the great-circle line search of `_lockstep_ascent`: a
 # geometric ladder pi/2 * 2^-j down to about 1e-15 for short steps and a
 # uniform grid over the half circle (x and -x give the same form values)
@@ -640,7 +638,7 @@ def omega_p_objective(ops, p: float, x: np.ndarray, z: np.ndarray | None = None)
     return float(f) if f.ndim == 0 else f
 
 
-def omega_p_gradient(ops, p: float, x: np.ndarray, zero_tol: float | np.ndarray = 0.0,
+def omega_p_gradient(ops, p: float, x: np.ndarray, zero_tol: float = 0.0,
                      products: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Euclidean ascent direction of F at x (complex vector, real pairing).
 
@@ -648,8 +646,7 @@ def omega_p_gradient(ops, p: float, x: np.ndarray, zero_tol: float | np.ndarray 
     G = sum_i c_i T_i x + conj(c_i) T_i* x, c_i = p |z_i|^(p-2) conj(z_i);
     terms with |z_i| below zero_tol are dropped (the p < 2 kink guard).
     x is one vector or a (b, n) batch, giving G of the same shape.
-    `products`, when given, is the pair (W, z) of `_products` at x, and
-    zero_tol may then be an array that broadcasts against z.
+    `products`, when given, is the pair (W, z) of `_products` at x.
     """
     if products is None:
         products = _products(_doubled(np.asarray(ops, dtype=np.complex128)),
@@ -685,12 +682,12 @@ class AscentRequest:
     """One restarted ascent of F(x) = sum_i |<T_i x, x>|^p, as
     :func:`ascent_request` states it for :func:`ascend_many`.
 
-    `stack` holds the (k, n, n) operators, scaled by 2^-e where
-    `_ascent_setup` scales them, and `starts` the (restarts, n) starting
-    points. grad_tol (the stopping tangent gradient) and zero_tol (the
-    p < 2 kink guard) are in the scaled objective's units. `norms` are the
-    spectral norms of the operators as given, which :func:`omega_p` takes
-    back with the ends instead of taking them again.
+    `stack` holds the (k, n, n) operators scaled by 2^-e to norm about 1
+    (`_ascent_setup`), and `starts` the (restarts, n) starting
+    points. grad_tol, the stopping tangent gradient, is in the scaled
+    objective's units. `norms` are the spectral norms of the operators as
+    given, which :func:`omega_p` takes back with the ends instead of
+    taking them again.
     """
 
     stack: np.ndarray
@@ -698,7 +695,6 @@ class AscentRequest:
     starts: np.ndarray
     max_iter: int
     grad_tol: float
-    zero_tol: float
     norms: tuple
 
 
@@ -718,13 +714,11 @@ def _ascent_setup(ops, p, restarts, tol, max_iter, norms=None) -> tuple:
     norms, tol, e): the ascent runs on stack = T 2^-e at tol 2^-e.
 
     norms, when given, are the spectral norms of ops and stand in for
-    those SVDs. e is 0 unless max_i ||T_i||^p, the scale of F and its
-    gradient, lies outside about [2^-_SAFE_POWER, 2^_SAFE_POWER]; then
-    T 2^-e has norm about 1, so operators of ordinary norm keep their bits
-    (at p <= 4, norms from about 1e-34 to 1e34 run as given). The
-    scaling is exact but for entries it takes among the subnormals, far
-    below the value's own rounding; a scaled tol that overflows stops
-    every restart at its start.
+    those SVDs. e is the binary exponent of max_i ||T_i||, clamped to
+    [-1000, 1000], so T 2^-e has norm about 1 and every ascent runs on
+    the same scale. The scaling is exact but for entries it takes among
+    the subnormals, far below the value's own rounding; a scaled tol that
+    overflows stops every restart at its start.
     """
     stack = _prepare_ops(ops)
     p = float(p)
@@ -739,17 +733,14 @@ def _ascent_setup(ops, p, restarts, tol, max_iter, norms=None) -> tuple:
     if len(norms) != stack.shape[0]:
         raise DimensionMismatchError(f"{len(norms)} norms for {stack.shape[0]} operators")
     if tol is None:
-        tol = 1e-8 * max(1.0, max(norms))
+        tol = 1e-8 * max(norms)
     tol = float(tol)
     if not math.isfinite(tol) or tol < 0.0:
         # an infinite tol would stop every restart at its start and call it
         # converged; a negative one could never be met
         raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
-    e = math.frexp(max(norms))[1]
-    e = 0 if p * abs(e) <= _SAFE_POWER else min(max(e, -1000), 1000)
-    if e:
-        stack, tol = stack * 2.0 ** -e, tol * 2.0 ** -e
-    return stack, p, int(restarts), norms, tol, e
+    e = min(max(math.frexp(max(norms))[1], -1000), 1000)
+    return stack * 2.0 ** -e, p, int(restarts), norms, tol * 2.0 ** -e, e
 
 
 def ascent_request(ops, p: float, restarts: int | None = None, tol: float | None = None,
@@ -769,12 +760,10 @@ def ascent_request(ops, p: float, restarts: int | None = None, tol: float | None
         x0 = g.standard_normal(side) + 1j * g.standard_normal(side)
         starts[k] = x0 if x0.any() else 1.0
     # stop a restart once the tangent gradient falls to a tenth of the
-    # requested relative tolerance, in the objective's own units
-    norms_run = [nv * 2.0 ** -e for nv in norms] if e else norms
-    scale = max(1.0, max(norms_run))
-    f_cap = sum(nv ** p for nv in norms_run)
-    grad_tol = 0.1 * (tol / scale) * p * max(1.0, f_cap)
-    return AscentRequest(stack, p, starts, max_iter, grad_tol, _PHASE_ZERO_TOL * scale, norms)
+    # tolerance, in the scaled objective's own units
+    f_cap = sum((nv * 2.0 ** -e) ** p for nv in norms)
+    grad_tol = 0.1 * tol * p * max(1.0, f_cap)
+    return AscentRequest(stack, p, starts, max_iter, grad_tol, norms)
 
 
 def ascend_many(requests) -> list:
@@ -837,7 +826,7 @@ def _lockstep_ascent(reqs: list, p: float) -> list:
         (req,) = reqs
         stacks, x = req.stack, req.starts
         slot = np.arange(sizes[0])
-        grad_tol, zero_tol = req.grad_tol, req.zero_tol
+        grad_tol = req.grad_tol
     else:
         stacks = np.stack([req.stack for req in reqs], axis=1)  # (k, T, n, n)
         width = np.arange(sizes.max())
@@ -846,7 +835,6 @@ def _lockstep_ascent(reqs: list, p: float) -> list:
             own = width < sizes[:, None]
         x = np.stack([req.starts[width % req.starts.shape[0]] for req in reqs])
         grad_tol = np.array([req.grad_tol for req in reqs])[:, None]
-        zero_tol = np.array([req.zero_tol for req in reqs])[:, None]
     max_iter = np.array([req.max_iter for req in reqs])
     stop = int(max_iter.min())
     doubled = _doubled(stacks)
@@ -859,8 +847,7 @@ def _lockstep_ascent(reqs: list, p: float) -> list:
         """Write out the rows `gone` after `steps` iterations and gather the
         rest, with the row arrays `extra`; None when no row is left, else
         the gathered `extra`."""
-        nonlocal x, cx, f, stall, slot, w, z, own, stacks, doubled, grad_tol, zero_tol, \
-            max_iter, stop
+        nonlocal x, cx, f, stall, slot, w, z, own, stacks, doubled, grad_tol, max_iter, stop
         sel = slot[gone]
         out_x[sel], out_f[sel], out_steps[sel] = x[gone], f[gone], steps
         stay = ~gone if own is None else own & ~gone
@@ -876,12 +863,12 @@ def _lockstep_ascent(reqs: list, p: float) -> list:
             if lines.size < counts.size:
                 counts, stay = counts[lines], stay[lines]
                 stacks, doubled = stacks[:, lines], doubled[:, lines]
-                grad_tol, zero_tol, max_iter = grad_tol[lines], zero_tol[lines], max_iter[lines]
+                grad_tol, max_iter = grad_tol[lines], max_iter[lines]
                 stop = int(max_iter.min())
             if lines.size == 1:
                 at = (lines[0], np.flatnonzero(stay[0]))
                 stacks, doubled = stacks[:, 0], doubled[:, 0]
-                grad_tol, zero_tol, own = grad_tol[0, 0], zero_tol[0, 0], None
+                grad_tol, own = grad_tol[0, 0], None
             else:
                 # each kept line's staying places first, in order, then repeated
                 places = np.arange(counts.max())
@@ -896,7 +883,7 @@ def _lockstep_ascent(reqs: list, p: float) -> list:
         if it >= stop and drop(np.repeat(max_iter <= it, f.shape[-1]).reshape(f.shape),
                                it) is None:
             break
-        g = omega_p_gradient(stacks, p, x, zero_tol, (w, z))
+        g = omega_p_gradient(stacks, p, x, _PHASE_ZERO_TOL, (w, z))
         gt = g - (cx * g).sum(axis=-1).real[..., None] * x
         gn = _row_norms(gt)
         live = gn > grad_tol
@@ -961,12 +948,13 @@ def omega_p(
     `restarts` (default 8n) starts, restart k drawn from derive(stream, k),
     as a batch of one of :func:`ascend_many`, and keeps the best; the value
     is recomputed from the witness, so it is a true lower bound. `tol`
-    (absolute, finite and >= 0, default 1e-8 * max(1, max ||T_i||)) sets
-    the ascent's stopping gradient, and `converged` means the
+    (absolute, finite and >= 0, default 1e-8 * max ||T_i||) sets the
+    ascent's stopping gradient, and `converged` means the
     :func:`_dual_gap` at the witness is <= tol: a first-order certificate,
     not a global one (with all <T_i x, x> = 0, True only for zero T_i).
-    Operators whose F would leave the float range run scaled by a power
-    of 2 (`_ascent_setup`), and the value and gap are scaled back.
+    The ascent and the gap run on the operators scaled by a power of 2 to
+    norm about 1 (`_ascent_setup`), and the value is scaled back, so
+    omega_p of 2^k T is 2^k omega_p(T) to the bit.
 
     `ends`, when given, is what :func:`ascend_many` returned for
     ``ascent_request`` of the same arguments: it replaces the starts and
@@ -990,7 +978,7 @@ def omega_p(
     witness = ends.x[best] / np.linalg.norm(ends.x[best])
     value = float(omega_p_objective(stack, p, witness) ** (1.0 / p))
     return OmegaPEstimate(
-        value=value * 2.0 ** e if e else value,
+        value=value * 2.0 ** e,
         witness=witness,
         p=p,
         converged=max(norms) == 0.0 or _dual_gap(stack, p, witness) <= tol,

@@ -223,11 +223,25 @@ class TestContractVerdict:
         assert contract_verdict(np.nextafter(4.0, 0.0), 4.0 + 4.0 * slack, slack)[1]
 
     def test_zero_value(self):
-        assert contract_verdict(0.0, 0.0) == (1.0, False)
-        assert contract_verdict(0.0, -1.0) == (1.0, False)
+        # 0/0 is no ratio
+        assert contract_verdict(0.0, 0.0) == (None, False)
+        assert contract_verdict(0.0, -1.0) == (None, False)
         # the ratio saturates while the slack still forgives a tiny lhs_pow
         assert contract_verdict(0.0, 1e-9) == (1e308, False)
         assert contract_verdict(0.0, 1.0) == (1e308, True)
+
+    def test_zero_over_zero_rows_count_toward_no_ratio(self):
+        # a zero input, and one whose value and radius power underflow
+        base = {"m": 1, "n": 1, "alpha": 0.5}
+        entries = (("main1.v1", dict(base, r=1.0), {"x": [[0.0]], "y": [[0.0]]}),
+                   ("main1.v1", dict(base, r=3.0), {"x": [[1e-110]], "y": [[1e-110]]}))
+        report = run_campaign(CampaignConfig(bound_ids=(), extra_trials=entries))
+        zero, tiny = report.records
+        assert zero.value == zero.omega_lo == 0.0
+        assert tiny.value == 0.0 and tiny.omega_lo == pytest.approx(1e-110)
+        assert [rec.ratio for rec in report.records] == [None, None]
+        assert not any(rec.violation or rec.error for rec in report.records)
+        assert report.summary["main1.v1"]["ratio_max"] is None
 
     def test_ratio_cap(self):
         assert contract_verdict(1e-300, 1e10) == (1e308, True)
@@ -866,3 +880,44 @@ class TestOutOfFloatRange:
         report = run_campaign(CampaignConfig(bound_ids=(), extra_trials=tuple(entries),
                                              omega_p_restarts=2, omega_p_max_iter=20))
         assert [rec.bound_id for rec in report.records] == list(BOUND_IDS)
+
+
+class TestContractSideHomogeneity:
+    """Each contract side of 2^k-scaled inputs, every third k in [-300, 300],
+    through evaluate_bound: an ascent's estimate is 2^k times the original
+    to the bit, a norm within 1e-12 relative, and a certified radius within
+    the tols the two were certified at."""
+
+    SETTINGS = EvalSettings(omega_p_restarts=2)
+
+    def sides(self, bound_id, **overrides):
+        """(2^k, lhs, operand) of the inputs scaled by 2^k, k = 0 first."""
+        _, params, mats = first_trial(bound_id, **overrides)
+        spec = bound_spec(bound_id)
+        out = []
+        for k in (0, *range(-300, 301, 3)):
+            inputs = scaled(mats, 2.0 ** k)
+            _, lhs, _, _ = evaluate_bound(bound_id, inputs, params, self.SETTINGS)
+            out.append((2.0 ** k, lhs, spec.operand(spec.sampler.coerce(inputs), params)))
+        return out
+
+    @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
+    def test_two_operand_ascent_keeps_the_bits(self, p):
+        (_, lhs0, operands), *rest = self.sides("th1", n_operators_values=(2,),
+                                                omega_p_p_values=(p,))
+        assert len(operands) == 2 and lhs0 > 0.0
+        for s, lhs, _ in rest:
+            assert lhs == s * lhs0, s
+
+    def test_norm_side_scales(self):
+        (_, lhs0, _), *rest = self.sides("sum_norm")
+        for s, lhs, _ in rest:
+            assert lhs == pytest.approx(s * lhs0, rel=1e-12, abs=0.0), s
+
+    def test_radius_side_scales_within_its_tols(self):
+        # each radius is certified at omega_tol relative to max(1, its norm)
+        (_, lhs0, op0), *rest = self.sides("main1.v1")
+        tol0 = self.SETTINGS.omega_tol * max(1.0, spectral_norm(op0))
+        for s, lhs, op in rest:
+            tol = self.SETTINGS.omega_tol * max(1.0, spectral_norm(op))
+            assert abs(lhs - s * lhs0) <= max(tol, s * tol0), s

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from numrad.errors import (
     OutOfRangeError,
 )
 from numrad.radius import (
+    _PHASE_ZERO_TOL,
     AscentEnds,
     _dual_gap,
     _great_circle,
@@ -256,7 +258,7 @@ class TestLockstep:
             np.testing.assert_allclose(together, alone, rtol=1e-12)
 
 
-def three_call_ascent(stack, p, x0, max_iter, grad_tol, zero_tol):
+def three_call_ascent(stack, p, x0, max_iter, grad_tol):
     """Reference for the lockstep ascent: the same iteration written as three
     calls (gradient, great circle, objective) that each form the products
     of the stack with x afresh, with every live row written out each
@@ -271,7 +273,7 @@ def three_call_ascent(stack, p, x0, max_iter, grad_tol, zero_tol):
         rows, x, f, stall = rows[live], x[live], f[live], stall[live]
         if not rows.size:
             break
-        g = omega_p_gradient(stack, p, x, zero_tol)
+        g = omega_p_gradient(stack, p, x, _PHASE_ZERO_TOL)
         gt = g - np.real(np.sum(np.conj(x) * g, axis=1))[:, None] * x
         gn = np.linalg.norm(gt, axis=1)
         live = gn > grad_tol
@@ -307,7 +309,7 @@ class TestCarriedProducts:
             carried = ascend_many(requests)
             for req, ends in zip(requests, carried):
                 pairs.append((ends.f, three_call_ascent(req.stack, req.p, req.starts, req.max_iter,
-                                                        req.grad_tol, req.zero_tol)[1]))
+                                                        req.grad_tol)[1]))
             return carried
 
         monkeypatch.setattr(numrad.radius, "ascend_many", both)
@@ -325,7 +327,7 @@ class TestCarriedProducts:
 
     @pytest.mark.parametrize("n_ops", [2, 4])
     def test_zero_operator_at_p1(self, monkeypatch, n_ops):
-        # <0 x, x> = 0 sits on the kink of |z| that zero_tol guards
+        # <0 x, x> = 0 sits on the kink of |z| that _PHASE_ZERO_TOL guards
         g = np.random.default_rng(40 + n_ops)
         for side in range(1, 9):
             ops = [rand_complex(g, side) for _ in range(n_ops - 1)] + [np.zeros((side, side))]
@@ -410,8 +412,8 @@ class TestAscendMany:
         given, own = ascent_request(**case, norms=norms), ascent_request(**case)
         for name in ("stack", "starts"):
             np.testing.assert_array_equal(getattr(given, name), getattr(own, name))
-        assert (given.p, given.max_iter, given.grad_tol, given.zero_tol, given.norms) == (
-            own.p, own.max_iter, own.grad_tol, own.zero_tol, own.norms)
+        assert (given.p, given.max_iter, given.grad_tol, given.norms) == (
+            own.p, own.max_iter, own.grad_tol, own.norms)
         assert_same_ends(*ascend_many([given, own]))
 
     def test_any_ends_give_a_lower_bound(self):
@@ -424,7 +426,10 @@ class TestAscendMany:
                           tuple(np.linalg.norm(t, 2) for t in case["ops"]))
         est = omega_p(**case, ends=ends)
         np.testing.assert_array_equal(est.witness, points[1])
-        assert est.value == omega_p_objective(case["ops"], 3.0, points[1]) ** (1 / 3)
+        # the value is the scaled objective's, scaled back by 2^e
+        e = math.frexp(max(ends.norms))[1]
+        scaled = [t * 2.0 ** -e for t in case["ops"]]
+        assert est.value == omega_p_objective(scaled, 3.0, points[1]) ** (1 / 3) * 2.0 ** e
         assert est.value <= omega_p(**case).value + 1e-12
 
 
@@ -448,8 +453,8 @@ class TestArgumentChecks:
 
 
 class TestExtremeNorms:
-    """Operators whose F would leave the float range run scaled by a power
-    of 2, and their value and tol are scaled back."""
+    """Every ascent runs on the operators scaled by a power of 2 to norm
+    about 1, at a tol scaled alike, and the value is scaled back."""
 
     @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
     @pytest.mark.parametrize("s", (1e-300, 1e-160, 1e-100, 1e100, 1e160, 1e300))
@@ -462,9 +467,21 @@ class TestExtremeNorms:
             warnings.simplefilter("error")
             est = omega_p([s * t for t in ops], p, restarts=6, stream=RngStream(2))
         assert 0.0 < est.value and est.converged
-        assert abs(est.value - s * unit.value) <= 1e-8 * max(1.0, s)
+        assert abs(est.value - s * unit.value) <= 1e-12 * s * unit.value
 
-    @pytest.mark.parametrize("s", (1e100, 1e160))
+    @pytest.mark.parametrize("p", (1.0, 2.0, 3.0))
+    def test_power_of_two_scaling_keeps_the_bits(self, p):
+        # 2^k T runs as the same scaled stack at the same scaled tol, so its
+        # value is 2^k times the original, to the bit
+        g = np.random.default_rng(11)
+        ops = [rand_complex(g, 3) for _ in range(2)]
+        unit = omega_p(ops, p, restarts=6, stream=RngStream(4))
+        for k in range(-300, 301, 7):
+            est = omega_p([2.0 ** k * t for t in ops], p, restarts=6, stream=RngStream(4))
+            assert est.value == 2.0 ** k * unit.value, k
+            assert est.converged == unit.converged, k
+
+    @pytest.mark.parametrize("s", (1e-160, 1e100, 1e160))
     def test_shift_pair_at_p3(self, s):
         # omega_p of the shift given twice is 2^(1/p) omega(shift) = 2^(1/3) s / 2
         shift = np.array([[0.0, s], [0.0, 0.0]])
@@ -473,15 +490,6 @@ class TestExtremeNorms:
             est = omega_p([shift, shift], 3.0)
         assert est.converged
         assert est.value == pytest.approx(2.0 ** (1 / 3) * 0.5 * s, rel=1e-6)
-
-    def test_ordinary_norms_run_unscaled(self):
-        # at norm about 1e30 and p = 4, F stays near 1e120 and the operators
-        # run as given; at p = 5 they run scaled to norm about 1
-        g = np.random.default_rng(9)
-        ops = [1e30 * rand_complex(g, 3) for _ in range(2)]
-        np.testing.assert_array_equal(ascent_request(ops, 4.0, 2).stack, np.stack(ops))
-        scaled = ascent_request(ops, 5.0, 2).stack
-        assert 0.5 <= max(np.linalg.norm(t, 2) for t in scaled) < 1.0
 
 
 class TestBruteForce:
