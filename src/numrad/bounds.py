@@ -74,7 +74,7 @@ from .linalg import (
     spectral_norms,
     spectrum_values,
 )
-from .radius import ascend_many, ascent_request, omega_many, omega_p
+from .radius import ascend_many, ascent_request, omega_many, omega_p, relative_tol
 
 # Normality check: ||M*M - MM*|| <= NORMALITY_TOL * ||M||^2.
 NORMALITY_TOL = 1e-9
@@ -752,22 +752,20 @@ def _th1_value(offdiag_norms, p: float, certs) -> BoundOutcome:
     )
 
 
-def _th1_step(blocks, p: float, omega_tol: float, relative: bool) -> Pending:
+def _th1_step(blocks, p: float, omega_tol: float) -> Pending:
     """th1's value as a step: the radii A_1, D_1, A_2, ... with their norms,
-    at omega_tol, relative to max(1, the largest block operator's norm)
-    when `relative`, and the finish over their results. One round takes the
-    norms of B_1, C_1, B_2, ..., of the block operators when `relative`,
-    and of the radii."""
+    at omega_tol relative to the largest block operator's norm, and the
+    finish over their results. One round takes the norms of B_1, C_1, B_2,
+    ..., of the block operators and of the radii."""
     blocks, ops, offdiag, p = _th1_inputs(blocks, p)
-    scales = [blk.matrix() for blk in blocks] if relative else []
-    n = len(ops)
+    n, k = len(ops), len(blocks)
 
     def radii(norms):
-        tol = omega_tol * max([1.0] + norms[n:n + len(scales)])
+        tol = relative_tol(omega_tol, max(norms[n:n + k]))
         return Pending(partial(_th1_value, norms[:n], p),
-                       radii=[(op, tol, nrm) for op, nrm in zip(ops, norms[n + len(scales):])])
+                       radii=[(op, tol, nrm) for op, nrm in zip(ops, norms[n + k:])])
 
-    return Pending(radii, norms=offdiag + scales + ops)
+    return Pending(radii, norms=offdiag + [blk.matrix() for blk in blocks] + ops)
 
 
 def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
@@ -775,12 +773,12 @@ def bound_th1(blocks, p: float, omega_tol: float = 1e-8) -> BoundOutcome:
 
     value = 2**(-p) sum_i (w(A_i) + w(D_i)
     + sqrt((w(A_i) - w(D_i))**2 + (||B_i|| + ||C_i||)**2))**p, with the
-    radii certified at the absolute `omega_tol` and taken at their upper
-    endpoints. Its step is a campaign's with an absolute tol, settled as a
-    batch of one, so A_1, D_1, A_2, ... are certified by one
+    radii certified at `omega_tol` times the largest block operator's norm
+    and taken at their upper endpoints. Its step is a campaign's, settled
+    as a batch of one, so A_1, D_1, A_2, ... are certified by one
     :func:`omega_many` and the first failure in that order is raised.
     """
-    return _settled(_th1_step(blocks, p, omega_tol, relative=False))
+    return _settled(_th1_step(blocks, p, omega_tol))
 
 
 # -- the bound table ---------------------------------------------------------
@@ -854,9 +852,10 @@ class Sampler:
 class EvalSettings:
     """Settings of one bound evaluation that do not vary by trial input.
 
-    `omega_tol` is relative to max(1, scale) of the measured operator;
-    `stream` seeds the generalized-radius restarts. Per-trial parameters,
-    `constant_mode` among them, travel in the params dict instead.
+    `omega_tol` is relative to the measured operator's norm (th1's blocks:
+    the largest block operator's); `stream` seeds the generalized-radius
+    restarts. Per-trial parameters, `constant_mode` among them, travel in
+    the params dict instead.
     """
 
     omega_tol: float = 1e-6
@@ -897,8 +896,8 @@ class BoundSpec:
         end or None, extras).
 
         Every side first takes the norms of its operands. An "omega" side
-        is then one radius at `omega_tol` relative to max(1, ||T||), with
-        that norm, finished as the ends of its certified enclosure. The
+        is then one radius at `omega_tol ||T||`, with that norm, finished
+        as the ends of its certified enclosure. The
         generalized radius of one operator is its numerical radius for
         every p, so an "omega_p" side of one operand is that radius too. A
         "norm" side is the exact norm twice. An "omega_p" side of two or
@@ -924,9 +923,9 @@ class BoundSpec:
 
 
 def _radius(target, omega_tol: float, norms) -> Pending:
-    """An "omega" side's radius, at omega_tol relative to max(1, its norm)."""
+    """An "omega" side's radius, at omega_tol relative to its norm."""
     (norm,) = norms
-    return Pending(_enclosure_ends, radii=[(target, omega_tol * max(1.0, norm), norm)])
+    return Pending(_enclosure_ends, radii=[(target, relative_tol(omega_tol, norm), norm)])
 
 
 def _enclosure_ends(certs) -> tuple[float, float, dict]:
@@ -1016,7 +1015,7 @@ def _sum_norm(normal_mode, m, prm, s):
 
 def _th1(m, prm, s):
     """th1's step at omega_tol relative to the largest block operator's norm."""
-    return _th1_step(m["blocks"], float(prm.get("p", 1.0)), s.omega_tol, relative=True)
+    return _th1_step(m["blocks"], float(prm.get("p", 1.0)), s.omega_tol)
 
 
 def _sign(params: dict) -> float:

@@ -103,7 +103,7 @@ class CampaignConfig:
     n_operators_values: tuple = (1, 2, 4)
     ensembles: dict = field(default_factory=dict)  # role -> kind; the rest default
     master_seed: int = 0
-    omega_tol: float = 1e-6            # relative to max(1, scale) per trial
+    omega_tol: float = 1e-6            # relative to each measured operator's norm
     slack: float = CONTRACT_SLACK      # violation slack epsilon_rel
     constant_mode: str = "as_proved"
     omega_p_restarts: int = 4
@@ -112,7 +112,7 @@ class CampaignConfig:
     extra_trials: tuple = ()           # (bound_id, params dict, mats dict) triples
 
     def __post_init__(self) -> None:
-        # omega needs tol >= 1e-12 * max(1, ||M||); omega_tol is relative to that scale
+        # omega needs tol >= 1e-12 ||M||, and omega_tol is relative to ||M||
         for key, low in (("omega_tol", 1e-12), ("slack", 0.0)):
             val = getattr(self, key)
             if not (_is_finite(val) and val >= low):

@@ -23,24 +23,16 @@ M) permutes to 1/2 [[0, K], [K*, 0]] with K = e^{i theta} M[A][:, B] +
 e^{-i theta} M[B][:, A]*, so h(theta) = h(theta + pi) = sigma_max(K) / 2,
 one SVD of the |A| x |B| block per angle in place of an eigensolve of
 side n (Hirzallah, Kittaneh & Shebrawi, Integral Equations Operator
-Theory 71, 2011). Such an operator's cells also get a cap: 4 h(theta)^2
-is a maximum over unit x of c + d cos(2 theta + phi) with d = 2 |<Xx,
-Y*x>| <= 2 ||X|| ||Y||, and a term peaking inside a cell of width w rises
-above the cell's larger end by at most d (1 - cos w). So h <= sqrt(max(u,
-v)^2 + amp sin^2(w/2)) with amp = ||X||_F ||Y*||_F, and a zero block
-(amp = 0) closes [[0, X], [0, 0]] on the initial grid.
+Theory 71, 2011). Such an operator's cells also get a cap on their
+majorant (`_cell_majorant`), which closes [[0, X], [0, 0]] on the initial
+grid.
 
 Where the field of values is a disk, h is flat at the radius and the cells
 would have to shrink to a width of about sqrt(8 tol / omega). Such an
 operator closes by a PSD certificate instead (`_ando_bound`, after Ando's
-characterization of the radius): for Hermitian X, H = [[X, -M], [-M*,
-2l I - X]] and w = [x; e^{i theta} x] with x a unit vector, w* H w = 2l -
-2 Re(e^{i theta} <Mx, x>) >= 2 lambda_min(H), so omega <= l -
-lambda_min(H). X comes from a few doubling steps, and the bound allows for
-the backward error of the eigensolve of H and the rounding of its diagonal.
-An operator tries it at l = lo + tol/4 in every round that splits at least
-16 of its cells; over both default seeds, the default campaign never tries
-it.
+characterization of the radius), which it tries at lo + tol/4 in every
+round that splits at least 16 of its cells; over both default seeds, the
+default campaign never tries it.
 
 The achieved maximum over evaluated angles is the lower endpoint (it is a
 value of h, hence a true lower bound); the cell majorants, or the
@@ -53,12 +45,7 @@ the angle budget, the lower end and witness, and termination stay per
 operator. An operator's kernel depends on it alone, its cells keep the
 order they would have alone and each angle's matrix is built the same way
 whatever else shares its batch, so every result equals a lone run to the
-bit; `omega` is the lockstep run of one operator. An operator of norm
-outside [2^-401, 2^400] runs as M 2^-e, of norm about 1, with its tol
-scaled alike, and its ends are scaled back, so that the majorants'
-squares neither underflow nor overflow. The scaling is exact (an operator
-whose entries it would round is refused), and operators of other norms
-keep their bits.
+bit; `omega` is the lockstep run of one operator.
 
 omega_p, the generalized radius, is estimated from below by projected-
 gradient ascent of F(x) = sum_i |<T_i x, x>|^p over unit vectors from
@@ -73,11 +60,15 @@ the iteration budget and the exits stay per request, so every request
 ends as it would alone, to the bit. `omega_p` runs its own request as a
 batch of one, or takes the ends of one that ran in a larger batch, and
 picks the witness, recomputes the value and judges convergence itself.
-Every ascent runs on T 2^-e, of norm about 1, with its tol scaled alike,
-and the value is scaled back, so the estimate is homogeneous: omega_p of
-2^k T is 2^k omega_p(T) to the bit, and the stopping gradient and the
-kink guard are relative to the operators' norm. A brute-force
-quasi-uniform sphere scan serves as an oracle for omega_p at tiny sizes.
+A brute-force quasi-uniform sphere scan serves as an oracle for omega_p
+at tiny sizes.
+
+Both run at norm [1/2, 1) (`_unit_scaled`), on M 2^-e or T 2^-e, e the
+binary exponent of ||M|| or max ||T_i||, at tol 2^-e, and scale their ends
+or value back. So no square underflows or overflows, every tolerance is
+relative to the operators' norm, and omega(2^k M, 2^k tol) and omega_p(2^k
+T) are 2^k times the originals, to the bit. Where scaling rounds entries of
+M among the subnormals, omega's ends widen by one ulp.
 """
 
 from __future__ import annotations
@@ -120,9 +111,6 @@ _GRID_RIGHTS = np.append(_GRID[1:], np.pi)
 # at least this many of its cells: a disk, whose first round splits all 8
 # initial cells, tries it in its second.
 _CERTIFY_SPLITS = 16
-# An operator of norm outside [2^-401, 2^400] runs scaled to norm about 1,
-# so that the squares of the majorants and the certificate stay in range.
-_SAFE_EXPONENT = 400
 # Doubling steps allowed to build the certificate.
 _DOUBLING_STEPS = 60
 _EPS = np.finfo(np.float64).eps
@@ -139,7 +127,7 @@ _LADDER_COS, _LADDER_SIN = np.cos(2.0 * _LADDER), np.sin(2.0 * _LADDER)
 
 @dataclass(frozen=True)
 class CertifiedRadius:
-    """Enclosure lo <= omega <= hi with hi - lo <= tol.
+    """Enclosure lo <= omega <= hi; hi - lo <= tol but for subnormal rounding.
 
     lo is h(witness_theta), an attained value; hi is a rigorous majorant,
     the largest cell majorant or, where smaller, a PSD certificate
@@ -252,9 +240,8 @@ def _ando_bound(m: np.ndarray, level: float) -> float:
     (u' = 2^-52, twice the unit roundoff). The only rounded entries of H,
     the diagonal 2 level - X_ii, add u'/2 max |2 level - X_ii|, at least
     half of max |E_ii| as (e^{i theta} x)* E (e^{i theta} x) <= max |E_ii|.
-    The last sum is rounded up. `omega_many` scales m's norm into
-    [2^-401, 2^400], so no square overflows and what underflows lies far
-    below err.
+    The last sum is rounded up. `omega_many` scales m to norm [1/2, 1),
+    so no square overflows and what underflows lies far below err.
     """
     n = m.shape[0]
     level = 2.0 * level
@@ -286,17 +273,15 @@ def omega(m, tol: float | None = None, max_evals: int = DEFAULT_EVAL_BUDGET) -> 
 
     Args:
         m: square complex matrix.
-        tol: requested width of the enclosure; defaults to
-            1e-8 * max(1, ||M||) and must be finite and
-            >= 1e-12 * max(1, ||M||).
+        tol: requested width of the enclosure; defaults to 1e-8 ||M||
+            and must be finite and >= 1e-12 ||M||.
         max_evals: budget of angles evaluated before giving up (each
             eigensolve evaluates two, theta and theta + pi).
 
     Raises:
         NotSquareError: m is not square.
-        OutOfRangeError: tol is not finite or is too small, or ||M|| >
-            2^400 and scaling M to norm about 1 would round entries that
-            fall among the subnormals.
+        OutOfRangeError: tol is not finite or is too small, or an end
+            scaled back lies past the float range.
         ToleranceUnreachableError: budget exhausted before hi - lo <= tol.
     """
     (out,) = omega_many([m], [tol], max_evals)
@@ -316,7 +301,8 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> 
     operator; each equals :func:`omega` of that operator alone to the bit.
 
     norms[i], when given, is ``spectral_norm(mats[i])`` as the caller took
-    it, and stands in for that SVD here; the results keep their bits.
+    it, and stands in for that SVD here; the results keep their bits. Each
+    operator runs at norm [1/2, 1), its tol and checks alike (`_unit_scaled`).
 
     Raises:
         DimensionMismatchError: tols or norms has another length than
@@ -328,9 +314,8 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> 
         raise DimensionMismatchError(f"{len(mats)} operators, {len(tols)} tolerances "
                                      f"and {len(norms)} norms")
     out: list = [None] * len(mats)
-    # (svd, shape of X or M) -> (index, X or M, Y* or M*, norm, tol)
+    # (svd, shape of X or M) -> (index, X or M, Y* or M*, norm, tol, `_rescaled` args)
     groups: dict = {}
-    rescale: dict = {}  # index -> (e, tol) of an operator run as M 2^-e
     # operators of one call often share a nonzero pattern; each is 2-coloured once
     patterns: dict = {}
     for i, (m, tol, nrm) in enumerate(zip(mats, tols, norms)):
@@ -339,25 +324,21 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> 
             out[i] = NotSquareError(f"omega requires a square matrix, got {m.shape}")
             continue
         nrm = spectral_norm(m) if nrm is None else nrm
-        scale = max(1.0, nrm)
-        tol = 1e-8 * scale if tol is None else float(tol)
-        e = math.frexp(nrm)[1]
-        e = 0 if abs(e) <= _SAFE_EXPONENT else min(max(e, -1000), 1000)
+        tol = relative_tol(1e-8, nrm) if tol is None else float(tol)
+        run, e = _unit_scaled(m, nrm)
+        # lo >= cos(pi/16) ||M|| / 2 on the initial grid, so a tol above ||M|| closes there
+        run_tol = math.ldexp(tol, -e) if tol <= nrm else math.inf
         if not math.isfinite(tol):
             out[i] = OutOfRangeError(f"tolerance must be finite, got {tol}")
-        elif tol < 1e-12 * scale:
-            out[i] = OutOfRangeError(f"tolerance {tol:.3e} below 1e-12 * max(1, ||M||)")
+        elif run_tol < 1e-12 * math.ldexp(nrm, -e):
+            out[i] = OutOfRangeError(f"tolerance {tol:.3e} below 1e-12 ||M||")
         elif nrm == 0.0:
             out[i] = CertifiedRadius(lo=0.0, hi=0.0, witness_theta=0.0, tol=tol,
                                      evals=0, rounds=0)
-        elif e and not np.array_equal(m * 2.0 ** -e * 2.0 ** e, m):
-            out[i] = OutOfRangeError(f"M 2^{-e}, of norm about 1, rounds entries of M "
-                                     f"among the subnormals")
         else:
-            if e:
-                # a tol that overflows closes at once
-                rescale[i] = (e, tol)
-                m, nrm, tol = m * 2.0 ** -e, nrm * 2.0 ** -e, tol * 2.0 ** -e
+            back = (e, tol, e > 0 and not (
+                np.ldexp(run.view(np.float64), e).view(np.complex128) == m).all())
+            m, nrm, tol = run, math.ldexp(nrm, -e), run_tol
             nz = m != 0
             key = nz.tobytes()
             if key not in patterns:
@@ -368,36 +349,61 @@ def omega_many(mats, tols, max_evals: int = DEFAULT_EVAL_BUDGET, norms=None) -> 
             else:
                 a, b = parts
                 x, y = m[a[:, None], b], np.conj(m[b[:, None], a]).T
-            groups.setdefault((parts is not None, x.shape), []).append((i, x, y, nrm, tol))
+            groups.setdefault((parts is not None, x.shape), []).append((i, x, y, nrm, tol, back))
     if groups:
         kernels, live, amps = [], [], []
         for (svd, _), group in groups.items():
-            _, xs, ys, _, _ = zip(*group)
+            _, xs, ys, *_ = zip(*group)
             xs, ys = np.stack(xs), np.stack(ys)
             # the `_cell_majorant` caps ||X||_F ||Y*||_F, none for an eigensolve
             amps.append(np.linalg.norm(xs, axis=(1, 2)) * np.linalg.norm(ys, axis=(1, 2))
                         if svd else np.full(len(group), np.inf))
             kernels.append((len(live), xs, ys, svd))
             live += group
-        index, _, _, norms, widths = zip(*live)
+        index, _, _, norms, widths, backs = zip(*live)
         done = _branch_and_bound(kernels, np.array(norms), np.concatenate(amps),
                                  np.array(widths), max_evals)
-        for i, res in zip(index, done):
-            out[i] = res if i not in rescale else _rescaled(res, *rescale[i])
+        for i, res, back in zip(index, done, backs):
+            out[i] = _rescaled(res, *back)
     return out
 
 
-def _rescaled(res, e: int, tol: float):
+def _rescaled(res, e: int, tol: float, rounded: bool):
     """A result of `_branch_and_bound` for M 2^-e as one for M, at the
-    caller's tol. An end that scales back among the subnormals rounds
-    outward."""
+    caller's tol, or its error. Where scaling rounded entries of M, both
+    ends first move one ulp outward: omega is 1-Lipschitz in the norm, and
+    M 2^-e moved by at most n 2^-1074, far below an ulp of an end >= 0.24."""
     if not isinstance(res, CertifiedRadius):
         return ToleranceUnreachableError(f"{res}, of M scaled by 2^{-e}")
-    with np.errstate(over="ignore"):
-        lo, hi = float(np.ldexp(res.lo, e)), float(np.ldexp(res.hi, e))
-    return replace(res, tol=tol,
-                   lo=lo if math.ldexp(lo, -e) == res.lo else math.nextafter(lo, -math.inf),
-                   hi=hi if math.ldexp(hi, -e) == res.hi else math.nextafter(hi, math.inf))
+    try:
+        return replace(res, tol=tol, lo=_scaled_back(res.lo, e, -math.inf, rounded),
+                       hi=_scaled_back(res.hi, e, math.inf, rounded))
+    except OutOfRangeError as err:
+        return err
+
+
+def _unit_scaled(a: np.ndarray, nrm: float) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e), e the binary exponent of nrm, so a norm nrm becomes [1/2, 1);
+    np.ldexp scales the parts exactly but for those it takes among the subnormals."""
+    e = math.frexp(nrm)[1]
+    return np.ldexp(np.ascontiguousarray(a).view(np.float64), -e).view(np.complex128), e
+
+
+def _scaled_back(x: float, e: int, outward: float, nudge: bool = False) -> float:
+    """x 2^e, one step toward `outward` where it rounds among the subnormals,
+    and first one step where `nudge`; raises OutOfRangeError past the float range."""
+    x = math.nextafter(x, outward) if nudge else x
+    try:
+        y = math.ldexp(x, e)
+    except OverflowError:
+        raise OutOfRangeError(f"{x!r} 2^{e} lies past the float range") from None
+    return y if math.ldexp(y, -e) == x else math.nextafter(y, outward)
+
+
+def relative_tol(rel: float, nrm: float) -> float:
+    """rel ||M|| for nrm = ||M||, rounded up among the subnormals: 0 only for M = 0."""
+    e = math.frexp(nrm)[1]
+    return _scaled_back(rel * math.ldexp(nrm, -e), e, math.inf)
 
 
 def _bipartition(nz: np.ndarray):
@@ -682,12 +688,11 @@ class AscentRequest:
     """One restarted ascent of F(x) = sum_i |<T_i x, x>|^p, as
     :func:`ascent_request` states it for :func:`ascend_many`.
 
-    `stack` holds the (k, n, n) operators scaled by 2^-e to norm about 1
-    (`_ascent_setup`), and `starts` the (restarts, n) starting
-    points. grad_tol, the stopping tangent gradient, is in the scaled
-    objective's units. `norms` are the spectral norms of the operators as
-    given, which :func:`omega_p` takes back with the ends instead of
-    taking them again.
+    `stack` holds the (k, n, n) operators scaled by 2^-e to norm [1/2, 1)
+    (`_ascent_setup`), and `starts` the (restarts, n) starting points.
+    grad_tol, the stopping tangent gradient, is in the scaled objective's
+    units. `norms` are the spectral norms of the operators as given, which
+    :func:`omega_p` takes back with the ends instead of taking them again.
     """
 
     stack: np.ndarray
@@ -714,11 +719,8 @@ def _ascent_setup(ops, p, restarts, tol, max_iter, norms=None) -> tuple:
     norms, tol, e): the ascent runs on stack = T 2^-e at tol 2^-e.
 
     norms, when given, are the spectral norms of ops and stand in for
-    those SVDs. e is the binary exponent of max_i ||T_i||, clamped to
-    [-1000, 1000], so T 2^-e has norm about 1 and every ascent runs on
-    the same scale. The scaling is exact but for entries it takes among
-    the subnormals, far below the value's own rounding; a scaled tol that
-    overflows stops every restart at its start.
+    those SVDs. T 2^-e has norm [1/2, 1) (`_unit_scaled`); a scaled tol
+    that overflows stops every restart at its start.
     """
     stack = _prepare_ops(ops)
     p = float(p)
@@ -732,15 +734,14 @@ def _ascent_setup(ops, p, restarts, tol, max_iter, norms=None) -> tuple:
     norms = tuple(spectral_norm(t) for t in stack) if norms is None else tuple(norms)
     if len(norms) != stack.shape[0]:
         raise DimensionMismatchError(f"{len(norms)} norms for {stack.shape[0]} operators")
-    if tol is None:
-        tol = 1e-8 * max(norms)
-    tol = float(tol)
+    tol = relative_tol(1e-8, max(norms)) if tol is None else float(tol)
     if not math.isfinite(tol) or tol < 0.0:
         # an infinite tol would stop every restart at its start and call it
         # converged; a negative one could never be met
         raise OutOfRangeError(f"tolerance must be finite and >= 0, got {tol}")
-    e = min(max(math.frexp(max(norms))[1], -1000), 1000)
-    return stack * 2.0 ** -e, p, int(restarts), norms, tol * 2.0 ** -e, e
+    stack, e = _unit_scaled(stack, max(norms))
+    with np.errstate(over="ignore"):
+        return stack, p, int(restarts), norms, float(np.ldexp(tol, -e)), e
 
 
 def ascent_request(ops, p: float, restarts: int | None = None, tol: float | None = None,
@@ -761,7 +762,7 @@ def ascent_request(ops, p: float, restarts: int | None = None, tol: float | None
         starts[k] = x0 if x0.any() else 1.0
     # stop a restart once the tangent gradient falls to a tenth of the
     # tolerance, in the scaled objective's own units
-    f_cap = sum((nv * 2.0 ** -e) ** p for nv in norms)
+    f_cap = sum(math.ldexp(nv, -e) ** p for nv in norms)
     grad_tol = 0.1 * tol * p * max(1.0, f_cap)
     return AscentRequest(stack, p, starts, max_iter, grad_tol, norms)
 
@@ -952,9 +953,7 @@ def omega_p(
     ascent's stopping gradient, and `converged` means the
     :func:`_dual_gap` at the witness is <= tol: a first-order certificate,
     not a global one (with all <T_i x, x> = 0, True only for zero T_i).
-    The ascent and the gap run on the operators scaled by a power of 2 to
-    norm about 1 (`_ascent_setup`), and the value is scaled back, so
-    omega_p of 2^k T is 2^k omega_p(T) to the bit.
+    Both run at norm about 1, so omega_p(2^k T) is 2^k omega_p(T).
 
     `ends`, when given, is what :func:`ascend_many` returned for
     ``ascent_request`` of the same arguments: it replaces the starts and
@@ -964,7 +963,8 @@ def omega_p(
 
     Raises:
         OutOfRangeError: p < 1 or not finite; restarts not an integer
-            >= 1 or max_iter not an integer >= 0; tol not finite or < 0.
+            >= 1 or max_iter not an integer >= 0; tol not finite or < 0;
+            the value scaled back lies past the float range.
         DimensionMismatchError: ends do not hold `restarts` points of
             the operators' side, or one norm per operator.
     """
@@ -978,7 +978,7 @@ def omega_p(
     witness = ends.x[best] / np.linalg.norm(ends.x[best])
     value = float(omega_p_objective(stack, p, witness) ** (1.0 / p))
     return OmegaPEstimate(
-        value=value * 2.0 ** e,
+        value=_scaled_back(value, e, -math.inf),
         witness=witness,
         p=p,
         converged=max(norms) == 0.0 or _dual_gap(stack, p, witness) <= tol,

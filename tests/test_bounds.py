@@ -35,6 +35,7 @@ from numrad.funcpair import FunctionPair, HolderPair, power_pair, pow_of_pair
 from numrad.linalg import (
     OffDiagPair,
     adjoint,
+    embed_block,
     embed_offdiag,
     polar_eigen,
     spectral_norm,
@@ -558,20 +559,28 @@ class TestTh1:
         b, c = rand_complex(g, 2, 3), rand_complex(g, 3, 2)
         z22, z23, z32, z33 = (np.zeros(s) for s in ((2, 2), (2, 3), (3, 2), (3, 3)))
         tol = 1e-10
-        wa = omega(a, tol).hi
-        wd = omega(d, tol).hi
+
+        def radius(op, block):
+            # th1 certifies at tol relative to the block operator's norm
+            return omega(op, tol * spectral_norm(embed_block(*block))).hi
+
         nb, nc = spectral_norm(b), spectral_norm(c)
         b_sq = rand_complex(g, 2)
         nb_sq = spectral_norm(b_sq)
         for p in (1.0, 2.0):
             # repeated-block special case: A = D, B = C (square blocks)
-            got = bound_th1([(a, b_sq, b_sq, a)], p, tol).value
-            assert got == pytest.approx((wa + nb_sq) ** p, rel=1e-12)
+            block = (a, b_sq, b_sq, a)
+            got = bound_th1([block], p, tol).value
+            assert got == pytest.approx((radius(a, block) + nb_sq) ** p, rel=1e-12)
             # diagonal special case
-            got = bound_th1([(a, z23, z32, d)], p, tol).value
+            block = (a, z23, z32, d)
+            got = bound_th1([block], p, tol).value
+            wa, wd = radius(a, block), radius(d, block)
             assert got == pytest.approx(max(wa ** p, wd ** p), rel=1e-12)
             # first-row special case
-            got = bound_th1([(a, b, z32, z33)], p, tol).value
+            block = (a, b, z32, z33)
+            got = bound_th1([block], p, tol).value
+            wa = radius(a, block)
             expect = 2.0 ** (-p) * (wa + math.sqrt(wa ** 2 + nb ** 2)) ** p
             assert got == pytest.approx(expect, rel=1e-12)
             # off-diagonal special case
@@ -586,13 +595,13 @@ class TestTh1:
     @pytest.mark.parametrize("k,p", [(1, 1.0), (2, 3.0), (4, 2.0)])
     def test_block_radii_equal_single_calls(self, k, p):
         # A_1, D_1, A_2, ... are certified in one lockstep call, whatever
-        # their sides; each term equals the one made from a lone omega per
-        # block, to the bit
+        # their sides, at tol times the largest block operator's norm; each
+        # term equals the one made from a lone omega per block, to the bit
         g = np.random.default_rng(19 + k)
         blocks = [(rand_complex(g, m), rand_complex(g, m, n), rand_complex(g, n, m),
                    rand_complex(g, n)) for m, n in ((3, 2), (1, 4), (2, 2), (4, 1))[:k]]
-        tol = 1e-7
-        out = bound_th1(blocks, p, tol)
+        out = bound_th1(blocks, p, 1e-7)
+        tol = 1e-7 * max(spectral_norm(embed_block(*blk)) for blk in blocks)
         total = 0.0
         for i, (a, b, c, d) in enumerate(blocks):
             wa, wd = omega(a, tol).hi, omega(d, tol).hi

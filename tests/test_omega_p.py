@@ -492,6 +492,18 @@ class TestExtremeNorms:
         assert est.value == pytest.approx(2.0 ** (1 / 3) * 0.5 * s, rel=1e-6)
 
 
+    def test_norm_above_2_to_the_1000(self):
+        # the ascent runs at norm about 1 for every exponent, so F and the
+        # stopping gradient stay in range even at p = 300
+        est = omega_p([1e305 * np.eye(2)] * 2, 300.0)
+        assert est.value == pytest.approx(1e305 * 2.0 ** (1 / 300), rel=1e-12)
+
+    def test_value_past_the_float_range_is_refused(self):
+        # omega_p of the pair is 2 * 1.7e308, which no float holds
+        with pytest.raises(OutOfRangeError, match="past the float range"):
+            omega_p([1.7e308 * np.eye(2)] * 2, 1.0)
+
+
 class TestBruteForce:
     def test_identity(self):
         assert omega_p_bruteforce([np.eye(2)], p=2.0, grid_density=512) == \

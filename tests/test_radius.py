@@ -1,4 +1,6 @@
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -431,9 +433,10 @@ class TestCappedMajorant:
 
 
 class TestExtremeNorms:
-    """An operator of norm outside [2^-401, 2^400] runs scaled by a power
-    of two to norm about 1, so the majorants' squares do not underflow or
-    overflow, and its ends are scaled back."""
+    """Every operator runs scaled by a power of two to norm [1/2, 1), at a
+    tol scaled alike, so the majorants' squares do not underflow or
+    overflow and the tolerances are relative to ||M||; its ends are scaled
+    back."""
 
     @pytest.mark.parametrize("s", [1e-150, 1e-170, 1e-200, 1e-300, 1e150, 1e300])
     def test_scalar_pair_encloses_its_radius(self, s):
@@ -448,23 +451,52 @@ class TestExtremeNorms:
     @pytest.mark.parametrize("kind", ["ginibre", "pair", "shift"])
     @pytest.mark.parametrize("k", [-1000, -600, -402, 402, 600, 1000])
     def test_ends_scale_with_the_operator(self, kind, k):
-        # m has norm in (1/2, 1), so M 2^k runs as m itself: the same
-        # angles, the same lo and witness, and hi up to the norm's rounding
+        # M 2^k at tol 2^k tol runs as M at tol: the same angles, rounds and
+        # witness, and ends 2^k times M's, to the bit
         g = np.random.default_rng(65)
         m = {"ginibre": rand_complex(g, 5), "pair": embed_offdiag(rand_complex(g, 2, 3),
                                                                   rand_complex(g, 3, 2)),
              "shift": np.eye(6, k=1, dtype=complex)}[kind]
         m = m * (0.75 / spectral_norm(m))
-        # below norm 1 the tol floor is 1e-12, which a tiny operator meets
-        # on the initial grid
-        tol = 1e-10 if k > 0 else 1.0
+        tol = 2.0 ** -34
         base = omega(m, tol)
-        cert = omega(m * 2.0 ** k, tol * 2.0 ** k if k > 0 else None)
-        assert (cert.witness_theta, cert.evals, cert.rounds) == \
-            (base.witness_theta, base.evals, base.rounds)
-        assert cert.lo == np.ldexp(base.lo, k)
-        assert abs(cert.hi - np.ldexp(base.hi, k)) <= 4 * U * np.ldexp(base.hi, k)
+        cert = omega(m * 2.0 ** k, tol * 2.0 ** k)
+        assert cert == replace(base, lo=np.ldexp(base.lo, k), hi=np.ldexp(base.hi, k),
+                               tol=tol * 2.0 ** k)
         assert cert.hi - cert.lo <= cert.tol
+
+    @pytest.mark.parametrize("kind", ["ginibre", "pair", "shift", "jordan", "near_disk",
+                                      "hermitian"])
+    def test_power_of_two_scaling_keeps_the_bits(self, kind):
+        # omega(2^k M, 2^k tol) is 2^k omega(M, tol) in lo, hi, witness,
+        # evals and rounds, for every seventh k in [-1000, 1000]
+        g = np.random.default_rng(67)
+        m = {"ginibre": rand_complex(g, 4), "pair": embed_offdiag(rand_complex(g, 2, 3),
+                                                                  rand_complex(g, 3, 2)),
+             "shift": np.eye(8, k=1, dtype=complex),
+             "jordan": (0.3 + 0.4j) * np.eye(5) + np.eye(5, k=1),
+             "near_disk": shift_plus(g, 6, 1e-3), "hermitian": np.diag([2.0, -1.0, 0.5])}[kind]
+        tol = 2.0 ** -30
+        base = omega(m, tol)
+        ks = range(-1000, 1001, 7)
+        got = omega_many([m * 2.0 ** k for k in ks], [tol * 2.0 ** k for k in ks])
+        for k, cert in zip(ks, got):
+            assert cert == replace(base, lo=np.ldexp(base.lo, k), hi=np.ldexp(base.hi, k),
+                                   tol=tol * 2.0 ** k), k
+
+    @pytest.mark.parametrize("s", [1e-318, 1e-300, 1e-160, 1.0, 1e160, 1e300])
+    def test_zero_tol_is_refused_at_every_norm(self, s):
+        # the floor 1e-12 ||M|| is checked at norm about 1, where it does not
+        # underflow, so a zero tol cannot run the whole budget
+        with pytest.raises(OutOfRangeError, match="below 1e-12"):
+            omega(s * np.eye(8, k=1, dtype=complex), 0.0)
+
+    def test_default_tol_is_relative(self):
+        # the side-8 shift of norm 1e-160 closes to within 1e-8 of its norm
+        cert = omega(1e-160 * np.eye(8, k=1, dtype=complex))
+        radius = np.cos(np.pi / 9) * 1e-160
+        assert cert.lo <= radius * (1.0 + 64 * U) and radius <= cert.hi
+        assert cert.hi - cert.lo <= 1e-8 * 1e-160
 
     def test_mixed_norms_match_single_calls(self):
         g = np.random.default_rng(66)
@@ -484,20 +516,30 @@ class TestExtremeNorms:
         # and 2^-1060 (1 + 2^-16) 1/4: the nearest ones would cross the radius
         res = CertifiedRadius(lo=1.0 + 3 * 2.0 ** -16, hi=1.0 + 2.0 ** -16, witness_theta=0.0,
                               tol=1.0, evals=64, rounds=0)
-        out = _rescaled(res, -1060, 1e-12)
+        out = _rescaled(res, -1060, 1e-12, False)
         assert np.ldexp(out.lo, 1060) < res.lo and res.hi < np.ldexp(out.hi, 1060)
         assert out.tol == 1e-12
+        # where scaling M rounded its entries, both ends first move one ulp out
+        res = replace(res, lo=0.75, hi=0.75 + 2.0 ** -40)
+        out = _rescaled(res, 600, 1.0, True)
+        assert out.lo == np.ldexp(np.nextafter(0.75, 0.0), 600)
+        assert out.hi == np.ldexp(np.nextafter(res.hi, 1.0), 600)
+        assert (out.witness_theta, out.evals, out.tol) == (0.0, 64, 1.0)
 
     def test_budget_error_names_the_scale(self):
         with pytest.raises(ToleranceUnreachableError, match=r"exhausted at width .*2\^-601"):
             omega(2.0 ** 600 * np.eye(8, k=1, dtype=complex), 1e-12 * 2.0 ** 600, max_evals=30)
 
-    def test_inexact_scaling_is_refused(self):
-        # 5e-324 2^-601 is 0, so M cannot run at norm about 1
+    def test_inexact_scaling_widens_the_ends(self):
+        # 5e-324 2^-601 is 0, so M runs as [[0, 1/2], [0, 0]]; its ends are
+        # that operator's widened by one ulp each, an enclosure of 2^599
         m = np.array([[0.0, 2.0 ** 600], [5e-324, 0.0]], dtype=complex)
-        with pytest.raises(OutOfRangeError, match="subnormals"):
-            omega(m)
-        assert isinstance(omega_many([m, np.eye(2)], [None] * 2)[0], OutOfRangeError)
+        cert = omega(m)
+        exact = omega(np.array([[0.0, 2.0 ** 600], [0.0, 0.0]], dtype=complex))
+        assert cert == replace(exact, lo=np.nextafter(exact.lo, 0.0),
+                               hi=np.nextafter(exact.hi, np.inf))
+        assert cert.lo < 2.0 ** 599 < cert.hi
+        assert omega_many([m, np.eye(2)], [None] * 2)[0] == cert
 
 
 def shift_plus(g, n, eps):
@@ -764,7 +806,7 @@ class TestOmegaMany:
         got = omega_many(mats + [np.ones((8, 8)), np.eye(8)], tols + [1e-14, float("inf")],
                          max_evals=budget)
         assert isinstance(got[shift], ToleranceUnreachableError)
-        with pytest.raises(ToleranceUnreachableError, match=str(got[shift])):
+        with pytest.raises(ToleranceUnreachableError, match=re.escape(str(got[shift]))):
             omega(mats[shift], 1e-8, max_evals=budget)
         assert isinstance(got[-2], OutOfRangeError) and isinstance(got[-1], OutOfRangeError)
         for i, m in enumerate(mats):
